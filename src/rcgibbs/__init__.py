@@ -24,9 +24,7 @@ from .gibbs import (
     OCCUPANCY,
     SPIN,
     SpinConfig,
-    covariance,
     effective_bonds,
-    expectation,
     gibbs_measure,
 )
 from .lattice import (

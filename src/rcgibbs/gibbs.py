@@ -469,26 +469,3 @@ def gibbs_measure(
     }
     return FiniteDistribution(table, sites=spec.region)
 
-
-def unnormalized_weight(spec: GibbsSpec, bonds: list[EffectiveBond], config_values: dict):
-    """Gibbs weight of a full region assignment given as vertex -> value."""
-    S = spec.alphabet.size
-    w = Fraction(1) if spec.exact else 1.0
-    for eb in bonds:
-        li = 0
-        for v in eb.inside:
-            li = li * S + spec.alphabet.index(config_values[v])
-        w = w * eb.table[li]
-        if w == 0:
-            return w
-    return w
-
-
-def expectation(d, f):
-    """Sum of f over outcomes weighted by probability."""
-    return d.expectation(f)
-
-
-def covariance(d, f, g):
-    """Cov(f, g) = E[fg] - E[f]E[g] under d."""
-    return d.covariance(f, g)

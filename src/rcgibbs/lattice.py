@@ -8,7 +8,6 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -120,10 +119,6 @@ def build_cayley_tree(depth: int, branching: int) -> Hypergraph:
     return hypergraph(nxt, bonds)
 
 
-def grid_coords(width: int, v: int) -> tuple[int, int]:
-    return v % width, v // width
-
-
 def ball(h: Hypergraph, seeds, radius: int) -> frozenset[int]:
     """Graph-metric ball: vertices within `radius` hyperbond steps of seeds.
 
@@ -150,7 +145,3 @@ def graph_to_dict(h: Hypergraph) -> dict:
 def graph_from_dict(d: dict) -> Hypergraph:
     return hypergraph(int(d["n"]), d["bonds"])
 
-
-def load_graph(path) -> Hypergraph:
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))

@@ -3,9 +3,13 @@
 The integrated law mixes, over the two-copy overlap distribution, the
 activity pattern of the slice representation. Its key computational fact:
 conditionally on one copy's configuration inside a slice, the bond
-activities are independent coin flips whose probabilities come from the
-slice base, so patterns can be accumulated without enumerating bond
-assignments.
+activities are independent coin flips, so patterns can be accumulated
+without enumerating bond assignments. Under the default nested-level base
+a bond's coin is a function of the two copies' local values on that bond
+alone; pair_coin_table computes it once per spec, and every exact query
+and the Monte Carlo sampler read that one table. All specs take one
+slice-by-slice route; only a custom base_factory rebuilds each slice's
+symmetrized spec and base.
 """
 
 from __future__ import annotations
@@ -14,15 +18,14 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import TooLargeError, ZeroSliceError
-from .gibbs import GibbsSpec, effective_bonds
+from .gibbs import GibbsSpec, effective_bonds, local_index
 from .lattice import ball, boundary_vertices
 from .rcr import (
     RcrBase,
     assignment_measure,
-    monotone_base,
+    bond_level_system,
+    monotone_probabilities,
     reconstruct,
     _bond_locals,
     _local_of,
@@ -196,22 +199,115 @@ def domination_probability(irc: IntegratedRC, bond_index: int):
 
 
 # ---------------------------------------------------------------------------
-# Slice activity terms
+# The pair-coin kernel and slice activity terms
 
 
-def _slice_pattern_terms(spec, sigma, base_factory, validate):
+def pair_coin_table(spec: GibbsSpec):
+    """Activity coin of the nested-level base for every pair of copies.
+
+    Returns one table per effective bond, in effective_bonds order:
+    table[x1][x2] is the probability that the bond is active given the
+    full-alphabet local indices x1 and x2 of the two copies on its inside
+    vertices. The coin is the one monotone_base gives the bond in the slice
+    of the local overlap sigma = x1 + x2: the admissible local values y
+    carry the symmetrized factors F(y) = f(y) f(sigma - y), and with x1 in
+    level i of their nested levels the coin is the active weight over the
+    support weight of the subsets containing x1, both summed in level order
+    as BondBase sums them. Pairs outside the domains or of factor zero get
+    0. Entries are Fractions for exact specs.
+    """
+    S = spec.alphabet.size
+    idx = spec.alphabet.index
+    zero = Fraction(0) if spec.exact else 0.0
+    tables = []
+    for eb in effective_bonds(spec):
+        doms = [spec.domain_values(v) for v in eb.inside]
+        n_local = S ** len(eb.inside)
+        q = [[zero] * n_local for _ in range(n_local)]
+        sums = [sorted({a + b for a in d for b in d}) for d in doms]
+        for sig in itertools.product(*sums):
+            adm = [tuple(a for a in d if s - a in d) for d, s in zip(doms, sig)]
+            ys = list(itertools.product(*adm))
+            loc1 = [local_index(S, (idx(a) for a in y)) for y in ys]
+            loc2 = [local_index(S, (idx(s - a) for s, a in zip(sig, y))) for y in ys]
+            factors = [eb.table[a] * eb.table[b] for a, b in zip(loc1, loc2)]
+            levels, _ = bond_level_system(factors)
+            if levels[0] <= 0:
+                continue
+            probs = monotone_probabilities(levels)
+            coin = {f: sum(probs[i:-1]) / sum(probs[i:]) for i, f in enumerate(levels) if f != 0}
+            for a, b, f in zip(loc1, loc2, factors):
+                if f != 0:
+                    q[a][b] = coin[f]
+        tables.append(q)
+    return tables
+
+
+class _SpecTerms:
+    """Per-spec work shared by the slices of one call.
+
+    Holds the pair-coin table (default base only) and, per configuration of
+    alphabet indices, its weight and its bonds' local indices, computed on
+    first use.
+    """
+
+    def __init__(self, spec: GibbsSpec, coins: bool):
+        self.coins = pair_coin_table(spec) if coins else None
+        self.index = {v: i for i, v in enumerate(spec.alphabet.values)}
+        self._S = spec.alphabet.size
+        self._lookups = _pair_weight_tables(spec)
+        self._one = Fraction(1) if spec.exact else 1.0
+        self._configs: dict[tuple, tuple] = {}
+
+    def config(self, c):
+        """(weight, per-bond local indices) of a configuration."""
+        got = self._configs.get(c)
+        if got is None:
+            S = self._S
+            w = _config_weight(c, S, self._lookups, self._one)
+            locs = tuple(local_index(S, (c[p] for p in pos)) for pos, _ in self._lookups)
+            got = self._configs[c] = (w, locs)
+        return got
+
+
+def _slice_pattern_terms(spec, sigma, base_factory, validate, terms=None):
     """Unnormalized activity-pattern weights contributed by one overlap slice.
 
     Returns (slice_total, pattern dict); both carry the raw two-copy weight
-    w(omega) * w(sigma - omega) summed over the slice.
+    w(omega) * w(sigma - omega) summed over the slice. The default base
+    reads its coins from the pair-coin table; a custom base_factory gets the
+    slice's symmetrized spec, built only for slices of positive weight.
     """
+    if terms is None:
+        terms = _SpecTerms(spec, base_factory is None)
     try:
-        slice_spec = symmetrized_spec(spec, sigma)
+        sl = make_slice(spec, sigma)
     except ZeroSliceError:
         return 0, {}
+    index = terms.index
+    pairs = []
+    total = 0
+    for vals in itertools.product(*sl.admissible):
+        c1 = tuple(index[v] for v in vals)
+        w1, l1 = terms.config(c1)
+        if w1 == 0:
+            continue
+        w2, l2 = terms.config(tuple(index[s - v] for s, v in zip(sl.sigma, vals)))
+        w = w1 * w2
+        if w == 0:
+            continue
+        total += w
+        pairs.append((c1, l1, l2, w))
+    if total == 0:
+        return 0, {}
+    by_q: dict[tuple, object] = {}
     if base_factory is None:
-        base = monotone_base(slice_spec)
+        coins = terms.coins
+        for _, l1, l2, w in pairs:
+            key = tuple(q[a][b] for q, a, b in zip(coins, l1, l2))
+            by_q[key] = by_q.get(key, 0) + w
     else:
+        slice_spec = symmetrized_spec(spec, sigma)
         base = base_factory(slice_spec)
         if validate:
             got = reconstruct(slice_spec, base)
@@ -220,32 +316,16 @@ def _slice_pattern_terms(spec, sigma, base_factory, validate):
                 diff = got.prob(o) - p
                 if abs(diff) > 1e-9:
                     raise ValueError("slice base does not reproduce the slice measure")
-    S = spec.alphabet.size
-    lookups = _pair_weight_tables(spec)
-    one = Fraction(1) if spec.exact else 1.0
-    idx = spec.alphabet.index
-    sl = make_slice(spec, sigma)
-    locs = _bond_locals(slice_spec, base)
-    by_q: dict[tuple, object] = {}
-    total = 0
-    for vals in itertools.product(*sl.admissible):
-        c1 = tuple(idx(v) for v in vals)
-        w = _config_weight(c1, S, lookups, one)
-        if w == 0:
-            continue
-        c2 = tuple(idx(s - v) for s, v in zip(sl.sigma, vals))
-        w = w * _config_weight(c2, S, lookups, one)
-        if w == 0:
-            continue
-        total += w
-        qs = []
-        for bb, (positions, vmaps, dims) in zip(base.bonds, locs):
-            li = _local_of(c1, positions, vmaps, dims)
-            sup = bb.support_weight(li)
-            act = bb.active_weight(li)
-            qs.append(act / sup)
-        key = tuple(qs)
-        by_q[key] = by_q.get(key, 0) + w
+        locs = _bond_locals(slice_spec, base)
+        for c1, _, _, w in pairs:
+            qs = []
+            for bb, (positions, vmaps, dims) in zip(base.bonds, locs):
+                li = _local_of(c1, positions, vmaps, dims)
+                sup = bb.support_weight(li)
+                act = bb.active_weight(li)
+                qs.append(act / sup)
+            key = tuple(qs)
+            by_q[key] = by_q.get(key, 0) + w
     patterns: dict[int, object] = {}
     for qs, w in by_q.items():
         _expand_pattern(qs, w, patterns)
@@ -286,10 +366,13 @@ def integrated_rc(
 
     base_factory maps a slice spec to its representation; None selects the
     nested-level default, which is symmetric under slice reflection by
-    construction. Custom factories are validated against the slice measure
-    unless validate=False.
+    construction and reads its coins from pair_coin_table. Custom
+    factories are validated against the slice measure unless
+    validate=False. Every spec takes the same slice-by-slice route,
+    whatever its size; max_bonds and max_total cap the work.
     """
-    n_bonds = len(effective_bonds(spec))
+    bonds = effective_bonds(spec)
+    n_bonds = len(bonds)
     if n_bonds > max_bonds:
         raise TooLargeError(f"{n_bonds} bonds exceeds pattern cap {max_bonds}")
     nst = spec.n_states()
@@ -297,25 +380,16 @@ def integrated_rc(
         raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
     if validate is None:
         validate = base_factory is not None
-    if (
-        base_factory is None
-        and spec.full_binary()
-        and not spec.exact
-        and nst > 1 << 6
-    ):
-        return _integrated_rc_binary(spec)
-    bond_vertices = None
+    terms = _SpecTerms(spec, base_factory is None)
     patterns: dict[int, object] = {}
     grand = 0
     for sigma in _iter_sigmas(spec):
-        total, pats = _slice_pattern_terms(spec, sigma, base_factory, validate)
+        total, pats = _slice_pattern_terms(spec, sigma, base_factory, validate, terms)
         if total == 0:
             continue
         grand += total
         for mask, w in pats.items():
             patterns[mask] = patterns.get(mask, 0) + w
-        if bond_vertices is None:
-            bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
     if grand == 0:
         raise ZeroSliceError("zero measure")
     if spec.exact:
@@ -324,7 +398,7 @@ def integrated_rc(
         patterns = {m: w / grand for m, w in patterns.items()}
     return IntegratedRC(
         spec.graph.n_vertices,
-        bond_vertices or tuple(eb.vertices for eb in effective_bonds(spec)),
+        tuple(eb.vertices for eb in bonds),
         patterns,
         spec.exact,
     )
@@ -367,12 +441,13 @@ def sigma_connection_profile(
     if nst * nst > max_total:
         raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
+    terms = _SpecTerms(spec, base_factory is None)
     rows = []
     grand = 0
     acc = 0
     conn_cache: dict[int, bool] = {}
     for sigma in _iter_sigmas(spec):
-        total, pats = _slice_pattern_terms(spec, sigma, base_factory, validate)
+        total, pats = _slice_pattern_terms(spec, sigma, base_factory, validate, terms)
         if total == 0:
             continue
         grand += total
@@ -390,91 +465,6 @@ def sigma_connection_profile(
         raise ZeroSliceError("zero measure")
     rows = [(s, t / grand, p) for s, t, p in rows]
     return rows, acc / grand
-
-
-# ---------------------------------------------------------------------------
-# Vectorized path for binary float specs with the default base
-
-
-def _binary_q_table(table, n_coords):
-    """q[(x1, x2)] over full binary local pairs for one effective bond.
-
-    q is the active-coin probability of the slice the pair induces: one
-    minus the ratio of the slice's minimal factor to the pair's factor.
-    """
-    n_local = 1 << n_coords
-    q = np.zeros((n_local, n_local))
-    for x1 in range(n_local):
-        for x2 in range(n_local):
-            f = float(table[x1]) * float(table[x2])
-            if f <= 0:
-                continue
-            free = [
-                n_coords - 1 - c
-                for c in range(n_coords)
-                if ((x1 >> (n_coords - 1 - c)) & 1) != ((x2 >> (n_coords - 1 - c)) & 1)
-            ]
-            fmin = f
-            for sub in range(1 << len(free)):
-                y1 = x1
-                y2 = x2
-                for t, bitpos in enumerate(free):
-                    if (sub >> t) & 1:
-                        y1 ^= 1 << bitpos
-                        y2 ^= 1 << bitpos
-                g = float(table[y1]) * float(table[y2])
-                if g < fmin:
-                    fmin = g
-            q[x1, x2] = 1.0 - fmin / f
-    return q
-
-
-def _integrated_rc_binary(spec: GibbsSpec, max_work: int = 1 << 26) -> IntegratedRC:
-    from .gibbs import _packed_weights_binary
-
-    bonds = effective_bonds(spec)
-    B = len(bonds)
-    n = len(spec.region)
-    N = 1 << n
-    if N * N * (1 << B) > max_work * 8:
-        raise TooLargeError("pattern tensor too large for the vectorized path")
-    w = _packed_weights_binary(spec, bonds)
-    tot = w.sum()
-    if tot <= 0:
-        raise ZeroSliceError("zero measure")
-    w = w / tot
-    pos = {v: p for p, v in enumerate(spec.region)}
-    idx = np.arange(N, dtype=np.int64)
-    locals_per_bond = []
-    qtabs = []
-    for eb in bonds:
-        positions = [pos[v] for v in eb.inside]
-        li = np.zeros(N, dtype=np.int64)
-        for p in positions:
-            li = (li << 1) | ((idx >> p) & 1)
-        locals_per_bond.append(li)
-        qtabs.append(_binary_q_table(eb.table, len(positions)))
-    patterns = np.zeros(1 << B)
-    chunk = max(1, (max_work // 8) // max(1, N * (1 << B)) * 8)
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        R = hi - lo
-        W = (w[lo:hi, None] * w[None, :]).reshape(R * N)
-        M = W[:, None]
-        for b in range(B):
-            qb = qtabs[b][
-                locals_per_bond[b][lo:hi, None], locals_per_bond[b][None, :]
-            ].reshape(R * N)
-            coins = np.stack([1.0 - qb, qb], axis=1)  # (RN, 2)
-            M = (M[:, :, None] * coins[:, None, :]).reshape(R * N, -1)
-        patterns += M.sum(axis=0)
-    pat_dict = {int(m): float(p) for m, p in enumerate(patterns) if p > 0}
-    return IntegratedRC(
-        spec.graph.n_vertices,
-        tuple(eb.vertices for eb in bonds),
-        pat_dict,
-        False,
-    )
 
 
 # ---------------------------------------------------------------------------

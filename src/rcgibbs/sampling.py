@@ -1,21 +1,19 @@
 """Generic single-site heat-bath sampling and Monte Carlo connection estimates.
 
 The Monte Carlo path for the integrated connection probability samples two
-independent copies, reads off the overlap assignment, and flips the
-slice's conditional activity coin per bond: one minus the ratio of the
-slice-minimal symmetrized factor to the pair's factor. Work is split into
-a fixed number of tasks with counter-based streams, so estimates are
-deterministic for any thread count.
+independent copies and flips each bond's activity coin, read from the
+shared pair-coin table (percolation.pair_coin_table) at the two copies'
+local values on the bond. Work is split into a fixed number of tasks with
+counter-based streams, so estimates are deterministic for any thread count.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import UsageError
 from .gibbs import GibbsSpec, effective_bonds
-from .percolation import regions_connected
+from .percolation import pair_coin_table, regions_connected
 from .rng import run_tasks, stream
 
 
@@ -64,40 +62,6 @@ def heat_bath_chain(spec: GibbsSpec, rng, n_sweeps: int, state=None):
     return state
 
 
-def _pair_activity_coin(spec, eb, cache, x1_vals, x2_vals):
-    """Activity probability of one bond given both copies' local values."""
-    key = (eb.index, x1_vals, x2_vals)
-    q = cache.get(key)
-    if q is not None:
-        return q
-    S = spec.alphabet.size
-    idx = spec.alphabet.index
-    vals = spec.alphabet.values
-    sig = tuple(a + b for a, b in zip(x1_vals, x2_vals))
-    adm = []
-    for v, s in zip(eb.inside, sig):
-        dom = spec.domain_values(v)
-        domset = set(dom)
-        adm.append(tuple(a for a in dom if s - a in domset))
-    own = None
-    fmin = None
-    for combo in itertools.product(*adm):
-        refl = tuple(s - a for s, a in zip(sig, combo))
-        li1 = 0
-        li2 = 0
-        for a, b in zip(combo, refl):
-            li1 = li1 * S + idx(a)
-            li2 = li2 * S + idx(b)
-        f = float(eb.table[li1]) * float(eb.table[li2])
-        if fmin is None or f < fmin:
-            fmin = f
-        if combo == x1_vals:
-            own = f
-    q = 0.0 if not own else 1.0 - fmin / own
-    cache[key] = q
-    return q
-
-
 def mc_connection_probability(
     spec: GibbsSpec,
     A,
@@ -120,9 +84,10 @@ def mc_connection_probability(
         raise UsageError("n_samples must be positive")
     bonds = effective_bonds(spec)
     bond_vertices = tuple(eb.vertices for eb in bonds)
+    coins = pair_coin_table(spec)
     A = frozenset(A)
     B = frozenset(B)
-    vals = spec.alphabet.values
+    S = spec.alphabet.size
     per_task = -(-n_samples // n_tasks)
 
     def task(t):
@@ -131,17 +96,18 @@ def mc_connection_probability(
         rngc = stream(seed, 300, t, 2)
         s1 = heat_bath_chain(spec, rng1, burn_in)
         s2 = heat_bath_chain(spec, rng2, burn_in)
-        cache: dict = {}
         hits = 0
         n_done = 0
         for _ in range(per_task):
             s1 = heat_bath_chain(spec, rng1, gap, s1)
             s2 = heat_bath_chain(spec, rng2, gap, s2)
             mask = 0
-            for j, eb in enumerate(bonds):
-                x1 = tuple(vals[s1[v]] for v in eb.inside)
-                x2 = tuple(vals[s2[v]] for v in eb.inside)
-                q = _pair_activity_coin(spec, eb, cache, x1, x2)
+            for j, (eb, coin) in enumerate(zip(bonds, coins)):
+                x1 = x2 = 0
+                for v in eb.inside:
+                    x1 = x1 * S + s1[v]
+                    x2 = x2 * S + s2[v]
+                q = coin[x1][x2]
                 if q > 0 and rngc.random() < q:
                     mask |= 1 << j
             if regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B):

@@ -184,10 +184,6 @@ def nonoverlap_distribution(spec: GibbsSpec, sigma) -> FiniteDistribution:
     return FiniteDistribution(table, sites=spec.region, normalize=True)
 
 
-def reflect_config(sigma, values) -> tuple[int, ...]:
-    return tuple(s - v for s, v in zip(sigma, values))
-
-
 def symmetrized_spec(spec: GibbsSpec, sigma) -> GibbsSpec:
     """Gibbs spec whose measure is the non-overlap slice distribution.
 

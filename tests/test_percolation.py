@@ -1,12 +1,14 @@
 import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_binary_spec
 from rcgibbs.errors import ZeroSliceError
-from rcgibbs.gibbs import BondTable, GibbsSpec, Interaction, SPIN, gibbs_measure
+from rcgibbs import percolation, rcr, twocopy
+from rcgibbs.gibbs import Alphabet, BondTable, GibbsSpec, Interaction, SPIN, gibbs_measure
 from rcgibbs.lattice import build_cayley_tree, hypergraph
 from rcgibbs.models import example1_spec, ising_spec
 from rcgibbs.percolation import (
@@ -21,6 +23,7 @@ from rcgibbs.percolation import (
 )
 from rcgibbs.rcr import assignment_measure, monotone_base
 from rcgibbs.rng import stream
+from rcgibbs.sampling import mc_connection_probability
 from rcgibbs.twocopy import overlap_distribution, symmetrized_spec
 from rcgibbs.experiments.cayley import nonoverlap_connection_recursion
 
@@ -156,10 +159,20 @@ def brute_integrated_patterns(spec):
 
 
 def test_integrated_matches_bruteforce_oracle():
-    for m in range(6):
-        spec = random_binary_spec(m, seed=131, n_min=3, n_max=4,
-                                  allow_forbidden=(m % 3 == 0),
-                                  with_boundary=(m % 2 == 0))
+    specs = [
+        random_binary_spec(m, seed=131, n_min=3, n_max=4,
+                           allow_forbidden=(m % 3 == 0),
+                           with_boundary=(m % 2 == 0))
+        for m in range(6)
+    ]
+    # a boundary spin plus a forbidden factor leaves slices of zero weight
+    specs += [
+        random_binary_spec(m, seed=9, n_min=3, n_max=4, exact=exact,
+                           allow_forbidden=True, with_boundary=True)
+        for m in (2, 7)
+        for exact in (False, True)
+    ]
+    for spec in specs:
         irc = integrated_rc(spec)
         ref = brute_integrated_patterns(spec)
         keys = set(irc.patterns) | set(ref)
@@ -170,11 +183,65 @@ def test_integrated_matches_bruteforce_oracle():
 def test_fast_binary_path_matches_generic():
     for m in range(5):
         spec = random_binary_spec(m, seed=141, n_min=4, n_max=5)
-        fast = integrated_rc(spec)  # vectorized path
+        fast = integrated_rc(spec)  # pair-coin kernel
         slow = integrated_rc(spec, base_factory=monotone_base, validate=False)
         keys = set(fast.patterns) | set(slow.patterns)
         for k in keys:
             assert abs(fast.patterns.get(k, 0) - float(slow.patterns.get(k, 0))) < 1e-11
+
+
+def test_seven_site_chain_bond_order():
+    # bit j of a pattern is bond j at every size, here 2^7 states per copy
+    g = hypergraph(7, [(i, i + 1) for i in range(6)])
+    spec = ising_spec(g, [0.2, 0.4, 0.6, 0.8, 1.0, 1.2])
+    irc = integrated_rc(spec)
+    got = irc.connection_probability({0}, {1})
+    assert abs(got - 0.0987) < 1e-4
+    _, pbar = sigma_connection_profile(spec, {0}, {1})
+    assert abs(got - pbar) < 1e-12
+    ref = integrated_rc(spec, base_factory=monotone_base, validate=False)
+    assert irc.patterns == ref.patterns
+
+
+def _three_valued_spec(exact):
+    """Alphabet (-1, 0, 1) on a triangle plus a tail, with per-vertex
+    domains and a boundary spin."""
+    g = hypergraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    rng = stream(181, 0)
+    tables = {}
+    for k in range(len(g.bonds)):
+        if exact:
+            facs = [Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 7)))
+                    for _ in range(9)]
+        else:
+            facs = rng.uniform(0.2, 3.0, 9).tolist()
+        tables[k] = BondTable.from_factors(facs)
+    return GibbsSpec(g, Alphabet((-1, 0, 1)), Interaction(tables), (0, 1, 2, 3),
+                     {4: 1}, domains={0: (-1, 1), 3: (0, 1)})
+
+
+def test_pair_coin_kernel_matches_slice_bases():
+    for exact in (False, True):
+        spec = _three_valued_spec(exact)
+        irc = integrated_rc(spec)
+        ref = integrated_rc(spec, base_factory=monotone_base, validate=False)
+        assert irc.exact == exact
+        # literal equality: Fractions exactly, floats bit for bit
+        assert irc.patterns == ref.patterns
+        assert all(type(p) is type(ref.patterns[m]) for m, p in irc.patterns.items())
+
+
+def test_default_base_builds_no_slice_spec(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-slice spec or base built on the default route")
+
+    for module, name in ((percolation, "symmetrized_spec"), (twocopy, "symmetrized_spec"),
+                         (percolation, "monotone_base"), (rcr, "monotone_base")):
+        monkeypatch.setattr(module, name, forbidden, raising=False)
+    spec = _three_valued_spec(False)
+    integrated_rc(spec)
+    sigma_connection_profile(spec, {0}, {3})
+    mc_connection_probability(spec, {0}, {3}, 16, seed=0, burn_in=2, n_tasks=2)
 
 
 def test_integrated_exact_rational():
