@@ -5,6 +5,12 @@ of configurations, blue bonds appear on bonds satisfied by both copies
 with probability 1 - exp(-4|K|) and red bonds where the copies' bond
 products disagree with probability 1 - exp(-2|K|). Cluster statistics of
 blue bonds are taken inside the non-overlap (disagreement) region.
+
+The heat bath updates one checkerboard colour at a time, computing fields
+only on that colour's sites. Blue clusters are labelled with
+scipy.sparse.csgraph.connected_components; on the torus a cluster wraps
+when one of its cycles has nonzero displacement, found from integer
+potentials on a breadth-first spanning forest.
 """
 
 from __future__ import annotations
@@ -12,8 +18,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ..lattice import build_grid
 from ..models import ising_spec
@@ -75,29 +83,56 @@ def glass_spec(qc: QuenchedCouplings, beta_scale: float = 1.0):
     return ising_spec(g, Js)
 
 
-def _neighbor_field(s: np.ndarray, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    h3 = h[None, :, :]
-    v3 = v[None, :, :]
-    return (
-        h3 * np.roll(s, -1, axis=2)
-        + np.roll(h3 * s, 1, axis=2)
-        + v3 * np.roll(s, -1, axis=1)
-        + np.roll(v3 * s, 1, axis=1)
-    )
+@lru_cache(maxsize=8)
+def _checkerboard(L: int):
+    """Per colour: flat site indices and their (right, left, down, up)
+    neighbours, indices mod L."""
+    yy, xx = np.mgrid[0:L, 0:L]
+    colours = []
+    for par in (0, 1):
+        sel = (xx + yy) % 2 == par
+        y, x = yy[sel], xx[sel]
+        site = y * L + x
+        nbrs = (y * L + (x + 1) % L, y * L + (x - 1) % L, ((y + 1) % L) * L + x, ((y - 1) % L) * L + x)
+        for a in (site, *nbrs):
+            a.setflags(write=False)  # shared by every caller through the cache
+        colours.append((site, nbrs))
+    return tuple(colours)
 
 
 def heat_bath_sweeps(s, qc: QuenchedCouplings, beta: float, rng, n_sweeps: int):
-    """Checkerboard single-site heat bath, in place; s has shape (R, L, L)."""
-    L = qc.L
-    yy, xx = np.mgrid[0:L, 0:L]
-    masks = [((xx + yy) % 2 == par) for par in (0, 1)]
+    """Checkerboard single-site heat bath, in place; s has shape (R, L, L).
+
+    Per colour, the field h*s_right + h_left*s_left + v*s_down + v_up*s_up
+    (summed in that order) and p_plus = 1 / (1 + exp(-2 beta field)) are
+    computed at that colour's sites only, gathered through flat neighbour
+    indices. One uniform per site and replica is still drawn per colour,
+    and read at the colour's sites, so the random stream is unchanged.
+    """
+    R = s.shape[0]
+    flat = np.ascontiguousarray(s).reshape(R, -1)
+    h = qc.horizontal.ravel()
+    v = qc.vertical.ravel()
+    u = np.empty(flat.shape)
+    colours = []
+    for site, nbrs in _checkerboard(qc.L):
+        coup = (h[site], h[nbrs[1]], v[site], v[nbrs[3]])
+        colours.append((site, nbrs, coup, np.empty((R, len(site))), np.empty((R, len(site)))))
     for _ in range(n_sweeps):
-        for mask in masks:
-            f = beta * _neighbor_field(s, qc.horizontal, qc.vertical)
-            p_plus = 1.0 / (1.0 + np.exp(-2.0 * f))
-            u = rng.random(s.shape)
-            flip = np.where(u < p_plus, 1, -1).astype(s.dtype)
-            s[:, mask] = flip[:, mask]
+        for site, nbrs, coup, f, t in colours:
+            np.multiply(coup[0], flat.take(nbrs[0], axis=1), out=f)
+            for c, nb in zip(coup[1:], nbrs[1:]):
+                f += np.multiply(c, flat.take(nb, axis=1), out=t)
+            # p_plus = 1 / (1 + exp(-2 * (beta * field))), rounded step by step
+            f *= beta
+            f *= -2.0
+            np.exp(f, out=f)
+            f += 1.0
+            p_plus = np.divide(1.0, f, out=f)
+            rng.random(out=u)
+            flat[:, site] = 2 * (u.take(site, axis=1, out=t) < p_plus).view(np.int8) - 1
+    if not np.may_share_memory(flat, s):
+        s[...] = flat.reshape(s.shape)
     return s
 
 
@@ -155,87 +190,91 @@ def sample_blue_red(s1, s2, qc: QuenchedCouplings, beta: float, rng):
     return out_blue, out_red, no_mask
 
 
-class WrapUnionFind:
-    """Union-find on torus sites tracking displacements to detect wrapping."""
+def _graph(rows, cols, n: int):
+    """Adjacency of the bonds rows -> cols on n nodes, built directly as the
+    float CSR matrix that scipy.sparse.csgraph takes without converting."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return csr_matrix((np.ones(len(rows)), cols[order].astype(np.int32), indptr), shape=(n, n))
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.dx = [0] * n
-        self.dy = [0] * n
-        self.wrap_x = False
-        self.wrap_y = False
 
-    def find(self, v: int):
-        path = []
-        while self.parent[v] != v:
-            path.append(v)
-            v = self.parent[v]
-        ox = oy = 0
-        for u in reversed(path):
-            ox += self.dx[u]
-            oy += self.dy[u]
-            self.parent[u] = v
-            self.dx[u] = ox
-            self.dy[u] = oy
-        return v
+def _crossing(side1, side2) -> bool:
+    """Whether two label arrays (-1 for uncovered) share a label."""
+    return np.intersect1d(side1[side1 >= 0], side2[side2 >= 0]).size > 0
 
-    def union(self, a: int, b: int, dxab: int, dyab: int):
-        ra = self.find(a)
-        rb = self.find(b)
-        if ra == rb:
-            mx = self.dx[a] + dxab - self.dx[b]
-            my = self.dy[a] + dyab - self.dy[b]
-            if mx != 0:
-                self.wrap_x = True
-            if my != 0:
-                self.wrap_y = True
-            return
-        # attach rb under ra: offset of rb chosen so b's position is consistent
-        self.parent[rb] = ra
-        self.dx[rb] = self.dx[a] + dxab - self.dx[b]
-        self.dy[rb] = self.dy[a] + dyab - self.dy[b]
+
+def _wraps(a, b, d, labels, n: int) -> tuple[bool, bool]:
+    """Whether some cycle of the bonds a -> b, with displacements d (2, E),
+    has a nonzero x and a nonzero y displacement.
+
+    Integer potentials come from a spanning forest: a breadth-first tree
+    from a virtual root n joined to one site per component, each tree edge
+    carrying the displacement of a bond that joins its ends, summed to the
+    root by pointer jumping. A cycle winds iff one of its bonds disagrees
+    with the potentials, so checking every bond suffices.
+    """
+    from scipy.sparse.csgraph import breadth_first_order
+
+    root_of = np.empty(labels.max() + 1, np.int64)
+    root_of[labels] = np.arange(n)  # some site of each component
+    rows = np.concatenate((a, np.full(len(root_of), n)))
+    cols = np.concatenate((b, root_of))
+    _, pred = breadth_first_order(_graph(rows, cols, n + 1), n, directed=False, return_predecessors=True)
+    keys = np.concatenate((a * (n + 1) + b, b * (n + 1) + a))
+    disp = np.concatenate((d, -d), axis=1)
+    order = np.argsort(keys)
+    child = np.flatnonzero((pred >= 0) & (pred != n))
+    hit = order[np.searchsorted(keys[order], pred[child] * (n + 1) + child)]
+    pot = np.zeros((2, n + 1), np.int64)
+    pot[:, child] = disp[:, hit]
+    up = np.where(pred >= 0, pred, n)
+    while (up != n).any():
+        pot += pot[:, up]
+        up = up[up]
+    off = pot[:, a] + d - pot[:, b]
+    return bool(off[0].any()), bool(off[1].any())
 
 
 def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool):
     """Cluster sizes of bonds restricted to masked sites, with crossings.
 
-    bh[y, x] joins (x, y)-(x+1, y); bv joins (x, y)-(x, y+1); a bond
-    counts only when both endpoints are masked.
+    bh[y, x] joins (x, y)-(x+1, y); bv joins (x, y)-(x, y+1), indices mod
+    L; a bond counts only when both endpoints are masked. Sites are
+    labelled by scipy's connected_components on the kept bonds, and sizes
+    count the sites that touch a kept bond. An open box is crossed in x
+    when a label covers sites in both the first and the last column (rows
+    for y). On the torus, a cluster wraps in x when one of its cycles has
+    nonzero x displacement (see _wraps), which also catches windings
+    that a doubled-torus test misses.
     """
+    # imported on first use: csgraph's extension modules would add about
+    # 1 MB of resident memory to every process that imports this module
+    from scipy.sparse.csgraph import connected_components
+
+    n = L * L
     keep_h = bh & site_mask & np.roll(site_mask, -1, axis=1)
     keep_v = bv & site_mask & np.roll(site_mask, -1, axis=0)
-    uf = WrapUnionFind(L * L)
-    for y, x in np.argwhere(keep_h):
-        a = y * L + x
-        b = y * L + (x + 1) % L
-        uf.union(a, b, 1, 0)
-    for y, x in np.argwhere(keep_v):
-        a = y * L + x
-        b = ((y + 1) % L) * L + x
-        uf.union(a, b, 0, 1)
-    sizes: dict[int, int] = {}
-    covered = set()
-    for y, x in np.argwhere(keep_h):
-        covered.add(y * L + x)
-        covered.add(y * L + (x + 1) % L)
-    for y, x in np.argwhere(keep_v):
-        covered.add(y * L + x)
-        covered.add((((y + 1) % L)) * L + x)
-    roots = {}
-    for v in covered:
-        roots[v] = uf.find(v)
-        sizes[roots[v]] = sizes.get(roots[v], 0) + 1
-    largest = max(sizes.values(), default=0)
+    yh, xh = np.nonzero(keep_h)
+    yv, xv = np.nonzero(keep_v)
+    a = np.concatenate((yh * L + xh, yv * L + xv))
+    b = np.concatenate((yh * L + (xh + 1) % L, ((yv + 1) % L) * L + xv))
+    _, labels = connected_components(_graph(a, b, n), directed=False)
+    covered = np.zeros(n, bool)
+    covered[a] = covered[b] = True
+    counts = np.bincount(labels[covered])
+    sizes = sorted(counts[counts > 0].tolist(), reverse=True)
+    largest = sizes[0] if sizes else 0
     if periodic:
-        cross_x, cross_y = uf.wrap_x, uf.wrap_y
+        d = np.zeros((2, len(a)), np.int64)
+        d[0, : len(yh)] = 1
+        d[1, len(yh) :] = 1
+        cross_x, cross_y = _wraps(a, b, d, labels, n)
     else:
-        left = {roots[v] for v in covered if v % L == 0}
-        right = {roots[v] for v in covered if v % L == L - 1}
-        top = {roots[v] for v in covered if v // L == 0}
-        bottom = {roots[v] for v in covered if v // L == L - 1}
-        cross_x = bool(left & right)
-        cross_y = bool(top & bottom)
-    return largest, sorted(sizes.values(), reverse=True), cross_x, cross_y
+        grid = np.where(covered, labels, -1).reshape(L, L)
+        cross_x = _crossing(grid[:, 0], grid[:, -1])
+        cross_y = _crossing(grid[0], grid[-1])
+    return largest, sizes, cross_x, cross_y
 
 
 def _one_disorder(args):
@@ -428,27 +467,29 @@ def mc_bond_joint(
     s2 = (rng2.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
     heat_bath_sweeps(s1, qc, beta_scale, rng1, burn_in)
     heat_bath_sweeps(s2, qc, beta_scale, rng2, burn_in)
+    hsel = np.nonzero(hmap >= 0)
+    vsel = np.nonzero(vmap >= 0)
+    bits = [1 << int(k) for k in np.concatenate((hmap[hsel], vmap[vsel]))]
+    nb = len(bits)
     counts: dict[tuple[int, int], int] = {}
     collected = 0
-    hsel = np.argwhere(hmap >= 0)
-    vsel = np.argwhere(vmap >= 0)
-    hbits = np.array([1 << hmap[y, x] for y, x in hsel], dtype=object)
-    vbits = np.array([1 << vmap[y, x] for y, x in vsel], dtype=object)
     for _ in range(per):
         heat_bath_sweeps(s1, qc, beta_scale, rng1, gap)
         heat_bath_sweeps(s2, qc, beta_scale, rng2, gap)
         blue, red, _ = sample_blue_red(s1, s2, qc, beta_scale, rngb)
         (bh, _), (bv, _) = blue
         (rh, _), (rv, _) = red
-        for rep in range(R):
-            if collected >= n_samples:
-                break
-            bmask = int(sum(hbits[bh[rep][tuple(hsel.T)]])) + int(
-                sum(vbits[bv[rep][tuple(vsel.T)]])
+        take = min(R, n_samples - collected)
+        rows = np.concatenate(
+            (bh[:, hsel[0], hsel[1]], bv[:, vsel[0], vsel[1]], rh[:, hsel[0], hsel[1]], rv[:, vsel[0], vsel[1]]),
+            axis=1,
+        )[:take]
+        distinct, mult = np.unique(rows, axis=0, return_counts=True)
+        for row, c in zip(distinct.tolist(), mult.tolist()):
+            key = (
+                sum(bit for bit, on in zip(bits, row[:nb]) if on),
+                sum(bit for bit, on in zip(bits, row[nb:]) if on),
             )
-            rmask = int(sum(hbits[rh[rep][tuple(hsel.T)]])) + int(
-                sum(vbits[rv[rep][tuple(vsel.T)]])
-            )
-            counts[(bmask, rmask)] = counts.get((bmask, rmask), 0) + 1
-            collected += 1
+            counts[key] = counts.get(key, 0) + c
+        collected += take
     return counts, collected

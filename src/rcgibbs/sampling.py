@@ -17,23 +17,24 @@ from .percolation import pair_coin_table, regions_connected
 from .rng import run_tasks, stream
 
 
-def _site_conditionals(spec: GibbsSpec):
-    """Per region vertex: incident effective bonds with lookup metadata."""
-    S = spec.alphabet.size
-    bonds = effective_bonds(spec)
-    by_vertex = {v: [] for v in spec.region}
+def _chain_tables(spec: GibbsSpec, bonds):
+    """Per region vertex: its allowed value indices, and the inside
+    vertices and float factors of each incident effective bond."""
+    incident = {v: [] for v in spec.region}
     for eb in bonds:
+        factors = tuple(float(x) for x in eb.table)
         for v in eb.inside:
-            by_vertex[v].append(eb)
-    return by_vertex
-
-
-def heat_bath_chain(spec: GibbsSpec, rng, n_sweeps: int, state=None):
-    """Run single-site heat-bath sweeps; returns the configuration as a
-    vertex -> value-index dict."""
-    S = spec.alphabet.size
-    by_vertex = _site_conditionals(spec)
+            incident[v].append((eb.inside, factors))
     doms = {v: spec.domain_indices(v) for v in spec.region}
+    return incident, doms
+
+
+def heat_bath_chain(spec: GibbsSpec, tables, rng, n_sweeps: int, state=None):
+    """Run single-site heat-bath sweeps; returns the configuration as a
+    vertex -> value-index dict. tables come from _chain_tables, built once
+    for a chain that runs in many short calls."""
+    S = spec.alphabet.size
+    incident, doms = tables
     if state is None:
         state = {
             v: doms[v][int(rng.integers(0, len(doms[v])))] for v in spec.region
@@ -43,11 +44,11 @@ def heat_bath_chain(spec: GibbsSpec, rng, n_sweeps: int, state=None):
             weights = []
             for vi in doms[v]:
                 w = 1.0
-                for eb in by_vertex[v]:
+                for inside, factors in incident[v]:
                     li = 0
-                    for u in eb.inside:
+                    for u in inside:
                         li = li * S + (vi if u == v else state[u])
-                    w *= float(eb.table[li])
+                    w *= factors[li]
                 weights.append(w)
             tot = sum(weights)
             if tot <= 0:
@@ -85,6 +86,7 @@ def mc_connection_probability(
     bonds = effective_bonds(spec)
     bond_vertices = tuple(eb.vertices for eb in bonds)
     coins = pair_coin_table(spec)
+    tables = _chain_tables(spec, bonds)
     A = frozenset(A)
     B = frozenset(B)
     S = spec.alphabet.size
@@ -94,13 +96,13 @@ def mc_connection_probability(
         rng1 = stream(seed, 300, t, 0)
         rng2 = stream(seed, 300, t, 1)
         rngc = stream(seed, 300, t, 2)
-        s1 = heat_bath_chain(spec, rng1, burn_in)
-        s2 = heat_bath_chain(spec, rng2, burn_in)
+        s1 = heat_bath_chain(spec, tables, rng1, burn_in)
+        s2 = heat_bath_chain(spec, tables, rng2, burn_in)
         hits = 0
         n_done = 0
         for _ in range(per_task):
-            s1 = heat_bath_chain(spec, rng1, gap, s1)
-            s2 = heat_bath_chain(spec, rng2, gap, s2)
+            s1 = heat_bath_chain(spec, tables, rng1, gap, s1)
+            s2 = heat_bath_chain(spec, tables, rng2, gap, s2)
             mask = 0
             for j, (eb, coin) in enumerate(zip(bonds, coins)):
                 x1 = x2 = 0

@@ -14,8 +14,133 @@ from rcgibbs.experiments.ea import (
     sample_blue_red,
 )
 from rcgibbs.gibbs import gibbs_measure
+from rcgibbs.lattice import build_grid
 from rcgibbs.rcr import mns_base, typed_joint
 from rcgibbs.rng import stream
+
+
+# Reference oracles: the full-lattice heat bath, the displacement-tracking
+# union-find and the per-replica mask packing that ea.py replaced.
+
+
+def _neighbor_field(s, h, v):
+    h3 = h[None, :, :]
+    v3 = v[None, :, :]
+    return (
+        h3 * np.roll(s, -1, axis=2)
+        + np.roll(h3 * s, 1, axis=2)
+        + v3 * np.roll(s, -1, axis=1)
+        + np.roll(v3 * s, 1, axis=1)
+    )
+
+
+def _heat_bath_oracle(s, qc, beta, rng, n_sweeps):
+    L = qc.L
+    yy, xx = np.mgrid[0:L, 0:L]
+    masks = [((xx + yy) % 2 == par) for par in (0, 1)]
+    for _ in range(n_sweeps):
+        for mask in masks:
+            f = beta * _neighbor_field(s, qc.horizontal, qc.vertical)
+            p_plus = 1.0 / (1.0 + np.exp(-2.0 * f))
+            u = rng.random(s.shape)
+            flip = np.where(u < p_plus, 1, -1).astype(s.dtype)
+            s[:, mask] = flip[:, mask]
+    return s
+
+
+class WrapUnionFind:
+    """Union-find on torus sites tracking displacements to detect wrapping."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.dx = [0] * n
+        self.dy = [0] * n
+        self.wrap_x = False
+        self.wrap_y = False
+
+    def find(self, v):
+        path = []
+        while self.parent[v] != v:
+            path.append(v)
+            v = self.parent[v]
+        ox = oy = 0
+        for u in reversed(path):
+            ox += self.dx[u]
+            oy += self.dy[u]
+            self.parent[u] = v
+            self.dx[u] = ox
+            self.dy[u] = oy
+        return v
+
+    def union(self, a, b, dxab, dyab):
+        ra = self.find(a)
+        rb = self.find(b)
+        if ra == rb:
+            if self.dx[a] + dxab - self.dx[b] != 0:
+                self.wrap_x = True
+            if self.dy[a] + dyab - self.dy[b] != 0:
+                self.wrap_y = True
+            return
+        self.parent[rb] = ra
+        self.dx[rb] = self.dx[a] + dxab - self.dx[b]
+        self.dy[rb] = self.dy[a] + dyab - self.dy[b]
+
+
+def _cluster_stats_oracle(bh, bv, site_mask, L, periodic):
+    keep_h = bh & site_mask & np.roll(site_mask, -1, axis=1)
+    keep_v = bv & site_mask & np.roll(site_mask, -1, axis=0)
+    uf = WrapUnionFind(L * L)
+    covered = set()
+    for y, x in np.argwhere(keep_h):
+        a, b = y * L + x, y * L + (x + 1) % L
+        uf.union(a, b, 1, 0)
+        covered |= {a, b}
+    for y, x in np.argwhere(keep_v):
+        a, b = y * L + x, ((y + 1) % L) * L + x
+        uf.union(a, b, 0, 1)
+        covered |= {a, b}
+    roots = {v: uf.find(v) for v in covered}
+    sizes = {}
+    for r in roots.values():
+        sizes[r] = sizes.get(r, 0) + 1
+    largest = max(sizes.values(), default=0)
+    if periodic:
+        cross_x, cross_y = uf.wrap_x, uf.wrap_y
+    else:
+        side = lambda keep: {roots[v] for v in covered if keep(v)}
+        cross_x = bool(side(lambda v: v % L == 0) & side(lambda v: v % L == L - 1))
+        cross_y = bool(side(lambda v: v // L == 0) & side(lambda v: v // L == L - 1))
+    return largest, sorted(sizes.values(), reverse=True), cross_x, cross_y
+
+
+def _mc_bond_joint_oracle(qc, beta, seed, n_samples, burn_in, gap):
+    L = qc.L
+    bond_index = {b: i for i, b in enumerate(build_grid(L, L, qc.periodic).bonds)}
+    rng1, rng2, rngb = stream(seed, 201), stream(seed, 202), stream(seed, 203)
+    R = min(4096, n_samples)
+    s1 = (rng1.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
+    s2 = (rng2.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
+    heat_bath_sweeps(s1, qc, beta, rng1, burn_in)
+    heat_bath_sweeps(s2, qc, beta, rng2, burn_in)
+    hbit = lambda y, x: 1 << bond_index[tuple(sorted((y * L + x, y * L + (x + 1) % L)))]
+    vbit = lambda y, x: 1 << bond_index[tuple(sorted((y * L + x, ((y + 1) % L) * L + x)))]
+    counts = {}
+    collected = 0
+    for _ in range(-(-n_samples // R)):
+        heat_bath_sweeps(s1, qc, beta, rng1, gap)
+        heat_bath_sweeps(s2, qc, beta, rng2, gap)
+        blue, red, _ = sample_blue_red(s1, s2, qc, beta, rngb)
+        (bh, _), (bv, _) = blue
+        (rh, _), (rv, _) = red
+        for rep in range(min(R, n_samples - collected)):
+            key = tuple(
+                sum(hbit(y, x) for y, x in np.argwhere(h[rep] & (qc.horizontal != 0)))
+                + sum(vbit(y, x) for y, x in np.argwhere(v[rep] & (qc.vertical != 0)))
+                for h, v in ((bh, bv), (rh, rv))
+            )
+            counts[key] = counts.get(key, 0) + 1
+            collected += 1
+    return counts, collected
 
 
 def test_quenched_couplings_deterministic_and_open():
@@ -39,6 +164,98 @@ def test_wrap_union_find_detects_ring():
     mask = np.ones((L, L), bool)
     big, sizes, cx, cy = _cluster_stats(bh, bv, mask, L, periodic=True)
     assert big == L and cx and not cy
+
+
+def _staircase(L, wx, wy):
+    """Bonds of the closed walk (R^wx U^wy) repeated on an L x L torus."""
+    bh = np.zeros((L, L), bool)
+    bv = np.zeros((L, L), bool)
+    x = y = 0
+    for _ in range(L):
+        for _ in range(wx):
+            bh[y, x] = True
+            x = (x + 1) % L
+        for _ in range(wy):
+            bv[y, x] = True
+            y = (y + 1) % L
+    assert (x, y) == (0, 0)
+    return bh, bv
+
+
+def test_staircase_winds_in_both_directions():
+    # the (2,1) staircase, R,R,U five times on the 5x5 torus, winds twice in
+    # x: a doubled-x torus joins no copy to the other and would miss it
+    L = 5
+    bh, bv = _staircase(L, 2, 1)
+    mask = np.ones((L, L), bool)
+    want = _cluster_stats_oracle(bh, bv, mask, L, True)
+    assert want == (15, [15], True, True)
+    assert _cluster_stats(bh, bv, mask, L, periodic=True) == want
+
+
+def test_cluster_stats_matches_union_find_oracle():
+    rng = stream(31, 0)
+    cases = 0
+    for L in range(2, 13):
+        for periodic in (False, True):
+            for _ in range(20):
+                density = rng.uniform(0.2, 0.9)
+                bh = rng.random((L, L)) < density
+                bv = rng.random((L, L)) < density
+                mask = rng.random((L, L)) < rng.uniform(0.3, 1.0)
+                got = _cluster_stats(bh, bv, mask, L, periodic)
+                assert got == _cluster_stats_oracle(bh, bv, mask, L, periodic), (L, periodic)
+                assert all(type(x) is int for x in got[1]) and type(got[2]) is bool
+                cases += 1
+    # L = 2 on the torus: both parallel bonds of each pair kept or one of them
+    full = np.ones((2, 2), bool)
+    for bits in range(256):
+        bh = np.array([(bits >> k) & 1 for k in range(4)], bool).reshape(2, 2)
+        bv = np.array([(bits >> k) & 1 for k in range(4, 8)], bool).reshape(2, 2)
+        assert _cluster_stats(bh, bv, full, 2, True) == _cluster_stats_oracle(bh, bv, full, 2, True)
+        cases += 1
+    assert cases >= 400
+
+
+def test_cluster_stats_empty_and_single_bond():
+    L = 4
+    none = np.zeros((L, L), bool)
+    full = np.ones((L, L), bool)
+    for periodic in (False, True):
+        assert _cluster_stats(none, none, full, L, periodic) == (0, [], False, False)
+    bh = none.copy()
+    bh[0, L - 1] = True  # wrap bond: one bond, no cycle
+    assert _cluster_stats(bh, none, full, L, True) == (2, [2], False, False)
+
+
+def test_heat_bath_bit_equal_to_full_lattice_oracle():
+    for L in (2, 3, 5, 8):
+        for periodic in (False, True):
+            qc = quenched_couplings(L, 0.7, seed=L, periodic=periodic)
+            for R in (1, 3):
+                s0 = (stream(L, R).integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
+                got = heat_bath_sweeps(s0.copy(), qc, 0.9, stream(5, L, R), 7)
+                want = _heat_bath_oracle(s0.copy(), qc, 0.9, stream(5, L, R), 7)
+                assert np.array_equal(got, want), (L, periodic, R)
+    # a non-contiguous field is updated in place too
+    qc = quenched_couplings(4, 1.0, seed=2, periodic=True)
+    base = (stream(6, 0).integers(0, 2, (2, 4, 8)) * 2 - 1).astype(np.int8)
+    got = base.copy()
+    heat_bath_sweeps(got[:, :, ::2], qc, 0.8, stream(6, 1), 3)
+    want = base.copy()
+    want[:, :, ::2] = _heat_bath_oracle(base[:, :, ::2].copy(), qc, 0.8, stream(6, 1), 3)
+    assert np.array_equal(got, want)
+
+
+def test_mc_bond_joint_matches_per_replica_oracle():
+    for L, periodic, n in ((2, False, 5000), (3, True, 700)):
+        qc = quenched_couplings(L, 1.0, seed=4, periodic=periodic)
+        args = (qc, 0.6, 8, n, 30, 2)
+        assert mc_bond_joint(*args) == _mc_bond_joint_oracle(*args)
+    # fewer samples owed than replicas in the last batch
+    qc = quenched_couplings(2, 1.0, seed=5)
+    args = (qc, 0.6, 9, 4096 + 37, 10, 1)
+    assert mc_bond_joint(*args) == _mc_bond_joint_oracle(*args)
 
 
 def test_open_crossing_flags():
