@@ -6,7 +6,8 @@ report. Wall-clock timing goes to meta.json only when --timing is given,
 keeping default outputs identical for identical (config, seed).
 
 Exit codes: 0 success, 1 inequality-violation finding, 2 usage error,
-3 resource cap exceeded.
+3 resource cap exceeded, 4 internal error (an unexpected exception; one
+line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -161,23 +163,9 @@ def cmd_gibbs_eval(args) -> dict:
         "n_states": spec.n_states(),
         "region": list(spec.region),
     }
-    pos = {v: i for i, v in enumerate(spec.region)}
-    if hasattr(mu, "items"):
-        if len(mu) <= 4096:
-            report["rows"] = [
-                {"config": list(o), "prob": p} for o, p in sorted(mu.items())
-            ]
-        report["site_means"] = [
-            mu.expectation(lambda o, i=pos[v]: o[i]) for v in spec.region
-        ]
-    else:
-        v0, v1 = mu.values
-        report["site_means"] = [
-            mu.expectation_packed(
-                lambda idx, p=pos[v]: v0 + (v1 - v0) * ((idx >> p) & 1)
-            )
-            for v in spec.region
-        ]
+    if len(mu) <= 4096:
+        report["rows"] = [{"config": list(o), "prob": p} for o, p in sorted(mu.items())]
+    report["site_means"] = mu.site_means()
     return report
 
 
@@ -452,6 +440,18 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report = args.fn(args)
+        wall = time.perf_counter() - t0
+        try:
+            emit(
+                report,
+                config,
+                args.out,
+                fmt=args.format,
+                timing=wall if args.timing else None,
+            )
+        except OSError as exc:
+            print(f"cannot write output: {exc}", file=sys.stderr)
+            return 2
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -461,18 +461,15 @@ def main(argv=None) -> int:
     except RcgibbsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    wall = time.perf_counter() - t0
-    try:
-        emit(
-            report,
-            config,
-            args.out,
-            fmt=args.format,
-            timing=wall if args.timing else None,
+    except Exception as exc:
+        # One line, no traceback; the innermost frame says where it broke.
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(
+            f"internal error: {type(exc).__name__}: {exc} "
+            f"({Path(where.filename).name}:{where.lineno})",
+            file=sys.stderr,
         )
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 2
+        return 4
     violations = int(report.get("violations", 0) or 0)
     return 1 if violations > 0 else 0
 

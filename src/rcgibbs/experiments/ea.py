@@ -296,7 +296,7 @@ def _one_disorder(args):
     for _ in range(calib):
         heat_bath_sweeps(s1, qc, beta, rng1, 1)
         heat_bath_sweeps(s2, qc, beta, rng2, 1)
-        series.append(bond_energy(s1, qc)[0])
+        series.append(bond_energy(s1[:1], qc)[0])
     tau, converged = integrated_autocorr(np.asarray(series))
     gap = int(min(16, max(1, math.ceil(2 * tau))))
     equilibrated = bool(converged and n_sweeps >= 20 * tau)

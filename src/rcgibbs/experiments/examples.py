@@ -218,16 +218,10 @@ def check_model_bounds(spec: GibbsSpec, tol: float = 1e-9) -> dict:
     over all sup-norm-1 observables, and compares against the integrated
     connection probability with its alphabet-size factor.
     """
-    mu = gibbs_measure(spec)
     n = len(spec.region)
     pos = {v: p for p, v in enumerate(spec.region)}
-    w = np.zeros(1 << n)
-    vals = spec.alphabet.values
-    for o, p in mu.items():
-        c = 0
-        for j, val in enumerate(o):
-            c |= vals.index(val) << j
-        w[c] = p
+    # Reversing the axes puts site j's alphabet index at bit j.
+    w = np.asarray(gibbs_measure(spec).weights, dtype=float).reshape((2,) * n).T.ravel()
     irc = integrated_rc(spec)
     masks = sorted(irc.patterns)
     probs = np.asarray([float(irc.patterns[m]) for m in masks])

@@ -26,10 +26,8 @@ import numpy as np
 
 from .errors import AllForbiddenError, TooLargeError
 from .lattice import Hypergraph
-from .rng import run_tasks
 
 DEFAULT_STATE_CAP = 1 << 24
-_MATERIALIZE_CAP = 1 << 16
 FLOAT_TOL = 1e-12
 
 
@@ -251,15 +249,61 @@ def effective_bonds(spec: GibbsSpec) -> list[EffectiveBond]:
     return out
 
 
+def config_weights(spec: GibbsSpec, tables=None, domains=None, exact=None) -> np.ndarray:
+    """Weight of every region configuration: a product of per-bond tables.
+
+    tables is a sequence of (inside, table) pairs; inside is a sorted tuple
+    of region vertices and table holds one entry per full-alphabet local
+    configuration of inside, as in EffectiveBond. None takes every
+    effective bond of the spec. domains gives each region vertex's alphabet
+    indices (default: spec.domain_indices). Returns a flat array in
+    itertools.product(*domains) order whose entries are 1 times the tables'
+    entries in table order: float64, or an object array of Fractions when
+    exact (default: spec.exact). Each table is broadcast over the product
+    space, so memory beyond the result stays at one table.
+    """
+    if tables is None:
+        tables = [(eb.inside, eb.table) for eb in effective_bonds(spec)]
+    if domains is None:
+        domains = [spec.domain_indices(v) for v in spec.region]
+    if exact is None:
+        exact = spec.exact
+    shape = tuple(len(d) for d in domains)
+    pos = {v: p for p, v in enumerate(spec.region)}
+    S = spec.alphabet.size
+    if exact:
+        w = np.full(shape, Fraction(1), dtype=object)
+    else:
+        w = np.ones(shape)
+    for inside, table in tables:
+        axes = [pos[v] for v in inside]
+        t = np.asarray(table, dtype=w.dtype).reshape((S,) * len(axes))
+        for k, p in enumerate(axes):
+            t = t.take(domains[p], axis=k)
+        w *= t.reshape([shape[p] if p in axes else 1 for p in range(len(shape))])
+    return w.reshape(-1)
+
+
+def _scalars(w: np.ndarray):
+    """Python scalars of a flat array, converted 2**16 at a time."""
+    for lo in range(0, len(w), 1 << 16):
+        yield from w[lo:lo + (1 << 16)].tolist()
+
+
 class FiniteDistribution:
-    """Explicit probability table over a finite outcome space.
+    """Probability table over a finite outcome space, with two backings.
 
     Outcomes are hashable (typically tuples of spin values aligned with
-    `sites`). Weights are floats or exact rationals; construction checks
-    nonnegativity and normalization (exact, or to 1e-12 for floats).
+    `sites`). Weights are floats or exact rationals. The constructor takes
+    a dict table and checks nonnegativity and normalization (exact, or to
+    1e-12 for floats). over_product holds a flat weight array over
+    itertools.product(*domains), in that order, and builds outcome tuples
+    only while iterating; every configuration of the product space is an
+    outcome, zero-weight ones included. Both backings answer every method
+    the same way, summing in outcome order.
     """
 
-    __slots__ = ("_table", "sites", "exact")
+    __slots__ = ("_table", "_domains", "_weights", "_index", "sites", "exact")
 
     def __init__(self, table: dict, sites=None, normalize: bool = False):
         if not table:
@@ -281,26 +325,72 @@ class FiniteDistribution:
             if not exact and abs(total - 1) > FLOAT_TOL:
                 raise ValueError(f"weights sum to {total} != 1 beyond tolerance")
         self._table = table
+        self._domains = self._weights = self._index = None
         self.sites = tuple(sites) if sites is not None else None
         self.exact = exact
 
+    @classmethod
+    def over_product(cls, domains, weights: np.ndarray, sites=None, normalize: bool = False):
+        """Distribution over the product of the per-coordinate domains.
+
+        weights is flat, in itertools.product(*domains) order: float64, or
+        object holding exact rationals. It is used as given, or divided by
+        its total when normalize is set.
+        """
+        if normalize:
+            if (weights < 0).any():
+                raise ValueError("negative weight")
+            total = sum(_scalars(weights))
+            if total == 0:
+                raise ValueError("cannot normalize zero measure")
+            weights = weights / total
+        self = cls.__new__(cls)
+        self._table = None
+        self._domains = tuple(tuple(d) for d in domains)
+        self._weights = weights
+        self._index = tuple({x: i for i, x in enumerate(d)} for d in self._domains)
+        self.sites = tuple(sites) if sites is not None else None
+        self.exact = weights.dtype == object
+        return self
+
+    @property
+    def weights(self) -> np.ndarray | None:
+        """The flat weight array of a product-backed distribution, else None."""
+        return self._weights
+
     def outcomes(self):
-        return self._table.keys()
+        if self._weights is None:
+            return self._table.keys()
+        return itertools.product(*self._domains)
 
     def items(self):
-        return self._table.items()
+        if self._weights is None:
+            return self._table.items()
+        return zip(itertools.product(*self._domains), _scalars(self._weights))
 
     def __len__(self):
-        return len(self._table)
+        if self._weights is None:
+            return len(self._table)
+        return len(self._weights)
 
     def prob(self, outcome):
-        return self._table.get(outcome, 0)
+        if self._weights is None:
+            return self._table.get(outcome, 0)
+        if len(outcome) != len(self._index):
+            return 0
+        i = 0
+        for index, x in zip(self._index, outcome):
+            j = index.get(x)
+            if j is None:
+                return 0
+            i = i * len(index) + j
+        return self._weights.item(i)
 
     def event(self, predicate):
-        return sum(w for o, w in self._table.items() if predicate(o))
+        return sum(w for o, w in self.items() if predicate(o))
 
     def expectation(self, f):
-        return sum(w * f(o) for o, w in self._table.items())
+        return sum(w * f(o) for o, w in self.items())
 
     def covariance(self, f, g):
         ef = self.expectation(f)
@@ -308,164 +398,61 @@ class FiniteDistribution:
         efg = self.expectation(lambda o: f(o) * g(o))
         return efg - ef * eg
 
+    def site_means(self) -> list:
+        """Expectation of each outcome coordinate, as expectation sums it.
+
+        The product backing multiplies the weight array by each
+        coordinate's values instead of calling a function per outcome.
+        """
+        if self._weights is None:
+            n = len(next(iter(self._table)))
+            return [self.expectation(lambda o, i=i: o[i]) for i in range(n)]
+        shape = tuple(len(d) for d in self._domains)
+        w = self._weights.reshape(shape)
+        means = []
+        for i, d in enumerate(self._domains):
+            vals = np.asarray(d, dtype=w.dtype).reshape([-1 if j == i else 1 for j in range(len(shape))])
+            means.append(sum(_scalars((w * vals).reshape(-1))))
+        return means
+
     def condition(self, predicate) -> "FiniteDistribution":
-        sub = {o: w for o, w in self._table.items() if predicate(o) and w > 0}
+        sub = {o: w for o, w in self.items() if predicate(o) and w > 0}
         if not sub:
             raise ZeroDivisionError("conditioning on a null event")
         return FiniteDistribution(sub, sites=self.sites, normalize=True)
 
     def map_outcomes(self, fn) -> "FiniteDistribution":
         out: dict = {}
-        for o, w in self._table.items():
+        for o, w in self.items():
             key = fn(o)
             out[key] = out.get(key, 0) + w
         return FiniteDistribution(out)
 
     def total(self):
-        return sum(self._table.values())
+        if self._weights is None:
+            return sum(self._table.values())
+        return sum(_scalars(self._weights))
 
 
-class PackedSpinDistribution:
-    """Array-backed distribution over packed binary spin configurations.
-
-    Used for large full-binary enumerations where a dict table would not
-    fit; bit p of a packed index holds the alphabet index of sites[p].
-    """
-
-    __slots__ = ("weights", "sites", "values")
-
-    def __init__(self, weights: np.ndarray, sites, values):
-        self.weights = weights
-        self.sites = tuple(sites)
-        self.values = tuple(values)
-
-    def __len__(self):
-        return len(self.weights)
-
-    def decode(self, packed: int) -> tuple:
-        return tuple(self.values[(packed >> p) & 1] for p in range(len(self.sites)))
-
-    def prob(self, outcome) -> float:
-        packed = 0
-        for p, val in enumerate(outcome):
-            packed |= self.values.index(val) << p
-        return float(self.weights[packed])
-
-    def expectation_packed(self, packed_fn, chunk: int = 1 << 20) -> float:
-        """packed_fn maps an int64 array of packed configs to values."""
-        n = len(self.weights)
-        acc = 0.0
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            acc += float(np.dot(self.weights[lo:hi], packed_fn(idx)))
-        return acc
-
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-
-def _enumerate_weights_python(spec: GibbsSpec, bonds: list[EffectiveBond]):
-    S = spec.alphabet.size
-    region = spec.region
-    pos = {v: p for p, v in enumerate(region)}
-    dom = [spec.domain_indices(v) for v in region]
-    lookups = []
-    for eb in bonds:
-        positions = tuple(pos[v] for v in eb.inside)
-        lookups.append((positions, eb.table))
-    one = Fraction(1) if spec.exact else 1.0
-    outcomes = []
-    weights = []
-    for cfg in itertools.product(*dom):
-        w = one
-        for positions, tab in lookups:
-            li = 0
-            for p in positions:
-                li = li * S + cfg[p]
-            w = w * tab[li]
-            if w == 0:
-                break
-        outcomes.append(cfg)
-        weights.append(w)
-    return outcomes, weights
-
-
-def _packed_weights_binary(spec: GibbsSpec, bonds: list[EffectiveBond], threads: int = 1):
-    region = spec.region
-    pos = {v: p for p, v in enumerate(region)}
-    n = len(region)
-    N = 1 << n
-    specs = []
-    for eb in bonds:
-        positions = [pos[v] for v in eb.inside]
-        tab = np.asarray([float(f) for f in eb.table])
-        specs.append((positions, tab))
-
-    def compute(bounds):
-        lo, hi = bounds
-        idx = np.arange(lo, hi, dtype=np.int64)
-        w = np.ones(hi - lo)
-        for positions, tab in specs:
-            li = np.zeros(hi - lo, dtype=np.int64)
-            for p in positions:
-                li = (li << 1) | ((idx >> p) & 1)
-            w *= tab[li]
-        return w
-
-    chunk = 1 << 20
-    if N <= chunk:
-        return compute((0, N))
-    ranges = [(lo, min(lo + chunk, N)) for lo in range(0, N, chunk)]
-    parts = run_tasks(compute, ranges, threads=threads)
-    return np.concatenate(parts)
-
-
-def gibbs_measure(
-    spec: GibbsSpec,
-    max_states: int = DEFAULT_STATE_CAP,
-    threads: int = 1,
-):
+def gibbs_measure(spec: GibbsSpec, max_states: int = DEFAULT_STATE_CAP) -> FiniteDistribution:
     """Normalized Gibbs distribution over the region's configuration space.
 
     Weight of a configuration is the product of effective bond factors
-    (interior bonds plus straddling bonds with the boundary folded in).
-    Returns a FiniteDistribution keyed by tuples of spin values for spaces
-    up to 2**20 states, and a PackedSpinDistribution above that.
+    (interior bonds plus straddling bonds with the boundary folded in), from
+    config_weights; the partition function sums them in enumeration order.
+    Returns a product-backed FiniteDistribution over the region's domain
+    values at every size.
     """
     nst = spec.n_states()
     if nst > max_states:
         raise TooLargeError(f"{nst} states exceeds cap {max_states}")
-    bonds = effective_bonds(spec)
-    if not spec.region:
-        return FiniteDistribution({(): Fraction(1) if spec.exact else 1.0})
-    if spec.full_binary() and not spec.exact and nst > 4096:
-        w = _packed_weights_binary(spec, bonds, threads=threads)
-        Z = float(w.sum())
-        if Z <= 0:
-            raise AllForbiddenError("all configurations forbidden")
-        if not math.isfinite(Z):
-            raise OverflowError("partition function overflow; rescale couplings")
-        w /= Z
-        if nst > _MATERIALIZE_CAP:
-            return PackedSpinDistribution(w, spec.region, spec.alphabet.values)
-        vals = spec.alphabet.values
-        n = len(spec.region)
-        table = {
-            tuple(vals[(c >> p) & 1] for p in range(n)): float(w[c])
-            for c in range(nst)
-        }
-        return FiniteDistribution(table, sites=spec.region)
-    outcomes, weights = _enumerate_weights_python(spec, bonds)
-    Z = sum(weights)
+    w = config_weights(spec)
+    Z = sum(_scalars(w))
     if Z == 0:
         raise AllForbiddenError("all configurations forbidden")
-    if not spec.exact and not math.isfinite(float(Z)):
+    if not spec.exact and not math.isfinite(Z):
         raise OverflowError("partition function overflow; rescale couplings")
-    vals = spec.alphabet.values
-    table = {
-        tuple(vals[i] for i in cfg): w / Z
-        for cfg, w in zip(outcomes, weights)
-    }
-    return FiniteDistribution(table, sites=spec.region)
-
+    w /= Z
+    return FiniteDistribution.over_product(
+        [spec.domain_values(v) for v in spec.region], w, sites=spec.region
+    )

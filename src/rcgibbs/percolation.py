@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import TooLargeError, ZeroSliceError
-from .gibbs import GibbsSpec, effective_bonds, local_index
+from .gibbs import GibbsSpec, config_weights, effective_bonds, local_index
 from .lattice import ball, boundary_vertices
 from .rcr import (
     RcrBase,
@@ -34,8 +34,6 @@ from .twocopy import (
     make_slice,
     nonoverlap_distribution,
     symmetrized_spec,
-    _config_weight,
-    _pair_weight_tables,
 )
 
 
@@ -246,17 +244,19 @@ def pair_coin_table(spec: GibbsSpec):
 class _SpecTerms:
     """Per-spec work shared by the slices of one call.
 
-    Holds the pair-coin table (default base only) and, per configuration of
-    alphabet indices, its weight and its bonds' local indices, computed on
-    first use.
+    Holds the pair-coin table (default base only), every configuration's
+    weight from config_weights and, per configuration of alphabet indices,
+    its bonds' local indices, computed on first use.
     """
 
     def __init__(self, spec: GibbsSpec, coins: bool):
         self.coins = pair_coin_table(spec) if coins else None
         self.index = {v: i for i, v in enumerate(spec.alphabet.values)}
         self._S = spec.alphabet.size
-        self._lookups = _pair_weight_tables(spec)
-        self._one = Fraction(1) if spec.exact else 1.0
+        pos = {v: p for p, v in enumerate(spec.region)}
+        self._insides = [tuple(pos[v] for v in eb.inside) for eb in effective_bonds(spec)]
+        self._where = [{a: i for i, a in enumerate(spec.domain_indices(v))} for v in spec.region]
+        self._weights = config_weights(spec).tolist()
         self._configs: dict[tuple, tuple] = {}
 
     def config(self, c):
@@ -264,9 +264,11 @@ class _SpecTerms:
         got = self._configs.get(c)
         if got is None:
             S = self._S
-            w = _config_weight(c, S, self._lookups, self._one)
-            locs = tuple(local_index(S, (c[p] for p in pos)) for pos, _ in self._lookups)
-            got = self._configs[c] = (w, locs)
+            i = 0
+            for where, a in zip(self._where, c):
+                i = i * len(where) + where[a]
+            locs = tuple(local_index(S, (c[p] for p in pos)) for pos in self._insides)
+            got = self._configs[c] = (self._weights[i], locs)
         return got
 
 

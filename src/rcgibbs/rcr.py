@@ -21,6 +21,7 @@ from .gibbs import (
     EffectiveBond,
     FiniteDistribution,
     GibbsSpec,
+    config_weights,
     effective_bonds,
     local_index,
 )
@@ -346,6 +347,21 @@ def _local_of(cfg, positions, vmaps, dims):
     return li
 
 
+def _alphabet_table(spec: GibbsSpec, bb, weight):
+    """A base bond's weight(slice-local index), laid out for config_weights.
+
+    Entries sit at the full-alphabet local index of each configuration of
+    the spec's domains on the bond; the rest stay 0 and are never read.
+    """
+    S = spec.alphabet.size
+    vmaps = bb.value_maps()
+    positions = range(len(bb.inside))
+    table = [0] * S ** len(bb.inside)
+    for combo in itertools.product(*(spec.domain_indices(v) for v in bb.inside)):
+        table[local_index(S, combo)] = weight(_local_of(combo, positions, vmaps, bb.dims))
+    return table
+
+
 def reconstruct(spec: GibbsSpec, base: RcrBase, max_states: int = 1 << 20) -> FiniteDistribution:
     """Spin distribution represented by the base.
 
@@ -356,18 +372,11 @@ def reconstruct(spec: GibbsSpec, base: RcrBase, max_states: int = 1 << 20) -> Fi
     nst = spec.n_states()
     if nst > max_states:
         raise TooLargeError(f"{nst} states exceeds cap {max_states}")
-    locs = _bond_locals(spec, base)
-    vals = spec.alphabet.values
-    one = Fraction(1) if (spec.exact and base.exact) else 1.0
-    table = {}
-    for cfg in _iter_configs(spec):
-        w = one
-        for bb, (positions, vmaps, dims) in zip(base.bonds, locs):
-            w = w * bb.support_weight(_local_of(cfg, positions, vmaps, dims))
-            if w == 0:
-                break
-        table[tuple(vals[i] for i in cfg)] = w
-    return FiniteDistribution(table, sites=spec.region, normalize=True)
+    tables = [(bb.inside, _alphabet_table(spec, bb, bb.support_weight)) for bb in base.bonds]
+    w = config_weights(spec, tables, exact=spec.exact and base.exact)
+    return FiniteDistribution.over_product(
+        [spec.domain_values(v) for v in spec.region], w, sites=spec.region, normalize=True
+    )
 
 
 def _compat_bitsets(spec: GibbsSpec, base: RcrBase, max_states: int):
@@ -638,28 +647,25 @@ def mns_base(spec: GibbsSpec):
 def typed_reconstruct(
     spec2: GibbsSpec, base: TypedRcrBase, max_states: int = 1 << 20
 ) -> FiniteDistribution:
-    """Spin distribution represented by a two-family base."""
+    """Spin distribution represented by a two-family base.
+
+    Each bond multiplies in its blue (alpha) support weight, then its red
+    (beta) one.
+    """
     nst = spec2.n_states()
     if nst > max_states:
         raise TooLargeError(f"{nst} states exceeds cap {max_states}")
-    pos = {v: p for p, v in enumerate(spec2.region)}
-    locs = []
+    tables = []
     for bb in base.bonds:
-        locs.append((tuple(pos[v] for v in bb.inside), bb.value_maps(), bb.dims))
-    vals = spec2.alphabet.values
-    one = Fraction(1) if (spec2.exact and base.exact) else 1.0
-    table = {}
-    for cfg in _iter_configs(spec2):
-        w = one
-        for bb, (positions, vmaps, dims) in zip(base.bonds, locs):
-            li = _local_of(cfg, positions, vmaps, dims)
-            sa = sum(p for s, p in zip(bb.subsets_a, bb.probs_a) if (s >> li) & 1)
-            sb = sum(p for s, p in zip(bb.subsets_b, bb.probs_b) if (s >> li) & 1)
-            w = w * sa * sb
-            if w == 0:
-                break
-        table[tuple(vals[i] for i in cfg)] = w
-    return FiniteDistribution(table, sites=spec2.region, normalize=True)
+        for subsets, probs in ((bb.subsets_a, bb.probs_a), (bb.subsets_b, bb.probs_b)):
+            table = _alphabet_table(
+                spec2, bb, lambda li: sum(p for s, p in zip(subsets, probs) if (s >> li) & 1)
+            )
+            tables.append((bb.inside, table))
+    w = config_weights(spec2, tables, exact=spec2.exact and base.exact)
+    return FiniteDistribution.over_product(
+        [spec2.domain_values(v) for v in spec2.region], w, sites=spec2.region, normalize=True
+    )
 
 
 def typed_joint(

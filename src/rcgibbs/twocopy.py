@@ -21,7 +21,7 @@ from .gibbs import (
     FiniteDistribution,
     GibbsSpec,
     Interaction,
-    effective_bonds,
+    config_weights,
     local_index,
 )
 
@@ -72,27 +72,6 @@ def make_slice(spec: GibbsSpec, sigma) -> OverlapSlice:
     return OverlapSlice(spec.region, sigma, tuple(adm), overlap)
 
 
-def _pair_weight_tables(spec: GibbsSpec):
-    """Per effective bond: positions in region and factor table."""
-    pos = {v: p for p, v in enumerate(spec.region)}
-    out = []
-    for eb in effective_bonds(spec):
-        out.append((tuple(pos[v] for v in eb.inside), eb.table))
-    return out
-
-
-def _config_weight(cfg_idx, S, lookups, one):
-    w = one
-    for positions, tab in lookups:
-        li = 0
-        for p in positions:
-            li = li * S + cfg_idx[p]
-        w = w * tab[li]
-        if w == 0:
-            return w
-    return w
-
-
 def overlap_distribution(
     spec: GibbsSpec, max_pairs: int = DEFAULT_PAIR_CAP
 ) -> FiniteDistribution:
@@ -105,13 +84,10 @@ def overlap_distribution(
         raise TooLargeError(f"{n_states}^2 pairs exceeds cap {max_pairs}")
     if spec.full_binary() and not spec.exact and n_states > 1 << 8:
         return _overlap_distribution_binary(spec)
-    S = spec.alphabet.size
-    lookups = _pair_weight_tables(spec)
-    one = Fraction(1) if spec.exact else 1.0
     dom = [spec.domain_indices(v) for v in spec.region]
     vals = spec.alphabet.values
     configs = list(itertools.product(*dom))
-    weights = [_config_weight(c, S, lookups, one) for c in configs]
+    weights = config_weights(spec).tolist()
     rho: dict = {}
     for c1, w1 in zip(configs, weights):
         if w1 == 0:
@@ -127,23 +103,22 @@ def overlap_distribution(
 
 
 def _overlap_distribution_binary(spec: GibbsSpec) -> FiniteDistribution:
-    from .gibbs import _packed_weights_binary
-
     n = len(spec.region)
     N = 1 << n
-    w = _packed_weights_binary(spec, effective_bonds(spec))
+    # Reversing the axes puts site p's alphabet index at bit p.
+    w = config_weights(spec, domains=[(0, 1)] * n).reshape((2,) * n).T.ravel()
     total = w.sum()
     if total <= 0:
         raise ZeroSliceError("zero measure: every configuration forbidden")
     w = w / total
-    bits = ((np.arange(N, dtype=np.int64)[:, None] >> np.arange(n)) & 1).astype(np.int8)
-    pow3 = 3 ** np.arange(n, dtype=np.int64)
+    # A pair's base-3 sum index is the sum of its configs' base-3 bit codes.
+    bits = (np.arange(N, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    code = bits @ 3 ** np.arange(n, dtype=np.int64)
     rho = np.zeros(3**n)
     chunk = max(1, (1 << 22) // N)
     for lo in range(0, N, chunk):
         hi = min(lo + chunk, N)
-        digits = bits[lo:hi, None, :] + bits[None, :, :]  # (r, N, n) in 0..2
-        sidx = (digits.astype(np.int64) * pow3).sum(axis=2).ravel()
+        sidx = (code[lo:hi, None] + code[None, :]).ravel()
         wpair = (w[lo:hi, None] * w[None, :]).ravel()
         rho += np.bincount(sidx, weights=wpair, minlength=3**n)
     v0, v1 = spec.alphabet.values
@@ -166,19 +141,17 @@ def nonoverlap_distribution(spec: GibbsSpec, sigma) -> FiniteDistribution:
     value on the overlap region); symmetric under reflection through sigma.
     """
     sl = make_slice(spec, sigma)
-    S = spec.alphabet.size
-    lookups = _pair_weight_tables(spec)
-    one = Fraction(1) if spec.exact else 1.0
     idx = spec.alphabet.index
-    table: dict = {}
-    for vals in itertools.product(*sl.admissible):
-        c1 = tuple(idx(v) for v in vals)
-        c2 = tuple(idx(s - v) for s, v in zip(sl.sigma, vals))
-        w = _config_weight(c1, S, lookups, one)
-        if w != 0:
-            w = w * _config_weight(c2, S, lookups, one)
-        if w != 0:
-            table[vals] = w
+    w1 = config_weights(spec, domains=[[idx(a) for a in adm] for adm in sl.admissible])
+    # sigma - omega runs over the same slice: permute each vertex's values
+    w2 = w1.reshape([len(adm) for adm in sl.admissible])
+    for k, (s, adm) in enumerate(zip(sl.sigma, sl.admissible)):
+        w2 = w2.take([adm.index(s - a) for a in adm], axis=k)
+    table = {
+        vals: w
+        for vals, w in zip(itertools.product(*sl.admissible), (w1 * w2.ravel()).tolist())
+        if w != 0
+    }
     if not table:
         raise ZeroSliceError("overlap configuration has probability zero")
     return FiniteDistribution(table, sites=spec.region, normalize=True)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from rcgibbs import cli
 from rcgibbs.cli import main
 
 
@@ -200,6 +201,32 @@ def test_unwritable_output_exits_two(model_file):
         ["--out", "/proc/definitely/not/writable", "exp", "example1"]
     )
     assert rc == 2
+
+
+def test_unexpected_error_exits_four(tmp_path, model_file, monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(cli, "cmd_twocopy_rho", crash)
+    rc = run_cli(["--out", str(tmp_path), "twocopy", "rho", "--model", model_file])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "RuntimeError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [12, 13, 16, 17])
+def test_commands_across_state_thresholds(tmp_path, n):
+    # Ising chains on both sides of 4096 and 2**16 states
+    model = {"graph": {"grid": f"{n}x1"}, "interaction": {"template": "ising", "J": 0.4}}
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps(model))
+    for cmd in (["gibbs", "eval"], ["rcr", "check"], ["twocopy", "rho"]):
+        out = tmp_path / cmd[1]
+        rc = run_cli(["--out", str(out), *cmd, "--model", str(p)])
+        assert rc in (0, 1, 2, 3), (cmd, rc)
+        if cmd[0] == "rcr":
+            assert rc == 0
+            assert json.loads((out / "results.json").read_text())["results"]["violations"] == 0
 
 
 def test_console_entry_point():

@@ -92,8 +92,8 @@ def test_normalization_random_models():
 
 
 def test_float_and_pure_python_engines_agree():
-    # 13 spins routes through the packed engine; the rational twin with the
-    # same factor tables goes through exact enumeration.
+    # 13 spins in float64; the rational twin with the same factor tables
+    # is enumerated in Fractions.
     n = 13
     g = hypergraph(n, [(i, i + 1) for i in range(n - 1)])
     t = Fraction(3, 2)
@@ -116,18 +116,74 @@ def test_float_and_pure_python_engines_agree():
 
 
 def test_packed_distribution_interface():
+    # 2**18 states: the product-backed distribution answers the same
+    # interface as a small one
     n = 18
     g = hypergraph(n, [(i, i + 1) for i in range(n - 1)])
     mu = gibbs_measure(ising_spec(g, 0.2))
-    from rcgibbs.gibbs import PackedSpinDistribution
-
-    assert isinstance(mu, PackedSpinDistribution)
+    assert len(mu) == 1 << n
     assert abs(mu.total() - 1) < 1e-10
-    assert mu.decode(0) == (-1,) * n
+    assert next(iter(mu.outcomes())) == (-1,) * n
     # spin-flip symmetry of the zero-field chain
     assert abs(mu.prob((-1,) * n) - mu.prob((1,) * n)) < 1e-18
-    mean0 = mu.expectation_packed(lambda idx: 2.0 * ((idx >> 0) & 1) - 1.0)
+    mean0 = mu.site_means()[0]
     assert abs(mean0) < 1e-12
+
+
+def _loop_weights(spec, domains):
+    # reference: one configuration at a time, bonds in effective_bonds order
+    from rcgibbs.gibbs import effective_bonds, local_index
+
+    S = spec.alphabet.size
+    pos = {v: p for p, v in enumerate(spec.region)}
+    out = []
+    for cfg in itertools.product(*domains):
+        w = Fraction(1) if spec.exact else 1.0
+        for eb in effective_bonds(spec):
+            w = w * eb.table[local_index(S, (cfg[pos[v]] for v in eb.inside))]
+        out.append(w)
+    return out
+
+
+def test_config_weights_match_loop_oracle():
+    from rcgibbs.gibbs import config_weights
+
+    specs = [
+        random_binary_spec(m, seed=8, exact=(m % 2 == 0), allow_forbidden=True, with_boundary=(m % 3 == 0))
+        for m in range(12)
+    ]
+    g = hypergraph(4, [(0, 1), (1, 2, 3), (2,)])
+    A3 = Alphabet((-1, 0, 1))
+    tables = {
+        0: BondTable.from_factors(tuple(Fraction(1 + i, 3) for i in range(9))),
+        1: BondTable.from_factors(tuple(Fraction(i % 5, 2) for i in range(27))),
+        2: BondTable.from_factors((Fraction(1), Fraction(0), Fraction(3))),
+    }
+    specs.append(GibbsSpec(g, A3, Interaction(tables), (0, 1, 2, 3), domains={1: (1, -1), 3: (0, 1)}))
+    for spec in specs:
+        doms = [spec.domain_indices(v) for v in spec.region]
+        assert config_weights(spec).tolist() == _loop_weights(spec, doms)  # literal
+        flipped = [d[::-1] for d in doms]
+        assert config_weights(spec, domains=flipped).tolist() == _loop_weights(spec, flipped)
+
+
+def test_product_backing_answers_like_a_dict():
+    from rcgibbs.gibbs import FiniteDistribution
+
+    spec = random_binary_spec(4, seed=9, exact=True, allow_forbidden=True)
+    mu = gibbs_measure(spec)
+    ref = FiniteDistribution(dict(mu.items()), sites=spec.region)
+    assert list(mu.items()) == list(ref.items()) and len(mu) == len(ref)
+    assert mu.total() == ref.total() == 1
+    assert mu.site_means() == ref.site_means()
+    f = lambda o: o[0] * o[-1]
+    assert mu.expectation(f) == ref.expectation(f)
+    assert mu.event(lambda o: o[1] == 1) == ref.event(lambda o: o[1] == 1)
+    assert mu.prob((1,) * len(spec.region)) == ref.prob((1,) * len(spec.region))
+    assert mu.prob((5,) * len(spec.region)) == 0 == mu.prob((1,))
+    cond = lambda o: o[0] == -1
+    assert list(mu.condition(cond).items()) == list(ref.condition(cond).items())
+    assert list(mu.map_outcomes(sum).items()) == list(ref.map_outcomes(sum).items())
 
 
 def test_boundary_condition_folding():
