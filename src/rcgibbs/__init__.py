@@ -50,7 +50,6 @@ from .rcr import (
     BondBase,
     LevelSystem,
     RcrBase,
-    TypedRcrBase,
     bond_marginal,
     joint_spin_bond,
     mns_base,
@@ -61,7 +60,6 @@ from .rcr import (
     solve_typed,
     symmetrize_base,
     typed_joint,
-    typed_reconstruct,
 )
 from .twocopy import (
     OverlapSlice,

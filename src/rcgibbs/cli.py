@@ -28,7 +28,14 @@ from .errors import RcgibbsError, TooLargeError, UsageError
 from .gibbs import GibbsSpec, gibbs_measure
 from .models import spec_from_dict
 from .percolation import sigma_connection_profile
-from .rcr import monotone_base, reconstruct, solve_bernoulli, LevelSystem, bond_level_system, slice_local_factors
+from .rcr import (
+    LevelSystem,
+    allowed_locals,
+    bond_level_system,
+    monotone_base,
+    reconstruct,
+    solve_bernoulli,
+)
 from .sampling import mc_connection_probability
 from .twocopy import nonoverlap_distribution, overlap_distribution, make_slice
 from .gibbs import effective_bonds
@@ -199,16 +206,37 @@ def cmd_twocopy_slice(args) -> dict:
     }
 
 
+def _load_subsets(path, n_bonds: int) -> list:
+    """Candidate subset masks per effective bond from a JSON file."""
+    try:
+        with open(path) as fh:
+            masks_per_bond = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read subsets file {path}: {exc}") from exc
+    well_formed = isinstance(masks_per_bond, list) and all(
+        isinstance(masks, list) and masks and all(type(m) is int for m in masks)
+        for masks in masks_per_bond
+    )
+    if not well_formed:
+        raise UsageError(f"subsets file {path}: expected a nonempty list of integer masks per bond")
+    if len(masks_per_bond) != n_bonds:
+        raise UsageError(
+            f"subsets file {path} lists {len(masks_per_bond)} bonds; the model has {n_bonds}"
+        )
+    return masks_per_bond
+
+
 def cmd_rcr_solve(args) -> dict:
     spec = _load_spec(args)
     if args.subsets:
-        with open(args.subsets) as fh:
-            masks_per_bond = json.load(fh)
+        bonds = effective_bonds(spec)
         rows = []
-        for eb, masks in zip(effective_bonds(spec), masks_per_bond):
-            _, _, factors = slice_local_factors(spec, eb)
-            levels, level_masks = bond_level_system(factors)
-            system = LevelSystem(levels, level_masks, tuple(int(m) for m in masks))
+        for eb, masks in zip(bonds, _load_subsets(args.subsets, len(bonds))):
+            levels, level_masks = bond_level_system(eb.table, allowed_locals(spec, eb.inside))
+            try:
+                system = LevelSystem(levels, level_masks, tuple(masks))
+            except ValueError as exc:
+                raise UsageError(f"subsets of bond {eb.index}: {exc}") from exc
             sol = solve_bernoulli(system, tol=args.tolerance)
             rows.append(
                 {
@@ -375,12 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rcr").add_subparsers(dest="rcr_command", required=True)
     rs = r.add_parser("solve")
     _add_model_args(rs)
-    rs.add_argument("--monotone", action="store_true")
     rs.add_argument("--subsets", default=None)
     rs.set_defaults(fn=cmd_rcr_solve)
     rc = r.add_parser("check")
     _add_model_args(rc)
-    rc.add_argument("--roundtrip", action="store_true")
     rc.set_defaults(fn=cmd_rcr_check)
 
     pe = sub.add_parser("perc").add_subparsers(dest="perc_command", required=True)
@@ -388,9 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(pi)
     pi.add_argument("--A", required=True)
     pi.add_argument("--B", required=True)
-    mode = pi.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--mc", type=int, default=None, metavar="N")
+    pi.add_argument("--mc", type=int, default=None, metavar="N")
     pi.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     pi.set_defaults(fn=cmd_perc_ibar)
 

@@ -14,8 +14,8 @@ from collections import deque
 from ..gibbs import gibbs_measure
 from ..lattice import Hypergraph, build_grid
 from ..models import hardcore_spec
-from ..percolation import regions_connected
-from ..rcr import monotone_base
+from ..percolation import UnionFind, regions_connected
+from ..rcr import allowed_locals, monotone_base
 from ..twocopy import nonoverlap_distribution, symmetrized_spec
 
 SQUARE_LATTICE_SITE_PC = 0.592746  # reference marker for grid instances
@@ -88,7 +88,7 @@ def _slice_machinery_check(spec, sigma, pair_bonds, A, B):
     deterministic = True
     for j, bb in enumerate(base.bonds):
         qs = set()
-        for li in range(bb.n_local):
+        for li in allowed_locals(sl_spec, bb.inside):
             sup = bb.support_weight(li)
             if sup == 0:
                 continue
@@ -104,27 +104,16 @@ def _slice_machinery_check(spec, sigma, pair_bonds, A, B):
     }
     match = active == expected
     mu_s = nonoverlap_distribution(spec, sigma)
-    n_comp = _count_components(pair_bonds, no_sites)
+    n_comp = _count_components(spec.graph.n_vertices, pair_bonds, no_sites)
     support_ok = len(mu_s) == 2**n_comp
     return deterministic, match, support_ok
 
 
-def _count_components(pair_bonds, sites) -> int:
-    sites = set(sites)
-    parent = {v: v for v in sites}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pair_bonds:
-        if a in sites and b in sites:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return len({find(v) for v in sites})
+def _count_components(n_vertices, pair_bonds, sites) -> int:
+    """Connected components of the sites under the pair bonds inside them."""
+    uf = UnionFind(n_vertices)
+    merges = sum(uf.union(a, b) for a, b in pair_bonds if a in sites and b in sites)
+    return len(sites) - merges
 
 
 def checkerboard_instance(width: int, height: int, parity: int):

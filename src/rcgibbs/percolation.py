@@ -27,8 +27,6 @@ from .rcr import (
     bond_level_system,
     monotone_probabilities,
     reconstruct,
-    _bond_locals,
-    _local_of,
 )
 from .twocopy import (
     make_slice,
@@ -229,7 +227,7 @@ def pair_coin_table(spec: GibbsSpec):
             loc1 = [local_index(S, (idx(a) for a in y)) for y in ys]
             loc2 = [local_index(S, (idx(s - a) for s, a in zip(sig, y))) for y in ys]
             factors = [eb.table[a] * eb.table[b] for a, b in zip(loc1, loc2)]
-            levels, _ = bond_level_system(factors)
+            levels, _ = bond_level_system(factors, range(len(factors)))
             if levels[0] <= 0:
                 continue
             probs = monotone_probabilities(levels)
@@ -278,7 +276,8 @@ def _slice_pattern_terms(spec, sigma, base_factory, validate, terms=None):
     Returns (slice_total, pattern dict); both carry the raw two-copy weight
     w(omega) * w(sigma - omega) summed over the slice. The default base
     reads its coins from the pair-coin table; a custom base_factory gets the
-    slice's symmetrized spec, built only for slices of positive weight.
+    slice's symmetrized spec, built only for slices of positive weight, and
+    its bond j is read at the first copy's local index on effective bond j.
     """
     if terms is None:
         terms = _SpecTerms(spec, base_factory is None)
@@ -299,13 +298,13 @@ def _slice_pattern_terms(spec, sigma, base_factory, validate, terms=None):
         if w == 0:
             continue
         total += w
-        pairs.append((c1, l1, l2, w))
+        pairs.append((l1, l2, w))
     if total == 0:
         return 0, {}
     by_q: dict[tuple, object] = {}
     if base_factory is None:
         coins = terms.coins
-        for _, l1, l2, w in pairs:
+        for l1, l2, w in pairs:
             key = tuple(q[a][b] for q, a, b in zip(coins, l1, l2))
             by_q[key] = by_q.get(key, 0) + w
     else:
@@ -318,15 +317,10 @@ def _slice_pattern_terms(spec, sigma, base_factory, validate, terms=None):
                 diff = got.prob(o) - p
                 if abs(diff) > 1e-9:
                     raise ValueError("slice base does not reproduce the slice measure")
-        locs = _bond_locals(slice_spec, base)
-        for c1, _, _, w in pairs:
-            qs = []
-            for bb, (positions, vmaps, dims) in zip(base.bonds, locs):
-                li = _local_of(c1, positions, vmaps, dims)
-                sup = bb.support_weight(li)
-                act = bb.active_weight(li)
-                qs.append(act / sup)
-            key = tuple(qs)
+        for l1, _, w in pairs:
+            key = tuple(
+                bb.active_weight(li) / bb.support_weight(li) for bb, li in zip(base.bonds, l1)
+            )
             by_q[key] = by_q.get(key, 0) + w
     patterns: dict[int, object] = {}
     for qs, w in by_q.items():

@@ -1,11 +1,13 @@
-"""Random-cluster representations: Bernoulli bases, level solvers, typed bases.
+"""Random-cluster representations: Bernoulli bases, level solvers, blue/red bases.
 
 A base assigns to every bond a probability over subsets of its local
 configuration space. The represented measure weights a spin configuration
 by the product over bonds of the total probability of subsets containing
-the local configuration. Subsets are bitmasks over the (possibly
-domain-restricted) local configuration space; a bond value is "active"
-when its subset is a strict subset of that space.
+the local configuration. Subsets are bitmasks over gibbs.local_index, the
+full-alphabet local index of the interaction tables; only configurations
+the spec's domains allow (a bond's full_mask) are ever set. A bond value
+is "active" when its subset is a strict subset of full_mask. The blue/red
+base of two copies is an ordinary base that lists each paired bond twice.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .errors import InfeasibleError, NonSymmetrizableError, TooLargeError
 from .gibbs import (
-    EffectiveBond,
     FiniteDistribution,
     GibbsSpec,
     config_weights,
@@ -204,37 +205,20 @@ def solve_bernoulli(system: LevelSystem, tol: float = 1e-10) -> BernoulliSolutio
 
 @dataclass(frozen=True, eq=False)
 class BondBase:
-    """Subset probabilities for one bond over its restricted local space.
+    """Subset probabilities for one bond over its local configurations.
 
-    dims[i] is the domain size of inside vertex i; a slice-local index is
-    big-endian over dims. value_lists[i] maps domain position to alphabet
-    value index. subsets are bitmasks over prod(dims) local configurations.
+    Subsets are bitmasks over the full-alphabet local index of inside
+    (gibbs.local_index, the index of EffectiveBond.table); full_mask holds
+    the configurations the spec's domains allow.
     """
 
     vertices: tuple[int, ...]
     inside: tuple[int, ...]
-    dims: tuple[int, ...]
-    value_lists: tuple[tuple[int, ...], ...]
+    full_mask: int
     subsets: tuple[int, ...]
     probs: tuple
     levels: tuple | None = None
     level_masks: tuple[int, ...] | None = None
-
-    @property
-    def n_local(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n_local) - 1
-
-    def value_maps(self):
-        return [
-            {vi: pos for pos, vi in enumerate(vl)} for vl in self.value_lists
-        ]
 
     def support_weight(self, local: int):
         """Total probability of subsets containing the local configuration."""
@@ -261,29 +245,26 @@ class RcrBase:
     exact: bool
 
 
-def slice_local_factors(spec: GibbsSpec, eb: EffectiveBond):
-    """Factors of an effective bond over the domain-restricted local space.
-
-    Returns (dims, value_lists, factors) with factors in slice-local order.
-    """
+def allowed_locals(spec: GibbsSpec, inside) -> list[int]:
+    """gibbs.local_index of each configuration on inside that the spec's
+    domains allow, in itertools.product(*domains) order."""
     S = spec.alphabet.size
-    value_lists = tuple(spec.domain_indices(v) for v in eb.inside)
-    dims = tuple(len(vl) for vl in value_lists)
-    factors = []
-    for combo in itertools.product(*value_lists):
-        factors.append(eb.table[local_index(S, combo)])
-    return dims, value_lists, tuple(factors)
+    return [
+        local_index(S, combo)
+        for combo in itertools.product(*(spec.domain_indices(v) for v in inside))
+    ]
 
 
-def bond_level_system(factors) -> tuple[tuple, tuple[int, ...]]:
-    """Distinct factors in decreasing order with their config bitmasks."""
-    distinct = sorted(set(factors), reverse=True)
+def bond_level_system(table, locals_) -> tuple[tuple, tuple[int, ...]]:
+    """Distinct factors of table at locals_ in decreasing order, with the
+    bitmask of the local indices at each."""
+    distinct = sorted({table[li] for li in locals_}, reverse=True)
     masks = []
     for f in distinct:
         m = 0
-        for i, g in enumerate(factors):
-            if g == f:
-                m |= 1 << i
+        for li in locals_:
+            if table[li] == f:
+                m |= 1 << li
         masks.append(m)
     return tuple(distinct), tuple(masks)
 
@@ -294,14 +275,13 @@ def monotone_base(spec: GibbsSpec) -> RcrBase:
     This is the default representation: the i-th candidate subset keeps
     the configurations in the top i energy levels, with the closed-form
     probabilities of monotone_probabilities. Exact for rational factors.
-    For domain-restricted specs the subsets live on the restricted space,
-    so a bond inside the pinned region has a single level and is never
-    active.
+    For domain-restricted specs the levels cover only the allowed
+    configurations, so a bond inside the pinned region has a single level
+    and is never active.
     """
     bonds = []
     for eb in effective_bonds(spec):
-        dims, value_lists, factors = slice_local_factors(spec, eb)
-        levels, level_masks = bond_level_system(factors)
+        levels, level_masks = bond_level_system(eb.table, allowed_locals(spec, eb.inside))
         if levels[0] <= 0:
             raise ValueError(f"bond {eb.index} forbids every restricted configuration")
         probs = monotone_probabilities(levels)
@@ -314,8 +294,7 @@ def monotone_base(spec: GibbsSpec) -> RcrBase:
             BondBase(
                 vertices=eb.vertices,
                 inside=eb.inside,
-                dims=dims,
-                value_lists=value_lists,
+                full_mask=acc,
                 subsets=tuple(subsets),
                 probs=probs,
                 levels=levels,
@@ -325,41 +304,13 @@ def monotone_base(spec: GibbsSpec) -> RcrBase:
     return RcrBase(tuple(bonds), spec.graph.n_vertices, spec.exact)
 
 
-def _iter_configs(spec: GibbsSpec):
-    dom = [spec.domain_indices(v) for v in spec.region]
-    return itertools.product(*dom)
-
-
-def _bond_locals(spec: GibbsSpec, base: RcrBase):
-    """Per bond: (region positions of inside vertices, domain position maps)."""
-    pos = {v: p for p, v in enumerate(spec.region)}
-    out = []
-    for bb in base.bonds:
-        positions = tuple(pos[v] for v in bb.inside)
-        out.append((positions, bb.value_maps(), bb.dims))
-    return out
-
-
-def _local_of(cfg, positions, vmaps, dims):
-    li = 0
-    for p, vm, d in zip(positions, vmaps, dims):
-        li = li * d + vm[cfg[p]]
-    return li
-
-
-def _alphabet_table(spec: GibbsSpec, bb, weight):
-    """A base bond's weight(slice-local index), laid out for config_weights.
-
-    Entries sit at the full-alphabet local index of each configuration of
-    the spec's domains on the bond; the rest stay 0 and are never read.
-    """
+def _configs_with_locals(spec: GibbsSpec, base: RcrBase):
+    """Each configuration of alphabet indices with its bonds' local indices."""
     S = spec.alphabet.size
-    vmaps = bb.value_maps()
-    positions = range(len(bb.inside))
-    table = [0] * S ** len(bb.inside)
-    for combo in itertools.product(*(spec.domain_indices(v) for v in bb.inside)):
-        table[local_index(S, combo)] = weight(_local_of(combo, positions, vmaps, bb.dims))
-    return table
+    pos = {v: p for p, v in enumerate(spec.region)}
+    insides = [[pos[v] for v in bb.inside] for bb in base.bonds]
+    for cfg in itertools.product(*(spec.domain_indices(v) for v in spec.region)):
+        yield cfg, [local_index(S, (cfg[p] for p in ps)) for ps in insides]
 
 
 def reconstruct(spec: GibbsSpec, base: RcrBase, max_states: int = 1 << 20) -> FiniteDistribution:
@@ -372,7 +323,11 @@ def reconstruct(spec: GibbsSpec, base: RcrBase, max_states: int = 1 << 20) -> Fi
     nst = spec.n_states()
     if nst > max_states:
         raise TooLargeError(f"{nst} states exceeds cap {max_states}")
-    tables = [(bb.inside, _alphabet_table(spec, bb, bb.support_weight)) for bb in base.bonds]
+    S = spec.alphabet.size
+    tables = [
+        (bb.inside, [bb.support_weight(li) for li in range(S ** len(bb.inside))])
+        for bb in base.bonds
+    ]
     w = config_weights(spec, tables, exact=spec.exact and base.exact)
     return FiniteDistribution.over_product(
         [spec.domain_values(v) for v in spec.region], w, sites=spec.region, normalize=True
@@ -384,16 +339,12 @@ def _compat_bitsets(spec: GibbsSpec, base: RcrBase, max_states: int):
     nst = spec.n_states()
     if nst > max_states:
         raise TooLargeError(f"{nst} states exceeds cap {max_states}")
-    locs = _bond_locals(spec, base)
-    bitsets = []
-    for bb, (positions, vmaps, dims) in zip(base.bonds, locs):
-        per_subset = [0] * len(bb.subsets)
-        for ci, cfg in enumerate(_iter_configs(spec)):
-            li = _local_of(cfg, positions, vmaps, dims)
+    bitsets = [[0] * len(bb.subsets) for bb in base.bonds]
+    for ci, (_, locs) in enumerate(_configs_with_locals(spec, base)):
+        for bb, per_subset, li in zip(base.bonds, bitsets, locs):
             for j, s in enumerate(bb.subsets):
                 if (s >> li) & 1:
                     per_subset[j] |= 1 << ci
-        bitsets.append(per_subset)
     return bitsets, nst
 
 
@@ -446,7 +397,6 @@ def joint_spin_bond(
     compatible combinations; the spin marginal recovers the represented
     measure.
     """
-    locs = _bond_locals(spec, base)
     vals = spec.alphabet.values
     nst = spec.n_states()
     if nst > max_states:
@@ -457,11 +407,7 @@ def joint_spin_bond(
     if nst * n_assign > max_assignments:
         raise TooLargeError("joint support exceeds cap")
     table: dict = {}
-    for cfg in _iter_configs(spec):
-        locals_per_bond = [
-            _local_of(cfg, positions, vmaps, dims)
-            for (positions, vmaps, dims) in locs
-        ]
+    for cfg, locals_per_bond in _configs_with_locals(spec, base):
         outcome_cfg = tuple(vals[i] for i in cfg)
         for assign in itertools.product(
             *[range(len(bb.subsets)) for bb in base.bonds]
@@ -509,29 +455,27 @@ def symmetrize_base(spec: GibbsSpec, base: RcrBase, sigma) -> RcrBase:
     reflected subsets leave the restricted space or split energy levels.
     """
     sig_by_vertex = dict(zip(spec.region, sigma))
+    S = spec.alphabet.size
     vals = spec.alphabet.values
     idx = spec.alphabet.index
     new_bonds = []
     for bb in base.bonds:
-        maps = bb.value_maps()
-        perm = []
-        for combo in itertools.product(*[range(d) for d in bb.dims]):
-            refl = 0
-            for v, pos_in_dom, vl, vm, d in zip(
-                bb.inside, combo, bb.value_lists, maps, bb.dims
-            ):
-                value = vals[vl[pos_in_dom]]
-                rv = sig_by_vertex[v] - value
-                if rv not in vals or idx(rv) not in vm:
+        domains = [spec.domain_indices(v) for v in bb.inside]
+        perm = {}
+        for combo in itertools.product(*domains):
+            refl = []
+            for v, vi, dom in zip(bb.inside, combo, domains):
+                rv = sig_by_vertex[v] - vals[vi]
+                if rv not in vals or idx(rv) not in dom:
                     raise NonSymmetrizableError(
                         f"reflection leaves the restricted space at vertex {v}"
                     )
-                refl = refl * d + vm[idx(rv)]
-            perm.append(refl)
+                refl.append(idx(rv))
+            perm[local_index(S, combo)] = local_index(S, refl)
 
         def refl_mask(mask):
             out = 0
-            for i, target in enumerate(perm):
+            for i, target in perm.items():
                 if (mask >> i) & 1:
                     out |= 1 << target
             return out
@@ -555,8 +499,7 @@ def symmetrize_base(spec: GibbsSpec, base: RcrBase, sigma) -> RcrBase:
             BondBase(
                 vertices=bb.vertices,
                 inside=bb.inside,
-                dims=bb.dims,
-                value_lists=bb.value_lists,
+                full_mask=bb.full_mask,
                 subsets=subsets,
                 probs=probs,
                 levels=bb.levels,
@@ -567,167 +510,63 @@ def symmetrize_base(spec: GibbsSpec, base: RcrBase, sigma) -> RcrBase:
 
 
 # ---------------------------------------------------------------------------
-# Typed (two-family) bases
-
-
-@dataclass(frozen=True, eq=False)
-class TypedBondBase:
-    vertices: tuple[int, ...]
-    inside: tuple[int, ...]
-    dims: tuple[int, ...]
-    value_lists: tuple[tuple[int, ...], ...]
-    subsets_a: tuple[int, ...]
-    probs_a: tuple
-    subsets_b: tuple[int, ...]
-    probs_b: tuple
-
-    @property
-    def n_local(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n_local) - 1
-
-    def value_maps(self):
-        return [{vi: pos for pos, vi in enumerate(vl)} for vl in self.value_lists]
-
-
-@dataclass(frozen=True, eq=False)
-class TypedRcrBase:
-    bonds: tuple[TypedBondBase, ...]
-    n_vertices: int
-    exact: bool
+# The blue/red (two-family) base
 
 
 def mns_base(spec: GibbsSpec):
     """Blue/red two-family base for two independent copies of a pair model.
 
     Takes the single-copy spec (pair bonds with two symmetric energy
-    levels each, as in a +-J model) and returns (typed base, product spec).
-    Blue values keep the top level of the paired bond (both copies agree
-    with the coupling) with probability 1 - w3/w1; red values keep the
-    middle level (copies disagree with each other) with probability
-    1 - w3/w2, where w1 > w2 > w3 are the paired Boltzmann factors.
+    levels each, as in a +-J model) and returns (base, product spec). The
+    base lists each paired bond twice, its blue bond then its red bond,
+    so the two families are ordinary bonds of one RcrBase. Blue keeps the
+    top level of the paired bond (both copies agree with the coupling)
+    with probability 1 - w3/w1; red keeps the middle level (copies
+    disagree with each other) with probability 1 - w3/w2, where
+    w1 > w2 > w3 are the paired Boltzmann factors.
     """
     from .twocopy import two_copy_spec
 
     spec2 = two_copy_spec(spec)
     bonds = []
     for eb in effective_bonds(spec2):
-        dims, value_lists, factors = slice_local_factors(spec2, eb)
-        levels, masks = bond_level_system(factors)
+        levels, masks = bond_level_system(eb.table, allowed_locals(spec2, eb.inside))
         if len(levels) != 3:
             raise ValueError(
                 f"bond {eb.index}: paired bond needs exactly 3 energy levels, "
                 f"got {len(levels)} (is the coupling zero?)"
             )
         w1, w2, w3 = levels
-        full = (1 << len(factors)) - 1
-        p_blue = 1 - w3 / w1
-        p_red = 1 - w3 / w2
-        bonds.append(
-            TypedBondBase(
-                vertices=eb.vertices,
-                inside=eb.inside,
-                dims=dims,
-                value_lists=value_lists,
-                subsets_a=(masks[0], full),
-                probs_a=(p_blue, 1 - p_blue),
-                subsets_b=(masks[1], full),
-                probs_b=(p_red, 1 - p_red),
+        full = masks[0] | masks[1] | masks[2]
+        for keep, p in ((masks[0], 1 - w3 / w1), (masks[1], 1 - w3 / w2)):
+            bonds.append(
+                BondBase(
+                    vertices=eb.vertices,
+                    inside=eb.inside,
+                    full_mask=full,
+                    subsets=(keep, full),
+                    probs=(p, 1 - p),
+                    levels=levels,
+                    level_masks=masks,
+                )
             )
-        )
-    return TypedRcrBase(tuple(bonds), spec2.graph.n_vertices, spec2.exact), spec2
-
-
-def typed_reconstruct(
-    spec2: GibbsSpec, base: TypedRcrBase, max_states: int = 1 << 20
-) -> FiniteDistribution:
-    """Spin distribution represented by a two-family base.
-
-    Each bond multiplies in its blue (alpha) support weight, then its red
-    (beta) one.
-    """
-    nst = spec2.n_states()
-    if nst > max_states:
-        raise TooLargeError(f"{nst} states exceeds cap {max_states}")
-    tables = []
-    for bb in base.bonds:
-        for subsets, probs in ((bb.subsets_a, bb.probs_a), (bb.subsets_b, bb.probs_b)):
-            table = _alphabet_table(
-                spec2, bb, lambda li: sum(p for s, p in zip(subsets, probs) if (s >> li) & 1)
-            )
-            tables.append((bb.inside, table))
-    w = config_weights(spec2, tables, exact=spec2.exact and base.exact)
-    return FiniteDistribution.over_product(
-        [spec2.domain_values(v) for v in spec2.region], w, sites=spec2.region, normalize=True
-    )
+    return RcrBase(tuple(bonds), spec2.graph.n_vertices, spec2.exact), spec2
 
 
 def typed_joint(
     spec2: GibbsSpec,
-    base: TypedRcrBase,
+    base: RcrBase,
     max_states: int = 1 << 16,
     max_assignments: int = 10**7,
 ) -> FiniteDistribution:
-    """Joint law of the two bond-variable families, spins summed out.
+    """Joint law of the two bond-variable families of mns_base, spins
+    summed out.
 
-    Outcomes are tuples of (alpha subset index, beta subset index) per
-    bond; the weight of an assignment is its base probability times the
-    number of spin configurations compatible with both families.
+    Outcomes are tuples of (blue subset index, red subset index) per
+    paired bond: bond_marginal's outcomes, regrouped in pairs.
     """
-    n_assign = 1
-    for bb in base.bonds:
-        n_assign *= len(bb.subsets_a) * len(bb.subsets_b)
-    if n_assign > max_assignments:
-        raise TooLargeError(f"{n_assign} assignments exceeds cap {max_assignments}")
-    nst = spec2.n_states()
-    if nst > max_states:
-        raise TooLargeError(f"{nst} states exceeds cap {max_states}")
-    pos = {v: p for p, v in enumerate(spec2.region)}
-    bits = []
-    for bb in base.bonds:
-        positions = tuple(pos[v] for v in bb.inside)
-        vmaps, dims = bb.value_maps(), bb.dims
-        per_a = [0] * len(bb.subsets_a)
-        per_b = [0] * len(bb.subsets_b)
-        for ci, cfg in enumerate(_iter_configs(spec2)):
-            li = _local_of(cfg, positions, vmaps, dims)
-            for j, s in enumerate(bb.subsets_a):
-                if (s >> li) & 1:
-                    per_a[j] |= 1 << ci
-            for j, s in enumerate(bb.subsets_b):
-                if (s >> li) & 1:
-                    per_b[j] |= 1 << ci
-        bits.append((per_a, per_b))
-    full = (1 << nst) - 1
-    B = len(base.bonds)
-    table: dict = {}
-
-    def rec(i, assign, nu, acc):
-        if nu == 0:
-            return
-        if i == B:
-            n = acc.bit_count()
-            if n:
-                table[tuple(assign)] = table.get(tuple(assign), 0) + nu * n
-            return
-        bb = base.bonds[i]
-        per_a, per_b = bits[i]
-        for ja, pa in enumerate(bb.probs_a):
-            for jb, pb in enumerate(bb.probs_b):
-                assign.append((ja, jb))
-                rec(i + 1, assign, nu * pa * pb, acc & per_a[ja] & per_b[jb])
-                assign.pop()
-
-    rec(0, [], Fraction(1) if base.exact else 1.0, full)
-    if not table:
-        raise ValueError("no compatible spin configuration for any assignment")
-    return FiniteDistribution(table, normalize=True)
+    marginal = bond_marginal(spec2, base, max_states, max_assignments)
+    return marginal.map_outcomes(lambda a: tuple(zip(a[::2], a[1::2])))
 
 
 @dataclass(frozen=True)

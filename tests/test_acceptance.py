@@ -35,7 +35,7 @@ from rcgibbs.models import (
     ising_spec,
 )
 from rcgibbs.percolation import base_connection_probability
-from rcgibbs.rcr import mns_base, monotone_base, reconstruct, typed_joint, typed_reconstruct
+from rcgibbs.rcr import mns_base, monotone_base, reconstruct, typed_joint
 from rcgibbs.twocopy import nonoverlap_distribution, symmetrized_spec
 
 
@@ -219,7 +219,7 @@ def test_c06_representation_roundtrips():
     spec_ea = ea_spec(build_grid(2, 2), 1.0, seed=5)
     tb, spec_ea2 = mns_base(spec_ea)
     mu_ea2 = gibbs_measure(spec_ea2)
-    rec = typed_reconstruct(spec_ea2, tb)
+    rec = reconstruct(spec_ea2, tb)
     worst = max(worst, max(abs(rec.prob(o) - p) for o, p in mu_ea2.items()))
     dt = time.time() - t0
     acceptance_line(

@@ -39,10 +39,17 @@ def test_missing_seed_in_mc_mode_is_usage_error(tmp_path, model_file):
     assert rc == 2
 
 
-def test_unknown_flag_exits_two(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["--out", str(tmp_path), "exp", "example1", "--bogus"])
-    assert exc.value.code == 2
+def test_unknown_flag_exits_two(tmp_path, model_file):
+    model = ["--model", model_file]
+    for argv in (
+        ["exp", "example1", "--bogus"],
+        ["perc", "ibar", *model, "--A", "0", "--B", "2", "--exact"],
+        ["rcr", "solve", *model, "--monotone"],
+        ["rcr", "check", *model, "--roundtrip"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--out", str(tmp_path), *argv])
+        assert exc.value.code == 2
 
 
 def test_cap_violation_exits_three(tmp_path):
@@ -53,7 +60,7 @@ def test_cap_violation_exits_three(tmp_path):
     p = tmp_path / "big.json"
     p.write_text(json.dumps(model))
     rc = run_cli(
-        ["--out", str(tmp_path), "perc", "ibar", "--model", str(p), "--A", "0", "--B", "35", "--exact"]
+        ["--out", str(tmp_path), "perc", "ibar", "--model", str(p), "--A", "0", "--B", "35"]
     )
     assert rc == 3
 
@@ -69,7 +76,7 @@ def test_exact_ibar_and_csv_schema(tmp_path, model_file):
     out = tmp_path / "run"
     rc = run_cli(
         ["--out", str(out), "--format", "csv", "perc", "ibar",
-         "--model", model_file, "--A", "0", "--B", "2", "--exact"]
+         "--model", model_file, "--A", "0", "--B", "2"]
     )
     assert rc == 0
     payload = json.loads((out / "results.json").read_text())
@@ -83,7 +90,7 @@ def test_csv_empty_rows_header_only(tmp_path, model_file):
     out = tmp_path / "run"
     rc = run_cli(
         ["--out", str(out), "--format", "csv", "rcr", "check",
-         "--model", model_file, "--roundtrip"]
+         "--model", model_file]
     )
     assert rc == 0
     assert (out / "table.csv").read_text() == "\n" or (out / "table.csv").read_text() == ""
@@ -177,11 +184,39 @@ def test_twocopy_commands(tmp_path, model_file):
 
 def test_rcr_solve_monotone(tmp_path, model_file):
     out = tmp_path / "solve"
-    assert run_cli(["--out", str(out), "rcr", "solve", "--model", model_file, "--monotone"]) == 0
+    assert run_cli(["--out", str(out), "rcr", "solve", "--model", model_file]) == 0
     payload = json.loads((out / "results.json").read_text())
     rows = payload["results"]["rows"]
     assert len(rows) == 2
     assert abs(rows[0]["probs"][0] - (1 - 2.718281828459045**-1.0)) < 1e-12
+
+
+def test_rcr_solve_subsets_round_trip_and_bad_files(tmp_path, model_file):
+    out = tmp_path / "solve"
+    assert run_cli(["--out", str(out), "rcr", "solve", "--model", model_file]) == 0
+    rows = json.loads((out / "results.json").read_text())["results"]["rows"]
+    # the masks rcr solve prints, fed back, solve to the same probabilities
+    good = tmp_path / "subsets.json"
+    good.write_text(json.dumps([r["subsets"] for r in rows]))
+    custom = ["rcr", "solve", "--model", model_file, "--subsets"]
+    assert run_cli(["--out", str(tmp_path / "custom"), *custom, str(good)]) == 0
+    got = json.loads((tmp_path / "custom" / "results.json").read_text())["results"]["rows"]
+    assert [r["subsets"] for r in got] == [r["subsets"] for r in rows]
+    assert [r["probs"] for r in got] == [r["probs"] for r in rows]
+    bad = {
+        "malformed": "{not json",
+        "not_a_list": json.dumps({"a": 1}),
+        "not_masks": json.dumps([["a"], [15]]),
+        "no_masks": json.dumps([[], [15]]),
+        "too_few_bonds": json.dumps([[1, 15]]),
+        "too_many_bonds": json.dumps([[1, 15], [8, 15], [15]]),
+        "split_level": json.dumps([[3, 15], [8, 15]]),  # 0b0011 splits bond 0's lower level
+    }
+    for name, text in bad.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert run_cli(["--out", str(tmp_path / name), *custom, str(path)]) == 2, name
+    assert run_cli(["--out", str(tmp_path / "missing"), *custom, str(tmp_path / "missing.json")]) == 2
 
 
 def test_violation_finding_exits_one(tmp_path, model_file):
@@ -189,7 +224,7 @@ def test_violation_finding_exits_one(tmp_path, model_file):
     out = tmp_path / "run"
     rc = run_cli(
         ["--out", str(out), "--tolerance", "1e-30", "rcr", "check",
-         "--model", model_file, "--roundtrip"]
+         "--model", model_file]
     )
     assert rc == 1
     payload = json.loads((out / "results.json").read_text())

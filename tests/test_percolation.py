@@ -231,6 +231,27 @@ def test_pair_coin_kernel_matches_slice_bases():
         assert all(type(p) is type(ref.patterns[m]) for m, p in irc.patterns.items())
 
 
+def test_custom_factory_validated_route():
+    # validate defaults to on for a custom base_factory: each slice's base is
+    # reconstructed at the full-alphabet local index and checked
+    for exact in (False, True):
+        spec = _three_valued_spec(exact)
+        got = integrated_rc(spec, base_factory=monotone_base)
+        ref = integrated_rc(spec, base_factory=monotone_base, validate=False)
+        assert got.patterns == ref.patterns
+
+    def never_active(slice_spec):
+        base = monotone_base(slice_spec)
+        bonds = tuple(
+            rcr.BondBase(bb.vertices, bb.inside, bb.full_mask, (bb.full_mask,), (1,))
+            for bb in base.bonds
+        )
+        return rcr.RcrBase(bonds, base.n_vertices, base.exact)
+
+    with pytest.raises(ValueError, match="does not reproduce"):
+        integrated_rc(_three_valued_spec(False), base_factory=never_active)
+
+
 def test_default_base_builds_no_slice_spec(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-slice spec or base built on the default route")

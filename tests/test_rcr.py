@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_binary_spec
 from rcgibbs.errors import InfeasibleError, NonSymmetrizableError
-from rcgibbs.gibbs import BondTable, GibbsSpec, Interaction, SPIN, gibbs_measure
+from rcgibbs.gibbs import BondTable, GibbsSpec, Interaction, SPIN, gibbs_measure, local_index
 from rcgibbs.lattice import build_grid, hypergraph
-from rcgibbs.models import example1_spec, ising_spec, ea_spec
+from rcgibbs.models import example1_exact_spec, example1_spec, ising_spec, ea_spec
 from rcgibbs.rcr import (
     BondBase,
     LevelSystem,
@@ -25,9 +25,8 @@ from rcgibbs.rcr import (
     solve_typed,
     symmetrize_base,
     typed_joint,
-    typed_reconstruct,
 )
-from rcgibbs.twocopy import symmetrized_spec
+from rcgibbs.twocopy import nonoverlap_distribution, symmetrized_spec
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +143,7 @@ def brute_reconstruct(spec, base):
             ok = True
             for bb, j in zip(base.bonds, assign):
                 nu *= float(bb.probs[j])
-                li = 0
-                for v, vm, d in zip(bb.inside, bb.value_maps(), bb.dims):
-                    li = li * d + vm[cfg[spec.region.index(v)]]
+                li = local_index(spec.alphabet.size, (cfg[spec.region.index(v)] for v in bb.inside))
                 if not (bb.subsets[j] >> li) & 1:
                     ok = False
                     break
@@ -265,9 +262,10 @@ def test_joint_spin_bond_marginal_is_measure():
     # supported on compatible pairs only
     for (cfg, assign), p in joint.items():
         for bb, j in zip(base.bonds, assign):
-            li = 0
-            for v, vm, d in zip(bb.inside, bb.value_maps(), bb.dims):
-                li = li * d + vm[spec.alphabet.index(cfg[spec.region.index(v)])]
+            li = local_index(
+                spec.alphabet.size,
+                (spec.alphabet.index(cfg[spec.region.index(v)]) for v in bb.inside),
+            )
             assert (bb.subsets[j] >> li) & 1
 
 
@@ -294,8 +292,7 @@ def test_symmetrize_splits_asymmetric_subset():
     bb = BondBase(
         vertices=(0,),
         inside=(0,),
-        dims=(2,),
-        value_lists=((0, 1),),
+        full_mask=0b11,
         subsets=(0b01, 0b11),
         probs=(0.4, 0.6),
     )
@@ -308,9 +305,12 @@ def test_symmetrize_splits_asymmetric_subset():
 
 
 def test_symmetrize_base_keeps_reconstruction():
-    for m in range(4):
-        spec = random_binary_spec(m, seed=111, n_min=3, n_max=5)
-        sigma = (0,) * len(spec.region)
+    specs = [random_binary_spec(m, seed=111, n_min=3, n_max=5) for m in range(4)]
+    cases = [(spec, (0,) * len(spec.region)) for spec in specs]
+    # slices that pin a vertex (|sigma_v| = 2 leaves one admissible value)
+    pinned = example1_exact_spec(Fraction(3), Fraction(2))
+    cases += [(pinned, (2, 0, 0)), (pinned, (0, -2, 0))]
+    for spec, sigma in cases:
         try:
             sym_spec = symmetrized_spec(spec, sigma)
         except Exception:
@@ -321,6 +321,17 @@ def test_symmetrize_base_keeps_reconstruction():
         b = reconstruct(sym_spec, sym)
         for o in a.outcomes():
             assert abs(a.prob(o) - b.prob(o)) < 1e-12
+
+
+def test_slice_base_reconstructs_slice_measure_exactly():
+    spec = example1_exact_spec(Fraction(3), Fraction(2))
+    for sigma in ((0, 0, 0), (2, 0, 0), (0, -2, 0)):
+        sym_spec = symmetrized_spec(spec, sigma)
+        rec = reconstruct(sym_spec, monotone_base(sym_spec))
+        want = nonoverlap_distribution(spec, sigma)
+        assert rec.exact and want.exact
+        for o in set(rec.outcomes()) | set(want.outcomes()):
+            assert rec.prob(o) == want.prob(o)
 
 
 def test_symmetrize_rejects_escaping_reflection():
@@ -339,12 +350,12 @@ def test_mns_single_bond_closed_form():
     J = 0.8
     spec = ising_spec(g, J)
     tb, spec2 = mns_base(spec)
-    bb = tb.bonds[0]
-    assert abs(bb.probs_a[0] - (1 - math.exp(-4 * J))) < 1e-13
-    assert abs(bb.probs_b[0] - (1 - math.exp(-2 * J))) < 1e-13
+    blue, red = tb.bonds[0], tb.bonds[1]
+    assert abs(blue.probs[0] - (1 - math.exp(-4 * J))) < 1e-13
+    assert abs(red.probs[0] - (1 - math.exp(-2 * J))) < 1e-13
     # blue and red sets are disjoint and non-full
-    assert bb.subsets_a[0] & bb.subsets_b[0] == 0
-    assert bb.subsets_a[0] != bb.full_mask
+    assert blue.subsets[0] & red.subsets[0] == 0
+    assert blue.subsets[0] != blue.full_mask
 
 
 def test_mns_single_bond_reconstructs_product():
@@ -353,7 +364,7 @@ def test_mns_single_bond_reconstructs_product():
         spec = ising_spec(g, J)
         tb, spec2 = mns_base(spec)
         mu2 = gibbs_measure(spec2)
-        rec = typed_reconstruct(spec2, tb)
+        rec = reconstruct(spec2, tb)
         assert max(abs(rec.prob(o) - p) for o, p in mu2.items()) < 1e-12
 
 
@@ -361,8 +372,8 @@ def test_mns_small_coupling_probabilities_vanish():
     g = hypergraph(2, [(0, 1)])
     spec = ising_spec(g, 1e-8)
     tb, _ = mns_base(spec)
-    assert tb.bonds[0].probs_a[0] < 1e-7
-    assert tb.bonds[0].probs_b[0] < 1e-7
+    assert tb.bonds[0].probs[0] < 1e-7
+    assert tb.bonds[1].probs[0] < 1e-7
 
 
 def test_mns_zero_coupling_rejected():
@@ -377,7 +388,7 @@ def test_mns_square_reconstructs_product_of_measures():
     spec = ea_spec(g, 1.0, seed=5)
     tb, spec2 = mns_base(spec)
     mu2 = gibbs_measure(spec2)
-    rec = typed_reconstruct(spec2, tb)
+    rec = reconstruct(spec2, tb)
     assert max(abs(rec.prob(o) - p) for o, p in mu2.items()) < 1e-10
 
 
@@ -386,7 +397,7 @@ def test_mns_with_boundary_reconstructs():
     spec = ea_spec(g, 0.7, seed=2, region=(0, 1), boundary={2: -1})
     tb, spec2 = mns_base(spec)
     mu2 = gibbs_measure(spec2)
-    rec = typed_reconstruct(spec2, tb)
+    rec = reconstruct(spec2, tb)
     assert max(abs(rec.prob(o) - p) for o, p in mu2.items()) < 1e-12
 
 
@@ -395,7 +406,7 @@ def test_typed_equals_one_typed_reconstruction():
     spec = ea_spec(g, 0.9, seed=3)
     tb, spec2 = mns_base(spec)
     one_typed = monotone_base(spec2)
-    a = typed_reconstruct(spec2, tb)
+    a = reconstruct(spec2, tb)
     b = reconstruct(spec2, one_typed)
     for o in a.outcomes():
         assert abs(a.prob(o) - b.prob(o)) < 1e-11
@@ -409,22 +420,23 @@ def test_typed_joint_single_bond_oracle():
     tj = typed_joint(spec2, tb)
     # oracle: direct sum over the 16 spin pairs
     mu2 = gibbs_measure(spec2)
-    bb = tb.bonds[0]
+    blue, red = tb.bonds[0], tb.bonds[1]
     want = {}
     for o, p in mu2.items():
-        li = 0
-        for v, vm, d in zip(bb.inside, bb.value_maps(), bb.dims):
-            li = li * d + vm[spec2.alphabet.index(o[spec2.region.index(v)])]
-        blue_ok = bool((bb.subsets_a[0] >> li) & 1)
-        red_ok = bool((bb.subsets_b[0] >> li) & 1)
+        li = local_index(
+            spec2.alphabet.size,
+            (spec2.alphabet.index(o[spec2.region.index(v)]) for v in blue.inside),
+        )
+        blue_ok = bool((blue.subsets[0] >> li) & 1)
+        red_ok = bool((red.subsets[0] >> li) & 1)
         for ja in (0, 1):
             if ja == 0 and not blue_ok:
                 continue
             for jb in (0, 1):
                 if jb == 0 and not red_ok:
                     continue
-                pr = (bb.probs_a[ja] / (bb.probs_a[0] * blue_ok + bb.probs_a[1])) * (
-                    bb.probs_b[jb] / (bb.probs_b[0] * red_ok + bb.probs_b[1])
+                pr = (blue.probs[ja] / (blue.probs[0] * blue_ok + blue.probs[1])) * (
+                    red.probs[jb] / (red.probs[0] * red_ok + red.probs[1])
                 )
                 key = ((ja, jb),)
                 want[key] = want.get(key, 0) + p * pr

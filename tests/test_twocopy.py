@@ -13,10 +13,11 @@ from rcgibbs.gibbs import (
     SPIN,
     effective_bonds,
     gibbs_measure,
+    local_index,
 )
 from rcgibbs.lattice import hypergraph
 from rcgibbs.models import example1_spec, ising_spec
-from rcgibbs.rcr import slice_local_factors
+from rcgibbs.rcr import allowed_locals
 from rcgibbs.twocopy import (
     decompose_event,
     make_slice,
@@ -153,7 +154,7 @@ def test_symmetrized_interaction_of_corner_chain():
     sym = symmetrized_spec(spec, (0, 0, 0))
     for k, J in ((0, 1.0), (1, 0.6)):
         eb = [e for e in effective_bonds(sym) if e.index == k][0]
-        dims, _, facs = slice_local_factors(sym, eb)
+        facs = [eb.table[li] for li in allowed_locals(sym, eb.inside)]
         # local order: (-1,-1), (-1,1), (1,-1), (1,1)
         assert abs(facs[0] - math.exp(J)) < 1e-14
         assert abs(facs[3] - math.exp(J)) < 1e-14
@@ -166,7 +167,7 @@ def test_symmetrized_zero_interaction_stays_zero():
     spec = ising_spec(g, 0.0)
     sym = symmetrized_spec(spec, (0, 0))
     eb = effective_bonds(sym)[0]
-    _, _, facs = slice_local_factors(sym, eb)
+    facs = [eb.table[li] for li in allowed_locals(sym, eb.inside)]
     assert all(abs(f - 1.0) < 1e-14 for f in facs)
 
 
@@ -197,23 +198,22 @@ def test_phi_prime_symmetry_exact():
         sigma = (0,) * len(spec.region)
         sym = symmetrized_spec(spec, sigma)
         sig_by_v = dict(zip(spec.region, sigma))
+        S = sym.alphabet.size
         for eb in effective_bonds(sym):
-            dims, value_lists, facs = slice_local_factors(sym, eb)
-            n_local = len(facs)
-            for li in range(n_local):
-                # reflect the slice-local index coordinatewise
+            for li in allowed_locals(sym, eb.inside):
+                # reflect the local index coordinatewise
                 digits = []
                 x = li
-                for d in reversed(dims):
-                    digits.append(x % d)
-                    x //= d
+                for _ in eb.inside:
+                    digits.append(x % S)
+                    x //= S
                 digits.reverse()
-                refl = 0
-                for v, pos, vl, d in zip(eb.inside, digits, value_lists, dims):
-                    val = SPIN.values[vl[pos]]
+                refl = []
+                for v, vi in zip(eb.inside, digits):
+                    val = SPIN.values[vi]
                     rv = sig_by_v[v] - val
-                    refl = refl * d + vl.index(SPIN.index(rv))
-                assert facs[li] == facs[refl]
+                    refl.append(SPIN.index(rv))
+                assert eb.table[li] == eb.table[local_index(S, refl)]
 
 
 def test_binary_overlap_region_is_nonzero_sigma():
