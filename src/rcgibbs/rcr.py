@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleError, NonSymmetrizableError, TooLargeError
+from .errors import InfeasibleError, NonSymmetrizableError, TooLargeError, ZeroSliceError
 from .gibbs import (
     FiniteDistribution,
     GibbsSpec,
@@ -283,7 +283,7 @@ def monotone_base(spec: GibbsSpec) -> RcrBase:
     for eb in effective_bonds(spec):
         levels, level_masks = bond_level_system(eb.table, allowed_locals(spec, eb.inside))
         if levels[0] <= 0:
-            raise ValueError(f"bond {eb.index} forbids every restricted configuration")
+            raise ZeroSliceError(f"bond {eb.index} forbids every restricted configuration")
         probs = monotone_probabilities(levels)
         subsets = []
         acc = 0

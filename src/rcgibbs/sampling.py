@@ -5,60 +5,112 @@ independent copies and flips each bond's activity coin, read from the
 shared pair-coin table (percolation.pair_coin_table) at the two copies'
 local values on the bond. Work is split into a fixed number of tasks with
 counter-based streams, so estimates are deterministic for any thread count.
+
+A site update is a lookup. Each region position keeps a memo of its
+conditional rows (total weight and cumulative weights of its allowed
+values), keyed by its neighbours' values; a row is computed on first use as
+the product of the incident bond factors in bond order, as the plain
+per-site loop did. The chains and the activity coins read their private
+uniform streams in blocks (Generator.random(n) yields the doubles of n
+scalar calls), and a frozen site (total weight 0) draws nothing, so the
+outputs for a seed are unchanged from one scalar draw per update.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .errors import UsageError
 from .gibbs import GibbsSpec, effective_bonds
 from .percolation import pair_coin_table, regions_connected
 from .rng import run_tasks, stream
 
+_BLOCK = 1024  # uniforms read ahead per refill of a chain's buffer
+
 
 def _chain_tables(spec: GibbsSpec, bonds):
-    """Per region vertex: its allowed value indices, and the inside
-    vertices and float factors of each incident effective bond."""
-    incident = {v: [] for v in spec.region}
+    """Per region position p: (p, a getter of its neighbours' values, an
+    empty memo of conditional rows keyed by those values, its allowed value
+    indices, its incident bonds as (inside positions, float factors) in bond
+    order). The neighbours are the other inside vertices of its bonds."""
+    pos = {v: p for p, v in enumerate(spec.region)}
+    incident = [[] for _ in spec.region]
     for eb in bonds:
         factors = tuple(float(x) for x in eb.table)
-        for v in eb.inside:
-            incident[v].append((eb.inside, factors))
-    doms = {v: spec.domain_indices(v) for v in spec.region}
-    return incident, doms
+        inside = tuple(pos[u] for u in eb.inside)
+        for p in inside:
+            incident[p].append((inside, factors))
+    tables = []
+    for p, v in enumerate(spec.region):
+        nbrs = sorted({q for inside, _ in incident[p] for q in inside} - {p})
+        getter = itemgetter(*nbrs) if nbrs else _no_neighbours
+        tables.append((p, getter, {}, spec.domain_indices(v), tuple(incident[p])))
+    return tables
 
 
-def heat_bath_chain(spec: GibbsSpec, tables, rng, n_sweeps: int, state=None):
-    """Run single-site heat-bath sweeps; returns the configuration as a
-    vertex -> value-index dict. tables come from _chain_tables, built once
-    for a chain that runs in many short calls."""
+def _no_neighbours(state):
+    return ()
+
+
+def _conditional_row(S, p, dom, incident, state):
+    """Position p's row given the other positions of state: the total
+    weight and (cumulative weight, value index) pairs in domain order, or
+    None when every value has weight 0."""
+    pairs = []
+    acc = 0.0
+    for vi in dom:
+        w = 1.0
+        for inside, factors in incident:
+            li = 0
+            for q in inside:
+                li = li * S + (vi if q == p else state[q])
+            w *= factors[li]
+        acc += w
+        pairs.append((acc, vi))
+    if acc <= 0:
+        return None  # frozen site under these neighbours
+    return acc, tuple(pairs)
+
+
+def _uniforms(rng):
+    """A private uniform stream read ahead in blocks: Generator.random(n)
+    yields the doubles of n scalar rng.random() calls, in order."""
+    while True:
+        yield from rng.random(_BLOCK).tolist()
+
+
+class Chain:
+    """One heat-bath chain: a value index per region position, drawn with
+    one rng.integers call per site in region order, and the chain's uniform
+    stream from rng after that."""
+
+    def __init__(self, tables, rng):
+        self.state = [dom[int(rng.integers(0, len(dom)))] for _, _, _, dom, _ in tables]
+        self.next_uniform = _uniforms(rng).__next__
+
+
+def heat_bath_chain(spec: GibbsSpec, tables, chain: Chain, n_sweeps: int):
+    """Run single-site heat-bath sweeps in region order on chain; returns its
+    state list. tables come from _chain_tables, built once per spec; their
+    memos fill with the rows the chain visits."""
     S = spec.alphabet.size
-    incident, doms = tables
-    if state is None:
-        state = {
-            v: doms[v][int(rng.integers(0, len(doms[v])))] for v in spec.region
-        }
+    state = chain.state
+    next_uniform = chain.next_uniform
     for _ in range(n_sweeps):
-        for v in spec.region:
-            weights = []
-            for vi in doms[v]:
-                w = 1.0
-                for inside, factors in incident[v]:
-                    li = 0
-                    for u in inside:
-                        li = li * S + (vi if u == v else state[u])
-                    w *= factors[li]
-                weights.append(w)
-            tot = sum(weights)
-            if tot <= 0:
-                continue  # frozen site under current neighbors
-            u01 = rng.random() * tot
-            acc = 0.0
-            for vi, w in zip(doms[v], weights):
-                acc += w
+        for p, neighbours, memo, dom, incident in tables:
+            code = neighbours(state)
+            try:
+                row = memo[code]
+            except KeyError:
+                row = memo[code] = _conditional_row(S, p, dom, incident, state)
+            if row is None:
+                continue
+            tot, pairs = row
+            u01 = next_uniform() * tot
+            for acc, vi in pairs:
                 if u01 <= acc:
-                    state[v] = vi
+                    state[p] = vi
                     break
     return state
 
@@ -87,32 +139,42 @@ def mc_connection_probability(
     bond_vertices = tuple(eb.vertices for eb in bonds)
     coins = pair_coin_table(spec)
     tables = _chain_tables(spec, bonds)
+    pos = {v: p for p, v in enumerate(spec.region)}
+    insides = [tuple(pos[v] for v in eb.inside) for eb in bonds]
     A = frozenset(A)
     B = frozenset(B)
     S = spec.alphabet.size
+    n_vertices = spec.graph.n_vertices
     per_task = -(-n_samples // n_tasks)
+    # activity mask -> regions_connected, shared by the tasks like the
+    # tables' memos: a value depends on its key alone, so a thread that
+    # stores one another thread also computed stores the same value
+    connected = {}
 
     def task(t):
-        rng1 = stream(seed, 300, t, 0)
-        rng2 = stream(seed, 300, t, 1)
-        rngc = stream(seed, 300, t, 2)
-        s1 = heat_bath_chain(spec, tables, rng1, burn_in)
-        s2 = heat_bath_chain(spec, tables, rng2, burn_in)
+        c1 = Chain(tables, stream(seed, 300, t, 0))
+        c2 = Chain(tables, stream(seed, 300, t, 1))
+        coin_uniform = _uniforms(stream(seed, 300, t, 2)).__next__
+        s1 = heat_bath_chain(spec, tables, c1, burn_in)
+        s2 = heat_bath_chain(spec, tables, c2, burn_in)  # updated in place below
         hits = 0
         n_done = 0
         for _ in range(per_task):
-            s1 = heat_bath_chain(spec, tables, rng1, gap, s1)
-            s2 = heat_bath_chain(spec, tables, rng2, gap, s2)
+            heat_bath_chain(spec, tables, c1, gap)
+            heat_bath_chain(spec, tables, c2, gap)
             mask = 0
-            for j, (eb, coin) in enumerate(zip(bonds, coins)):
+            for j, (inside, coin) in enumerate(zip(insides, coins)):
                 x1 = x2 = 0
-                for v in eb.inside:
-                    x1 = x1 * S + s1[v]
-                    x2 = x2 * S + s2[v]
+                for p in inside:
+                    x1 = x1 * S + s1[p]
+                    x2 = x2 * S + s2[p]
                 q = coin[x1][x2]
-                if q > 0 and rngc.random() < q:
+                if q > 0 and coin_uniform() < q:
                     mask |= 1 << j
-            if regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B):
+            hit = connected.get(mask)
+            if hit is None:
+                hit = connected[mask] = regions_connected(n_vertices, bond_vertices, mask, A, B)
+            if hit:
                 hits += 1
             n_done += 1
         return hits, n_done

@@ -270,3 +270,21 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "rcgibbs" in proc.stdout
+
+
+def test_rcr_commands_on_a_boundary_forbidden_bond_exit_two(tmp_path, capsys):
+    # bond 0's factors vanish whenever vertex 1 is +1, and the boundary pins
+    # it there: the effective bond allows no configuration, as in gibbs eval
+    model = {
+        "graph": {"n": 3, "bonds": [[0, 1], [1, 2]]},
+        "interaction": {"tables": [{"bond": 0, "factors": [1, 0, 1, 0]},
+                                   {"bond": 1, "factors": [1, 1, 1, 1]}]},
+        "boundary": {"1": 1},
+    }
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(model))
+    for argv in (["gibbs", "eval"], ["rcr", "solve"], ["rcr", "check"]):
+        capsys.readouterr()
+        assert run_cli(["--out", str(tmp_path / argv[1]), *argv, "--model", str(p)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
