@@ -26,7 +26,7 @@ from .gibbs import GibbsSpec, effective_bonds
 from .percolation import pair_coin_table, regions_connected
 from .rng import run_tasks, stream
 
-_BLOCK = 1024  # uniforms read ahead per refill of a chain's buffer
+_BLOCK = 1024  # uniforms read ahead per refill of a private stream
 
 
 def _chain_tables(spec: GibbsSpec, bonds):
@@ -155,8 +155,9 @@ def mc_connection_probability(
         c1 = Chain(tables, stream(seed, 300, t, 0))
         c2 = Chain(tables, stream(seed, 300, t, 1))
         coin_uniform = _uniforms(stream(seed, 300, t, 2)).__next__
-        s1 = heat_bath_chain(spec, tables, c1, burn_in)
-        s2 = heat_bath_chain(spec, tables, c2, burn_in)  # updated in place below
+        heat_bath_chain(spec, tables, c1, burn_in)
+        heat_bath_chain(spec, tables, c2, burn_in)
+        s1, s2 = c1.state, c2.state  # updated in place by each call
         hits = 0
         n_done = 0
         for _ in range(per_task):
