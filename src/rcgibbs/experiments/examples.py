@@ -237,6 +237,8 @@ def check_model_bounds(spec: GibbsSpec, tol: float = 1e-9) -> dict:
         comp_arr[i, : len(cm)] = cm
 
     cfg = np.arange(1 << n, dtype=np.int64)
+    bit = {v: (cfg >> p) & 1 for v, p in pos.items()}
+    subsets = {}  # rows ra -> (indicator matrix, its sign matrix)
     worst_event = -np.inf
     worst_cov = -np.inf
     n_checked = 0
@@ -253,19 +255,21 @@ def check_model_bounds(spec: GibbsSpec, tol: float = 1e-9) -> dict:
 
         ia = np.zeros(1 << n, dtype=np.int64)
         for j, v in enumerate(sorted(A)):
-            ia |= ((cfg >> pos[v]) & 1) << j
+            ia |= bit[v] << j
         ib = np.zeros(1 << n, dtype=np.int64)
         for j, v in enumerate(sorted(B)):
-            ib |= ((cfg >> pos[v]) & 1) << j
+            ib |= bit[v] << j
         ra, rb = 1 << len(A), 1 << len(B)
-        joint = np.zeros((ra, rb))
-        np.add.at(joint, (ia, ib), w)
+        # bincount adds each bin's weights in input order
+        joint = np.bincount(ia * rb + ib, weights=w, minlength=ra * rb).reshape(ra, rb)
         C = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
 
-        M = _subset_matrices(ra)
+        if ra not in subsets:
+            M = _subset_matrices(ra)
+            subsets[ra] = M, 2.0 * M - 1.0
+        M, sign = subsets[ra]
         V = M @ C  # (2**ra, rb)
         ev_max = float(np.maximum(V.clip(min=0).sum(axis=1), (-V).clip(min=0).sum(axis=1)).max())
-        sign = 2.0 * M - 1.0
         cov_max = float(np.abs(sign @ C).sum(axis=1).max())
         factor = float(spec.alphabet.size ** (len(A) + len(B)))
         worst_event = max(worst_event, ev_max - pbar)

@@ -7,16 +7,32 @@ activities are independent coin flips, so patterns can be accumulated
 without enumerating bond assignments. Under the default nested-level base
 a bond's coin is a function of the two copies' local values on that bond
 alone; pair_coin_table computes it once per spec, and every exact query
-and the Monte Carlo sampler read that one table. All specs take one
-slice-by-slice route; only a custom base_factory rebuilds each slice's
-symmetrized spec and base.
+and the Monte Carlo sampler read that one table.
+
+One array kernel, _pattern_blocks, computes the law for integrated_rc,
+sigma_connection_profile and slice_connection_prob. It takes every two-copy
+pair once, from one config_weights array, in slice order (itertools.product
+over each vertex's sorted sums) and then first-copy configuration order,
+groups a slice's pairs by coin vector, and expands each group over its live
+bonds only (0 < q < 1). Every sum is sequential: a group sums its pairs in
+pair order, a slice a mask's leaves in (group, active-first depth-first)
+order, and the law a mask's slice weights in slice order. Masks keep the
+order of their first nonzero leaf, the order in which float sums over a
+pattern dict add. Floats and Fractions run the same code, on float64 and on
+object arrays. The kernel works in blocks of whole slices of at most
+_BLOCK_CELLS array cells; patterns are int64 bitmasks, so a spec with more
+than 62 effective bonds raises TooLargeError. Only a custom base_factory
+builds each slice's symmetrized spec and base.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import TooLargeError, ZeroSliceError
 from .gibbs import GibbsSpec, config_weights, effective_bonds, local_index
@@ -28,11 +44,7 @@ from .rcr import (
     monotone_probabilities,
     reconstruct,
 )
-from .twocopy import (
-    make_slice,
-    nonoverlap_distribution,
-    symmetrized_spec,
-)
+from .twocopy import nonoverlap_distribution, symmetrized_spec
 
 
 class UnionFind:
@@ -195,7 +207,7 @@ def domination_probability(irc: IntegratedRC, bond_index: int):
 
 
 # ---------------------------------------------------------------------------
-# The pair-coin kernel and slice activity terms
+# The pair-coin kernel and the pattern kernel
 
 
 def pair_coin_table(spec: GibbsSpec):
@@ -239,116 +251,211 @@ def pair_coin_table(spec: GibbsSpec):
     return tables
 
 
-class _SpecTerms:
-    """Per-spec work shared by the slices of one call.
-
-    Holds the pair-coin table (default base only), every configuration's
-    weight from config_weights and, per configuration of alphabet indices,
-    its bonds' local indices, computed on first use.
-    """
-
-    def __init__(self, spec: GibbsSpec, coins: bool):
-        self.coins = pair_coin_table(spec) if coins else None
-        self.index = {v: i for i, v in enumerate(spec.alphabet.values)}
-        self._S = spec.alphabet.size
-        pos = {v: p for p, v in enumerate(spec.region)}
-        self._insides = [tuple(pos[v] for v in eb.inside) for eb in effective_bonds(spec)]
-        self._where = [{a: i for i, a in enumerate(spec.domain_indices(v))} for v in spec.region]
-        self._weights = config_weights(spec).tolist()
-        self._configs: dict[tuple, tuple] = {}
-
-    def config(self, c):
-        """(weight, per-bond local indices) of a configuration."""
-        got = self._configs.get(c)
-        if got is None:
-            S = self._S
-            i = 0
-            for where, a in zip(self._where, c):
-                i = i * len(where) + where[a]
-            locs = tuple(local_index(S, (c[p] for p in pos)) for pos in self._insides)
-            got = self._configs[c] = (self._weights[i], locs)
-        return got
+_BLOCK_CELLS = 1 << 13  # array cells one block of slices holds: pairs x bonds, or leaves
+_MASK_BONDS = 62  # patterns are int64 bitmasks, bit j for effective bond j
 
 
-def _slice_pattern_terms(spec, sigma, base_factory, validate, terms=None):
-    """Unnormalized activity-pattern weights contributed by one overlap slice.
+def _runs(sizes, budget):
+    """Consecutive runs [lo, hi) of items whose sizes sum to at most budget;
+    an item larger than budget makes a run of its own."""
+    cum = np.cumsum(sizes)
+    lo = 0
+    while lo < len(cum):
+        hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + budget, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
-    Returns (slice_total, pattern dict); both carry the raw two-copy weight
-    w(omega) * w(sigma - omega) summed over the slice. The default base
-    reads its coins from the pair-coin table; a custom base_factory gets the
-    slice's symmetrized spec, built only for slices of positive weight, and
-    its bond j is read at the first copy's local index on effective bond j.
-    """
-    if terms is None:
-        terms = _SpecTerms(spec, base_factory is None)
-    try:
-        sl = make_slice(spec, sigma)
-    except ZeroSliceError:
-        return 0, {}
-    index = terms.index
-    pairs = []
-    total = 0
-    for vals in itertools.product(*sl.admissible):
-        c1 = tuple(index[v] for v in vals)
-        w1, l1 = terms.config(c1)
-        if w1 == 0:
+
+def _first_seen(*cols):
+    """Number the distinct rows of equal-length integer columns in order of
+    first appearance; returns each row's number and each number's first row."""
+    code = np.zeros(len(cols[0]), dtype=np.int64)
+    for col in cols if len(code) else ():
+        radix = int(col.max()) + 1
+        if (int(code.max()) + 1) * radix > 1 << 62:
+            # dense ranks keep the order of the codes and of the column
+            code = np.unique(code, return_inverse=True)[1]
+            col = np.unique(col, return_inverse=True)[1]
+            radix = int(col.max()) + 1
+        code = code * radix + col
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _expand(weights, q, live, base):
+    """Leaves (group, mask, weight) of each group's activity tree, in
+    (group, active-first depth-first) order: group g's live bond j splits a
+    leaf of weight w into w * q[g, j] with bit j set and w * (1 - q[g, j])
+    without it, bonds in order; other bonds keep their bit from base."""
+    grp = np.arange(len(weights))
+    mask = base
+    val = weights
+    for j in range(live.shape[1]):
+        split = live[grp, j]
+        if not split.any():
             continue
-        w2, l2 = terms.config(tuple(index[s - v] for s, v in zip(sl.sigma, vals)))
-        w = w1 * w2
-        if w == 0:
-            continue
-        total += w
-        pairs.append((l1, l2, w))
-    if total == 0:
-        return 0, {}
-    by_q: dict[tuple, object] = {}
-    if base_factory is None:
-        coins = terms.coins
-        for l1, l2, w in pairs:
-            key = tuple(q[a][b] for q, a, b in zip(coins, l1, l2))
-            by_q[key] = by_q.get(key, 0) + w
+        reps = 1 + split
+        at = (np.cumsum(reps) - reps)[split]
+        w, q_j = val[split], q[grp[split], j]
+        take = np.repeat(np.arange(len(grp)), reps)
+        grp, mask, val = grp[take], mask[take], val[take]
+        val[at] = w * q_j
+        val[at + 1] = w * (1 - q_j)
+        mask[at] |= 1 << j
+    return grp, mask, val
+
+
+def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=None):
+    """The integrated law's pattern terms, in blocks of whole slices of at
+    most _BLOCK_CELLS array cells (a larger slice makes a block of its own),
+    in the pair and summation orders of the module docstring.
+
+    A pair is dropped when w(c1) == 0, then when w(c1) * w(c2) == 0. A
+    slice's pairs with equal coin vectors form a group, numbered by first
+    pair. Each live bond (0 < q < 1) of a group splits a leaf of weight w
+    into w * q and w * (1 - q), bonds in order; a coin of 1 sets the bond's
+    bit, a coin of 0 clears it, and zero leaves are dropped.
+
+    Yields (sigmas, totals, rec_slice, rec_mask, rec_val) per block: its
+    slices of positive total, their totals, and their (mask, weight)
+    records, slice by slice and each slice's masks in order of first leaf;
+    rec_slice indexes sigmas. sigma restricts the walk to that slice. The
+    default base reads its coins from pair_coin_table; a custom base_factory
+    gets each positive slice's symmetrized spec, is validated against the
+    slice measure when validate is set, and gives bond j's coin at the first
+    copy's local index on effective bond j.
+    """
+    bonds = effective_bonds(spec)
+    n_bonds = len(bonds)
+    if n_bonds > _MASK_BONDS:
+        raise TooLargeError(f"{n_bonds} bonds exceeds the {_MASK_BONDS}-bond pattern mask")
+    dtype = object if spec.exact else float
+    doms = [spec.domain_values(v) for v in spec.region]
+    sums = [sorted({a + b for a in d for b in d}) for d in doms]
+    radix = [math.prod(len(s) for s in sums[p + 1:]) for p in range(len(sums))]
+    if sigma is None:
+        sids = np.arange(math.prod(len(s) for s in sums))
     else:
-        slice_spec = symmetrized_spec(spec, sigma)
-        base = base_factory(slice_spec)
-        if validate:
-            got = reconstruct(slice_spec, base)
-            want = nonoverlap_distribution(spec, sigma)
-            for o, p in want.items():
-                diff = got.prob(o) - p
-                if abs(diff) > 1e-9:
-                    raise ValueError("slice base does not reproduce the slice measure")
-        for l1, _, w in pairs:
-            key = tuple(
-                bb.active_weight(li) / bb.support_weight(li) for bb, li in zip(base.bonds, l1)
-            )
-            by_q[key] = by_q.get(key, 0) + w
-    patterns: dict[int, object] = {}
-    for qs, w in by_q.items():
-        _expand_pattern(qs, w, patterns)
-    return total, patterns
+        sigma = tuple(int(s) for s in sigma)
+        if len(sigma) != len(sums):
+            raise ValueError("sigma length must match region size")
+        if any(s not in ss for s, ss in zip(sigma, sums)):
+            return
+        sids = np.array([sum(ss.index(s) * r for s, ss, r in zip(sigma, sums, radix))])
+    # per vertex: (sum position, first, second) domain positions of each value
+    # pair, ordered by sum then first copy, and where each sum's pairs start
+    kij = [
+        np.array(sorted((s.index(a + b), i, j) for i, a in enumerate(d) for j, b in enumerate(d)))
+        for s, d in zip(sums, doms)
+    ]
+    counts = [np.bincount(t[:, 0], minlength=len(s)) for t, s in zip(kij, sums)]
+    starts = [np.cumsum(c) - c for c in counts]
+    digits = [(sids // r) % len(s) for r, s in zip(radix, sums)]
+    n_pairs = np.ones(len(sids), dtype=np.int64)
+    for c, k in zip(counts, digits):
+        n_pairs *= c[k]
+
+    W = config_weights(spec)
+    config = np.arange(len(W))
+    S = spec.alphabet.size
+    step = len(W)
+    alpha = []  # alphabet index of each vertex in each configuration
+    for v, d in zip(spec.region, doms):
+        step //= len(d)
+        alpha.append(np.asarray(spec.domain_indices(v))[(config // step) % len(d)])
+    pos = {v: p for p, v in enumerate(spec.region)}
+    local = np.zeros((n_bonds, len(W)), dtype=np.int64)
+    for j, eb in enumerate(bonds):
+        for v in eb.inside:
+            local[j] = local[j] * S + alpha[pos[v]]
+    seen = [{} for _ in bonds]  # per bond: coin value -> coin id, in first-seen order
+    if base_factory is None:
+        coin_ids = [
+            np.array([[ids.setdefault(q, len(ids)) for q in row] for row in table]).reshape(len(table), -1)
+            for ids, table in zip(seen, pair_coin_table(spec))
+        ]
+    bits = np.left_shift(1, np.arange(n_bonds, dtype=np.int64))
+
+    for lo, hi in _runs(n_pairs * max(n_bonds, 1), _BLOCK_CELLS):
+        row = np.arange(hi - lo)  # each pair's slice, as an offset from lo
+        c1 = c2 = np.zeros(hi - lo, dtype=np.int64)
+        for p, (t, cnt, start) in enumerate(zip(kij, counts, starts)):
+            k = digits[p][lo + row]
+            reps = cnt[k]
+            take = np.repeat(np.arange(len(row)), reps)
+            e = np.arange(len(take)) + np.repeat(start[k] - (np.cumsum(reps) - reps), reps)
+            row = row[take]
+            c1 = c1[take] * len(doms[p]) + t[e, 1]
+            c2 = c2[take] * len(doms[p]) + t[e, 2]
+        w1 = W[c1]
+        keep = w1 != 0
+        row, c1, c2, w1 = row[keep], c1[keep], c2[keep], w1[keep]
+        w = w1 * W[c2]
+        keep = w != 0
+        row, c1, c2, w = row[keep], c1[keep], c2[keep], w[keep]
+        totals = np.zeros(hi - lo, dtype=dtype)
+        np.add.at(totals, row, w)
+        positive = np.flatnonzero(totals != 0)
+        if not len(positive):
+            continue
+        cols = [np.asarray(s)[k[lo + positive]] for s, k in zip(sums, digits)]
+        sigmas = [tuple(t) for t in np.stack(cols, axis=1).tolist()] if cols else [()] * len(positive)
+
+        ids = np.zeros((len(row), n_bonds), dtype=np.int64)
+        if base_factory is None:
+            for j, table in enumerate(coin_ids):
+                ids[:, j] = table[local[j, c1], local[j, c2]]
+        else:
+            ends = np.searchsorted(row, np.append(positive, positive[-1] + 1))
+            for a, b, sig in zip(ends[:-1], ends[1:], sigmas):
+                slice_spec = symmetrized_spec(spec, sig)
+                base = base_factory(slice_spec)
+                if validate:
+                    got = reconstruct(slice_spec, base)
+                    for o, p in nonoverlap_distribution(spec, sig).items():
+                        if abs(got.prob(o) - p) > 1e-9:
+                            raise ValueError("slice base does not reproduce the slice measure")
+                for j, bb in enumerate(base.bonds):
+                    li, inv = np.unique(local[j, c1[a:b]], return_inverse=True)
+                    coin = [bb.active_weight(x) / bb.support_weight(x) for x in li.tolist()]
+                    ids[a:b, j] = np.array([seen[j].setdefault(q, len(seen[j])) for q in coin])[inv]
+
+        labels, first = _first_seen(row, *ids.T)
+        gw = np.zeros(len(first), dtype=dtype)
+        np.add.at(gw, labels, w)
+        keep = gw != 0
+        gw, grow, gids = gw[keep], row[first[keep]], ids[first[keep]]
+        gq = np.empty(gids.shape, dtype=dtype)
+        for j, ids_j in enumerate(seen):
+            gq[:, j] = np.array(list(ids_j), dtype=dtype)[gids[:, j]]
+        live = (gq != 0) & (1 - gq != 0)
+        base_mask = ((gq != 0) & ~live) @ bits  # bonds whose coin is 1
+        n_leaves = np.zeros(hi - lo, dtype=np.int64)
+        np.add.at(n_leaves, grow, np.left_shift(1, live.sum(axis=1)))
+
+        for a, b in _runs(n_leaves[positive], _BLOCK_CELLS):
+            rows = positive[a:b]
+            ga, gb = np.searchsorted(grow, [rows[0], rows[-1] + 1])
+            grp, mask, val = _expand(gw[ga:gb], gq[ga:gb], live[ga:gb], base_mask[ga:gb])
+            nz = val != 0
+            lrow, mask, val = grow[ga:gb][grp[nz]], mask[nz], val[nz]
+            labels, first = _first_seen(lrow, mask)
+            rec_val = np.zeros(len(first), dtype=dtype)
+            np.add.at(rec_val, labels, val)
+            yield (sigmas[a:b], totals[rows].tolist(), np.searchsorted(rows, lrow[first]),
+                   mask[first], rec_val)
 
 
-def _expand_pattern(qs, weight, out, bond=0, mask=0):
-    if weight == 0:
-        return
-    if bond == len(qs):
-        out[mask] = out.get(mask, 0) + weight
-        return
-    q = qs[bond]
-    if q != 0:
-        _expand_pattern(qs, weight * q, out, bond + 1, mask | (1 << bond))
-    one_minus = 1 - q
-    if one_minus != 0:
-        _expand_pattern(qs, weight * one_minus, out, bond + 1, mask)
-
-
-def _iter_sigmas(spec: GibbsSpec):
-    per_vertex = []
-    for v in spec.region:
-        dom = spec.domain_values(v)
-        sums = sorted({a + b for a in dom for b in dom})
-        per_vertex.append(sums)
-    return itertools.product(*per_vertex)
+def _slice_patterns(spec: GibbsSpec, sigma, base_factory=None, validate=False):
+    """(total, {mask: weight}) of one overlap slice, unnormalized, from the
+    pattern blocks; (0, {}) for a slice of zero weight."""
+    for _, totals, _, mask, val in _pattern_blocks(spec, base_factory, validate, sigma):
+        return totals[0], dict(zip(mask.tolist(), val.tolist()))
+    return 0, {}
 
 
 def integrated_rc(
@@ -364,8 +471,10 @@ def integrated_rc(
     nested-level default, which is symmetric under slice reflection by
     construction and reads its coins from pair_coin_table. Custom
     factories are validated against the slice measure unless
-    validate=False. Every spec takes the same slice-by-slice route,
-    whatever its size; max_bonds and max_total cap the work.
+    validate=False. Every spec takes the same route through the pattern
+    blocks, whatever its size; max_bonds and max_total cap the work. A
+    mask's probability sums its slice weights in slice order, and masks
+    keep the order of their first slice record.
     """
     bonds = effective_bonds(spec)
     n_bonds = len(bonds)
@@ -376,22 +485,25 @@ def integrated_rc(
         raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
     if validate is None:
         validate = base_factory is not None
-    terms = _SpecTerms(spec, base_factory is None)
-    patterns: dict[int, object] = {}
+    masks = np.zeros(0, dtype=np.int64)
+    sums = np.zeros(0, dtype=object if spec.exact else float)
     grand = 0
-    for sigma in _iter_sigmas(spec):
-        total, pats = _slice_pattern_terms(spec, sigma, base_factory, validate, terms)
-        if total == 0:
-            continue
-        grand += total
-        for mask, w in pats.items():
-            patterns[mask] = patterns.get(mask, 0) + w
+    for _, totals, _, rec_mask, rec_val in _pattern_blocks(spec, base_factory, validate):
+        for total in totals:
+            grand += total
+        known = len(masks)
+        both = np.concatenate([masks, rec_mask])
+        labels, first = _first_seen(both)
+        masks = both[first]
+        sums = np.concatenate([sums, np.zeros(len(masks) - known, dtype=sums.dtype)])
+        np.add.at(sums, labels[known:], rec_val)
     if grand == 0:
         raise ZeroSliceError("zero measure")
+    patterns = zip(masks.tolist(), sums.tolist())
     if spec.exact:
-        patterns = {m: Fraction(w, 1) / grand for m, w in patterns.items()}
+        patterns = {m: Fraction(w, 1) / grand for m, w in patterns}
     else:
-        patterns = {m: w / grand for m, w in patterns.items()}
+        patterns = {m: w / grand for m, w in patterns}
     return IntegratedRC(
         spec.graph.n_vertices,
         tuple(eb.vertices for eb in bonds),
@@ -406,7 +518,7 @@ def slice_connection_prob(
     """Probability of the active connection event inside one overlap slice."""
     if validate is None:
         validate = base_factory is not None
-    total, pats = _slice_pattern_terms(spec, tuple(sigma), base_factory, validate)
+    total, pats = _slice_patterns(spec, sigma, base_factory, validate)
     if total == 0:
         raise ZeroSliceError("overlap configuration has probability zero")
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
@@ -437,26 +549,26 @@ def sigma_connection_profile(
     if nst * nst > max_total:
         raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
-    terms = _SpecTerms(spec, base_factory is None)
     rows = []
     grand = 0
     acc = 0
     conn_cache: dict[int, bool] = {}
-    for sigma in _iter_sigmas(spec):
-        total, pats = _slice_pattern_terms(spec, sigma, base_factory, validate, terms)
-        if total == 0:
-            continue
-        grand += total
-        num = 0
-        for mask, w in pats.items():
-            ok = conn_cache.get(mask)
-            if ok is None:
-                ok = regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B)
-                conn_cache[mask] = ok
-            if ok:
-                num += w
-        rows.append((sigma, total, num / total))
-        acc += num
+
+    def connected(mask):
+        ok = conn_cache.get(mask)
+        if ok is None:
+            ok = conn_cache[mask] = regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B)
+        return ok
+
+    for sigmas, totals, rec_slice, rec_mask, rec_val in _pattern_blocks(spec, base_factory, validate):
+        distinct, inverse = np.unique(rec_mask, return_inverse=True)
+        conn = np.array([connected(m) for m in distinct.tolist()], dtype=bool)[inverse]
+        num = np.zeros(len(sigmas), dtype=rec_val.dtype)
+        np.add.at(num, rec_slice[conn], rec_val[conn])
+        for sigma, total, n in zip(sigmas, totals, num.tolist()):
+            grand += total
+            rows.append((sigma, total, n / total))
+            acc += n
     if grand == 0:
         raise ZeroSliceError("zero measure")
     rows = [(s, t / grand, p) for s, t, p in rows]

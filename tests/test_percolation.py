@@ -6,25 +6,39 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_binary_spec
-from rcgibbs.errors import ZeroSliceError
+from rcgibbs.errors import TooLargeError, ZeroSliceError
 from rcgibbs import percolation, rcr, twocopy
-from rcgibbs.gibbs import Alphabet, BondTable, GibbsSpec, Interaction, SPIN, gibbs_measure
+from rcgibbs.gibbs import (
+    SPIN,
+    Alphabet,
+    BondTable,
+    GibbsSpec,
+    Interaction,
+    config_weights,
+    effective_bonds,
+    gibbs_measure,
+    local_index,
+)
 from rcgibbs.lattice import build_cayley_tree, hypergraph
-from rcgibbs.models import example1_spec, ising_spec
+from rcgibbs.experiments.examples import _random_spec
+from rcgibbs.models import example1_exact_spec, example1_spec, ising_spec
 from rcgibbs.percolation import (
     IntegratedRC,
+    _pattern_blocks,
+    _slice_patterns,
     activity_pattern,
     domination_probability,
     extremality_diagnostic,
     integrated_rc,
+    pair_coin_table,
     regions_connected,
     sigma_connection_profile,
     slice_connection_prob,
 )
-from rcgibbs.rcr import assignment_measure, monotone_base
+from rcgibbs.rcr import assignment_measure, monotone_base, reconstruct
 from rcgibbs.rng import stream
 from rcgibbs.sampling import mc_connection_probability
-from rcgibbs.twocopy import overlap_distribution, symmetrized_spec
+from rcgibbs.twocopy import make_slice, nonoverlap_distribution, overlap_distribution, symmetrized_spec
 from rcgibbs.experiments.cayley import nonoverlap_connection_recursion
 
 
@@ -287,6 +301,10 @@ def test_slice_zero_probability_raises():
     spec = GibbsSpec(g, SPIN, pinned, (0,))
     with pytest.raises(ZeroSliceError):
         slice_connection_prob(spec, (-2,), {0}, {0})
+    with pytest.raises(ZeroSliceError):  # no two spins add up to 1
+        slice_connection_prob(spec, (1,), {0}, {0})
+    with pytest.raises(ValueError, match="length"):
+        slice_connection_prob(spec, (0, 0), {0}, {0})
 
 
 def test_slice_connection_closed_form_and_printed_ratio():
@@ -322,18 +340,218 @@ def test_sigma_profile_consistent_with_integrated():
 def test_overlap_interior_bonds_never_active():
     for m in range(4):
         spec = random_binary_spec(m, seed=161, n_min=3, n_max=4)
-        irc_bonds = [eb.vertices for eb in __import__("rcgibbs.gibbs", fromlist=["effective_bonds"]).effective_bonds(spec)]
+        irc_bonds = [eb.vertices for eb in effective_bonds(spec)]
         rho = overlap_distribution(spec)
         for sigma in itertools.islice(rho.outcomes(), 0, 30, 3):
             K = {v for v, s in zip(spec.region, sigma) if s != 0}
-            from rcgibbs.percolation import _slice_pattern_terms
-
-            total, pats = _slice_pattern_terms(spec, sigma, None, False)
+            total, pats = _slice_patterns(spec, sigma)
             if total == 0:
                 continue
             for j, verts in enumerate(irc_bonds):
                 if set(verts) <= K:
                     assert all(not (mask >> j) & 1 for mask in pats)
+
+
+# ---------------------------------------------------------------------------
+# the pattern kernel against the slice-by-slice loop it replaced
+
+
+class _SpecTerms:
+    """Oracle: per-spec work shared by the slices of one call (the pair-coin
+    table, every configuration's weight, each configuration's bond local
+    indices on first use)."""
+
+    def __init__(self, spec, coins):
+        self.coins = pair_coin_table(spec) if coins else None
+        self.index = {v: i for i, v in enumerate(spec.alphabet.values)}
+        self._S = spec.alphabet.size
+        pos = {v: p for p, v in enumerate(spec.region)}
+        self._insides = [tuple(pos[v] for v in eb.inside) for eb in effective_bonds(spec)]
+        self._where = [{a: i for i, a in enumerate(spec.domain_indices(v))} for v in spec.region]
+        self._weights = config_weights(spec).tolist()
+        self._configs = {}
+
+    def config(self, c):
+        got = self._configs.get(c)
+        if got is None:
+            i = 0
+            for where, a in zip(self._where, c):
+                i = i * len(where) + where[a]
+            locs = tuple(local_index(self._S, (c[p] for p in pos)) for pos in self._insides)
+            got = self._configs[c] = (self._weights[i], locs)
+        return got
+
+
+def _slice_pattern_terms(spec, sigma, base_factory, validate, terms=None):
+    """Oracle: (slice total, pattern dict) of one slice, pair by pair."""
+    if terms is None:
+        terms = _SpecTerms(spec, base_factory is None)
+    try:
+        sl = make_slice(spec, sigma)
+    except ZeroSliceError:
+        return 0, {}
+    index = terms.index
+    pairs = []
+    total = 0
+    for vals in itertools.product(*sl.admissible):
+        w1, l1 = terms.config(tuple(index[v] for v in vals))
+        if w1 == 0:
+            continue
+        w2, l2 = terms.config(tuple(index[s - v] for s, v in zip(sl.sigma, vals)))
+        w = w1 * w2
+        if w == 0:
+            continue
+        total += w
+        pairs.append((l1, l2, w))
+    if total == 0:
+        return 0, {}
+    by_q = {}
+    if base_factory is None:
+        for l1, l2, w in pairs:
+            key = tuple(q[a][b] for q, a, b in zip(terms.coins, l1, l2))
+            by_q[key] = by_q.get(key, 0) + w
+    else:
+        slice_spec = symmetrized_spec(spec, sigma)
+        base = base_factory(slice_spec)
+        if validate:
+            got = reconstruct(slice_spec, base)
+            for o, p in nonoverlap_distribution(spec, sigma).items():
+                if abs(got.prob(o) - p) > 1e-9:
+                    raise ValueError("slice base does not reproduce the slice measure")
+        for l1, _, w in pairs:
+            key = tuple(bb.active_weight(li) / bb.support_weight(li) for bb, li in zip(base.bonds, l1))
+            by_q[key] = by_q.get(key, 0) + w
+    patterns = {}
+    for qs, w in by_q.items():
+        _expand_pattern(qs, w, patterns)
+    return total, patterns
+
+
+def _expand_pattern(qs, weight, out, bond=0, mask=0):
+    if weight == 0:
+        return
+    if bond == len(qs):
+        out[mask] = out.get(mask, 0) + weight
+        return
+    q = qs[bond]
+    if q != 0:
+        _expand_pattern(qs, weight * q, out, bond + 1, mask | (1 << bond))
+    one_minus = 1 - q
+    if one_minus != 0:
+        _expand_pattern(qs, weight * one_minus, out, bond + 1, mask)
+
+
+def _oracle_slices(spec, base_factory=None):
+    """Oracle: {sigma: (total, pattern dict)} over the slices of positive
+    weight, in slice order."""
+    terms = _SpecTerms(spec, base_factory is None)
+    sums = [sorted({a + b for a in d for b in d}) for d in map(spec.domain_values, spec.region)]
+    out = {}
+    for sigma in itertools.product(*sums):
+        total, pats = _slice_pattern_terms(spec, sigma, base_factory, False, terms)
+        if total != 0:
+            out[sigma] = total, pats
+    return out
+
+
+def _oracle_laws(spec, A, B, base_factory=None):
+    """Oracle: integrated patterns, profile rows and pbar, and each positive
+    slice's connection probability, summed as the slice loop summed them."""
+    bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
+    patterns = {}
+    rows = []
+    slice_probs = {}
+    grand = 0
+    acc = 0
+    for sigma, (total, pats) in _oracle_slices(spec, base_factory).items():
+        grand += total
+        num = 0
+        for mask, w in pats.items():
+            patterns[mask] = patterns.get(mask, 0) + w
+            if regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B):
+                num += w
+        rows.append((sigma, total, num / total))
+        slice_probs[sigma] = num / total
+        acc += num
+    if spec.exact:
+        patterns = {m: Fraction(w, 1) / grand for m, w in patterns.items()}
+    else:
+        patterns = {m: w / grand for m, w in patterns.items()}
+    return patterns, [(s, t / grand, p) for s, t, p in rows], acc / grand, slice_probs
+
+
+def _hyperbond_spec():
+    """Three-vertex hyperbonds, a boundary spin, and vertex 5 bound only by
+    its own site factor, so that it has no neighbours."""
+    g = hypergraph(6, [(0, 1, 2), (1, 3), (2, 3, 4), (0, 4), (5,)])
+    rng = stream(77, 0)
+    tables = {
+        k: BondTable.from_exponents(rng.uniform(-1.5, 1.5, 2 ** len(b)).tolist())
+        for k, b in enumerate(g.bonds)
+    }
+    return GibbsSpec(g, SPIN, Interaction(tables), (0, 1, 2, 3, 5), {4: 1})
+
+
+KERNEL_CASES = [
+    *[(f"c04_{m}", lambda m=m: _random_spec(m, 7), None) for m in range(1, 61)],
+    *[
+        (f"random{m}", lambda m=m: random_binary_spec(
+            m, seed=9, n_min=3, n_max=4, allow_forbidden=True, with_boundary=True), None)
+        for m in (2, 7, 12, 14, 19, 20)
+    ],
+    ("three_valued", lambda: _three_valued_spec(False), None),
+    ("three_valued_exact", lambda: _three_valued_spec(True), None),
+    ("example1_exact", lambda: example1_exact_spec(Fraction(3), Fraction(5, 2)), None),
+    ("hyperbond", _hyperbond_spec, None),
+    ("three_valued_monotone", lambda: _three_valued_spec(False), monotone_base),
+    ("three_valued_exact_monotone", lambda: _three_valued_spec(True), monotone_base),
+    ("random7_monotone", lambda: random_binary_spec(
+        7, seed=9, n_min=3, n_max=4, allow_forbidden=True, with_boundary=True), monotone_base),
+]
+
+
+@pytest.mark.parametrize("name,make,factory", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_pattern_kernel_matches_slice_loop_literally(monkeypatch, name, make, factory):
+    spec = make()
+    # a small block budget splits every case into several blocks
+    cells = spec.n_states() ** 2 * max(len(effective_bonds(spec)), 1)
+    monkeypatch.setattr(percolation, "_BLOCK_CELLS", cells // 8)
+    assert sum(1 for _ in _pattern_blocks(spec, factory)) > 1
+    A, B = {spec.region[0]}, {spec.region[-1]}
+    patterns, want_rows, want_pbar, slice_probs = _oracle_laws(spec, A, B, factory)
+    irc = integrated_rc(spec, base_factory=factory, validate=False)
+    # literal equality, dict order included: floats bit for bit, Fractions exactly
+    assert list(irc.patterns.items()) == list(patterns.items())
+    rows, pbar = sigma_connection_profile(spec, A, B, base_factory=factory, validate=False)
+    assert rows == want_rows and pbar == want_pbar
+    sums = [sorted({a + b for a in d for b in d}) for d in map(spec.domain_values, spec.region)]
+    for sigma in itertools.islice(itertools.product(*sums), 0, None, 17):
+        if sigma in slice_probs:
+            got = slice_connection_prob(spec, sigma, A, B, base_factory=factory, validate=False)
+            assert got == slice_probs[sigma]
+        else:
+            with pytest.raises(ZeroSliceError):
+                slice_connection_prob(spec, sigma, A, B, base_factory=factory, validate=False)
+
+
+def test_more_than_62_bonds_raise_before_enumeration(monkeypatch):
+    # 63 parallel bonds on two sites: four states, but pattern masks would
+    # overflow int64
+    g = hypergraph(2, [(0, 1)] * 63)
+    tables = {k: BondTable.from_factors((2.0, 1.0, 1.0, 2.0)) for k in range(63)}
+    spec = GibbsSpec(g, SPIN, Interaction(tables), (0, 1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerated before the bond check")
+
+    monkeypatch.setattr(percolation, "config_weights", forbidden)
+    monkeypatch.setattr(percolation, "pair_coin_table", forbidden)
+    with pytest.raises(TooLargeError, match="63 bonds"):
+        sigma_connection_profile(spec, {0}, {1})
+    with pytest.raises(TooLargeError, match="63 bonds"):
+        slice_connection_prob(spec, (0, 0), {0}, {1})
+    with pytest.raises(TooLargeError, match="63 bonds"):
+        integrated_rc(spec, max_bonds=100)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import random_binary_spec
-from test_percolation import _three_valued_spec
+from test_percolation import _hyperbond_spec, _three_valued_spec
 from rcgibbs import sampling
 from rcgibbs.gibbs import SPIN, BondTable, GibbsSpec, Interaction, effective_bonds
 from rcgibbs.lattice import build_grid, hypergraph
@@ -101,18 +101,6 @@ def _oracle_mc(spec, A, B, n_samples, seed, burn_in=300, gap=2, n_tasks=8, threa
     p = hits / n
     se = math.sqrt(max(p * (1 - p), 1e-300) / n)
     return {"estimate": p, "stderr": se, "n_samples": n, "seed": seed}
-
-
-def _hyperbond_spec():
-    """Three-vertex hyperbonds, a boundary spin, and vertex 5 bound only by
-    its own site factor, so that it has no neighbours."""
-    g = hypergraph(6, [(0, 1, 2), (1, 3), (2, 3, 4), (0, 4), (5,)])
-    rng = stream(77, 0)
-    tables = {
-        k: BondTable.from_exponents(rng.uniform(-1.5, 1.5, 2 ** len(b)).tolist())
-        for k, b in enumerate(g.bonds)
-    }
-    return GibbsSpec(g, SPIN, Interaction(tables), (0, 1, 2, 3, 5), {4: 1})
 
 
 def _equal_chain_spec(n):
