@@ -323,7 +323,8 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
     Yields (sigmas, totals, rec_slice, rec_mask, rec_val) per block: its
     slices of positive total, their totals, and their (mask, weight)
     records, slice by slice and each slice's masks in order of first leaf;
-    rec_slice indexes sigmas. sigma restricts the walk to that slice. The
+    rec_slice indexes sigmas. sigma restricts the walk to that slice, and
+    every array to the values it admits (a with sigma_v - a allowed). The
     default base reads its coins from pair_coin_table; a custom base_factory
     gets each positive slice's symmetrized spec, is validated against the
     slice measure when validate is set, and gives bond j's coin at the first
@@ -335,14 +336,20 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
         raise TooLargeError(f"{n_bonds} bonds exceeds the {_MASK_BONDS}-bond pattern mask")
     dtype = object if spec.exact else float
     doms = [spec.domain_values(v) for v in spec.region]
+    idx = [spec.domain_indices(v) for v in spec.region]
+    if sigma is not None:
+        # only values a with sigma_v - a in the domain occur in the slice
+        sigma = tuple(int(s) for s in sigma)
+        if len(sigma) != len(doms):
+            raise ValueError("sigma length must match region size")
+        keep = [[k for k, a in enumerate(d) if s - a in d] for s, d in zip(sigma, doms)]
+        doms = [[d[k] for k in ks] for d, ks in zip(doms, keep)]
+        idx = [[i[k] for k in ks] for i, ks in zip(idx, keep)]
     sums = [sorted({a + b for a in d for b in d}) for d in doms]
     radix = [math.prod(len(s) for s in sums[p + 1:]) for p in range(len(sums))]
     if sigma is None:
         sids = np.arange(math.prod(len(s) for s in sums))
     else:
-        sigma = tuple(int(s) for s in sigma)
-        if len(sigma) != len(sums):
-            raise ValueError("sigma length must match region size")
         if any(s not in ss for s, ss in zip(sigma, sums)):
             return
         sids = np.array([sum(ss.index(s) * r for s, ss, r in zip(sigma, sums, radix))])
@@ -359,14 +366,14 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
     for c, k in zip(counts, digits):
         n_pairs *= c[k]
 
-    W = config_weights(spec)
+    W = config_weights(spec, domains=idx)
     config = np.arange(len(W))
     S = spec.alphabet.size
     step = len(W)
     alpha = []  # alphabet index of each vertex in each configuration
-    for v, d in zip(spec.region, doms):
-        step //= len(d)
-        alpha.append(np.asarray(spec.domain_indices(v))[(config // step) % len(d)])
+    for i in idx:
+        step //= len(i)
+        alpha.append(np.asarray(i)[(config // step) % len(i)])
     pos = {v: p for p, v in enumerate(spec.region)}
     local = np.zeros((n_bonds, len(W)), dtype=np.int64)
     for j, eb in enumerate(bonds):
@@ -485,25 +492,19 @@ def integrated_rc(
         raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
     if validate is None:
         validate = base_factory is not None
-    masks = np.zeros(0, dtype=np.int64)
-    sums = np.zeros(0, dtype=object if spec.exact else float)
+    sums = {}
     grand = 0
     for _, totals, _, rec_mask, rec_val in _pattern_blocks(spec, base_factory, validate):
         for total in totals:
             grand += total
-        known = len(masks)
-        both = np.concatenate([masks, rec_mask])
-        labels, first = _first_seen(both)
-        masks = both[first]
-        sums = np.concatenate([sums, np.zeros(len(masks) - known, dtype=sums.dtype)])
-        np.add.at(sums, labels[known:], rec_val)
+        for m, v in zip(rec_mask.tolist(), rec_val.tolist()):
+            sums[m] = sums.get(m, 0) + v
     if grand == 0:
         raise ZeroSliceError("zero measure")
-    patterns = zip(masks.tolist(), sums.tolist())
     if spec.exact:
-        patterns = {m: Fraction(w, 1) / grand for m, w in patterns}
+        patterns = {m: Fraction(w, 1) / grand for m, w in sums.items()}
     else:
-        patterns = {m: w / grand for m, w in patterns}
+        patterns = {m: w / grand for m, w in sums.items()}
     return IntegratedRC(
         spec.graph.n_vertices,
         tuple(eb.vertices for eb in bonds),

@@ -13,9 +13,7 @@ the product of the incident bond factors in bond order, as the plain
 per-site loop did. The chains and the activity coins read their private
 uniform streams in blocks (Generator.random(n) yields the doubles of n
 scalar calls), and a frozen site (total weight 0) draws nothing, so the
-outputs for a seed are unchanged from one scalar draw per update. The bonds
-whose coin is positive, with their coins, are memoized per pair of copy
-states for the call, and each of them, in bond order, draws one uniform.
+outputs for a seed are unchanged from one scalar draw per update.
 """
 
 from __future__ import annotations
@@ -148,25 +146,10 @@ def mc_connection_probability(
     S = spec.alphabet.size
     n_vertices = spec.graph.n_vertices
     per_task = -(-n_samples // n_tasks)
-    # activity mask -> regions_connected, and the two copies' states ->
-    # (bit, coin) of each bond whose coin is positive, in bond order; shared
-    # by the tasks like the tables' memos: a value depends on its key alone,
-    # so a thread that stores one another thread also computed stores the
-    # same value
+    # activity mask -> regions_connected, shared by the tasks like the
+    # tables' memos: a value depends on its key alone, so a thread that
+    # stores one another thread also computed stores the same value
     connected = {}
-    live_coins = {}
-
-    def coins_of(s1, s2):
-        out = []
-        for j, (inside, coin) in enumerate(zip(insides, coins)):
-            x1 = x2 = 0
-            for p in inside:
-                x1 = x1 * S + s1[p]
-                x2 = x2 * S + s2[p]
-            q = coin[x1][x2]
-            if q > 0:
-                out.append((1 << j, q))
-        return out
 
     def task(t):
         c1 = Chain(tables, stream(seed, 300, t, 0))
@@ -180,14 +163,15 @@ def mc_connection_probability(
         for _ in range(per_task):
             heat_bath_chain(spec, tables, c1, gap)
             heat_bath_chain(spec, tables, c2, gap)
-            key = (*s1, *s2)
-            live = live_coins.get(key)
-            if live is None:
-                live = live_coins[key] = coins_of(s1, s2)
             mask = 0
-            for bit, q in live:
-                if coin_uniform() < q:
-                    mask |= bit
+            for j, (inside, coin) in enumerate(zip(insides, coins)):
+                x1 = x2 = 0
+                for p in inside:
+                    x1 = x1 * S + s1[p]
+                    x2 = x2 * S + s2[p]
+                q = coin[x1][x2]
+                if q > 0 and coin_uniform() < q:
+                    mask |= 1 << j
             hit = connected.get(mask)
             if hit is None:
                 hit = connected[mask] = regions_connected(n_vertices, bond_vertices, mask, A, B)
