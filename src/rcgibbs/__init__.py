@@ -57,7 +57,6 @@ from .rcr import (
     monotone_probabilities,
     reconstruct,
     solve_bernoulli,
-    solve_typed,
     symmetrize_base,
     typed_joint,
 )

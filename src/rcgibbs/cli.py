@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import RcgibbsError, TooLargeError, UsageError
-from .gibbs import GibbsSpec, gibbs_measure
+from .gibbs import GibbsSpec, effective_bonds, gibbs_measure, product_outcomes
 from .models import spec_from_dict
 from .percolation import sigma_connection_profile
 from .rcr import (
@@ -38,7 +38,6 @@ from .rcr import (
 )
 from .sampling import mc_connection_probability
 from .twocopy import nonoverlap_distribution, overlap_distribution, make_slice
-from .gibbs import effective_bonds
 
 
 def _jsonable(x):
@@ -179,11 +178,12 @@ def cmd_gibbs_eval(args) -> dict:
 def cmd_twocopy_rho(args) -> dict:
     spec = _load_spec(args)
     rho = overlap_distribution(spec)
-    rows = sorted(rho.items(), key=lambda kv: (-kv[1], kv[0]))[:4096]
-    return {
-        "n_sigma": len(rho),
-        "rows": [{"sigma": list(s), "rho": p} for s, p in rows],
-    }
+    # the product order of the overlap law is lexicographic in sigma, so a
+    # stable sort of the positive weights gives the (-rho, sigma) order
+    positive = np.flatnonzero(rho.weights > 0)
+    top = positive[np.argsort(-rho.weights[positive], kind="stable")[:4096]]
+    rows = zip(product_outcomes(top, rho.domains), rho.weights[top].tolist())
+    return {"n_sigma": len(positive), "rows": [{"sigma": list(s), "rho": p} for s, p in rows]}
 
 
 def cmd_twocopy_slice(args) -> dict:

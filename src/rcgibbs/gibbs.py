@@ -199,12 +199,6 @@ class GibbsSpec:
             n *= len(self.domain_values(v))
         return n
 
-    def full_binary(self) -> bool:
-        return self.alphabet.size == 2 and (
-            self.domains is None
-            or all(len(self.domain_values(v)) == 2 for v in self.region)
-        )
-
 
 @dataclass(frozen=True)
 class EffectiveBond:
@@ -284,6 +278,22 @@ def config_weights(spec: GibbsSpec, tables=None, domains=None, exact=None) -> np
     return w.reshape(-1)
 
 
+def product_positions(ids: np.ndarray, sizes):
+    """Yield each coordinate's positions at the flat indices ids of a product
+    of the given sizes, in itertools.product order."""
+    radix = math.prod(sizes)
+    for n in sizes:
+        radix //= n
+        yield ids // radix % n
+
+
+def product_outcomes(ids: np.ndarray, domains) -> list:
+    """The tuples of itertools.product(*domains) at the flat indices ids."""
+    sizes = [len(d) for d in domains]
+    cols = [np.asarray(d)[k].tolist() for d, k in zip(domains, product_positions(ids, sizes))]
+    return list(zip(*cols)) if cols else [()] * len(ids)
+
+
 def _scalars(w: np.ndarray):
     """Python scalars of a flat array, converted 2**16 at a time."""
     for lo in range(0, len(w), 1 << 16):
@@ -357,6 +367,11 @@ class FiniteDistribution:
     def weights(self) -> np.ndarray | None:
         """The flat weight array of a product-backed distribution, else None."""
         return self._weights
+
+    @property
+    def domains(self) -> tuple | None:
+        """The per-coordinate domains of a product-backed distribution, else None."""
+        return self._domains
 
     def outcomes(self):
         if self._weights is None:

@@ -10,32 +10,29 @@ alone; pair_coin_table computes it once per spec, and every exact query
 and the Monte Carlo sampler read that one table.
 
 One array kernel, _pattern_blocks, computes the law for integrated_rc,
-sigma_connection_profile and slice_connection_prob. It takes every two-copy
-pair once, from one config_weights array, in slice order (itertools.product
-over each vertex's sorted sums) and then first-copy configuration order,
+sigma_connection_profile and slice_connection_prob. It reads the two-copy
+pairs from twocopy.PairWalk, a pair taking a block cell per effective bond,
 groups a slice's pairs by coin vector, and expands each group over its live
 bonds only (0 < q < 1). Every sum is sequential: a group sums its pairs in
-pair order, a slice a mask's leaves in (group, active-first depth-first)
-order, and the law a mask's slice weights in slice order. Masks keep the
-order of their first nonzero leaf, the order in which float sums over a
-pattern dict add. Floats and Fractions run the same code, on float64 and on
-object arrays. The kernel works in blocks of whole slices of at most
-_BLOCK_CELLS array cells; patterns are int64 bitmasks, so a spec with more
-than 62 effective bonds raises TooLargeError. Only a custom base_factory
-builds each slice's symmetrized spec and base.
+the walk's order, a slice a mask's leaves in (group, active-first
+depth-first) order, and the law a mask's slice weights in slice order.
+Masks keep the order of their first nonzero leaf, the order in which float
+sums over a pattern dict add. Floats and Fractions run the same code, on
+float64 and on object arrays. Patterns are int64 bitmasks, so a spec with
+more than 62 effective bonds raises TooLargeError. Only a custom
+base_factory builds each slice's symmetrized spec and base.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import TooLargeError, ZeroSliceError
-from .gibbs import GibbsSpec, config_weights, effective_bonds, local_index
+from .gibbs import GibbsSpec, effective_bonds, local_index, product_outcomes, product_positions
 from .lattice import ball, boundary_vertices
 from .rcr import (
     RcrBase,
@@ -44,7 +41,7 @@ from .rcr import (
     monotone_probabilities,
     reconstruct,
 )
-from .twocopy import nonoverlap_distribution, symmetrized_spec
+from .twocopy import PairWalk, _runs, nonoverlap_distribution, symmetrized_spec
 
 
 class UnionFind:
@@ -210,7 +207,7 @@ def domination_probability(irc: IntegratedRC, bond_index: int):
 # The pair-coin kernel and the pattern kernel
 
 
-def pair_coin_table(spec: GibbsSpec):
+def pair_coin_table(spec: GibbsSpec, sigma=None):
     """Activity coin of the nested-level base for every pair of copies.
 
     Returns one table per effective bond, in effective_bonds order:
@@ -222,18 +219,24 @@ def pair_coin_table(spec: GibbsSpec):
     level i of their nested levels the coin is the active weight over the
     support weight of the subsets containing x1, both summed in level order
     as BondBase sums them. Pairs outside the domains or of factor zero get
-    0. Entries are Fractions for exact specs.
+    0. Entries are Fractions for exact specs. Given a sigma (aligned with
+    the region), each bond gets the coins of the local sum sigma gives its
+    inside vertices only, and 0 elsewhere.
     """
     S = spec.alphabet.size
     idx = spec.alphabet.index
     zero = Fraction(0) if spec.exact else 0.0
+    pos = {v: p for p, v in enumerate(spec.region)}
     tables = []
     for eb in effective_bonds(spec):
         doms = [spec.domain_values(v) for v in eb.inside]
         n_local = S ** len(eb.inside)
         q = [[zero] * n_local for _ in range(n_local)]
         sums = [sorted({a + b for a in d for b in d}) for d in doms]
+        only = None if sigma is None else tuple(sigma[pos[v]] for v in eb.inside)
         for sig in itertools.product(*sums):
+            if only is not None and sig != only:
+                continue
             adm = [tuple(a for a in d if s - a in d) for d, s in zip(doms, sig)]
             ys = list(itertools.product(*adm))
             loc1 = [local_index(S, (idx(a) for a in y)) for y in ys]
@@ -251,20 +254,7 @@ def pair_coin_table(spec: GibbsSpec):
     return tables
 
 
-_BLOCK_CELLS = 1 << 13  # array cells one block of slices holds: pairs x bonds, or leaves
 _MASK_BONDS = 62  # patterns are int64 bitmasks, bit j for effective bond j
-
-
-def _runs(sizes, budget):
-    """Consecutive runs [lo, hi) of items whose sizes sum to at most budget;
-    an item larger than budget makes a run of its own."""
-    cum = np.cumsum(sizes)
-    lo = 0
-    while lo < len(cum):
-        hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + budget, side="right"))
-        hi = max(hi, lo + 1)
-        yield lo, hi
-        lo = hi
 
 
 def _first_seen(*cols):
@@ -310,12 +300,11 @@ def _expand(weights, q, live, base):
 
 
 def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=None):
-    """The integrated law's pattern terms, in blocks of whole slices of at
-    most _BLOCK_CELLS array cells (a larger slice makes a block of its own),
-    in the pair and summation orders of the module docstring.
+    """The integrated law's pattern terms, per block of the PairWalk (its
+    leaves cut again at twocopy._BLOCK_CELLS), in the pair and summation
+    orders of the module docstring.
 
-    A pair is dropped when w(c1) == 0, then when w(c1) * w(c2) == 0. A
-    slice's pairs with equal coin vectors form a group, numbered by first
+    A slice's pairs with equal coin vectors form a group, numbered by first
     pair. Each live bond (0 < q < 1) of a group splits a leaf of weight w
     into w * q and w * (1 - q), bonds in order; a coin of 1 sets the bond's
     bit, a coin of 0 clears it, and zero leaves are dropped.
@@ -323,8 +312,7 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
     Yields (sigmas, totals, rec_slice, rec_mask, rec_val) per block: its
     slices of positive total, their totals, and their (mask, weight)
     records, slice by slice and each slice's masks in order of first leaf;
-    rec_slice indexes sigmas. sigma restricts the walk to that slice, and
-    every array to the values it admits (a with sigma_v - a allowed). The
+    rec_slice indexes sigmas. sigma limits the walk to that slice. The
     default base reads its coins from pair_coin_table; a custom base_factory
     gets each positive slice's symmetrized spec, is validated against the
     slice measure when validate is set, and gives bond j's coin at the first
@@ -335,47 +323,12 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
     if n_bonds > _MASK_BONDS:
         raise TooLargeError(f"{n_bonds} bonds exceeds the {_MASK_BONDS}-bond pattern mask")
     dtype = object if spec.exact else float
-    doms = [spec.domain_values(v) for v in spec.region]
-    idx = [spec.domain_indices(v) for v in spec.region]
-    if sigma is not None:
-        # only values a with sigma_v - a in the domain occur in the slice
-        sigma = tuple(int(s) for s in sigma)
-        if len(sigma) != len(doms):
-            raise ValueError("sigma length must match region size")
-        keep = [[k for k, a in enumerate(d) if s - a in d] for s, d in zip(sigma, doms)]
-        doms = [[d[k] for k in ks] for d, ks in zip(doms, keep)]
-        idx = [[i[k] for k in ks] for i, ks in zip(idx, keep)]
-    sums = [sorted({a + b for a in d for b in d}) for d in doms]
-    radix = [math.prod(len(s) for s in sums[p + 1:]) for p in range(len(sums))]
-    if sigma is None:
-        sids = np.arange(math.prod(len(s) for s in sums))
-    else:
-        if any(s not in ss for s, ss in zip(sigma, sums)):
-            return
-        sids = np.array([sum(ss.index(s) * r for s, ss, r in zip(sigma, sums, radix))])
-    # per vertex: (sum position, first, second) domain positions of each value
-    # pair, ordered by sum then first copy, and where each sum's pairs start
-    kij = [
-        np.array(sorted((s.index(a + b), i, j) for i, a in enumerate(d) for j, b in enumerate(d)))
-        for s, d in zip(sums, doms)
-    ]
-    counts = [np.bincount(t[:, 0], minlength=len(s)) for t, s in zip(kij, sums)]
-    starts = [np.cumsum(c) - c for c in counts]
-    digits = [(sids // r) % len(s) for r, s in zip(radix, sums)]
-    n_pairs = np.ones(len(sids), dtype=np.int64)
-    for c, k in zip(counts, digits):
-        n_pairs *= c[k]
-
-    W = config_weights(spec, domains=idx)
-    config = np.arange(len(W))
+    walk = PairWalk(spec, sigma)
     S = spec.alphabet.size
-    step = len(W)
-    alpha = []  # alphabet index of each vertex in each configuration
-    for i in idx:
-        step //= len(i)
-        alpha.append(np.asarray(i)[(config // step) % len(i)])
     pos = {v: p for p, v in enumerate(spec.region)}
-    local = np.zeros((n_bonds, len(W)), dtype=np.int64)
+    digits = product_positions(np.arange(len(walk.weights)), [len(i) for i in walk.indices])
+    alpha = [np.asarray(i)[k] for i, k in zip(walk.indices, digits)]  # alphabet index per configuration
+    local = np.zeros((n_bonds, len(walk.weights)), dtype=np.int64)
     for j, eb in enumerate(bonds):
         for v in eb.inside:
             local[j] = local[j] * S + alpha[pos[v]]
@@ -383,34 +336,15 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
     if base_factory is None:
         coin_ids = [
             np.array([[ids.setdefault(q, len(ids)) for q in row] for row in table]).reshape(len(table), -1)
-            for ids, table in zip(seen, pair_coin_table(spec))
+            for ids, table in zip(seen, pair_coin_table(spec, sigma))
         ]
     bits = np.left_shift(1, np.arange(n_bonds, dtype=np.int64))
 
-    for lo, hi in _runs(n_pairs * max(n_bonds, 1), _BLOCK_CELLS):
-        row = np.arange(hi - lo)  # each pair's slice, as an offset from lo
-        c1 = c2 = np.zeros(hi - lo, dtype=np.int64)
-        for p, (t, cnt, start) in enumerate(zip(kij, counts, starts)):
-            k = digits[p][lo + row]
-            reps = cnt[k]
-            take = np.repeat(np.arange(len(row)), reps)
-            e = np.arange(len(take)) + np.repeat(start[k] - (np.cumsum(reps) - reps), reps)
-            row = row[take]
-            c1 = c1[take] * len(doms[p]) + t[e, 1]
-            c2 = c2[take] * len(doms[p]) + t[e, 2]
-        w1 = W[c1]
-        keep = w1 != 0
-        row, c1, c2, w1 = row[keep], c1[keep], c2[keep], w1[keep]
-        w = w1 * W[c2]
-        keep = w != 0
-        row, c1, c2, w = row[keep], c1[keep], c2[keep], w[keep]
-        totals = np.zeros(hi - lo, dtype=dtype)
-        np.add.at(totals, row, w)
+    for sids, totals, row, c1, c2, w in walk.blocks(max(n_bonds, 1)):
         positive = np.flatnonzero(totals != 0)
         if not len(positive):
             continue
-        cols = [np.asarray(s)[k[lo + positive]] for s, k in zip(sums, digits)]
-        sigmas = [tuple(t) for t in np.stack(cols, axis=1).tolist()] if cols else [()] * len(positive)
+        sigmas = product_outcomes(sids[positive], walk.sums)
 
         ids = np.zeros((len(row), n_bonds), dtype=np.int64)
         if base_factory is None:
@@ -441,10 +375,10 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
             gq[:, j] = np.array(list(ids_j), dtype=dtype)[gids[:, j]]
         live = (gq != 0) & (1 - gq != 0)
         base_mask = ((gq != 0) & ~live) @ bits  # bonds whose coin is 1
-        n_leaves = np.zeros(hi - lo, dtype=np.int64)
+        n_leaves = np.zeros(len(totals), dtype=np.int64)
         np.add.at(n_leaves, grow, np.left_shift(1, live.sum(axis=1)))
 
-        for a, b in _runs(n_leaves[positive], _BLOCK_CELLS):
+        for a, b in _runs(n_leaves[positive]):
             rows = positive[a:b]
             ga, gb = np.searchsorted(grow, [rows[0], rows[-1] + 1])
             grp, mask, val = _expand(gw[ga:gb], gq[ga:gb], live[ga:gb], base_mask[ga:gb])
@@ -459,7 +393,8 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
 
 def _slice_patterns(spec: GibbsSpec, sigma, base_factory=None, validate=False):
     """(total, {mask: weight}) of one overlap slice, unnormalized, from the
-    pattern blocks; (0, {}) for a slice of zero weight."""
+    pattern blocks; (0, {}) for a slice of zero weight, ZeroSliceError for
+    one some vertex cannot reach."""
     for _, totals, _, mask, val in _pattern_blocks(spec, base_factory, validate, sigma):
         return totals[0], dict(zip(mask.tolist(), val.tolist()))
     return 0, {}

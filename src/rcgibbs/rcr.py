@@ -26,7 +26,6 @@ from .gibbs import (
     effective_bonds,
     local_index,
 )
-from .rng import stream
 
 
 # ---------------------------------------------------------------------------
@@ -567,148 +566,3 @@ def typed_joint(
     """
     marginal = bond_marginal(spec2, base, max_states, max_assignments)
     return marginal.map_outcomes(lambda a: tuple(zip(a[::2], a[1::2])))
-
-
-@dataclass(frozen=True)
-class TypedSolution:
-    probs_a: tuple
-    probs_b: tuple
-    scale: float
-    residual: float
-    non_unique: bool
-
-
-_MNS_A = ((1, 1), (0, 1), (0, 1))
-_MNS_B = ((0, 1), (1, 1), (0, 1))
-
-
-def solve_typed(
-    factors,
-    A_alpha,
-    A_beta,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    restarts: int = 8,
-    seed: int = 0,
-    zero_alpha=(),
-    zero_beta=(),
-) -> TypedSolution:
-    """Nonnegative normalized solution of the bilinear two-family system.
-
-    Solves [A_alpha p_a]_k [A_beta p_b]_k = c * w_k with both probability
-    vectors summing to 1. The blue/red membership pattern short-circuits
-    to its closed form; otherwise alternating nonnegative least squares
-    with random restarts is used and the final residual is checked against
-    tol. zero_alpha / zero_beta force the listed probability entries to 0
-    (extra constraints beyond the membership pattern).
-    """
-    if zero_alpha or zero_beta:
-        return _solve_typed_forced(
-            factors, A_alpha, A_beta, zero_alpha, zero_beta, tol, max_iter, restarts, seed
-        )
-    w = np.asarray([float(f) for f in factors])
-    Aa = np.asarray(A_alpha, dtype=float)
-    Ab = np.asarray(A_beta, dtype=float)
-    k = len(w)
-    if Aa.shape[0] != k or Ab.shape[0] != k:
-        raise ValueError("membership matrices must have one row per level")
-
-    if (
-        k == 3
-        and Aa.shape == (3, 2)
-        and Ab.shape == (3, 2)
-        and tuple(map(tuple, Aa.astype(int))) == _MNS_A
-        and tuple(map(tuple, Ab.astype(int))) == _MNS_B
-        and w[2] > 0
-    ):
-        p2a = w[2] / w[0]
-        p2b = w[2] / w[1]
-        if 0 <= p2a <= 1 and 0 <= p2b <= 1:
-            c = w[2] / (w[0] * w[1])
-            pa = (1 - p2a, p2a)
-            pb = (1 - p2b, p2b)
-            res = _bilinear_residual(Aa, Ab, np.asarray(pa), np.asarray(pb), c, w)
-            return TypedSolution(pa, pb, c, res, False)
-
-    non_unique = bool(
-        np.linalg.matrix_rank(Aa) < Aa.shape[1] or np.linalg.matrix_rank(Ab) < Ab.shape[1]
-    )
-    scale = max(1.0, float(np.max(np.abs(w))))
-    best = None
-    for attempt in range(restarts):
-        rng = stream(seed, 90, attempt)
-        pb = rng.random(Ab.shape[1])
-        pb /= pb.sum()
-        for _ in range(max_iter):
-            pa = _nnls_half_step(Aa, Ab @ pb, w)
-            if pa is None:
-                break
-            pb_new = _nnls_half_step(Ab, Aa @ pa, w)
-            if pb_new is None:
-                break
-            pb = pb_new
-            g = (Aa @ pa) * (Ab @ pb)
-            c = float(g @ w / (w @ w))
-            res = float(np.max(np.abs(g - c * w)))
-            if best is None or res < best[0]:
-                best = (res, pa, pb, c)
-            if res <= tol * scale:
-                return TypedSolution(
-                    tuple(map(float, pa)), tuple(map(float, pb)), c, res, non_unique
-                )
-    if best is not None and best[0] <= 1e-8 * scale:
-        res, pa, pb, c = best
-        return TypedSolution(
-            tuple(map(float, pa)), tuple(map(float, pb)), float(c), res, True
-        )
-    raise InfeasibleError("no nonnegative normalized solution found")
-
-
-def _solve_typed_forced(
-    factors, A_alpha, A_beta, zero_alpha, zero_beta, tol, max_iter, restarts, seed
-) -> TypedSolution:
-    """Zero-forced entries are dropped, solved, and re-expanded."""
-    Aa = np.asarray(A_alpha, dtype=float)
-    Ab = np.asarray(A_beta, dtype=float)
-    keep_a = [j for j in range(Aa.shape[1]) if j not in set(zero_alpha)]
-    keep_b = [j for j in range(Ab.shape[1]) if j not in set(zero_beta)]
-    if not keep_a or not keep_b:
-        raise InfeasibleError("every candidate is forced to zero")
-    sub = solve_typed(
-        factors, Aa[:, keep_a], Ab[:, keep_b],
-        tol=tol, max_iter=max_iter, restarts=restarts, seed=seed,
-    )
-    pa = [0.0] * Aa.shape[1]
-    for j, p in zip(keep_a, sub.probs_a):
-        pa[j] = p
-    pb = [0.0] * Ab.shape[1]
-    for j, p in zip(keep_b, sub.probs_b):
-        pb[j] = p
-    return TypedSolution(tuple(pa), tuple(pb), sub.scale, sub.residual, sub.non_unique)
-
-
-def _nnls_half_step(A: np.ndarray, other: np.ndarray, w: np.ndarray):
-    """Best nonnegative normalized p with A p * other proportional to w.
-
-    Rows where the partner family vanishes are consistent only with a
-    vanishing target; the scale is refit afterwards, so the step solves a
-    plain nonnegative least-squares on the surviving rows.
-    """
-    from scipy.optimize import nnls
-
-    keep = np.abs(other) > 1e-13
-    if np.any(~keep & (np.abs(w) > 1e-13)):
-        return None
-    A_red = A[keep]
-    if A_red.shape[0] == 0:
-        return np.full(A.shape[1], 1.0 / A.shape[1])
-    t_red = w[keep] / other[keep]
-    x, _ = nnls(A_red, t_red)
-    s = x.sum()
-    if s <= 0:
-        return None
-    return x / s
-
-
-def _bilinear_residual(Aa, Ab, pa, pb, c, w) -> float:
-    return float(np.max(np.abs((Aa @ pa) * (Ab @ pb) - c * w)))

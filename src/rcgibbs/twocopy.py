@@ -9,6 +9,7 @@ configuration and of its reflection through the sum.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,20 +24,11 @@ from .gibbs import (
     Interaction,
     config_weights,
     local_index,
+    product_outcomes,
+    product_positions,
 )
 
 DEFAULT_PAIR_CAP = 1 << 24
-
-
-def overlap_values(alphabet: Alphabet) -> tuple[int, ...]:
-    """All achievable per-site sums of two alphabet values."""
-    return tuple(sorted({a + b for a in alphabet.values for b in alphabet.values}))
-
-
-def admissible_values(alphabet: Alphabet, s: int) -> tuple[int, ...]:
-    """Values a with s - a also in the alphabet."""
-    vals = set(alphabet.values)
-    return tuple(a for a in alphabet.values if s - a in vals)
 
 
 @dataclass(frozen=True)
@@ -72,66 +64,119 @@ def make_slice(spec: GibbsSpec, sigma) -> OverlapSlice:
     return OverlapSlice(spec.region, sigma, tuple(adm), overlap)
 
 
-def overlap_distribution(
-    spec: GibbsSpec, max_pairs: int = DEFAULT_PAIR_CAP
-) -> FiniteDistribution:
+_BLOCK_CELLS = 1 << 13  # array cells one block of slices holds: pairs x cells per pair, or leaves
+
+
+def _runs(sizes):
+    """Consecutive runs [lo, hi) of items whose sizes sum to at most
+    _BLOCK_CELLS; an item larger than that makes a run of its own."""
+    cum = np.cumsum(sizes)
+    lo = 0
+    while lo < len(cum):
+        hi = int(np.searchsorted(cum, (cum[lo - 1] if lo else 0) + _BLOCK_CELLS, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+class PairWalk:
+    """The two-copy pairs of a spec, grouped by their overlap.
+
+    A pair (c1, c2) of region configurations lies in the slice
+    sigma = c1 + c2 (vertexwise sums) and weighs w(c1) * w(c2), w from
+    config_weights; pairs of weight 0 are dropped. Configurations are
+    numbered in itertools.product(*domains) order and slices in
+    itertools.product(*sums) order, sums holding each vertex's sorted sums
+    of two domain values; the walk takes the pairs in slice order, then
+    first-copy order. Given sigma, it walks that slice alone: sums holds
+    sigma's values, and the domains keep the values the slice admits (a
+    with sigma_v - a in the domain), so an unachievable sigma raises
+    ZeroSliceError. This is the one place that forms two-copy pairs: the
+    overlap law, the slice measures, decompose_event and the integrated
+    activity law all read it.
+    """
+
+    def __init__(self, spec: GibbsSpec, sigma=None):
+        if sigma is None:
+            self.domains = [spec.domain_values(v) for v in spec.region]
+            self.sums = [sorted({a + b for a in d for b in d}) for d in self.domains]
+        else:
+            sl = make_slice(spec, sigma)
+            self.domains = list(sl.admissible)
+            self.sums = [[s] for s in sl.sigma]
+        self.indices = [tuple(map(spec.alphabet.index, d)) for d in self.domains]
+        self.weights = config_weights(spec, domains=self.indices)
+
+    def blocks(self, cells_per_pair: int = 1):
+        """Blocks of whole slices, in order, of at most _BLOCK_CELLS cells at
+        cells_per_pair cells per pair (a larger slice makes a block alone),
+        each listing its pairs by a ragged product over runs of vertices.
+
+        Yields (slices, totals, row, c1, c2, weight) per block: the slices'
+        ids and weights, each summed in pair order, and per pair its slice
+        (an index into slices), both copies' configurations and w(c1) * w(c2).
+        """
+        # A run is consecutive vertices with at most _BLOCK_CELLS joint value
+        # pairs (or one vertex), in one table: per pair, its sums' position in
+        # the run's product of sums and what its first and second copy add to
+        # the configuration numbers, ordered by sums then first copy.
+        runs = []
+        step = len(self.weights)
+        for s, d in zip(self.sums, self.domains):
+            step //= len(d)
+            pos = {x: n for n, x in enumerate(s)}
+            pairs = np.array([(pos[a + b], i * step, j * step) for i, a in enumerate(d)
+                              for j, b in enumerate(d) if a + b in pos]).T
+            if runs and runs[-1][0].shape[1] * pairs.shape[1] <= _BLOCK_CELLS:
+                prev, n = runs[-1]
+                prev = prev * np.array([[len(s)], [1], [1]])
+                runs[-1] = (prev[:, :, None] + pairs[:, None, :]).reshape(3, -1), n * len(s)
+            else:
+                runs.append((pairs, len(s)))
+        sizes = [n for _, n in runs]
+        tables = []
+        for (k, f1, f2), n in runs:
+            order = np.argsort(k, kind="stable")
+            count = np.bincount(k, minlength=n)
+            tables.append((count, np.cumsum(count) - count, f1[order], f2[order]))
+        slices = np.arange(math.prod(sizes))
+        n_pairs = math.prod(count[k] for (count, *_), k in zip(tables, product_positions(slices, sizes)))
+        W = self.weights
+        for lo, hi in _runs(n_pairs * cells_per_pair):
+            digits = product_positions(slices[lo:hi], sizes)
+            row = np.arange(hi - lo)  # each pair's slice, as an offset from lo
+            c1 = c2 = np.zeros(hi - lo, dtype=np.int64)
+            for (count, start, f1, f2), k in zip(tables, digits):
+                k = k[row]
+                reps = count[k]
+                take = np.repeat(np.arange(len(row)), reps)
+                e = np.arange(len(take)) + np.repeat(start[k] - (np.cumsum(reps) - reps), reps)
+                row = row[take]
+                c1 = c1[take] + f1[e]
+                c2 = c2[take] + f2[e]
+            w = W[c1] * W[c2]
+            keep = w != 0
+            row, c1, c2, w = row[keep], c1[keep], c2[keep], w[keep]
+            totals = np.zeros(hi - lo, dtype=W.dtype)
+            np.add.at(totals, row, w)
+            yield slices[lo:hi], totals, row, c1, c2, w
+
+
+def overlap_distribution(spec: GibbsSpec, max_pairs: int = DEFAULT_PAIR_CAP) -> FiniteDistribution:
     """Distribution of the per-vertex spin sum of two independent copies.
 
-    Outcomes are tuples of sums aligned with the sorted region.
+    Outcomes are tuples of sums aligned with the sorted region, over the
+    product of each vertex's sorted sums, zero-weight ones included, as in
+    gibbs_measure. Each weight sums its slice's pairs in PairWalk order.
     """
     n_states = spec.n_states()
     if n_states * n_states > max_pairs:
         raise TooLargeError(f"{n_states}^2 pairs exceeds cap {max_pairs}")
-    if spec.full_binary() and not spec.exact and n_states > 1 << 8:
-        return _overlap_distribution_binary(spec)
-    dom = [spec.domain_indices(v) for v in spec.region]
-    vals = spec.alphabet.values
-    configs = list(itertools.product(*dom))
-    weights = config_weights(spec).tolist()
-    rho: dict = {}
-    for c1, w1 in zip(configs, weights):
-        if w1 == 0:
-            continue
-        for c2, w2 in zip(configs, weights):
-            if w2 == 0:
-                continue
-            sig = tuple(vals[a] + vals[b] for a, b in zip(c1, c2))
-            rho[sig] = rho.get(sig, 0) + w1 * w2
-    if not rho:
+    walk = PairWalk(spec)
+    totals = np.concatenate([totals for _, totals, *_ in walk.blocks()])
+    if not (totals != 0).any():
         raise ZeroSliceError("zero measure: every configuration forbidden")
-    return FiniteDistribution(rho, sites=spec.region, normalize=True)
-
-
-def _overlap_distribution_binary(spec: GibbsSpec) -> FiniteDistribution:
-    n = len(spec.region)
-    N = 1 << n
-    # Reversing the axes puts site p's alphabet index at bit p.
-    w = config_weights(spec, domains=[(0, 1)] * n).reshape((2,) * n).T.ravel()
-    total = w.sum()
-    if total <= 0:
-        raise ZeroSliceError("zero measure: every configuration forbidden")
-    w = w / total
-    # A pair's base-3 sum index is the sum of its configs' base-3 bit codes.
-    bits = (np.arange(N, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    code = bits @ 3 ** np.arange(n, dtype=np.int64)
-    rho = np.zeros(3**n)
-    chunk = max(1, (1 << 22) // N)
-    for lo in range(0, N, chunk):
-        hi = min(lo + chunk, N)
-        sidx = (code[lo:hi, None] + code[None, :]).ravel()
-        wpair = (w[lo:hi, None] * w[None, :]).ravel()
-        rho += np.bincount(sidx, weights=wpair, minlength=3**n)
-    v0, v1 = spec.alphabet.values
-    sums = (2 * v0, v0 + v1, 2 * v1)
-    table = {}
-    for si in np.nonzero(rho)[0]:
-        digs = []
-        x = int(si)
-        for _ in range(n):
-            digs.append(sums[x % 3])
-            x //= 3
-        table[tuple(digs)] = float(rho[si])
-    return FiniteDistribution(table, sites=spec.region, normalize=True)
+    return FiniteDistribution.over_product(walk.sums, totals, sites=spec.region, normalize=True)
 
 
 def nonoverlap_distribution(spec: GibbsSpec, sigma) -> FiniteDistribution:
@@ -139,19 +184,12 @@ def nonoverlap_distribution(spec: GibbsSpec, sigma) -> FiniteDistribution:
 
     Supported on the slice space (admissible values per vertex, the pinned
     value on the overlap region); symmetric under reflection through sigma.
+    Outcomes of positive weight only, in first-copy order.
     """
-    sl = make_slice(spec, sigma)
-    idx = spec.alphabet.index
-    w1 = config_weights(spec, domains=[[idx(a) for a in adm] for adm in sl.admissible])
-    # sigma - omega runs over the same slice: permute each vertex's values
-    w2 = w1.reshape([len(adm) for adm in sl.admissible])
-    for k, (s, adm) in enumerate(zip(sl.sigma, sl.admissible)):
-        w2 = w2.take([adm.index(s - a) for a in adm], axis=k)
-    table = {
-        vals: w
-        for vals, w in zip(itertools.product(*sl.admissible), (w1 * w2.ravel()).tolist())
-        if w != 0
-    }
+    walk = PairWalk(spec, sigma)
+    table = {}
+    for _, _, _, c1, _, w in walk.blocks():
+        table.update(zip(product_outcomes(c1, walk.domains), w.tolist()))
     if not table:
         raise ZeroSliceError("overlap configuration has probability zero")
     return FiniteDistribution(table, sites=spec.region, normalize=True)
@@ -261,14 +299,22 @@ def pair_values(alphabet: Alphabet, pair_value: int) -> tuple[int, int]:
 def decompose_event(spec: GibbsSpec, predicate, max_pairs: int = DEFAULT_PAIR_CAP):
     """Probability of an event recomputed through the overlap decomposition.
 
-    Returns sum over overlap assignments of slice probability of the event
-    times the overlap weight; must agree with direct evaluation.
+    Returns the sum over overlap slices of the slice's weight times the
+    slice probability of the event, both read in one pass over the
+    PairWalk; must agree with direct evaluation.
     """
-    rho = overlap_distribution(spec, max_pairs=max_pairs)
-    acc = 0
-    for sig, r in rho.items():
-        if r == 0:
-            continue
-        mu_s = nonoverlap_distribution(spec, sig)
-        acc += r * mu_s.event(predicate)
-    return acc
+    n_states = spec.n_states()
+    if n_states * n_states > max_pairs:
+        raise TooLargeError(f"{n_states}^2 pairs exceeds cap {max_pairs}")
+    walk = PairWalk(spec)
+    hit = np.array([bool(predicate(o)) for o in itertools.product(*walk.domains)])
+    totals, events = [], []
+    for _, tot, row, c1, _, w in walk.blocks():
+        ev = np.zeros(len(tot), dtype=tot.dtype)
+        np.add.at(ev, row[hit[c1]], w[hit[c1]])
+        totals += tot.tolist()
+        events += ev.tolist()
+    grand = sum(totals)
+    if grand == 0:
+        raise ZeroSliceError("zero measure: every configuration forbidden")
+    return sum(t / grand * (e / t) for t, e in zip(totals, events) if t != 0)

@@ -515,7 +515,7 @@ def test_pattern_kernel_matches_slice_loop_literally(monkeypatch, name, make, fa
     spec = make()
     # a small block budget splits every case into several blocks
     cells = spec.n_states() ** 2 * max(len(effective_bonds(spec)), 1)
-    monkeypatch.setattr(percolation, "_BLOCK_CELLS", cells // 8)
+    monkeypatch.setattr(twocopy, "_BLOCK_CELLS", cells // 8)
     assert sum(1 for _ in _pattern_blocks(spec, factory)) > 1
     A, B = {spec.region[0]}, {spec.region[-1]}
     patterns, want_rows, want_pbar, slice_probs = _oracle_laws(spec, A, B, factory)
@@ -544,7 +544,7 @@ def test_more_than_62_bonds_raise_before_enumeration(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("enumerated before the bond check")
 
-    monkeypatch.setattr(percolation, "config_weights", forbidden)
+    monkeypatch.setattr(twocopy, "config_weights", forbidden)
     monkeypatch.setattr(percolation, "pair_coin_table", forbidden)
     with pytest.raises(TooLargeError, match="63 bonds"):
         sigma_connection_profile(spec, {0}, {1})

@@ -22,7 +22,6 @@ from rcgibbs.rcr import (
     monotone_probabilities,
     reconstruct,
     solve_bernoulli,
-    solve_typed,
     symmetrize_base,
     typed_joint,
 )
@@ -442,56 +441,3 @@ def test_typed_joint_single_bond_oracle():
                 want[key] = want.get(key, 0) + p * pr
     for key, p in want.items():
         assert abs(tj.prob(key) - p) < 1e-12
-
-
-def test_solve_typed_blue_red_pattern():
-    J = 0.8
-    w = (math.exp(2 * J), 1.0, math.exp(-2 * J))
-    sol = solve_typed(w, [[1, 1], [0, 1], [0, 1]], [[0, 1], [1, 1], [0, 1]])
-    assert abs(sol.probs_a[0] - (1 - math.exp(-4 * J))) < 1e-12
-    assert abs(sol.probs_b[0] - (1 - math.exp(-2 * J))) < 1e-12
-    assert sol.residual < 1e-10
-
-
-def test_solve_typed_single_level_trivial():
-    sol = solve_typed((1.0,), [[1.0]], [[1.0]])
-    assert sol.probs_a == (1.0,)
-    assert sol.probs_b == (1.0,)
-
-
-def test_solve_typed_zero_forcing_masks():
-    # forcing the duplicated candidates to zero reduces the padded system
-    # to the blue/red pattern, whose solution is known in closed form
-    J = 0.8
-    w = (math.exp(2 * J), 1.0, math.exp(-2 * J))
-    Aa = [[1, 1, 1], [0, 1, 1], [0, 1, 1]]
-    Ab = [[0, 1, 1], [1, 1, 1], [0, 1, 1]]
-    sol = solve_typed(w, Aa, Ab, zero_alpha=(2,), zero_beta=(2,))
-    assert sol.probs_a[2] == 0.0 and sol.probs_b[2] == 0.0
-    assert abs(sol.probs_a[0] - (1 - math.exp(-4 * J))) < 1e-10
-    assert abs(sol.probs_b[0] - (1 - math.exp(-2 * J))) < 1e-10
-    got = (np.asarray(Aa, float) @ np.array(sol.probs_a)) * (
-        np.asarray(Ab, float) @ np.array(sol.probs_b)
-    )
-    assert np.max(np.abs(got - sol.scale * np.asarray(w))) < 1e-10
-
-
-def test_solve_typed_randomized_feasible_by_construction():
-    rng = np.random.Generator(np.random.Philox(12345))
-    for _ in range(10):
-        k = 2
-        Aa = rng.integers(0, 2, (k, 2)).astype(float)
-        Ab = rng.integers(0, 2, (k, 2)).astype(float)
-        Aa[:, -1] = 1.0  # make sure the full set is a candidate
-        Ab[:, -1] = 1.0
-        pa = rng.random(2)
-        pa /= pa.sum()
-        pb = rng.random(2)
-        pb /= pb.sum()
-        w = (Aa @ pa) * (Ab @ pb)
-        if w.min() <= 1e-6:
-            continue
-        sol = solve_typed(tuple(w), Aa, Ab, tol=1e-10, seed=9)
-        got = (Aa @ np.array(sol.probs_a)) * (Ab @ np.array(sol.probs_b))
-        res = np.max(np.abs(got - sol.scale * w))
-        assert res < 1e-10

@@ -2,23 +2,29 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_binary_spec
+from test_percolation import _hyperbond_spec, _three_valued_spec
+from rcgibbs import twocopy
 from rcgibbs.errors import ZeroSliceError
 from rcgibbs.gibbs import (
     BondTable,
+    FiniteDistribution,
     GibbsSpec,
     Interaction,
     SPIN,
+    config_weights,
     effective_bonds,
     gibbs_measure,
     local_index,
 )
 from rcgibbs.lattice import hypergraph
-from rcgibbs.models import example1_spec, ising_spec
+from rcgibbs.models import example1_exact_spec, example1_spec, ising_spec
 from rcgibbs.rcr import allowed_locals
 from rcgibbs.twocopy import (
+    PairWalk,
     decompose_event,
     make_slice,
     nonoverlap_distribution,
@@ -61,7 +67,7 @@ def test_overlap_zero_weight_closed_form():
 
 
 def test_overlap_binary_fast_path_matches_pure():
-    # 9 spins routes through the vectorized path; rational twin is pure python
+    # 9 spins, float and rational: both walk the pairs the same way
     n = 9
     g = hypergraph(n, [(i, i + 1) for i in range(n - 1)])
     t = Fraction(2)
@@ -281,3 +287,156 @@ def test_two_copy_spec_is_product_measure():
             o_a = tuple(v[0] for v in vals)
             o_b = tuple(v[1] for v in vals)
             assert abs(p2 - mu.prob(o_a) * mu.prob(o_b)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the one pair walk against the routes it replaced
+
+
+def _pair_loop_totals(spec):
+    """Oracle: the overlap law's pair loop; unnormalized sigma totals in
+    order of first appearance."""
+    vals = spec.alphabet.values
+    configs = list(itertools.product(*[spec.domain_indices(v) for v in spec.region]))
+    weights = config_weights(spec).tolist()
+    rho = {}
+    for c1, w1 in zip(configs, weights):
+        if w1 == 0:
+            continue
+        for c2, w2 in zip(configs, weights):
+            if w2 == 0:
+                continue
+            sig = tuple(vals[a] + vals[b] for a, b in zip(c1, c2))
+            rho[sig] = rho.get(sig, 0) + w1 * w2
+    return rho
+
+
+def _binary_overlap(spec):
+    """Oracle: the float route for full-binary specs, a bincount of base-3
+    overlap codes over normalized weights."""
+    n = len(spec.region)
+    N = 1 << n
+    # reversing the axes puts site p's alphabet index at bit p
+    w = config_weights(spec, domains=[(0, 1)] * n).reshape((2,) * n).T.ravel()
+    w = w / w.sum()
+    bits = (np.arange(N, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    code = bits @ 3 ** np.arange(n, dtype=np.int64)
+    rho = np.zeros(3**n)
+    chunk = max(1, (1 << 22) // N)
+    for lo in range(0, N, chunk):
+        hi = min(lo + chunk, N)
+        sidx = (code[lo:hi, None] + code[None, :]).ravel()
+        rho += np.bincount(sidx, weights=(w[lo:hi, None] * w[None, :]).ravel(), minlength=3**n)
+    v0, v1 = spec.alphabet.values
+    sums = (2 * v0, v0 + v1, 2 * v1)
+    table = {}
+    for si in np.nonzero(rho)[0]:
+        x = int(si)
+        digs = []
+        for _ in range(n):
+            digs.append(sums[x % 3])
+            x //= 3
+        table[tuple(digs)] = float(rho[si])
+    return FiniteDistribution(table, sites=spec.region, normalize=True)
+
+
+def _reflection_slice_measure(spec, sigma):
+    """Oracle: the slice measure as w(c) * w(sigma - c), the second factor
+    read through a per-vertex reflection permutation of the weight array."""
+    sl = make_slice(spec, sigma)
+    idx = spec.alphabet.index
+    w1 = config_weights(spec, domains=[[idx(a) for a in adm] for adm in sl.admissible])
+    w2 = w1.reshape([len(adm) for adm in sl.admissible])
+    for k, (s, adm) in enumerate(zip(sl.sigma, sl.admissible)):
+        w2 = w2.take([adm.index(s - a) for a in adm], axis=k)
+    table = {
+        vals: w
+        for vals, w in zip(itertools.product(*sl.admissible), (w1 * w2.ravel()).tolist())
+        if w != 0
+    }
+    if not table:
+        raise ZeroSliceError("overlap configuration has probability zero")
+    return FiniteDistribution(table, sites=spec.region, normalize=True)
+
+
+def _per_slice_decompose(spec, predicate):
+    """Oracle: the decomposition summed slice by slice from the pair loop's
+    overlap law and the reflection slice measures."""
+    rho = FiniteDistribution(_pair_loop_totals(spec), sites=spec.region, normalize=True)
+    acc = 0
+    for sig, r in rho.items():
+        if r != 0:
+            acc += r * _reflection_slice_measure(spec, sig).event(predicate)
+    return acc
+
+
+def _chain9():
+    """A float chain above 256 states: the binary route's inputs."""
+    g = hypergraph(9, [(i, i + 1) for i in range(8)])
+    return ising_spec(g, [0.3, -0.5, 0.7, 0.2, -0.4, 0.6, 0.1, 0.8])
+
+
+WALK_CASES = [
+    ("example1_exact", lambda: example1_exact_spec(Fraction(3), Fraction(5, 2))),
+    *[
+        (f"random{m}", lambda m=m: random_binary_spec(
+            m, seed=9, n_min=3, n_max=4, allow_forbidden=True, with_boundary=True))
+        for m in (2, 7, 12, 14, 19, 20)
+    ],
+    ("three_valued", lambda: _three_valued_spec(False)),
+    ("three_valued_exact", lambda: _three_valued_spec(True)),
+    ("hyperbond", _hyperbond_spec),
+    ("chain9", _chain9),
+]
+
+
+@pytest.mark.parametrize("name,make", WALK_CASES, ids=[c[0] for c in WALK_CASES])
+def test_pair_walk_matches_replaced_routes(monkeypatch, name, make):
+    spec = make()
+    # a small block budget splits every case into several blocks
+    monkeypatch.setattr(twocopy, "_BLOCK_CELLS", spec.n_states() ** 2 // 8)
+    walk = PairWalk(spec)
+    blocks = list(walk.blocks())
+    assert len(blocks) > 1
+    totals = np.concatenate([totals for _, totals, *_ in blocks])
+    sigmas = list(itertools.product(*walk.sums))
+    want = _pair_loop_totals(spec)
+    # unnormalized sigma totals bit for bit (Fractions literally)
+    assert {s: t for s, t in zip(sigmas, totals.tolist()) if t != 0} == {
+        s: t for s, t in want.items() if t != 0}
+
+    rho = overlap_distribution(spec)
+    ref = FiniteDistribution(want, sites=spec.region, normalize=True)
+    assert list(rho.outcomes()) == sigmas
+    if spec.exact:
+        assert {s: p for s, p in rho.items() if p != 0} == dict(ref.items())
+    else:
+        # the normalizing total adds in another order
+        for s, p in rho.items():
+            assert abs(p - ref.prob(s)) <= 1e-14 * ref.prob(s)
+    if name == "chain9":
+        binary = _binary_overlap(spec)
+        for s, p in rho.items():
+            assert abs(p - binary.prob(s)) <= 1e-13 * p
+
+    # slice measures, outcome order included; the chain's in a stride, about
+    # 200 of its 3^9 slices
+    positive = [s for s, t in want.items() if t != 0]
+    for sigma in positive[::97] if name == "chain9" else positive:
+        got = nonoverlap_distribution(spec, sigma)
+        assert repr(list(got.items())) == repr(list(_reflection_slice_measure(spec, sigma).items()))
+    for sigma in set(sigmas) - set(positive):
+        with pytest.raises(ZeroSliceError):
+            nonoverlap_distribution(spec, sigma)
+
+    n = len(spec.region)
+    events = [lambda o: o[0] == max(o), lambda o: o[n - 1] != o[0], lambda o: sum(o) > 0]
+    mu = gibbs_measure(spec)
+    for ev in events:
+        got = decompose_event(spec, ev)
+        if spec.exact:
+            assert got == _per_slice_decompose(spec, ev) == mu.event(ev)
+        elif name == "chain9":
+            assert abs(got - mu.event(ev)) < 1e-12
+        else:
+            assert abs(got - _per_slice_decompose(spec, ev)) < 1e-12
