@@ -98,14 +98,23 @@ def _csv_cell(v):
     return v
 
 
+def _parse_numbers(arg: str, what: str, sep: str = ",", kind=int, length=None) -> list:
+    """The numbers of a sep-separated argument; UsageError (exit 2) for a
+    malformed entry or, given length, a wrong count."""
+    parts = [t for t in arg.replace(" ", "").split(sep) if t != ""]
+    try:
+        values = [kind(t) for t in parts]
+    except ValueError:
+        raise UsageError(f"bad {what} {arg!r}") from None
+    if length is not None and len(values) != length:
+        raise UsageError(f"bad {what} {arg!r}: expected {length} values, got {len(values)}")
+    return values
+
+
 def _parse_vertices(arg: str):
     if arg is None:
         raise UsageError("missing vertex list")
-    return frozenset(int(t) for t in arg.replace(" ", "").split(",") if t != "")
-
-
-def _parse_sigma(arg: str):
-    return tuple(int(t) for t in arg.replace(" ", "").split(",") if t != "")
+    return frozenset(_parse_numbers(arg, "vertex list"))
 
 
 def _require_seed(args):
@@ -137,12 +146,9 @@ def _load_spec(args) -> GibbsSpec:
 def _parse_bc(arg: str) -> dict:
     out = {}
     for part in arg.replace(" ", "").split(","):
-        if not part:
-            continue
-        v, _, val = part.partition(":")
-        if not val:
-            raise UsageError(f"bad boundary entry {part!r}; expected VERTEX:VALUE")
-        out[int(v)] = int(val)
+        if part:
+            v, val = _parse_numbers(part, "boundary entry VERTEX:VALUE", ":", length=2)
+            out[v] = val
     return out
 
 
@@ -152,17 +158,14 @@ def _parse_bc(arg: str) -> dict:
 
 def cmd_gibbs_eval(args) -> dict:
     spec = _load_spec(args)
-    if args.lam and args.lam != "all":
-        region = tuple(sorted(_parse_vertices(args.lam)))
-        boundary = dict(spec.boundary)
-        if args.bc:
-            boundary.update(_parse_bc(args.bc))
-        spec = GibbsSpec(spec.graph, spec.alphabet, spec.interaction, region, boundary)
-    elif args.bc:
-        spec = GibbsSpec(
-            spec.graph, spec.alphabet, spec.interaction, spec.region,
-            {**spec.boundary, **_parse_bc(args.bc)},
-        )
+    lam = args.lam and args.lam != "all"
+    if lam or args.bc:
+        region = tuple(sorted(_parse_vertices(args.lam))) if lam else spec.region
+        boundary = {**spec.boundary, **(_parse_bc(args.bc) if args.bc else {})}
+        try:
+            spec = GibbsSpec(spec.graph, spec.alphabet, spec.interaction, region, boundary)
+        except ValueError as exc:
+            raise UsageError(f"bad --lambda or --bc: {exc}") from exc
     mu = gibbs_measure(spec)
     report = {
         "backing": "exact" if spec.exact else "float",
@@ -188,7 +191,7 @@ def cmd_twocopy_rho(args) -> dict:
 
 def cmd_twocopy_slice(args) -> dict:
     spec = _load_spec(args)
-    sigma = _parse_sigma(args.sigma)
+    sigma = tuple(_parse_numbers(args.sigma, "sigma", length=len(spec.region)))
     sl = make_slice(spec, sigma)
     mu_s = nonoverlap_distribution(spec, sigma)
     sym_err = max(
@@ -330,11 +333,15 @@ def cmd_exp(args) -> dict:
     if args.exp_command == "cayley":
         grid = None
         if args.J_grid:
-            a, b, s = (float(x) for x in args.J_grid.split(":"))
+            a, b, s = _parse_numbers(args.J_grid, "J grid A:B:STEP", ":", float, 3)
+            if not (np.isfinite([a, b, s]).all() and s > 0):
+                raise UsageError(f"bad J grid {args.J_grid!r}: need finite ends and a positive step")
             grid = list(np.arange(a, b + 1e-12, s))
         return run_cayley(grid)
     if args.exp_command == "hardcore":
-        w, h = (int(x) for x in args.grid.lower().split("x"))
+        w, h = _parse_numbers(args.grid.lower(), "grid WxH", "x", length=2)
+        if min(w, h) < 1:
+            raise UsageError(f"bad grid {args.grid!r}: need positive sides")
         graph, region, bc1 = checkerboard_instance(w, h, 0)
         _, _, bc2 = checkerboard_instance(w, h, 1)
         A = {region[0]}

@@ -14,7 +14,6 @@ A model file is JSON with keys:
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .errors import UsageError
@@ -228,12 +227,3 @@ def spec_from_dict(d: dict) -> GibbsSpec:
         return spec
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"bad model description: {exc}") from exc
-
-
-def load_model(path) -> GibbsSpec:
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read model file {path}: {exc}") from exc
-    return spec_from_dict(d)

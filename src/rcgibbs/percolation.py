@@ -19,8 +19,7 @@ depth-first) order, and the law a mask's slice weights in slice order.
 Masks keep the order of their first nonzero leaf, the order in which float
 sums over a pattern dict add. Floats and Fractions run the same code, on
 float64 and on object arrays. Patterns are int64 bitmasks, so a spec with
-more than 62 effective bonds raises TooLargeError. Only a custom
-base_factory builds each slice's symmetrized spec and base.
+more than 62 effective bonds raises TooLargeError.
 """
 
 from __future__ import annotations
@@ -34,14 +33,8 @@ import numpy as np
 from .errors import TooLargeError, ZeroSliceError
 from .gibbs import GibbsSpec, effective_bonds, local_index, product_outcomes, product_positions
 from .lattice import ball, boundary_vertices
-from .rcr import (
-    RcrBase,
-    assignment_measure,
-    bond_level_system,
-    monotone_probabilities,
-    reconstruct,
-)
-from .twocopy import PairWalk, _runs, nonoverlap_distribution, symmetrized_spec
+from .rcr import RcrBase, assignment_measure, bond_level_system, monotone_probabilities
+from .twocopy import PairWalk, _runs
 
 
 class UnionFind:
@@ -178,9 +171,6 @@ class IntegratedRC:
                 acc += p
         return acc
 
-    def active_marginal(self, j: int):
-        return sum(p for mask, p in self.patterns.items() if (mask >> j) & 1)
-
     def conditional_active(self, j: int):
         """Per conditioning pattern on the other bonds: P(bond j active | rest).
 
@@ -299,7 +289,7 @@ def _expand(weights, q, live, base):
     return grp, mask, val
 
 
-def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=None):
+def _pattern_blocks(spec: GibbsSpec, sigma=None):
     """The integrated law's pattern terms, per block of the PairWalk (its
     leaves cut again at twocopy._BLOCK_CELLS), in the pair and summation
     orders of the module docstring.
@@ -312,11 +302,8 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
     Yields (sigmas, totals, rec_slice, rec_mask, rec_val) per block: its
     slices of positive total, their totals, and their (mask, weight)
     records, slice by slice and each slice's masks in order of first leaf;
-    rec_slice indexes sigmas. sigma limits the walk to that slice. The
-    default base reads its coins from pair_coin_table; a custom base_factory
-    gets each positive slice's symmetrized spec, is validated against the
-    slice measure when validate is set, and gives bond j's coin at the first
-    copy's local index on effective bond j.
+    rec_slice indexes sigmas. sigma limits the walk to that slice. Every
+    coin comes from pair_coin_table.
     """
     bonds = effective_bonds(spec)
     n_bonds = len(bonds)
@@ -333,11 +320,10 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
         for v in eb.inside:
             local[j] = local[j] * S + alpha[pos[v]]
     seen = [{} for _ in bonds]  # per bond: coin value -> coin id, in first-seen order
-    if base_factory is None:
-        coin_ids = [
-            np.array([[ids.setdefault(q, len(ids)) for q in row] for row in table]).reshape(len(table), -1)
-            for ids, table in zip(seen, pair_coin_table(spec, sigma))
-        ]
+    coin_ids = [
+        np.array([[ids.setdefault(q, len(ids)) for q in row] for row in table]).reshape(len(table), -1)
+        for ids, table in zip(seen, pair_coin_table(spec, sigma))
+    ]
     bits = np.left_shift(1, np.arange(n_bonds, dtype=np.int64))
 
     for sids, totals, row, c1, c2, w in walk.blocks(max(n_bonds, 1)):
@@ -347,23 +333,8 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
         sigmas = product_outcomes(sids[positive], walk.sums)
 
         ids = np.zeros((len(row), n_bonds), dtype=np.int64)
-        if base_factory is None:
-            for j, table in enumerate(coin_ids):
-                ids[:, j] = table[local[j, c1], local[j, c2]]
-        else:
-            ends = np.searchsorted(row, np.append(positive, positive[-1] + 1))
-            for a, b, sig in zip(ends[:-1], ends[1:], sigmas):
-                slice_spec = symmetrized_spec(spec, sig)
-                base = base_factory(slice_spec)
-                if validate:
-                    got = reconstruct(slice_spec, base)
-                    for o, p in nonoverlap_distribution(spec, sig).items():
-                        if abs(got.prob(o) - p) > 1e-9:
-                            raise ValueError("slice base does not reproduce the slice measure")
-                for j, bb in enumerate(base.bonds):
-                    li, inv = np.unique(local[j, c1[a:b]], return_inverse=True)
-                    coin = [bb.active_weight(x) / bb.support_weight(x) for x in li.tolist()]
-                    ids[a:b, j] = np.array([seen[j].setdefault(q, len(seen[j])) for q in coin])[inv]
+        for j, table in enumerate(coin_ids):
+            ids[:, j] = table[local[j, c1], local[j, c2]]
 
         labels, first = _first_seen(row, *ids.T)
         gw = np.zeros(len(first), dtype=dtype)
@@ -391,32 +362,24 @@ def _pattern_blocks(spec: GibbsSpec, base_factory=None, validate=False, sigma=No
                    mask[first], rec_val)
 
 
-def _slice_patterns(spec: GibbsSpec, sigma, base_factory=None, validate=False):
+def _slice_patterns(spec: GibbsSpec, sigma):
     """(total, {mask: weight}) of one overlap slice, unnormalized, from the
     pattern blocks; (0, {}) for a slice of zero weight, ZeroSliceError for
     one some vertex cannot reach."""
-    for _, totals, _, mask, val in _pattern_blocks(spec, base_factory, validate, sigma):
+    for _, totals, _, mask, val in _pattern_blocks(spec, sigma):
         return totals[0], dict(zip(mask.tolist(), val.tolist()))
     return 0, {}
 
 
-def integrated_rc(
-    spec: GibbsSpec,
-    base_factory=None,
-    validate: bool | None = None,
-    max_total: int = 1 << 20,
-    max_bonds: int = 20,
-) -> IntegratedRC:
+def integrated_rc(spec: GibbsSpec, max_total: int = 1 << 20, max_bonds: int = 20) -> IntegratedRC:
     """Integrated activity-pattern distribution over all overlap slices.
 
-    base_factory maps a slice spec to its representation; None selects the
-    nested-level default, which is symmetric under slice reflection by
-    construction and reads its coins from pair_coin_table. Custom
-    factories are validated against the slice measure unless
-    validate=False. Every spec takes the same route through the pattern
-    blocks, whatever its size; max_bonds and max_total cap the work. A
-    mask's probability sums its slice weights in slice order, and masks
-    keep the order of their first slice record.
+    Each slice carries the nested-level (monotone) base, which is symmetric
+    under slice reflection by construction; its coins are read from
+    pair_coin_table, the one coin source. Every spec takes the same route
+    through the pattern blocks, whatever its size; max_bonds and max_total
+    cap the work. A mask's probability sums its slice weights in slice
+    order, and masks keep the order of their first slice record.
     """
     bonds = effective_bonds(spec)
     n_bonds = len(bonds)
@@ -425,11 +388,9 @@ def integrated_rc(
     nst = spec.n_states()
     if nst * nst > max_total:
         raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
-    if validate is None:
-        validate = base_factory is not None
     sums = {}
     grand = 0
-    for _, totals, _, rec_mask, rec_val in _pattern_blocks(spec, base_factory, validate):
+    for _, totals, _, rec_mask, rec_val in _pattern_blocks(spec):
         for total in totals:
             grand += total
         for m, v in zip(rec_mask.tolist(), rec_val.tolist()):
@@ -448,13 +409,9 @@ def integrated_rc(
     )
 
 
-def slice_connection_prob(
-    spec: GibbsSpec, sigma, A, B, base_factory=None, validate: bool | None = None
-):
+def slice_connection_prob(spec: GibbsSpec, sigma, A, B):
     """Probability of the active connection event inside one overlap slice."""
-    if validate is None:
-        validate = base_factory is not None
-    total, pats = _slice_patterns(spec, sigma, base_factory, validate)
+    total, pats = _slice_patterns(spec, sigma)
     if total == 0:
         raise ZeroSliceError("overlap configuration has probability zero")
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
@@ -465,22 +422,13 @@ def slice_connection_prob(
     return acc / total
 
 
-def sigma_connection_profile(
-    spec: GibbsSpec,
-    A,
-    B,
-    base_factory=None,
-    validate: bool | None = None,
-    max_total: int = 1 << 20,
-):
+def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):
     """Per-slice connection probabilities with their overlap weights.
 
     Returns (rows, pbar) where rows list (sigma, rho, conn prob given
     sigma) over slices of positive weight and pbar is the integrated
     connection probability.
     """
-    if validate is None:
-        validate = base_factory is not None
     nst = spec.n_states()
     if nst * nst > max_total:
         raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
@@ -496,7 +444,7 @@ def sigma_connection_profile(
             ok = conn_cache[mask] = regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B)
         return ok
 
-    for sigmas, totals, rec_slice, rec_mask, rec_val in _pattern_blocks(spec, base_factory, validate):
+    for sigmas, totals, rec_slice, rec_mask, rec_val in _pattern_blocks(spec):
         distinct, inverse = np.unique(rec_mask, return_inverse=True)
         conn = np.array([connected(m) for m in distinct.tolist()], dtype=bool)[inverse]
         num = np.zeros(len(sigmas), dtype=rec_val.dtype)
@@ -520,7 +468,6 @@ def extremality_diagnostic(
     A_region,
     epsilon: float,
     radii=None,
-    base_factory=None,
     max_total: int = 1 << 20,
 ):
     """Tabulate connection decay from a region to nested shells.
@@ -545,9 +492,7 @@ def extremality_diagnostic(
             dlam1 = boundary_vertices(graph, lam1)
             if not dlam1:
                 continue
-            profile, pbar = sigma_connection_profile(
-                spec, A, dlam1, base_factory=base_factory, max_total=max_total
-            )
+            profile, pbar = sigma_connection_profile(spec, A, dlam1, max_total=max_total)
             p_eps = sum(rho for _, rho, p in profile if p <= epsilon)
             rows.append(
                 {

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcgibbs import cli
 from rcgibbs.cli import main
@@ -288,3 +292,86 @@ def test_rcr_commands_on_a_boundary_forbidden_bond_exit_two(tmp_path, capsys):
         assert run_cli(["--out", str(tmp_path / argv[1]), *argv, "--model", str(p)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+MALFORMED = [
+    ["perc", "ibar", "--model", "MODEL", "--A", "x", "--B", "2"],
+    ["gibbs", "eval", "--model", "MODEL", "--lambda", "0,q"],
+    ["gibbs", "eval", "--model", "MODEL", "--bc", "5:z"],
+    ["twocopy", "slice", "--model", "MODEL", "--sigma", "0,a,0"],
+    ["twocopy", "slice", "--model", "MODEL", "--sigma", "0,0"],  # 3-site model
+    ["exp", "hardcore", "--grid", "3"],
+    ["exp", "cayley", "--J-grid", "0.1:2"],
+    ["gibbs", "eval", "--model", "MODEL", "--lambda", "7"],  # outside the graph
+    ["gibbs", "eval", "--model", "MODEL", "--bc", "1:1"],  # boundary inside the region
+    ["exp", "hardcore", "--grid", "0x3"],
+    ["exp", "cayley", "--J-grid", "0.1:2:0"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=[" ".join(a) for a in MALFORMED])
+def test_malformed_argument_values_exit_two(tmp_path, model_file, capsys, argv):
+    argv = [model_file if a == "MODEL" else a for a in argv]
+    assert run_cli(["--out", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@st.composite
+def _small_models(draw):
+    """A model file dict and arguments for every model-taking command: 2 or
+    3 spin values, hyperbonds of 1-3 vertices with some zero factors, site
+    factors that forbid values (the model file's domains) and boundary spins;
+    at most 6 sites with 2 values and 4 with 3, to keep exact runs short."""
+    values = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=3, unique=True))
+    S = len(values)
+    n = draw(st.integers(1, 6 if S == 2 else 4))
+    vertex = st.integers(0, n - 1)
+    bonds = draw(st.lists(st.lists(vertex, min_size=1, max_size=3, unique=True), min_size=1, max_size=6))
+    factor = st.sampled_from([0, 0, 1, 2, 3, 0.5])
+    tables = [draw(st.lists(factor, min_size=S ** len(b), max_size=S ** len(b))) for b in bonds]
+    for v, allowed in draw(st.dictionaries(vertex, st.lists(st.booleans(), min_size=S, max_size=S),
+                                           max_size=2)).items():
+        bonds.append([v])
+        tables.append([int(a) for a in allowed])
+    boundary = draw(st.dictionaries(vertex, st.sampled_from(values), max_size=2))
+    region = [v for v in range(n) if v not in boundary]
+    sums = sorted({a + b for a in values for b in values})
+    sigma = draw(st.lists(st.sampled_from(sums), min_size=len(region), max_size=len(region)))
+    A = draw(st.lists(vertex, min_size=1, max_size=2, unique=True))
+    B = draw(st.lists(vertex, min_size=1, max_size=2, unique=True))
+    model = {
+        "graph": {"n": n, "bonds": bonds},
+        "alphabet": values,
+        "interaction": {"tables": [{"bond": k, "factors": f} for k, f in enumerate(tables)]},
+        "boundary": {str(v): a for v, a in boundary.items()},
+    }
+    ab = ["--A", ",".join(map(str, A)), "--B", ",".join(map(str, B))]
+    commands = [
+        ["gibbs", "eval"],
+        ["twocopy", "rho"],
+        ["twocopy", "slice", "--sigma=" + (",".join(map(str, sigma)) or ",")],
+        ["rcr", "solve"],
+        ["rcr", "check"],
+        ["perc", "ibar", *ab],
+        ["perc", "ibar", *ab, "--mc", "4", "--seed", "1"],
+    ]
+    return model, commands
+
+
+@given(_small_models())
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+def test_model_commands_keep_the_exit_code_contract(case):
+    # any small model: success, violation, usage error or cap, never an
+    # internal error, and never more than one line on stderr
+    model, commands = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/model.json"
+        with open(path, "w") as fh:
+            json.dump(model, fh)
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["--out", f"{tmp}/out", *argv, "--model", path])
+            assert rc in (0, 1, 2, 3), (argv, err.getvalue())
+            assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())

@@ -35,10 +35,10 @@ from rcgibbs.percolation import (
     sigma_connection_profile,
     slice_connection_prob,
 )
-from rcgibbs.rcr import assignment_measure, monotone_base, reconstruct
+from rcgibbs.rcr import assignment_measure, monotone_base
 from rcgibbs.rng import stream
 from rcgibbs.sampling import mc_connection_probability
-from rcgibbs.twocopy import make_slice, nonoverlap_distribution, overlap_distribution, symmetrized_spec
+from rcgibbs.twocopy import make_slice, overlap_distribution, symmetrized_spec
 from rcgibbs.experiments.cayley import nonoverlap_connection_recursion
 
 
@@ -198,10 +198,8 @@ def test_fast_binary_path_matches_generic():
     for m in range(5):
         spec = random_binary_spec(m, seed=141, n_min=4, n_max=5)
         fast = integrated_rc(spec)  # pair-coin kernel
-        slow = integrated_rc(spec, base_factory=monotone_base, validate=False)
-        keys = set(fast.patterns) | set(slow.patterns)
-        for k in keys:
-            assert abs(fast.patterns.get(k, 0) - float(slow.patterns.get(k, 0))) < 1e-11
+        slow, *_ = _oracle_laws(spec, {spec.region[0]}, {spec.region[-1]}, monotone_base)
+        assert list(fast.patterns.items()) == list(slow.items())
 
 
 def test_seven_site_chain_bond_order():
@@ -213,8 +211,8 @@ def test_seven_site_chain_bond_order():
     assert abs(got - 0.0987) < 1e-4
     _, pbar = sigma_connection_profile(spec, {0}, {1})
     assert abs(got - pbar) < 1e-12
-    ref = integrated_rc(spec, base_factory=monotone_base, validate=False)
-    assert irc.patterns == ref.patterns
+    ref, *_ = _oracle_laws(spec, {0}, {1}, monotone_base)
+    assert list(irc.patterns.items()) == list(ref.items())
 
 
 def _three_valued_spec(exact):
@@ -238,32 +236,11 @@ def test_pair_coin_kernel_matches_slice_bases():
     for exact in (False, True):
         spec = _three_valued_spec(exact)
         irc = integrated_rc(spec)
-        ref = integrated_rc(spec, base_factory=monotone_base, validate=False)
+        ref, *_ = _oracle_laws(spec, {0}, {3}, monotone_base)
         assert irc.exact == exact
-        # literal equality: Fractions exactly, floats bit for bit
-        assert irc.patterns == ref.patterns
-        assert all(type(p) is type(ref.patterns[m]) for m, p in irc.patterns.items())
-
-
-def test_custom_factory_validated_route():
-    # validate defaults to on for a custom base_factory: each slice's base is
-    # reconstructed at the full-alphabet local index and checked
-    for exact in (False, True):
-        spec = _three_valued_spec(exact)
-        got = integrated_rc(spec, base_factory=monotone_base)
-        ref = integrated_rc(spec, base_factory=monotone_base, validate=False)
-        assert got.patterns == ref.patterns
-
-    def never_active(slice_spec):
-        base = monotone_base(slice_spec)
-        bonds = tuple(
-            rcr.BondBase(bb.vertices, bb.inside, bb.full_mask, (bb.full_mask,), (1,))
-            for bb in base.bonds
-        )
-        return rcr.RcrBase(bonds, base.n_vertices, base.exact)
-
-    with pytest.raises(ValueError, match="does not reproduce"):
-        integrated_rc(_three_valued_spec(False), base_factory=never_active)
+        # literal equality, dict order included: Fractions exactly, floats bit for bit
+        assert list(irc.patterns.items()) == list(ref.items())
+        assert all(type(p) is type(ref[m]) for m, p in irc.patterns.items())
 
 
 def test_default_base_builds_no_slice_spec(monkeypatch):
@@ -382,7 +359,7 @@ class _SpecTerms:
         return got
 
 
-def _slice_pattern_terms(spec, sigma, base_factory, validate, terms=None):
+def _slice_pattern_terms(spec, sigma, base_factory, terms=None):
     """Oracle: (slice total, pattern dict) of one slice, pair by pair."""
     if terms is None:
         terms = _SpecTerms(spec, base_factory is None)
@@ -411,13 +388,7 @@ def _slice_pattern_terms(spec, sigma, base_factory, validate, terms=None):
             key = tuple(q[a][b] for q, a, b in zip(terms.coins, l1, l2))
             by_q[key] = by_q.get(key, 0) + w
     else:
-        slice_spec = symmetrized_spec(spec, sigma)
-        base = base_factory(slice_spec)
-        if validate:
-            got = reconstruct(slice_spec, base)
-            for o, p in nonoverlap_distribution(spec, sigma).items():
-                if abs(got.prob(o) - p) > 1e-9:
-                    raise ValueError("slice base does not reproduce the slice measure")
+        base = base_factory(symmetrized_spec(spec, sigma))
         for l1, _, w in pairs:
             key = tuple(bb.active_weight(li) / bb.support_weight(li) for bb, li in zip(base.bonds, l1))
             by_q[key] = by_q.get(key, 0) + w
@@ -448,7 +419,7 @@ def _oracle_slices(spec, base_factory=None):
     sums = [sorted({a + b for a in d for b in d}) for d in map(spec.domain_values, spec.region)]
     out = {}
     for sigma in itertools.product(*sums):
-        total, pats = _slice_pattern_terms(spec, sigma, base_factory, False, terms)
+        total, pats = _slice_pattern_terms(spec, sigma, base_factory, terms)
         if total != 0:
             out[sigma] = total, pats
     return out
@@ -512,26 +483,27 @@ KERNEL_CASES = [
 
 @pytest.mark.parametrize("name,make,factory", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
 def test_pattern_kernel_matches_slice_loop_literally(monkeypatch, name, make, factory):
+    # factory None: the oracle reads pair_coin_table; monotone_base: it builds
+    # each slice's base and reads the coins from its bonds
     spec = make()
     # a small block budget splits every case into several blocks
     cells = spec.n_states() ** 2 * max(len(effective_bonds(spec)), 1)
     monkeypatch.setattr(twocopy, "_BLOCK_CELLS", cells // 8)
-    assert sum(1 for _ in _pattern_blocks(spec, factory)) > 1
+    assert sum(1 for _ in _pattern_blocks(spec)) > 1
     A, B = {spec.region[0]}, {spec.region[-1]}
     patterns, want_rows, want_pbar, slice_probs = _oracle_laws(spec, A, B, factory)
-    irc = integrated_rc(spec, base_factory=factory, validate=False)
+    irc = integrated_rc(spec)
     # literal equality, dict order included: floats bit for bit, Fractions exactly
     assert list(irc.patterns.items()) == list(patterns.items())
-    rows, pbar = sigma_connection_profile(spec, A, B, base_factory=factory, validate=False)
+    rows, pbar = sigma_connection_profile(spec, A, B)
     assert rows == want_rows and pbar == want_pbar
     sums = [sorted({a + b for a in d for b in d}) for d in map(spec.domain_values, spec.region)]
     for sigma in itertools.islice(itertools.product(*sums), 0, None, 17):
         if sigma in slice_probs:
-            got = slice_connection_prob(spec, sigma, A, B, base_factory=factory, validate=False)
-            assert got == slice_probs[sigma]
+            assert slice_connection_prob(spec, sigma, A, B) == slice_probs[sigma]
         else:
             with pytest.raises(ZeroSliceError):
-                slice_connection_prob(spec, sigma, A, B, base_factory=factory, validate=False)
+                slice_connection_prob(spec, sigma, A, B)
 
 
 def test_more_than_62_bonds_raise_before_enumeration(monkeypatch):
