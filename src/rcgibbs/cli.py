@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 import traceback
@@ -334,8 +335,10 @@ def cmd_exp(args) -> dict:
         grid = None
         if args.J_grid:
             a, b, s = _parse_numbers(args.J_grid, "J grid A:B:STEP", ":", float, 3)
-            if not (np.isfinite([a, b, s]).all() and s > 0):
-                raise UsageError(f"bad J grid {args.J_grid!r}: need finite ends and a positive step")
+            if not (np.isfinite([a, b, s]).all() and a >= 0 and s > 0):
+                raise UsageError(
+                    f"bad J grid {args.J_grid!r}: need finite ends, a start >= 0 and a positive step"
+                )
             grid = list(np.arange(a, b + 1e-12, s))
         return run_cayley(grid)
     if args.exp_command == "hardcore":
@@ -378,8 +381,35 @@ def _add_model_args(sp):
                     help="override the model's graph with a JSON graph file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line errors that reads '--opt -2,0,0' as '--opt=-2,0,0'.
+
+    argparse takes a token that starts with '-' for an option unless it is a
+    plain negative number, so a list or range value such as '-2,0,0' or
+    '-1:1:0.5' would need the '=' form. No option of this parser starts with
+    '-' and a digit or '.', so such a token after a long option is its value.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for tok in sys.argv[1:] if args is None else args:
+            if (
+                joined
+                and joined[-1].startswith("--")
+                and "=" not in joined[-1]
+                and re.match(r"-[\d.]", tok)
+            ):
+                joined[-1] += "=" + tok
+            else:
+                joined.append(tok)
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="rcgibbs",
         description="Random-cluster representations of finite-volume Gibbs fields",
     )

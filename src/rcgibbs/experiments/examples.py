@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
+from .. import twocopy
 from ..errors import AllForbiddenError
 from ..gibbs import BondTable, GibbsSpec, Interaction, SPIN, gibbs_measure
 from ..lattice import hypergraph
@@ -194,10 +196,15 @@ def _random_spec(m: int, seed: int) -> GibbsSpec:
     raise AllForbiddenError(f"model {m}: could not draw a feasible table")
 
 
-def _subset_matrices(n_rows: int) -> np.ndarray:
-    """All indicator vectors over n_rows outcomes, shape (2**n_rows, n_rows)."""
+@functools.cache
+def _subset_matrices(n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """All indicator vectors over n_rows outcomes, shape (2**n_rows, n_rows),
+    and their sign vectors (2 * indicator - 1); read-only."""
     idx = np.arange(1 << n_rows)
-    return ((idx[:, None] >> np.arange(n_rows)) & 1).astype(float)
+    M = ((idx[:, None] >> np.arange(n_rows)) & 1).astype(float)
+    sign = 2.0 * M - 1.0
+    M.flags.writeable = sign.flags.writeable = False
+    return M, sign
 
 
 def _support_pairs(n: int):
@@ -209,6 +216,95 @@ def _support_pairs(n: int):
             yield A, B
 
 
+@functools.cache
+def _pair_groups(n: int) -> tuple:
+    """_support_pairs(n) grouped by shape (|A|, |B|), smaller support first.
+
+    Per shape: the pairs' positions in _support_pairs order and their
+    sorted A and B vertices, shapes (K,), (K, |A|) and (K, |B|); read-only.
+    """
+    groups: dict = {}
+    for k, (A, B) in enumerate(_support_pairs(n)):
+        if len(A) > len(B):
+            A, B = B, A
+        groups.setdefault((len(A), len(B)), []).append((k, sorted(A), sorted(B)))
+    out = []
+    for rows in groups.values():
+        arrays = tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+        for arr in arrays:
+            arr.flags.writeable = False
+        out.append(arrays)
+    return tuple(out)
+
+
+def _pair_values(spec: GibbsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per support pair, in _support_pairs order: the largest event gap
+    ev_max, the integrated connection probability pbar and the largest
+    covariance cov_max (see check_model_bounds).
+
+    The pairs of one shape are evaluated together, in chunks of at most
+    twocopy._BLOCK_CELLS cells (pairs x the largest per-pair array), and
+    every value equals the one a pair evaluated alone gets: the joint law
+    is one bincount (each cell adds its weights in configuration order),
+    the margins sum along the same axes, and the subset products and pbar
+    are stacked matmuls, one matrix product or dot product per pair (one
+    matrix-vector product for the chunk's pbar would round differently).
+    """
+    n = len(spec.region)
+    if (
+        spec.alphabet.size != 2
+        or spec.region != tuple(range(n))
+        or spec.boundary
+        or spec.domains is not None
+    ):
+        raise ValueError(
+            "check_model_bounds needs a binary alphabet, region 0..n-1, "
+            "no boundary and no domain restrictions"
+        )
+    # Reversing the axes puts site j's alphabet index at bit j.
+    w = np.asarray(gibbs_measure(spec).weights, dtype=float).reshape((2,) * n).T.ravel()
+    bits = (np.arange(1 << n, dtype=np.int64) >> np.arange(n)[:, None]) & 1
+    irc = integrated_rc(spec)
+    masks = sorted(irc.patterns)
+    probs = np.asarray([float(irc.patterns[m]) for m in masks])
+    # reach[v, i]: the vertex mask of pattern i's chain through v, 0 if none;
+    # A and B connect in pattern i when the chains through A meet B.
+    reach = np.zeros((irc.n_vertices, len(masks)), dtype=np.int64)
+    for i, m in enumerate(masks):
+        for comp in chain_components(irc.n_vertices, irc.bond_vertices, m):
+            reach[list(comp), i] = sum(1 << v for v in comp)
+
+    n_pairs = sum(len(pos) for pos, _, _ in _pair_groups(n))
+    ev_max, pbar, cov_max = np.empty(n_pairs), np.empty(n_pairs), np.empty(n_pairs)
+    for pos, As, Bs in _pair_groups(n):
+        a, b = As.shape[1], Bs.shape[1]
+        ra, rb = 1 << a, 1 << b
+        M, sign = _subset_matrices(ra)
+        # the joint cell of a configuration: A's bits above B's bits
+        shifts = np.r_[np.arange(b, a + b), np.arange(b)][:, None]
+        step = max(1, twocopy._BLOCK_CELLS // max(1 << n, len(masks), M.shape[0] * rb))
+        for lo in range(0, len(pos), step):
+            at = pos[lo : lo + step]
+            A, B = As[lo : lo + step], Bs[lo : lo + step]
+            K = len(at)
+            cell = (bits[np.hstack([A, B])] << shifts).sum(axis=1)
+            cell += (np.arange(K) * (ra * rb))[:, None]
+            # bincount adds each bin's weights in input order
+            joint = np.bincount(
+                cell.ravel(), weights=np.tile(w, K), minlength=K * ra * rb
+            ).reshape(K, ra, rb)
+            C = joint - joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
+            V = M @ C  # (K, 2**ra, rb)
+            ev_max[at] = np.maximum(
+                V.clip(min=0).sum(axis=2), (-V).clip(min=0).sum(axis=2)
+            ).max(axis=1)
+            cov_max[at] = np.abs(sign @ C).sum(axis=2).max(axis=1)
+            bmask = (1 << B).sum(axis=1)
+            conn = (np.bitwise_or.reduce(reach[A], axis=1) & bmask[:, None]) != 0
+            pbar[at] = (conn.astype(float)[:, None, :] @ probs[:, None])[:, 0, 0]
+    return ev_max, pbar, cov_max
+
+
 def check_model_bounds(spec: GibbsSpec, tol: float = 1e-9) -> dict:
     """Exact worst-case event and observable checks for one model.
 
@@ -217,73 +313,22 @@ def check_model_bounds(spec: GibbsSpec, tol: float = 1e-9) -> dict:
     smaller side, sign-optimal completion on the other) and the covariance
     over all sup-norm-1 observables, and compares against the integrated
     connection probability with its alphabet-size factor.
+
+    Scope: a binary alphabet, region = (0, ..., n-1), no boundary and no
+    domain restrictions; other specs raise ValueError.
     """
-    n = len(spec.region)
-    pos = {v: p for p, v in enumerate(spec.region)}
-    # Reversing the axes puts site j's alphabet index at bit j.
-    w = np.asarray(gibbs_measure(spec).weights, dtype=float).reshape((2,) * n).T.ravel()
-    irc = integrated_rc(spec)
-    masks = sorted(irc.patterns)
-    probs = np.asarray([float(irc.patterns[m]) for m in masks])
-    comp_lists = []
-    maxc = 1
-    for m in masks:
-        comps = chain_components(irc.n_vertices, irc.bond_vertices, m)
-        cm = [sum(1 << v for v in c) for c in comps] or [0]
-        maxc = max(maxc, len(cm))
-        comp_lists.append(cm)
-    comp_arr = np.zeros((len(masks), maxc), dtype=np.int64)
-    for i, cm in enumerate(comp_lists):
-        comp_arr[i, : len(cm)] = cm
-
-    cfg = np.arange(1 << n, dtype=np.int64)
-    bit = {v: (cfg >> p) & 1 for v, p in pos.items()}
-    subsets = {}  # rows ra -> (indicator matrix, its sign matrix)
-    worst_event = -np.inf
-    worst_cov = -np.inf
-    n_checked = 0
-    results = []
-    for A, B in _support_pairs(n):
-        if len(A) > len(B):
-            A, B = B, A
-        amask = sum(1 << v for v in A)
-        bmask = sum(1 << v for v in B)
-        hitA = (comp_arr & amask) != 0
-        hitB = (comp_arr & bmask) != 0
-        conn = (hitA & hitB).any(axis=1)
-        pbar = float(probs @ conn)
-
-        ia = np.zeros(1 << n, dtype=np.int64)
-        for j, v in enumerate(sorted(A)):
-            ia |= bit[v] << j
-        ib = np.zeros(1 << n, dtype=np.int64)
-        for j, v in enumerate(sorted(B)):
-            ib |= bit[v] << j
-        ra, rb = 1 << len(A), 1 << len(B)
-        # bincount adds each bin's weights in input order
-        joint = np.bincount(ia * rb + ib, weights=w, minlength=ra * rb).reshape(ra, rb)
-        C = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
-
-        if ra not in subsets:
-            M = _subset_matrices(ra)
-            subsets[ra] = M, 2.0 * M - 1.0
-        M, sign = subsets[ra]
-        V = M @ C  # (2**ra, rb)
-        ev_max = float(np.maximum(V.clip(min=0).sum(axis=1), (-V).clip(min=0).sum(axis=1)).max())
-        cov_max = float(np.abs(sign @ C).sum(axis=1).max())
-        factor = float(spec.alphabet.size ** (len(A) + len(B)))
-        worst_event = max(worst_event, ev_max - pbar)
-        worst_cov = max(worst_cov, cov_max - factor * pbar)
-        n_checked += 1
-        results.append((ev_max, pbar, cov_max, factor))
-    event_violations = sum(1 for e, p, _, _ in results if e > p + tol)
-    cov_violations = sum(1 for _, p, c, f in results if c > f * p + tol)
+    ev_max, pbar, cov_max = _pair_values(spec)
+    factor = np.empty(len(pbar))
+    for pos, As, Bs in _pair_groups(len(spec.region)):
+        factor[pos] = float(spec.alphabet.size ** (As.shape[1] + Bs.shape[1]))
+    # max over lists keeps the first of tied values (+0.0 or -0.0), as a
+    # running max in pair order does
     return {
-        "n_support_pairs": n_checked,
-        "worst_event_slack": worst_event,
-        "worst_cov_slack": worst_cov,
-        "event_violations": event_violations,
-        "cov_violations": cov_violations,
+        "n_support_pairs": len(pbar),
+        "worst_event_slack": max((ev_max - pbar).tolist(), default=-math.inf),
+        "worst_cov_slack": max((cov_max - factor * pbar).tolist(), default=-math.inf),
+        "event_violations": int(np.count_nonzero(ev_max > pbar + tol)),
+        "cov_violations": int(np.count_nonzero(cov_max > factor * pbar + tol)),
     }
 
 

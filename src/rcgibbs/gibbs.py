@@ -155,6 +155,8 @@ class GibbsSpec:
         if reg and (reg[0] < 0 or reg[-1] >= self.graph.n_vertices):
             raise ValueError("region outside graph vertex range")
         for v, val in self.boundary.items():
+            if not 0 <= v < self.graph.n_vertices:
+                raise ValueError(f"boundary vertex {v} outside graph vertex range")
             if v in rset:
                 raise ValueError(f"boundary vertex {v} lies inside the region")
             self.alphabet.index(val)

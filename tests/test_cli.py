@@ -43,17 +43,21 @@ def test_missing_seed_in_mc_mode_is_usage_error(tmp_path, model_file):
     assert rc == 2
 
 
-def test_unknown_flag_exits_two(tmp_path, model_file):
+def test_unknown_flag_exits_two(tmp_path, model_file, capsys):
+    # argparse's own errors: exit 2 and one line on stderr
     model = ["--model", model_file]
     for argv in (
         ["exp", "example1", "--bogus"],
         ["perc", "ibar", *model, "--A", "0", "--B", "2", "--exact"],
         ["rcr", "solve", *model, "--monotone"],
         ["rcr", "check", *model, "--roundtrip"],
+        ["twocopy", "slice", *model],  # --sigma missing
     ):
         with pytest.raises(SystemExit) as exc:
             run_cli(["--out", str(tmp_path), *argv])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and err.count("\n") == 1, err
 
 
 def test_cap_violation_exits_three(tmp_path):
@@ -304,6 +308,7 @@ MALFORMED = [
     ["exp", "cayley", "--J-grid", "0.1:2"],
     ["gibbs", "eval", "--model", "MODEL", "--lambda", "7"],  # outside the graph
     ["gibbs", "eval", "--model", "MODEL", "--bc", "1:1"],  # boundary inside the region
+    ["gibbs", "eval", "--model", "MODEL", "--bc", "9:1"],  # boundary outside the graph
     ["exp", "hardcore", "--grid", "0x3"],
     ["exp", "cayley", "--J-grid", "0.1:2:0"],
 ]
@@ -315,6 +320,26 @@ def test_malformed_argument_values_exit_two(tmp_path, model_file, capsys, argv):
     assert run_cli(["--out", str(tmp_path), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+DASH_VALUES = [
+    (["twocopy", "slice", "--model", "MODEL", "--sigma", "-2,0,0"], 0),
+    (["exp", "cayley", "--J-grid", "-1:1:0.5"], 2),  # J < 0: usage error
+]
+
+
+@pytest.mark.parametrize("argv, code", DASH_VALUES, ids=[" ".join(a) for a, _ in DASH_VALUES])
+def test_option_values_starting_with_dash(tmp_path, model_file, capsys, argv, code):
+    # '--opt -2,0,0' runs as '--opt=-2,0,0': same exit code, stderr and results.json
+    argv = [model_file if a == "MODEL" else a for a in argv]
+    runs = []
+    for side, args in (("space", argv), ("equals", [*argv[:-2], f"{argv[-2]}={argv[-1]}"])):
+        rc = run_cli(["--out", str(tmp_path / side), *args])
+        err = capsys.readouterr().err
+        res = tmp_path / side / "results.json"
+        runs.append((rc, err, res.read_bytes() if res.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code and runs[0][1].count("\n") == (code != 0)
 
 
 @st.composite

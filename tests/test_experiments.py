@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from rcgibbs import twocopy
 from rcgibbs.experiments.cayley import (
     LOG3_HALF,
     argmax_boundary_t,
@@ -16,7 +18,9 @@ from rcgibbs.experiments.cayley import (
     run_cayley,
     transition_matrix,
 )
+from rcgibbs.experiments import examples
 from rcgibbs.experiments.examples import (
+    check_model_bounds,
     run_example1,
     run_example2,
     sweep_correlation_bound,
@@ -26,7 +30,10 @@ from rcgibbs.experiments.hardcore import (
     checkerboard_instance,
     hardcore_disagreement,
 )
+from rcgibbs.gibbs import Alphabet, BondTable, GibbsSpec, Interaction, gibbs_measure
 from rcgibbs.lattice import build_grid, hypergraph
+from rcgibbs.models import example1_spec, ising_spec
+from rcgibbs.percolation import chain_components, integrated_rc
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +67,110 @@ def test_sweep_short_run_clean():
 
 
 def test_zero_interaction_model_all_slack_zero():
-    from rcgibbs.experiments.examples import check_model_bounds
-    from rcgibbs.models import ising_spec
-
     spec = ising_spec(hypergraph(4, [(0, 1), (1, 2), (2, 3)]), 0.0)
     rep = check_model_bounds(spec)
     assert rep["event_violations"] == 0 and rep["cov_violations"] == 0
     # both sides vanish identically: the worst slack is 0 - 0
     assert abs(rep["worst_event_slack"]) < 1e-14
+
+
+def _per_pair_oracle(spec):
+    """(ev_max, pbar, cov_max) per support pair, in _support_pairs order,
+    by the one-pair-at-a-time loop check_model_bounds ran before it
+    evaluated the pairs of one shape together."""
+    n = len(spec.region)
+    pos = {v: p for p, v in enumerate(spec.region)}
+    w = np.asarray(gibbs_measure(spec).weights, dtype=float).reshape((2,) * n).T.ravel()
+    irc = integrated_rc(spec)
+    masks = sorted(irc.patterns)
+    probs = np.asarray([float(irc.patterns[m]) for m in masks])
+    comp_lists = []
+    maxc = 1
+    for m in masks:
+        comps = chain_components(irc.n_vertices, irc.bond_vertices, m)
+        cm = [sum(1 << v for v in c) for c in comps] or [0]
+        maxc = max(maxc, len(cm))
+        comp_lists.append(cm)
+    comp_arr = np.zeros((len(masks), maxc), dtype=np.int64)
+    for i, cm in enumerate(comp_lists):
+        comp_arr[i, : len(cm)] = cm
+
+    cfg = np.arange(1 << n, dtype=np.int64)
+    bit = {v: (cfg >> p) & 1 for v, p in pos.items()}
+    out = []
+    for A, B in examples._support_pairs(n):
+        if len(A) > len(B):
+            A, B = B, A
+        amask = sum(1 << v for v in A)
+        bmask = sum(1 << v for v in B)
+        hitA = (comp_arr & amask) != 0
+        hitB = (comp_arr & bmask) != 0
+        conn = (hitA & hitB).any(axis=1)
+        pbar = float(probs @ conn)
+
+        ia = np.zeros(1 << n, dtype=np.int64)
+        for j, v in enumerate(sorted(A)):
+            ia |= bit[v] << j
+        ib = np.zeros(1 << n, dtype=np.int64)
+        for j, v in enumerate(sorted(B)):
+            ib |= bit[v] << j
+        ra, rb = 1 << len(A), 1 << len(B)
+        joint = np.bincount(ia * rb + ib, weights=w, minlength=ra * rb).reshape(ra, rb)
+        C = joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))
+        M = ((np.arange(1 << ra)[:, None] >> np.arange(ra)) & 1).astype(float)
+        V = M @ C
+        ev_max = float(np.maximum(V.clip(min=0).sum(axis=1), (-V).clip(min=0).sum(axis=1)).max())
+        cov_max = float(np.abs((2.0 * M - 1.0) @ C).sum(axis=1).max())
+        out.append((ev_max, pbar, cov_max))
+    return out
+
+
+_ORACLE_CASES = {
+    "example1": lambda: example1_spec(1.0, 1.0),
+    "zero-chain4": lambda: ising_spec(hypergraph(4, [(0, 1), (1, 2), (2, 3)]), 0.0),
+    **{f"random{m}": (lambda m=m: examples._random_spec(m, 7)) for m in range(1, 49)},
+}
+
+
+@pytest.mark.parametrize("block", ["default", "small"])
+def test_shape_batches_match_per_pair_loop_literally(monkeypatch, block):
+    # every kind (m % 6), sizes 3-6 and forbidden entries; "small" cuts each
+    # shape into chunks of a few pairs
+    if block == "small":
+        monkeypatch.setattr(twocopy, "_BLOCK_CELLS", 1 << 10)
+    for name, make in _ORACLE_CASES.items():
+        spec = make()
+        got = list(zip(*(a.tolist() for a in examples._pair_values(spec))))
+        assert got == _per_pair_oracle(spec), name
+
+
+def test_sweep_pinned_values():
+    # recorded with the one-pair-at-a-time loop
+    rep = sweep_correlation_bound(60, seed=7)
+    assert rep["worst_event_slack"] == -1.6059436487332245e-08
+    assert rep["worst_cov_slack"] == -6.423774663129215e-08
+    assert rep["support_pairs_checked"] == 8814
+    assert rep["violations"] == 0
+
+
+def _three_valued_spec():
+    tables = {0: BondTable.from_exponents([0.1 * k for k in range(9)])}
+    return GibbsSpec(hypergraph(2, [(0, 1)]), Alphabet((-1, 0, 1)), Interaction(tables), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ising_spec(hypergraph(4, [(0, 1), (1, 2), (2, 3)]), 0.5, region=(1, 2, 3), boundary={0: 1}),
+        lambda: ising_spec(hypergraph(4, [(0, 1), (1, 2), (2, 3)]), 0.5, region=(0, 1, 2), boundary={3: -1}),
+        lambda: dataclasses.replace(ising_spec(hypergraph(3, [(0, 1), (1, 2)]), 0.5), domains={0: (1,)}),
+        _three_valued_spec,
+    ],
+    ids=["region-1-3-boundary", "boundary-outside-0-n", "domains", "three-valued"],
+)
+def test_check_model_bounds_rejects_specs_outside_its_scope(make):
+    with pytest.raises(ValueError, match="check_model_bounds needs"):
+        check_model_bounds(make())
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,14 @@ def test_too_large_raises():
         gibbs_measure(spec, max_states=1 << 20)
 
 
+def test_boundary_vertex_outside_graph_rejected():
+    g = hypergraph(4, [(0, 1), (1, 2), (2, 3)])
+    for v in (4, 9, -1):
+        with pytest.raises(ValueError, match="outside graph"):
+            ising_spec(g, 0.5, region=(0, 1, 2), boundary={v: 1})
+    assert ising_spec(g, 0.5, region=(0, 1, 2), boundary={3: 1}).boundary == {3: 1}
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         Alphabet((1, 1))
