@@ -329,6 +329,8 @@ def cmd_exp(args) -> dict:
     if args.exp_command == "example2":
         return run_example2(args.J12, args.J23)
     if args.exp_command == "sweep":
+        if args.n < 1:
+            raise UsageError(f"bad --n {args.n}: need at least one model")
         seed = args.seed if args.seed is not None else 7
         return sweep_correlation_bound(args.n, seed=int(seed))
     if args.exp_command == "cayley":

@@ -347,7 +347,8 @@ class FiniteDistribution:
 
         weights is flat, in itertools.product(*domains) order: float64, or
         object holding exact rationals. It is used as given, or divided by
-        its total when normalize is set.
+        its total when normalize is set; exact weights divide as Fractions,
+        so int weights give Fractions too.
         """
         if normalize:
             if (weights < 0).any():
@@ -355,7 +356,7 @@ class FiniteDistribution:
             total = sum(_scalars(weights))
             if total == 0:
                 raise ValueError("cannot normalize zero measure")
-            weights = weights / total
+            weights = weights / (Fraction(total) if weights.dtype == object else total)
         self = cls.__new__(cls)
         self._table = None
         self._domains = tuple(tuple(d) for d in domains)

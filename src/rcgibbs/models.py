@@ -140,9 +140,14 @@ def example1_tables(J12: float, J23: float) -> tuple[Hypergraph, Interaction]:
     return g, Interaction({0: t12, 1: t23})
 
 
-def example1_spec(J12: float = 1.0, J23: float = 1.0) -> GibbsSpec:
+def example1_spec(J12: float = 1.0, J23: float = 1.0, region=None, boundary=None) -> GibbsSpec:
+    """The three-spin chain of example1_tables; the region defaults to the
+    vertices the boundary does not fix."""
     g, inter = example1_tables(J12, J23)
-    return GibbsSpec(g, SPIN, inter, (0, 1, 2))
+    boundary = dict(boundary or {})
+    if region is None:
+        region = tuple(v for v in range(g.n_vertices) if v not in boundary)
+    return GibbsSpec(g, SPIN, inter, tuple(region), boundary)
 
 
 def example1_exact_spec(f12: Fraction, f23: Fraction) -> GibbsSpec:
@@ -209,8 +214,13 @@ def spec_from_dict(d: dict) -> GibbsSpec:
                     boundary=boundary,
                 )
             elif name == "example1":
+                # the template brings its own three-vertex graph, so "all"
+                # means its vertices
                 spec = example1_spec(
-                    float(inter_d.get("J12", 1.0)), float(inter_d.get("J23", 1.0))
+                    float(inter_d.get("J12", 1.0)),
+                    float(inter_d.get("J23", 1.0)),
+                    region=None if region_d == "all" else region,
+                    boundary=boundary,
                 )
             else:
                 raise UsageError(f"unknown interaction template {name!r}")

@@ -17,14 +17,18 @@ bonds only (0 < q < 1). Every sum is sequential: a group sums its pairs in
 the walk's order, a slice a mask's leaves in (group, active-first
 depth-first) order, and the law a mask's slice weights in slice order.
 Masks keep the order of their first nonzero leaf, the order in which float
-sums over a pattern dict add. Floats and Fractions run the same code, on
-float64 and on object arrays. Patterns are int64 bitmasks, so a spec with
-more than 62 effective bonds raises TooLargeError.
+sums over a pattern dict add. Floats and exact specs run the same code, on
+float64 and on object arrays of Python ints: an exact spec's weights are
+integers over one denominator (see PairWalk), and so are its coins, so the
+kernel runs no Fraction arithmetic and each caller forms a Fraction once
+per output value, from a ratio of two ints of one scale. Patterns are int64
+bitmasks, so a spec with more than 62 effective bonds raises TooLargeError.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,7 +38,7 @@ from .errors import TooLargeError, ZeroSliceError
 from .gibbs import GibbsSpec, effective_bonds, local_index, product_outcomes, product_positions
 from .lattice import ball, boundary_vertices
 from .rcr import RcrBase, assignment_measure, bond_level_system, monotone_probabilities
-from .twocopy import PairWalk, _runs
+from .twocopy import PairWalk, _runs, _scaled
 
 
 class UnionFind:
@@ -209,13 +213,14 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
     level i of their nested levels the coin is the active weight over the
     support weight of the subsets containing x1, both summed in level order
     as BondBase sums them. Pairs outside the domains or of factor zero get
-    0. Entries are Fractions for exact specs. Given a sigma (aligned with
-    the region), each bond gets the coins of the local sum sigma gives its
-    inside vertices only, and 0 elsewhere.
+    0. Entries are Fractions for exact specs, int factors included. Given a
+    sigma (aligned with the region), each bond gets the coins of the local
+    sum sigma gives its inside vertices only, and 0 elsewhere.
     """
     S = spec.alphabet.size
     idx = spec.alphabet.index
-    zero = Fraction(0) if spec.exact else 0.0
+    exact = spec.exact
+    zero = Fraction(0) if exact else 0.0
     pos = {v: p for p, v in enumerate(spec.region)}
     tables = []
     for eb in effective_bonds(spec):
@@ -232,6 +237,8 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
             loc1 = [local_index(S, (idx(a) for a in y)) for y in ys]
             loc2 = [local_index(S, (idx(s - a) for s, a in zip(sig, y))) for y in ys]
             factors = [eb.table[a] * eb.table[b] for a, b in zip(loc1, loc2)]
+            if exact:  # int factors would divide into float coins
+                factors = [Fraction(f) for f in factors]
             levels, _ = bond_level_system(factors, range(len(factors)))
             if levels[0] <= 0:
                 continue
@@ -266,10 +273,10 @@ def _first_seen(*cols):
     return rank[inverse], first[order]
 
 
-def _expand(weights, q, live, base):
+def _expand(weights, q, q_off, live, base):
     """Leaves (group, mask, weight) of each group's activity tree, in
     (group, active-first depth-first) order: group g's live bond j splits a
-    leaf of weight w into w * q[g, j] with bit j set and w * (1 - q[g, j])
+    leaf of weight w into w * q[g, j] with bit j set and w * q_off[g, j]
     without it, bonds in order; other bonds keep their bit from base."""
     grp = np.arange(len(weights))
     mask = base
@@ -280,11 +287,11 @@ def _expand(weights, q, live, base):
             continue
         reps = 1 + split
         at = (np.cumsum(reps) - reps)[split]
-        w, q_j = val[split], q[grp[split], j]
+        w, q_j, off_j = val[split], q[grp[split], j], q_off[grp[split], j]
         take = np.repeat(np.arange(len(grp)), reps)
         grp, mask, val = grp[take], mask[take], val[take]
         val[at] = w * q_j
-        val[at + 1] = w * (1 - q_j)
+        val[at + 1] = w * off_j
         mask[at] |= 1 << j
     return grp, mask, val
 
@@ -299,17 +306,27 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     into w * q and w * (1 - q), bonds in order; a coin of 1 sets the bond's
     bit, a coin of 0 clears it, and zero leaves are dropped.
 
+    On an exact spec the pair weights are ints over D**2 (PairWalk), and
+    bond j's coins are ints over E_j, the lcm of the denominators of its
+    distinct coins: q becomes the pair (a, E_j - a). A group's weight is
+    multiplied by E_j for each bond whose coin is 0 or 1, so every leaf and
+    record is an int over one scale, D**2 times the product of the E_j, and
+    the totals are brought to that scale too. Float coins stay (q, 1 - q)
+    with the float steps above, and the scale is 1.
+
     Yields (sigmas, totals, rec_slice, rec_mask, rec_val) per block: its
     slices of positive total, their totals, and their (mask, weight)
     records, slice by slice and each slice's masks in order of first leaf;
-    rec_slice indexes sigmas. sigma limits the walk to that slice. Every
-    coin comes from pair_coin_table.
+    rec_slice indexes sigmas. Totals and records share one scale, so a
+    ratio of them is a probability. sigma limits the walk to that slice.
+    Every coin comes from pair_coin_table.
     """
     bonds = effective_bonds(spec)
     n_bonds = len(bonds)
     if n_bonds > _MASK_BONDS:
         raise TooLargeError(f"{n_bonds} bonds exceeds the {_MASK_BONDS}-bond pattern mask")
-    dtype = object if spec.exact else float
+    exact = spec.exact
+    dtype = object if exact else float
     walk = PairWalk(spec, sigma)
     S = spec.alphabet.size
     pos = {v: p for p, v in enumerate(spec.region)}
@@ -324,6 +341,16 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
         np.array([[ids.setdefault(q, len(ids)) for q in row] for row in table]).reshape(len(table), -1)
         for ids, table in zip(seen, pair_coin_table(spec, sigma))
     ]
+    # per bond: its coins in first-seen order as (q, 1 - q), over the coin scale E_j
+    if exact:
+        scaled = [_scaled(list(ids)) for ids in seen]
+        coins = [q for q, _ in scaled]
+        scales = np.array([E for _, E in scaled], dtype=object)
+    else:
+        coins = [np.array(list(ids), dtype=float) for ids in seen]
+        scales = np.ones(n_bonds)
+    coins = [(q, E - q) for q, E in zip(coins, scales)]
+    unit = scales.prod()
     bits = np.left_shift(1, np.arange(n_bonds, dtype=np.int64))
 
     for sids, totals, row, c1, c2, w in walk.blocks(max(n_bonds, 1)):
@@ -342,30 +369,33 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
         keep = gw != 0
         gw, grow, gids = gw[keep], row[first[keep]], ids[first[keep]]
         gq = np.empty(gids.shape, dtype=dtype)
-        for j, ids_j in enumerate(seen):
-            gq[:, j] = np.array(list(ids_j), dtype=dtype)[gids[:, j]]
-        live = (gq != 0) & (1 - gq != 0)
+        g_off = np.empty(gids.shape, dtype=dtype)
+        for j, (q, off) in enumerate(coins):
+            gq[:, j] = q[gids[:, j]]
+            g_off[:, j] = off[gids[:, j]]
+        live = (gq != 0) & (g_off != 0)
         base_mask = ((gq != 0) & ~live) @ bits  # bonds whose coin is 1
+        gw = gw * np.where(live, 1, scales).prod(axis=1)  # bonds that do not split keep the scale
         n_leaves = np.zeros(len(totals), dtype=np.int64)
         np.add.at(n_leaves, grow, np.left_shift(1, live.sum(axis=1)))
 
         for a, b in _runs(n_leaves[positive]):
             rows = positive[a:b]
             ga, gb = np.searchsorted(grow, [rows[0], rows[-1] + 1])
-            grp, mask, val = _expand(gw[ga:gb], gq[ga:gb], live[ga:gb], base_mask[ga:gb])
+            grp, mask, val = _expand(gw[ga:gb], gq[ga:gb], g_off[ga:gb], live[ga:gb], base_mask[ga:gb])
             nz = val != 0
             lrow, mask, val = grow[ga:gb][grp[nz]], mask[nz], val[nz]
             labels, first = _first_seen(lrow, mask)
             rec_val = np.zeros(len(first), dtype=dtype)
             np.add.at(rec_val, labels, val)
-            yield (sigmas[a:b], totals[rows].tolist(), np.searchsorted(rows, lrow[first]),
+            yield (sigmas[a:b], (totals[rows] * unit).tolist(), np.searchsorted(rows, lrow[first]),
                    mask[first], rec_val)
 
 
 def _slice_patterns(spec: GibbsSpec, sigma):
-    """(total, {mask: weight}) of one overlap slice, unnormalized, from the
-    pattern blocks; (0, {}) for a slice of zero weight, ZeroSliceError for
-    one some vertex cannot reach."""
+    """(total, {mask: weight}) of one overlap slice, unnormalized and of one
+    scale, from the pattern blocks; (0, {}) for a slice of zero weight,
+    ZeroSliceError for one some vertex cannot reach."""
     for _, totals, _, mask, val in _pattern_blocks(spec, sigma):
         return totals[0], dict(zip(mask.tolist(), val.tolist()))
     return 0, {}
@@ -379,7 +409,8 @@ def integrated_rc(spec: GibbsSpec, max_total: int = 1 << 20, max_bonds: int = 20
     pair_coin_table, the one coin source. Every spec takes the same route
     through the pattern blocks, whatever its size; max_bonds and max_total
     cap the work. A mask's probability sums its slice weights in slice
-    order, and masks keep the order of their first slice record.
+    order, and masks keep the order of their first slice record; it is
+    divided by the total once, into a Fraction on an exact spec.
     """
     bonds = effective_bonds(spec)
     n_bonds = len(bonds)
@@ -397,10 +428,8 @@ def integrated_rc(spec: GibbsSpec, max_total: int = 1 << 20, max_bonds: int = 20
             sums[m] = sums.get(m, 0) + v
     if grand == 0:
         raise ZeroSliceError("zero measure")
-    if spec.exact:
-        patterns = {m: Fraction(w, 1) / grand for m, w in sums.items()}
-    else:
-        patterns = {m: w / grand for m, w in sums.items()}
+    div = Fraction if spec.exact else operator.truediv
+    patterns = {m: div(w, grand) for m, w in sums.items()}
     return IntegratedRC(
         spec.graph.n_vertices,
         tuple(eb.vertices for eb in bonds),
@@ -419,7 +448,8 @@ def slice_connection_prob(spec: GibbsSpec, sigma, A, B):
     for mask, w in pats.items():
         if regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B):
             acc += w
-    return acc / total
+    div = Fraction if spec.exact else operator.truediv
+    return div(acc, total)
 
 
 def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):
@@ -427,12 +457,14 @@ def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):
 
     Returns (rows, pbar) where rows list (sigma, rho, conn prob given
     sigma) over slices of positive weight and pbar is the integrated
-    connection probability.
+    connection probability. Each value is one division, into a Fraction on
+    an exact spec.
     """
     nst = spec.n_states()
     if nst * nst > max_total:
         raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
+    div = Fraction if spec.exact else operator.truediv
     rows = []
     grand = 0
     acc = 0
@@ -451,12 +483,12 @@ def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):
         np.add.at(num, rec_slice[conn], rec_val[conn])
         for sigma, total, n in zip(sigmas, totals, num.tolist()):
             grand += total
-            rows.append((sigma, total, n / total))
+            rows.append((sigma, total, div(n, total)))
             acc += n
     if grand == 0:
         raise ZeroSliceError("zero measure")
-    rows = [(s, t / grand, p) for s, t, p in rows]
-    return rows, acc / grand
+    rows = [(s, div(t, grand), p) for s, t, p in rows]
+    return rows, div(acc, grand)
 
 
 # ---------------------------------------------------------------------------

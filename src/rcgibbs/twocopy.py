@@ -79,6 +79,13 @@ def _runs(sizes):
         lo = hi
 
 
+def _scaled(values):
+    """Exact rationals as Python ints over one denominator D, the lcm of
+    theirs: (object array of the numerators, D)."""
+    D = math.lcm(*(v.denominator for v in values))
+    return np.array([v.numerator * (D // v.denominator) for v in values], dtype=object), D
+
+
 class PairWalk:
     """The two-copy pairs of a spec, grouped by their overlap.
 
@@ -94,6 +101,12 @@ class PairWalk:
     ZeroSliceError. This is the one place that forms two-copy pairs: the
     overlap law, the slice measures, decompose_event and the integrated
     activity law all read it.
+
+    Exact specs run on integers. weights holds each configuration's weight
+    times D, the lcm of their denominators, as Python ints in an object
+    array, so every pair weight and slice total of blocks() is an int over
+    D**2, and a caller forms each Fraction once, from a ratio of such ints
+    (the scales cancel). Float specs hold float64 weights.
     """
 
     def __init__(self, spec: GibbsSpec, sigma=None):
@@ -105,7 +118,10 @@ class PairWalk:
             self.domains = list(sl.admissible)
             self.sums = [[s] for s in sl.sigma]
         self.indices = [tuple(map(spec.alphabet.index, d)) for d in self.domains]
-        self.weights = config_weights(spec, domains=self.indices)
+        weights = config_weights(spec, domains=self.indices)
+        if weights.dtype == object:
+            weights, _ = _scaled(weights.tolist())
+        self.weights = weights
 
     def blocks(self, cells_per_pair: int = 1):
         """Blocks of whole slices, in order, of at most _BLOCK_CELLS cells at
@@ -167,7 +183,9 @@ def overlap_distribution(spec: GibbsSpec, max_pairs: int = DEFAULT_PAIR_CAP) -> 
 
     Outcomes are tuples of sums aligned with the sorted region, over the
     product of each vertex's sorted sums, zero-weight ones included, as in
-    gibbs_measure. Each weight sums its slice's pairs in PairWalk order.
+    gibbs_measure. Each weight sums its slice's pairs in PairWalk order;
+    an exact spec's are Fractions, each slice's int total over the grand
+    total.
     """
     n_states = spec.n_states()
     if n_states * n_states > max_pairs:
@@ -301,7 +319,9 @@ def decompose_event(spec: GibbsSpec, predicate, max_pairs: int = DEFAULT_PAIR_CA
 
     Returns the sum over overlap slices of the slice's weight times the
     slice probability of the event, both read in one pass over the
-    PairWalk; must agree with direct evaluation.
+    PairWalk; must agree with direct evaluation. On an exact spec the
+    slice totals cancel: the sum is the event's pair weights over all pair
+    weights, one Fraction.
     """
     n_states = spec.n_states()
     if n_states * n_states > max_pairs:
@@ -317,4 +337,6 @@ def decompose_event(spec: GibbsSpec, predicate, max_pairs: int = DEFAULT_PAIR_CA
     grand = sum(totals)
     if grand == 0:
         raise ZeroSliceError("zero measure: every configuration forbidden")
+    if spec.exact:
+        return Fraction(sum(events), grand)
     return sum(t / grand * (e / t) for t, e in zip(totals, events) if t != 0)

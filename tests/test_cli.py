@@ -164,6 +164,35 @@ def test_model_file_boundary_defaults_region(tmp_path):
     assert payload["results"]["n_states"] == 4
 
 
+@pytest.mark.parametrize("template", [
+    {"template": "example1", "J12": 1.0, "J23": 1.0},
+    {"template": "ising", "J": 0.9},
+])
+def test_model_file_boundary_reaches_every_template(tmp_path, capsys, template):
+    # example1 builds its own graph; it still takes the file's boundary and
+    # region, and a boundary vertex outside the graph is a usage error
+    model = {"graph": {"n": 3, "bonds": [[0, 1], [1, 2]]}, "interaction": template}
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({**model, "boundary": {"2": 1}}))
+    assert run_cli(["--out", str(tmp_path / "ok"), "gibbs", "eval", "--model", str(p)]) == 0
+    payload = json.loads((tmp_path / "ok" / "results.json").read_text())
+    assert payload["results"]["region"] == [0, 1]
+    p.write_text(json.dumps({**model, "boundary": {"9": 1}}))
+    capsys.readouterr()
+    assert run_cli(["--out", str(tmp_path / "bad"), "gibbs", "eval", "--model", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "boundary vertex 9" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "bad" / "results.json").exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_sweep_needs_at_least_one_model(tmp_path, capsys, n):
+    assert run_cli(["--out", str(tmp_path), "exp", "sweep", "--n", n]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "results.json").exists()
+
+
 def test_gibbs_eval_large_model_site_means(tmp_path):
     # 18 spins routes through the array-backed distribution
     model = {"graph": {"grid": "6x3"}, "interaction": {"template": "ising", "J": 0.3}}

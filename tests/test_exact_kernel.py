@@ -1,0 +1,133 @@
+"""The exact two-copy kernel against the Fraction oracle, literally.
+
+The package runs exact specs on integers over one denominator and forms
+each Fraction once, where a value leaves the kernel; fraction_kernel holds
+the route that did every step in Fractions. Every output must be the same
+Fraction, of the same type, in the same dict and row order, and on each
+spec's float twin the same floats bit for bit.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import fraction_kernel as oracle
+from conftest import random_binary_spec
+from test_percolation import _three_valued_spec
+from rcgibbs import twocopy
+from rcgibbs.gibbs import BondTable, GibbsSpec, Interaction, SPIN, effective_bonds
+from rcgibbs.lattice import build_grid, hypergraph
+from rcgibbs.models import example1_exact_spec, hardcore_spec, ising_exact_spec
+from rcgibbs.percolation import integrated_rc, sigma_connection_profile, slice_connection_prob
+from rcgibbs.rng import stream
+from rcgibbs.twocopy import decompose_event, nonoverlap_distribution, overlap_distribution
+
+
+def _typed(x):
+    """x with every number tagged by its type; floats by their bits."""
+    if isinstance(x, (tuple, list)):
+        return [_typed(v) for v in x]
+    if isinstance(x, float):
+        return ("float", x.hex())
+    return (type(x).__name__, x)
+
+
+def _float_twin(spec):
+    tables = {k: BondTable(tuple(float(f) for f in t.factors)) for k, t in spec.interaction.tables.items()}
+    return GibbsSpec(spec.graph, spec.alphabet, Interaction(tables), spec.region,
+                     dict(spec.boundary), spec.domains)
+
+
+def _hyperbond_exact_spec():
+    """Three-vertex hyperbonds with Fraction factors, some zero, and a
+    boundary spin."""
+    g = hypergraph(6, [(0, 1, 2), (1, 3), (2, 3, 4), (0, 4), (5,)])
+    rng = stream(78, 0)
+    tables = {}
+    for k, b in enumerate(g.bonds):
+        facs = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(2 ** len(b))]
+        if len(b) == 3:
+            facs[int(rng.integers(0, len(facs)))] = Fraction(0)
+        tables[k] = BondTable.from_factors(facs)
+    return GibbsSpec(g, SPIN, Interaction(tables), (0, 1, 2, 3, 5), {4: 1})
+
+
+SMALL = [
+    *[(f"random{m}", lambda m=m: random_binary_spec(
+        m, seed=9, n_min=3, n_max=5, exact=True, allow_forbidden=True, with_boundary=True))
+      for m in range(8)],
+    ("example1_exact", lambda: example1_exact_spec(Fraction(3), Fraction(5, 2))),
+    ("ising_exact_3x2", lambda: ising_exact_spec(build_grid(3, 2), Fraction(3, 2))),
+    ("hardcore_exact", lambda: hardcore_spec(build_grid(3, 2), Fraction(3, 2))),
+    ("hyperbond_exact", _hyperbond_exact_spec),
+    ("three_valued_exact", lambda: _three_valued_spec(True)),
+]
+CASES = [(name, make, twin) for name, make in SMALL for twin in (False, True)]
+
+
+def _check_laws(spec, A, B):
+    irc = integrated_rc(spec)
+    want_patterns, want_rows, want_pbar = oracle.laws(spec, A, B)
+    assert irc.exact == spec.exact
+    assert _typed(list(irc.patterns.items())) == _typed(list(want_patterns.items()))
+    rows, pbar = sigma_connection_profile(spec, A, B)
+    assert _typed(rows) == _typed(want_rows)
+    assert _typed(pbar) == _typed(want_pbar)
+    return [s for s, *_ in rows]
+
+
+@pytest.mark.parametrize("name,make,twin", CASES, ids=[f"{c[0]}{'_float' if c[2] else ''}" for c in CASES])
+def test_exact_kernel_matches_fraction_oracle(monkeypatch, name, make, twin):
+    spec = make()
+    assert spec.exact
+    if twin:
+        spec = _float_twin(spec)
+        assert not spec.exact
+    # a small block budget splits every case into several blocks
+    cells = spec.n_states() ** 2 * max(len(effective_bonds(spec)), 1)
+    monkeypatch.setattr(twocopy, "_BLOCK_CELLS", cells // 8)
+    A, B = {spec.region[0]}, {spec.region[-1]}
+    positive = _check_laws(spec, A, B)
+
+    rho = overlap_distribution(spec)
+    assert _typed(list(rho.items())) == _typed(list(oracle.overlap_distribution(spec).items()))
+
+    for sigma in positive[:: max(1, len(positive) // 12)]:
+        got = slice_connection_prob(spec, sigma, A, B)
+        assert _typed(got) == _typed(oracle.slice_connection_prob(spec, sigma, A, B))
+        got = nonoverlap_distribution(spec, sigma)
+        assert _typed(list(got.items())) == _typed(list(oracle.nonoverlap_distribution(spec, sigma).items()))
+
+    n = len(spec.region)
+    for ev in (lambda o: o[0] == max(o), lambda o: o[n - 1] != o[0], lambda o: sum(o) > 0):
+        assert _typed(decompose_event(spec, ev)) == _typed(oracle.decompose_event(spec, ev))
+
+
+def test_exact_kernel_matches_fraction_oracle_on_3x3_grid():
+    # the size the integer kernel opens up: the oracle's one pass over the
+    # pattern law takes over ten seconds here, the kernel's under one.
+    # decompose_event reads the same walk as the overlap law and is left to
+    # the smaller cases.
+    spec = ising_exact_spec(build_grid(3, 3), Fraction(3, 2))
+    positive = _check_laws(spec, {0}, {8})
+    assert len(positive) == 3**9
+    rho = overlap_distribution(spec)
+    assert _typed(list(rho.items())) == _typed(list(oracle.overlap_distribution(spec).items()))
+    for sigma in positive[::6561]:
+        assert _typed(slice_connection_prob(spec, sigma, {0}, {8})) == _typed(
+            oracle.slice_connection_prob(spec, sigma, {0}, {8}))
+        assert _typed(list(nonoverlap_distribution(spec, sigma).items())) == _typed(
+            list(oracle.nonoverlap_distribution(spec, sigma).items()))
+
+
+def test_exact_3x3_grid_profile_agrees_with_its_float_twin():
+    spec = ising_exact_spec(build_grid(3, 3), Fraction(3, 2))
+    rows, pbar = sigma_connection_profile(spec, {0}, {8})
+    frows, fpbar = sigma_connection_profile(_float_twin(spec), {0}, {8})
+    assert isinstance(pbar, Fraction) and type(fpbar) is float
+    assert abs(float(pbar) - fpbar) < 1e-12
+    assert [s for s, *_ in rows] == [s for s, *_ in frows]
+    for (_, rho, p), (_, frho, fp) in zip(rows, frows):
+        assert isinstance(rho, Fraction) and isinstance(p, Fraction)
+        assert abs(float(rho) - frho) < 1e-12 and abs(float(p) - fp) < 1e-12
+    assert sum(rho for _, rho, _ in rows) == 1

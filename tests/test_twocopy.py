@@ -401,8 +401,14 @@ def test_pair_walk_matches_replaced_routes(monkeypatch, name, make):
     totals = np.concatenate([totals for _, totals, *_ in blocks])
     sigmas = list(itertools.product(*walk.sums))
     want = _pair_loop_totals(spec)
+    totals = totals.tolist()
+    if spec.exact:
+        # exact totals are ints over D**2, D the lcm of the weights' denominators
+        D = math.lcm(*(w.denominator for w in config_weights(spec).tolist()))
+        assert all(type(t) is int for t in totals)
+        totals = [Fraction(t, D * D) for t in totals]
     # unnormalized sigma totals bit for bit (Fractions literally)
-    assert {s: t for s, t in zip(sigmas, totals.tolist()) if t != 0} == {
+    assert {s: t for s, t in zip(sigmas, totals) if t != 0} == {
         s: t for s, t in want.items() if t != 0}
 
     rho = overlap_distribution(spec)
