@@ -236,7 +236,7 @@ def cmd_rcr_solve(args) -> dict:
         bonds = effective_bonds(spec)
         rows = []
         for eb, masks in zip(bonds, _load_subsets(args.subsets, len(bonds))):
-            levels, level_masks = bond_level_system(eb.table, allowed_locals(spec, eb.inside))
+            levels, level_masks = bond_level_system(eb.table, allowed_locals(spec, eb.inside), spec.exact)
             try:
                 system = LevelSystem(levels, level_masks, tuple(masks))
             except ValueError as exc:
@@ -285,6 +285,10 @@ def cmd_perc_ibar(args) -> dict:
     spec = _load_spec(args)
     A = _parse_vertices(args.A)
     B = _parse_vertices(args.B)
+    n = spec.graph.n_vertices
+    for v in sorted(A | B):
+        if not 0 <= v < n:
+            raise UsageError(f"vertex {v} is outside the graph's vertices 0..{n - 1}")
     if args.mc is not None:
         seed = _require_seed(args)
         res = mc_connection_probability(

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from ..lattice import build_grid
 from ..models import ising_spec
+from ..percolation import _graph, chains_join
 from ..rng import run_tasks, stream
 
 
@@ -190,20 +190,6 @@ def sample_blue_red(s1, s2, qc: QuenchedCouplings, beta: float, rng):
     return out_blue, out_red, no_mask
 
 
-def _graph(rows, cols, n: int):
-    """Adjacency of the bonds rows -> cols on n nodes, built directly as the
-    float CSR matrix that scipy.sparse.csgraph takes without converting."""
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(n + 1, np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return csr_matrix((np.ones(len(rows)), cols[order].astype(np.int32), indptr), shape=(n, n))
-
-
-def _crossing(side1, side2) -> bool:
-    """Whether two label arrays (-1 for uncovered) share a label."""
-    return np.intersect1d(side1[side1 >= 0], side2[side2 >= 0]).size > 0
-
-
 def _wraps(a, b, d, labels, n: int) -> tuple[bool, bool]:
     """Whether some cycle of the bonds a -> b, with displacements d (2, E),
     has a nonzero x and a nonzero y displacement.
@@ -271,9 +257,10 @@ def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool):
         d[1, len(yh) :] = 1
         cross_x, cross_y = _wraps(a, b, d, labels, n)
     else:
-        grid = np.where(covered, labels, -1).reshape(L, L)
-        cross_x = _crossing(grid[:, 0], grid[:, -1])
-        cross_y = _crossing(grid[0], grid[-1])
+        row = np.where(covered, labels, -1)[None]
+        sites = np.arange(n)
+        cross_x = bool(chains_join(row, sites[::L], sites[L - 1 :: L])[0])
+        cross_y = bool(chains_join(row, sites[:L], sites[-L:])[0])
     return largest, sizes, cross_x, cross_y
 
 

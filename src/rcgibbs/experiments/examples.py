@@ -269,10 +269,11 @@ def _pair_values(spec: GibbsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     probs = np.asarray([float(irc.patterns[m]) for m in masks])
     # reach[v, i]: the vertex mask of pattern i's chain through v, 0 if none;
     # A and B connect in pattern i when the chains through A meet B.
-    reach = np.zeros((irc.n_vertices, len(masks)), dtype=np.int64)
-    for i, m in enumerate(masks):
-        for comp in chain_components(irc.n_vertices, irc.bond_vertices, m):
-            reach[list(comp), i] = sum(1 << v for v in comp)
+    labels = chain_components(irc.n_vertices, irc.bond_vertices, masks)
+    chain_mask = np.zeros(int(labels.max(initial=-1)) + 2, dtype=np.int64)  # label -1 reads the last, 0
+    i, v = np.nonzero(labels >= 0)
+    np.bitwise_or.at(chain_mask, labels[i, v], np.left_shift(1, v))
+    reach = chain_mask[labels].T
 
     n_pairs = sum(len(pos) for pos, _, _ in _pair_groups(n))
     ev_max, pbar, cov_max = np.empty(n_pairs), np.empty(n_pairs), np.empty(n_pairs)

@@ -14,7 +14,7 @@ from collections import deque
 from ..gibbs import gibbs_measure
 from ..lattice import Hypergraph, build_grid
 from ..models import hardcore_spec
-from ..percolation import UnionFind, regions_connected
+from ..percolation import chain_components, connected_masks
 from ..rcr import allowed_locals, monotone_base
 from ..twocopy import nonoverlap_distribution, symmetrized_spec
 
@@ -109,11 +109,16 @@ def _slice_machinery_check(spec, sigma, pair_bonds, A, B):
     return deterministic, match, support_ok
 
 
+def _inside_mask(pair_bonds, sites) -> int:
+    """Bitmask of the pair bonds with both ends in sites."""
+    return sum(1 << k for k, (a, b) in enumerate(pair_bonds) if a in sites and b in sites)
+
+
 def _count_components(n_vertices, pair_bonds, sites) -> int:
-    """Connected components of the sites under the pair bonds inside them."""
-    uf = UnionFind(n_vertices)
-    merges = sum(uf.union(a, b) for a, b in pair_bonds if a in sites and b in sites)
-    return len(sites) - merges
+    """Connected components of the sites under the pair bonds inside them:
+    the chains of those bonds plus the sites no such bond covers."""
+    labels = chain_components(n_vertices, pair_bonds, [_inside_mask(pair_bonds, sites)])[0, sorted(sites)].tolist()
+    return len(set(labels) - {-1}) + labels.count(-1)
 
 
 def checkerboard_instance(width: int, height: int, parity: int):
@@ -181,11 +186,11 @@ def hardcore_disagreement(
     p_dis = 0.0
     p_act = 0.0
     mismatches = 0
-    for D, w in by_region.items():
+    masks = [_inside_mask(pair_bonds, D) for D in by_region]
+    connected = connected_masks(n, pair_bonds, masks, A, B)
+    for (D, w), mask in zip(by_region.items(), masks):
         ind_dis = _site_path_exists(adj, D, A, B)
-        bonds_in = [b for b in pair_bonds if b[0] in D and b[1] in D]
-        mask = (1 << len(bonds_in)) - 1
-        ind_act = regions_connected(n, bonds_in, mask, A, B)
+        ind_act = connected[mask]
         if ind_dis != ind_act:
             mismatches += 1
         p_dis += w * ind_dis

@@ -23,13 +23,19 @@ integers over one denominator (see PairWalk), and so are its coins, so the
 kernel runs no Fraction arithmetic and each caller forms a Fraction once
 per output value, from a ratio of two ints of one scale. Patterns are int64
 bitmasks, so a spec with more than 62 effective bonds raises TooLargeError.
+
+Connectivity has one labeller, chain_components: one scipy
+connected_components call labels the active chains of a batch of masks
+(the batch form of Hoshen-Kopelman labelling). chains_join is the one
+A<->B query on its labels. Each connection probability labels its distinct
+masks once, then adds the weights of the joined ones in its usual order.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,33 +47,6 @@ from .rcr import RcrBase, assignment_measure, bond_level_system, monotone_probab
 from .twocopy import PairWalk, _runs, _scaled
 
 
-class UnionFind:
-    """Array union-find with path halving and union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 def activity_pattern(base: RcrBase, assignment) -> int:
     """Bitmask of active bonds for a full assignment of subset indices."""
     mask = 0
@@ -77,39 +56,79 @@ def activity_pattern(base: RcrBase, assignment) -> int:
     return mask
 
 
-def chain_components(n_vertices: int, bond_vertices, active_mask: int):
-    """Vertex sets of the chains formed by the active bonds.
+def _graph(rows, cols, n: int):
+    """Adjacency of the bonds rows -> cols on n nodes, built directly as the
+    float CSR matrix that scipy.sparse.csgraph takes without converting."""
+    from scipy.sparse import csr_matrix
 
-    Two active bonds belong to one chain when they share a vertex; each
-    component is returned as the frozenset of vertices its bonds cover.
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return csr_matrix((np.ones(len(rows)), cols[order].astype(np.int32), indptr), shape=(n, n))
+
+
+def chain_components(n_vertices: int, bond_vertices, masks) -> np.ndarray:
+    """Chain labels of K activity masks, as a (K, n_vertices) int array.
+
+    Bit j of a mask marks bond j active; masks are Python ints of any width
+    below 2**len(bond_vertices). Two active bonds belong to one chain when
+    they share a vertex, and row k gives every vertex covered by mask k's
+    active bonds the label of its chain, -1 to a vertex no active bond
+    covers. Labels are unique across rows. All masks are labelled by one
+    connected_components call on the block-diagonal graph that joins each
+    active bond's first vertex to its others.
     """
-    uf = UnionFind(n_vertices)
-    covered = set()
-    for j, verts in enumerate(bond_vertices):
-        if (active_mask >> j) & 1:
-            covered.update(verts)
-            for u in verts[1:]:
-                uf.union(verts[0], u)
-    comps: dict[int, set] = {}
-    for v in covered:
-        comps.setdefault(uf.find(v), set()).add(v)
-    return [frozenset(c) for c in comps.values()]
+    # imported on first use: csgraph's extension modules would add about
+    # 1 MB of resident memory to every process that imports this module
+    from scipy.sparse.csgraph import connected_components
+
+    masks = list(masks)
+    K, n = len(masks), n_vertices
+    width = (len(bond_vertices) + 7) // 8
+    raw = np.frombuffer(b"".join(int(m).to_bytes(width, "little") for m in masks), np.uint8)
+    active = np.unpackbits(raw, bitorder="little").reshape(K, 8 * width).view(bool)
+    star = np.array([(j, vs[0], u) for j, vs in enumerate(bond_vertices) for u in vs[1:]], np.int64)
+    cover = np.array([(j, u) for j, vs in enumerate(bond_vertices) for u in vs], np.int64)
+    star, cover = star.reshape(-1, 3), cover.reshape(-1, 2)
+    k, e = np.nonzero(active[:, star[:, 0]])
+    _, labels = connected_components(_graph(k * n + star[e, 1], k * n + star[e, 2], K * n), directed=False)
+    k, i = np.nonzero(active[:, cover[:, 0]])
+    covered = np.zeros(K * n, bool)
+    covered[k * n + cover[i, 1]] = True
+    return np.where(covered, labels, -1).reshape(K, n)
+
+
+def chains_join(labels: np.ndarray, A, B) -> np.ndarray:
+    """Per row of chain_components labels: whether one chain covers a vertex
+    of A and a vertex of B. A chain needs an active bond, so a shared vertex
+    of A and B that no active bond covers joins nothing. Raises ValueError
+    on a vertex outside the rows."""
+    n = labels.shape[1]
+    a, b = (np.array(list(R), dtype=np.int64) for R in (A, B))
+    for R in (a, b):
+        if R.size and (R.min() < 0 or R.max() >= n):
+            raise ValueError(f"vertex {R[(R < 0) | (R >= n)][0]} is outside 0..{n - 1}")
+    on_b = np.zeros(int(labels.max(initial=-1)) + 2, bool)
+    on_b[labels[:, b]] = True
+    on_b[-1] = False  # the slot that label -1 indexes
+    return on_b[labels[:, a]].any(axis=1)
+
+
+def connected_masks(n_vertices: int, bond_vertices, masks, A, B) -> dict:
+    """{mask: whether an active chain joins A and B} over the distinct
+    masks, labelled in one batch."""
+    distinct = list(dict.fromkeys(masks))
+    joined = chains_join(chain_components(n_vertices, bond_vertices, distinct), A, B)
+    return dict(zip(distinct, joined.tolist()))
 
 
 def regions_connected(n_vertices: int, bond_vertices, active_mask: int, A, B) -> bool:
-    """True when an active chain touches both vertex sets.
+    """True when an active chain of one mask touches both vertex sets.
 
     Requires at least one active bond meeting each side; overlapping
     regions are not automatically connected.
     """
-    A = set(A)
-    B = set(B)
-    if not A or not B or active_mask == 0:
-        return False
-    for comp in chain_components(n_vertices, bond_vertices, active_mask):
-        if comp & A and comp & B:
-            return True
-    return False
+    return bool(chains_join(chain_components(n_vertices, bond_vertices, [active_mask]), A, B)[0])
 
 
 def base_connection_probability(
@@ -123,23 +142,23 @@ def base_connection_probability(
     """Probability of the active-chain connection event under the bond
     marginal of the given base (spins summed out, counts exact)."""
     bond_vertices = tuple(bb.vertices for bb in base.bonds)
-    conn_cache: dict[int, bool] = {}
-    num = 0
+    masks = []
+    weights = []
     den = 0
     for assign, nu, n in assignment_measure(spec, base, max_states, max_assignments):
         if n == 0:
             continue
         w = nu * n
         den += w
-        mask = activity_pattern(base, assign)
-        ok = conn_cache.get(mask)
-        if ok is None:
-            ok = regions_connected(base.n_vertices, bond_vertices, mask, A, B)
-            conn_cache[mask] = ok
-        if ok:
-            num += w
+        masks.append(activity_pattern(base, assign))
+        weights.append(w)
     if den == 0:
         raise ZeroSliceError("representation carries no compatible configuration")
+    connected = connected_masks(base.n_vertices, bond_vertices, masks, A, B)
+    num = 0
+    for mask, w in zip(masks, weights):
+        if connected[mask]:
+            num += w
     return num / den
 
 
@@ -156,22 +175,15 @@ class IntegratedRC:
     bond_vertices: tuple[tuple[int, ...], ...]
     patterns: dict
     exact: bool
-    _conn_cache: dict = field(default_factory=dict, repr=False)
 
     def total(self):
         return sum(self.patterns.values())
 
     def connection_probability(self, A, B):
-        A, B = frozenset(A), frozenset(B)
-        key = (A, B)
+        connected = connected_masks(self.n_vertices, self.bond_vertices, self.patterns, A, B)
         acc = 0
         for mask, p in self.patterns.items():
-            ck = (mask, key)
-            ok = self._conn_cache.get(ck)
-            if ok is None:
-                ok = regions_connected(self.n_vertices, self.bond_vertices, mask, A, B)
-                self._conn_cache[ck] = ok
-            if ok:
+            if connected[mask]:
                 acc += p
         return acc
 
@@ -237,9 +249,7 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
             loc1 = [local_index(S, (idx(a) for a in y)) for y in ys]
             loc2 = [local_index(S, (idx(s - a) for s, a in zip(sig, y))) for y in ys]
             factors = [eb.table[a] * eb.table[b] for a, b in zip(loc1, loc2)]
-            if exact:  # int factors would divide into float coins
-                factors = [Fraction(f) for f in factors]
-            levels, _ = bond_level_system(factors, range(len(factors)))
+            levels, _ = bond_level_system(factors, range(len(factors)), exact)
             if levels[0] <= 0:
                 continue
             probs = monotone_probabilities(levels)
@@ -444,9 +454,10 @@ def slice_connection_prob(spec: GibbsSpec, sigma, A, B):
     if total == 0:
         raise ZeroSliceError("overlap configuration has probability zero")
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
+    connected = connected_masks(spec.graph.n_vertices, bond_vertices, pats, A, B)
     acc = 0
     for mask, w in pats.items():
-        if regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B):
+        if connected[mask]:
             acc += w
     div = Fraction if spec.exact else operator.truediv
     return div(acc, total)
@@ -465,20 +476,15 @@ def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):
         raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
     div = Fraction if spec.exact else operator.truediv
+    blocks = list(_pattern_blocks(spec))
+    distinct = np.unique(np.concatenate([np.zeros(0, np.int64), *(b[3] for b in blocks)]))
+    labels = chain_components(spec.graph.n_vertices, bond_vertices, distinct.tolist())
+    joined = chains_join(labels, A, B)
     rows = []
     grand = 0
     acc = 0
-    conn_cache: dict[int, bool] = {}
-
-    def connected(mask):
-        ok = conn_cache.get(mask)
-        if ok is None:
-            ok = conn_cache[mask] = regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B)
-        return ok
-
-    for sigmas, totals, rec_slice, rec_mask, rec_val in _pattern_blocks(spec):
-        distinct, inverse = np.unique(rec_mask, return_inverse=True)
-        conn = np.array([connected(m) for m in distinct.tolist()], dtype=bool)[inverse]
+    for sigmas, totals, rec_slice, rec_mask, rec_val in blocks:
+        conn = joined[np.searchsorted(distinct, rec_mask)]
         num = np.zeros(len(sigmas), dtype=rec_val.dtype)
         np.add.at(num, rec_slice[conn], rec_val[conn])
         for sigma, total, n in zip(sigmas, totals, num.tolist()):

@@ -254,9 +254,10 @@ def allowed_locals(spec: GibbsSpec, inside) -> list[int]:
     ]
 
 
-def bond_level_system(table, locals_) -> tuple[tuple, tuple[int, ...]]:
+def bond_level_system(table, locals_, exact: bool) -> tuple[tuple, tuple[int, ...]]:
     """Distinct factors of table at locals_ in decreasing order, with the
-    bitmask of the local indices at each."""
+    bitmask of the local indices at each. With exact (an exact spec) the
+    factors are made Fractions, so int factors give exact probabilities."""
     distinct = sorted({table[li] for li in locals_}, reverse=True)
     masks = []
     for f in distinct:
@@ -265,6 +266,8 @@ def bond_level_system(table, locals_) -> tuple[tuple, tuple[int, ...]]:
             if table[li] == f:
                 m |= 1 << li
         masks.append(m)
+    if exact:
+        distinct = [Fraction(f) for f in distinct]
     return tuple(distinct), tuple(masks)
 
 
@@ -280,7 +283,7 @@ def monotone_base(spec: GibbsSpec) -> RcrBase:
     """
     bonds = []
     for eb in effective_bonds(spec):
-        levels, level_masks = bond_level_system(eb.table, allowed_locals(spec, eb.inside))
+        levels, level_masks = bond_level_system(eb.table, allowed_locals(spec, eb.inside), spec.exact)
         if levels[0] <= 0:
             raise ZeroSliceError(f"bond {eb.index} forbids every restricted configuration")
         probs = monotone_probabilities(levels)
@@ -529,7 +532,7 @@ def mns_base(spec: GibbsSpec):
     spec2 = two_copy_spec(spec)
     bonds = []
     for eb in effective_bonds(spec2):
-        levels, masks = bond_level_system(eb.table, allowed_locals(spec2, eb.inside))
+        levels, masks = bond_level_system(eb.table, allowed_locals(spec2, eb.inside), spec2.exact)
         if len(levels) != 3:
             raise ValueError(
                 f"bond {eb.index}: paired bond needs exactly 3 energy levels, "

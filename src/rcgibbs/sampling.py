@@ -5,6 +5,9 @@ independent copies and flips each bond's activity coin, read from the
 shared pair-coin table (percolation.pair_coin_table) at the two copies'
 local values on the bond. Work is split into a fixed number of tasks with
 counter-based streams, so estimates are deterministic for any thread count.
+Each task returns its samples' activity masks; once every task is done,
+their distinct masks are labelled in one batch (percolation.connected_masks),
+and a sample hits when an active chain joins A and B.
 
 A site update is a lookup. Each region position keeps a memo of its
 conditional rows (total weight and cumulative weights of its allowed
@@ -23,7 +26,7 @@ from operator import itemgetter
 
 from .errors import UsageError
 from .gibbs import GibbsSpec, effective_bonds
-from .percolation import pair_coin_table, regions_connected
+from .percolation import connected_masks, pair_coin_table
 from .rng import run_tasks, stream
 
 _BLOCK = 1024  # uniforms read ahead per refill of a private stream
@@ -141,15 +144,8 @@ def mc_connection_probability(
     tables = _chain_tables(spec, bonds)
     pos = {v: p for p, v in enumerate(spec.region)}
     insides = [tuple(pos[v] for v in eb.inside) for eb in bonds]
-    A = frozenset(A)
-    B = frozenset(B)
     S = spec.alphabet.size
-    n_vertices = spec.graph.n_vertices
     per_task = -(-n_samples // n_tasks)
-    # activity mask -> regions_connected, shared by the tasks like the
-    # tables' memos: a value depends on its key alone, so a thread that
-    # stores one another thread also computed stores the same value
-    connected = {}
 
     def task(t):
         c1 = Chain(tables, stream(seed, 300, t, 0))
@@ -158,8 +154,7 @@ def mc_connection_probability(
         heat_bath_chain(spec, tables, c1, burn_in)
         heat_bath_chain(spec, tables, c2, burn_in)
         s1, s2 = c1.state, c2.state  # updated in place by each call
-        hits = 0
-        n_done = 0
+        masks = []
         for _ in range(per_task):
             heat_bath_chain(spec, tables, c1, gap)
             heat_bath_chain(spec, tables, c2, gap)
@@ -172,17 +167,13 @@ def mc_connection_probability(
                 q = coin[x1][x2]
                 if q > 0 and coin_uniform() < q:
                     mask |= 1 << j
-            hit = connected.get(mask)
-            if hit is None:
-                hit = connected[mask] = regions_connected(n_vertices, bond_vertices, mask, A, B)
-            if hit:
-                hits += 1
-            n_done += 1
-        return hits, n_done
+            masks.append(mask)
+        return masks
 
-    results = run_tasks(task, list(range(n_tasks)), threads=threads)
-    hits = sum(h for h, _ in results)
-    n = sum(c for _, c in results)
+    masks = [m for task_masks in run_tasks(task, list(range(n_tasks)), threads=threads) for m in task_masks]
+    connected = connected_masks(spec.graph.n_vertices, bond_vertices, masks, A, B)
+    hits = sum(connected[m] for m in masks)
+    n = len(masks)
     p = hits / n
     se = math.sqrt(max(p * (1 - p), 1e-300) / n)
     return {"estimate": p, "stderr": se, "n_samples": n, "seed": seed}

@@ -4,9 +4,9 @@ This is the exact route as it ran before the kernel moved to scaled
 integers: configuration weights, pair weights, slice totals, coins and
 pattern leaves are Fractions (floats on a float spec), multiplied and added
 one by one in the kernel's orders, and every consumer divides Fractions.
-The ordering helpers (_first_seen, _runs, product_positions) and the coin
-and weight sources (pair_coin_table, config_weights) are shared with the
-package; every multiply, add and divide is this module's own. The new
+The ordering helpers (_first_seen, _runs, product_positions), the coin
+and weight sources (pair_coin_table, config_weights) and the connectivity
+query (connected_masks) are shared with the package; every multiply, add and divide is this module's own. The new
 kernel must return literally equal Fractions, and on a float spec the same
 floats bit for bit, in the same dict and row order.
 """
@@ -27,7 +27,7 @@ from rcgibbs.gibbs import (
     product_outcomes,
     product_positions,
 )
-from rcgibbs.percolation import _first_seen, pair_coin_table, regions_connected
+from rcgibbs.percolation import _first_seen, connected_masks, pair_coin_table
 from rcgibbs.twocopy import _runs, make_slice
 
 
@@ -170,20 +170,15 @@ def laws(spec, A, B):
     rows = []
     grand = 0
     acc = 0
-    conn_cache = {}
-
-    def connected(mask):
-        ok = conn_cache.get(mask)
-        if ok is None:
-            ok = conn_cache[mask] = regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B)
-        return ok
-
-    for sigmas, totals, rec_slice, rec_mask, rec_val in pattern_blocks(spec):
+    blocks = list(pattern_blocks(spec))
+    masks = [m for block in blocks for m in block[3].tolist()]
+    connected = connected_masks(spec.graph.n_vertices, bond_vertices, masks, A, B)
+    for sigmas, totals, rec_slice, rec_mask, rec_val in blocks:
         for total in totals:
             grand += total
         for m, v in zip(rec_mask.tolist(), rec_val.tolist()):
             sums[m] = sums.get(m, 0) + v
-        conn = np.array([connected(m) for m in rec_mask.tolist()], dtype=bool)
+        conn = np.array([connected[m] for m in rec_mask.tolist()], dtype=bool)
         num = np.zeros(len(sigmas), dtype=rec_val.dtype)
         np.add.at(num, rec_slice[conn], rec_val[conn])
         for sigma, total, n in zip(sigmas, totals, num.tolist()):
@@ -199,9 +194,10 @@ def laws(spec, A, B):
 def slice_connection_prob(spec, sigma, A, B):
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
     for _, totals, _, mask, val in pattern_blocks(spec, sigma):
+        connected = connected_masks(spec.graph.n_vertices, bond_vertices, mask.tolist(), A, B)
         acc = 0
         for m, w in zip(mask.tolist(), val.tolist()):
-            if regions_connected(spec.graph.n_vertices, bond_vertices, m, A, B):
+            if connected[m]:
                 acc += w
         return acc / totals[0]
     return None

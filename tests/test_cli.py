@@ -4,12 +4,16 @@ import json
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcgibbs import cli
 from rcgibbs.cli import main
+from rcgibbs.gibbs import gibbs_measure
+from rcgibbs.models import spec_from_dict
+from rcgibbs.rcr import monotone_base, reconstruct
 
 
 MODEL = {
@@ -327,6 +331,23 @@ def test_rcr_commands_on_a_boundary_forbidden_bond_exit_two(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_int_factor_model_has_exact_bases(tmp_path):
+    # int factors make an exact spec: its base probabilities and the
+    # reconstruction rcr check compares with the Gibbs measure are Fractions
+    model = {"graph": {"n": 2, "bonds": [[0, 1]]}, "interaction": {"tables": [{"bond": 0, "factors": [3, 1, 1, 3]}]}}
+    spec = spec_from_dict(model)
+    base = monotone_base(spec)
+    assert spec.exact and base.exact
+    assert [(type(p), p) for p in base.bonds[0].probs] == [(Fraction, Fraction(2, 3)), (Fraction, Fraction(1, 3))]
+    rec = reconstruct(spec, base)
+    for o, p in gibbs_measure(spec).items():
+        assert type(rec.prob(o)) is Fraction and rec.prob(o) == p
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run_cli(["--out", str(tmp_path / "out"), "rcr", "check", "--model", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "results.json").read_text())["results"]["roundtrip_max_error"] == 0
+
+
 MALFORMED = [
     ["perc", "ibar", "--model", "MODEL", "--A", "x", "--B", "2"],
     ["gibbs", "eval", "--model", "MODEL", "--lambda", "0,q"],
@@ -376,7 +397,9 @@ def _small_models(draw):
     """A model file dict and arguments for every model-taking command: 2 or
     3 spin values, hyperbonds of 1-3 vertices with some zero factors, site
     factors that forbid values (the model file's domains) and boundary spins;
-    at most 6 sites with 2 values and 4 with 3, to keep exact runs short."""
+    at most 6 sites with 2 values and 4 with 3, to keep exact runs short.
+    The A and B vertices of perc ibar may lie one step outside the graph;
+    the third item says whether one does."""
     values = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=3, unique=True))
     S = len(values)
     n = draw(st.integers(1, 6 if S == 2 else 4))
@@ -392,8 +415,9 @@ def _small_models(draw):
     region = [v for v in range(n) if v not in boundary]
     sums = sorted({a + b for a in values for b in values})
     sigma = draw(st.lists(st.sampled_from(sums), min_size=len(region), max_size=len(region)))
-    A = draw(st.lists(vertex, min_size=1, max_size=2, unique=True))
-    B = draw(st.lists(vertex, min_size=1, max_size=2, unique=True))
+    endpoint = st.integers(-1, n)
+    A = draw(st.lists(endpoint, min_size=1, max_size=2, unique=True))
+    B = draw(st.lists(endpoint, min_size=1, max_size=2, unique=True))
     model = {
         "graph": {"n": n, "bonds": bonds},
         "alphabet": values,
@@ -410,15 +434,16 @@ def _small_models(draw):
         ["perc", "ibar", *ab],
         ["perc", "ibar", *ab, "--mc", "4", "--seed", "1"],
     ]
-    return model, commands
+    return model, commands, not all(0 <= v < n for v in A + B)
 
 
 @given(_small_models())
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 def test_model_commands_keep_the_exit_code_contract(case):
     # any small model: success, violation, usage error or cap, never an
-    # internal error, and never more than one line on stderr
-    model, commands = case
+    # internal error, and never more than one line on stderr; perc ibar with
+    # a vertex outside the graph is a usage error
+    model, commands, outside = case
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/model.json"
         with open(path, "w") as fh:
@@ -428,4 +453,6 @@ def test_model_commands_keep_the_exit_code_contract(case):
             with contextlib.redirect_stderr(err):
                 rc = main(["--out", f"{tmp}/out", *argv, "--model", path])
             assert rc in (0, 1, 2, 3), (argv, err.getvalue())
+            if outside and argv[0] == "perc":
+                assert rc == 2, (argv, err.getvalue())
             assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())

@@ -86,9 +86,12 @@ def _per_pair_oracle(spec):
     probs = np.asarray([float(irc.patterns[m]) for m in masks])
     comp_lists = []
     maxc = 1
-    for m in masks:
-        comps = chain_components(irc.n_vertices, irc.bond_vertices, m)
-        cm = [sum(1 << v for v in c) for c in comps] or [0]
+    for row in chain_components(irc.n_vertices, irc.bond_vertices, masks).tolist():
+        comps = {}  # label -> vertex mask of its chain
+        for v, label in enumerate(row):
+            if label >= 0:
+                comps[label] = comps.get(label, 0) | 1 << v
+        cm = list(comps.values()) or [0]
         maxc = max(maxc, len(cm))
         comp_lists.append(cm)
     comp_arr = np.zeros((len(masks), maxc), dtype=np.int64)

@@ -27,6 +27,7 @@ from rcgibbs.percolation import (
     _pattern_blocks,
     _slice_patterns,
     activity_pattern,
+    chain_components,
     domination_probability,
     extremality_diagnostic,
     integrated_rc,
@@ -86,6 +87,20 @@ def _bfs_connected(n, bond_sets, A, B):
     return False
 
 
+def _random_bonds(rng, n, n_bonds):
+    """n_bonds random bonds of 1-3 distinct vertices out of n."""
+    return [
+        tuple(sorted(rng.permutation(n)[: int(rng.integers(1, min(3, n) + 1))].tolist()))
+        for _ in range(n_bonds)
+    ]
+
+
+def _random_mask(rng, n_bonds):
+    """A mask over n_bonds bonds, each bit set with one random density."""
+    keep = rng.random(n_bonds) < rng.random()
+    return sum(1 << j for j in range(n_bonds) if keep[j])
+
+
 def test_connected_matches_bfs_oracle_randomized():
     rng = stream(12, 0)
     for _ in range(3000):
@@ -102,6 +117,52 @@ def test_connected_matches_bfs_oracle_randomized():
         B = set(rng.permutation(n)[: int(rng.integers(1, 3))].tolist())
         got = regions_connected(n, bonds, mask, A, B)
         assert got == _bfs_connected(n, active, A, B)
+    # masks of 63-100 bonds on up to 60 vertices, beyond one int64 word
+    rng = stream(12, 1)
+    for _ in range(200):
+        n = int(rng.integers(20, 61))
+        bonds = _random_bonds(rng, n, int(rng.integers(63, 101)))
+        mask = _random_mask(rng, len(bonds))
+        active = [b for j, b in enumerate(bonds) if (mask >> j) & 1]
+        A = set(rng.permutation(n)[: int(rng.integers(1, 4))].tolist())
+        B = set(rng.permutation(n)[: int(rng.integers(1, 4))].tolist())
+        assert regions_connected(n, bonds, mask, A, B) == _bfs_connected(n, active, A, B)
+
+
+def test_chain_labels_match_bfs_oracle():
+    # batches of K = 0..5 masks, empty and wider than 62 bits among them,
+    # on random hypergraphs with vertices that no bond covers
+    rng = stream(14, 0)
+    seen_wide = seen_empty = seen_uncovered = 0
+    batch_sizes = set()
+    for _ in range(150):
+        n = int(rng.integers(1, 13))
+        bonds = _random_bonds(rng, n, int(rng.choice([0, 3, 12, 70])))
+        masks = [0 if rng.random() < 0.2 else _random_mask(rng, len(bonds)) for _ in range(int(rng.integers(0, 6)))]
+        labels = chain_components(n, bonds, masks)
+        assert labels.shape == (len(masks), n)
+        batch_sizes.add(len(masks))
+        rows = []
+        for row, mask in zip(labels.tolist(), masks):
+            active = [b for j, b in enumerate(bonds) if (mask >> j) & 1]
+            covered = {v for b in active for v in b}
+            assert [v for v in range(n) if row[v] < 0] == [v for v in range(n) if v not in covered]
+            for u, v in itertools.combinations(sorted(covered), 2):
+                assert (row[u] == row[v]) == _bfs_connected(n, active, {u}, {v}), (bonds, mask, u, v)
+            rows.append({label for label in row if label >= 0})
+            seen_wide += mask >= 1 << 62
+            seen_empty += mask == 0
+            seen_uncovered += len(covered) < n
+        assert all(not (r & q) for r, q in itertools.combinations(rows, 2))  # unique across rows
+    assert seen_wide and seen_empty and seen_uncovered and 0 in batch_sizes
+
+
+def test_connected_rejects_vertices_outside_the_graph():
+    for A in ({-1}, {3}, {0, 99}):
+        with pytest.raises(ValueError):
+            regions_connected(3, ((0, 1), (1, 2)), 0b11, A, {2})
+        with pytest.raises(ValueError):
+            regions_connected(3, ((0, 1), (1, 2)), 0b11, {2}, A)
 
 
 def test_connected_symmetry_and_monotonicity():
@@ -434,12 +495,15 @@ def _oracle_laws(spec, A, B, base_factory=None):
     slice_probs = {}
     grand = 0
     acc = 0
-    for sigma, (total, pats) in _oracle_slices(spec, base_factory).items():
+    slices = _oracle_slices(spec, base_factory)
+    masks = [mask for _, pats in slices.values() for mask in pats]
+    connected = percolation.connected_masks(spec.graph.n_vertices, bond_vertices, masks, A, B)
+    for sigma, (total, pats) in slices.items():
         grand += total
         num = 0
         for mask, w in pats.items():
             patterns[mask] = patterns.get(mask, 0) + w
-            if regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B):
+            if connected[mask]:
                 num += w
         rows.append((sigma, total, num / total))
         slice_probs[sigma] = num / total

@@ -142,6 +142,16 @@ def test_mc_matches_oracle_uneven_tasks_and_threads(threads):
     assert got["n_samples"] == 102  # 100 samples over 3 tasks round up to 34 each
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_matches_oracle_on_masks_wider_than_62_bits(threads):
+    spec = ising_spec(build_grid(8, 8), 0.8)
+    assert len(effective_bonds(spec)) == 112
+    kw = dict(burn_in=5, gap=1, threads=threads)
+    got = sampling.mc_connection_probability(spec, {0}, {18}, 24, 3, **kw)
+    assert got == _oracle_mc(spec, {0}, {18}, 24, 3, **kw)
+    assert 0 < got["estimate"] < 1
+
+
 def test_frozen_site_draws_nothing():
     spec = _equal_chain_spec(6)
     bonds = effective_bonds(spec)
