@@ -6,11 +6,13 @@ with probability 1 - exp(-4|K|) and red bonds where the copies' bond
 products disagree with probability 1 - exp(-2|K|). Cluster statistics of
 blue bonds are taken inside the non-overlap (disagreement) region.
 
-The heat bath updates one checkerboard colour at a time, computing fields
-only on that colour's sites. Blue clusters are labelled with
-scipy.sparse.csgraph.connected_components; on the torus a cluster wraps
-when one of its cycles has nonzero displacement, found from integer
-potentials on a breadth-first spanning forest.
+The heat bath updates one checkerboard colour at a time, reading each
+site's p_plus from an 81-entry table keyed by its neighbours' spins and
+drawing uniforms only at that colour's sites; the colouring is proper only
+for even L on the torus, so odd periodic boxes are rejected. Blue clusters
+are labelled with scipy.sparse.csgraph.connected_components; on the torus a
+cluster wraps when one of its cycles has nonzero displacement, found from
+integer potentials on a breadth-first spanning forest.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..errors import UsageError
 from ..lattice import build_grid
 from ..models import ising_spec
 from ..percolation import _graph, chains_join
@@ -44,9 +47,20 @@ class QuenchedCouplings:
     vertical: np.ndarray
 
 
+def _box_error(L: int, periodic: bool) -> str | None:
+    if not 2 <= L <= 256:
+        return f"L must be between 2 and 256, got {L}"
+    if periodic and L % 2:
+        # the (x + y) mod 2 checkerboard gives neighbours across the wrap
+        # the same colour, so the heat bath would update them together
+        return f"L must be even with periodic boundaries, got {L}"
+    return None
+
+
 def quenched_couplings(L: int, J: float, seed: int, periodic: bool = False) -> QuenchedCouplings:
-    if L < 2 or L > 256:
-        raise ValueError("L must be between 2 and 256")
+    err = _box_error(L, periodic)
+    if err:
+        raise ValueError(err)
     rng = stream(seed, 11)
     h = (rng.integers(0, 2, (L, L)) * 2 - 1).astype(float) * J
     v = (rng.integers(0, 2, (L, L)) * 2 - 1).astype(float) * J
@@ -100,39 +114,64 @@ def _checkerboard(L: int):
     return tuple(colours)
 
 
+@lru_cache(maxsize=8)
+def _p_plus_table(a: float, beta: float) -> np.ndarray:
+    """p_plus for every key 40 + t0 + 3 t1 + 9 t2 + 27 t3, t_k in {-1, 0, 1}:
+    the field t0*a + t1*a + t2*a + t3*a, summed left to right, then times
+    beta, times -2, exp, plus 1 and inverted, as the per-site formula
+    rounds it."""
+    key = np.arange(81)
+    t0, t1, t2, t3 = (((key // 3**k) % 3 - 1) * a for k in range(4))
+    f = t0 + t1 + t2 + t3
+    f *= beta
+    f *= -2.0
+    np.exp(f, out=f)
+    f += 1.0
+    table = np.divide(1.0, f, out=f)
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
 def heat_bath_sweeps(s, qc: QuenchedCouplings, beta: float, rng, n_sweeps: int):
     """Checkerboard single-site heat bath, in place; s has shape (R, L, L).
 
-    Per colour, the field h*s_right + h_left*s_left + v*s_down + v_up*s_up
-    (summed in that order) and p_plus = 1 / (1 + exp(-2 beta field)) are
-    computed at that colour's sites only, gathered through flat neighbour
-    indices. One uniform per site and replica is still drawn per colour,
-    and read at the colour's sites, so the random stream is unchanged.
+    Each field is a sum of four terms in {-|J|, 0, |J|} (right, left, down,
+    up neighbour), so p_plus = 1 / (1 + exp(-2 beta field)) is read from an
+    81-entry table at the key 40 + sum_k sign(c_k) 3^k s_k, c_k being the
+    coupling to neighbour k. The table rounds each field as the per-site
+    formula does (see _p_plus_table), so p_plus is that formula's value bit
+    for bit. Couplings other than 0 and +-|J| raise ValueError.
+
+    Random stream: per colour, one rng.random((R, n_colour)) draw, that is
+    one uniform per updated site, replica-major and in _checkerboard's site
+    order; a site becomes +1 when its uniform is below p_plus.
     """
     R = s.shape[0]
-    flat = np.ascontiguousarray(s).reshape(R, -1)
     h = qc.horizontal.ravel()
     v = qc.vertical.ravel()
-    u = np.empty(flat.shape)
+    a = abs(qc.J)
+    if not all(((c == 0.0) | (np.abs(c) == a)).all() for c in (h, v)):
+        raise ValueError(f"couplings must be 0 or +-{a}")
+    table = _p_plus_table(a, beta)
+    # site-major copy: a neighbour gather moves a site's R replicas at once
+    spins = np.ascontiguousarray(s.reshape(R, -1).T, dtype=np.int8)
     colours = []
     for site, nbrs in _checkerboard(qc.L):
+        shape = (len(site), R)
         coup = (h[site], h[nbrs[1]], v[site], v[nbrs[3]])
-        colours.append((site, nbrs, coup, np.empty((R, len(site))), np.empty((R, len(site)))))
+        w = [np.repeat(np.sign(c).astype(np.int8)[:, None] * 3**k, R, axis=1) for k, c in enumerate(coup)]
+        bufs = (np.empty(shape, np.int8), np.empty(shape, np.int8), np.empty(shape), np.empty((R, len(site))))
+        colours.append((site, nbrs, w, *bufs))
     for _ in range(n_sweeps):
-        for site, nbrs, coup, f, t in colours:
-            np.multiply(coup[0], flat.take(nbrs[0], axis=1), out=f)
-            for c, nb in zip(coup[1:], nbrs[1:]):
-                f += np.multiply(c, flat.take(nb, axis=1), out=t)
-            # p_plus = 1 / (1 + exp(-2 * (beta * field))), rounded step by step
-            f *= beta
-            f *= -2.0
-            np.exp(f, out=f)
-            f += 1.0
-            p_plus = np.divide(1.0, f, out=f)
+        for site, nbrs, w, key, t, p, u in colours:
+            np.multiply(spins.take(nbrs[0], axis=0, out=key), w[0], out=key)
+            for wk, nb in zip(w[1:], nbrs[1:]):
+                key += np.multiply(spins.take(nb, axis=0, out=t), wk, out=t)
+            key += 40
+            table.take(key, out=p)
             rng.random(out=u)
-            flat[:, site] = 2 * (u.take(site, axis=1, out=t) < p_plus).view(np.int8) - 1
-    if not np.may_share_memory(flat, s):
-        s[...] = flat.reshape(s.shape)
+            spins[site] = 2 * np.less(u.T, p, out=t.view(bool)).view(np.int8) - 1
+    s[...] = spins.T.reshape(s.shape)
     return s
 
 
@@ -364,8 +403,20 @@ def ea_mns_percolation(
     draws. Reports blue/red densities on their admissible bonds with
     binomial standard errors, the largest blue cluster fraction inside the
     disagreement and agreement regions, box crossing (or wrapping)
-    frequencies, and the aggregated cluster-size counts.
+    frequencies, and the aggregated cluster-size counts. Arguments outside
+    their range raise UsageError before any sampling.
     """
+    err = _box_error(L, periodic)
+    if err:
+        raise UsageError(err)
+    if not (math.isfinite(J) and math.isfinite(beta_scale)):
+        raise UsageError("J and beta must be finite")
+    if n_disorder < 1:
+        raise UsageError("the number of disorder realizations must be positive")
+    if n_samples < 1:
+        raise UsageError("n_samples must be positive")
+    if n_sweeps < 0:
+        raise UsageError("n_sweeps must be nonnegative")
     args = [
         (k, L, J, beta_scale, seed, n_sweeps, n_samples, periodic)
         for k in range(n_disorder)
@@ -434,6 +485,10 @@ def mc_bond_joint(
     Bond bit order follows build_grid's sorted bond list, so the histogram
     is directly comparable with the exact two-family joint.
     """
+    if n_samples < 1:
+        raise UsageError("n_samples must be positive")
+    if burn_in < 0 or gap < 0:
+        raise UsageError("burn_in and gap must be nonnegative")
     L = qc.L
     g = build_grid(L, L, qc.periodic)
     bond_index = {b: i for i, b in enumerate(g.bonds)}

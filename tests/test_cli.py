@@ -197,6 +197,26 @@ def test_sweep_needs_at_least_one_model(tmp_path, capsys, n):
     assert not (tmp_path / "results.json").exists()
 
 
+EA_BAD = [
+    ["--L", "1"],
+    ["--L", "300"],
+    ["--L", "3", "--periodic"],  # the checkerboard does not colour an odd torus
+    ["--seeds", "0"],
+    ["--samples", "0"],
+    ["--sweeps", "-5"],
+    ["--J", "nan"],
+    ["--beta", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", EA_BAD, ids=[" ".join(a) for a in EA_BAD])
+def test_ea_bad_arguments_exit_two(tmp_path, capsys, argv):
+    assert run_cli(["--out", str(tmp_path), "exp", "ea", "--seed", "0", "--L", "4", "--sweeps", "2", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "results.json").exists()
+
+
 def test_gibbs_eval_large_model_site_means(tmp_path):
     # 18 spins routes through the array-backed distribution
     model = {"graph": {"grid": "6x3"}, "interaction": {"template": "ising", "J": 0.3}}

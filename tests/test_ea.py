@@ -1,10 +1,16 @@
+import itertools
 import math
 
 import numpy as np
+import pytest
 from scipy import stats
 
+from rcgibbs.errors import UsageError
 from rcgibbs.experiments.ea import (
+    QuenchedCouplings,
     _cluster_stats,
+    _p_plus_table,
+    bond_energy,
     ea_mns_percolation,
     glass_spec,
     heat_bath_sweeps,
@@ -19,8 +25,8 @@ from rcgibbs.rcr import mns_base, typed_joint
 from rcgibbs.rng import stream
 
 
-# Reference oracles: the full-lattice heat bath, the displacement-tracking
-# union-find and the per-replica mask packing that ea.py replaced.
+# Reference oracles: the full-lattice float heat bath, the displacement-
+# tracking union-find and the per-replica mask packing that ea.py replaced.
 
 
 def _neighbor_field(s, h, v):
@@ -35,6 +41,8 @@ def _neighbor_field(s, h, v):
 
 
 def _heat_bath_oracle(s, qc, beta, rng, n_sweeps):
+    """Per colour: float fields and exp over the whole lattice, then one
+    uniform per replica and colour site, in row-major site order."""
     L = qc.L
     yy, xx = np.mgrid[0:L, 0:L]
     masks = [((xx + yy) % 2 == par) for par in (0, 1)]
@@ -42,9 +50,8 @@ def _heat_bath_oracle(s, qc, beta, rng, n_sweeps):
         for mask in masks:
             f = beta * _neighbor_field(s, qc.horizontal, qc.vertical)
             p_plus = 1.0 / (1.0 + np.exp(-2.0 * f))
-            u = rng.random(s.shape)
-            flip = np.where(u < p_plus, 1, -1).astype(s.dtype)
-            s[:, mask] = flip[:, mask]
+            u = rng.random((s.shape[0], int(mask.sum())))
+            s[:, mask] = np.where(u < p_plus[:, mask], 1, -1).astype(s.dtype)
     return s
 
 
@@ -228,15 +235,20 @@ def test_cluster_stats_empty_and_single_bond():
     assert _cluster_stats(bh, none, full, L, True) == (2, [2], False, False)
 
 
-def test_heat_bath_bit_equal_to_full_lattice_oracle():
-    for L in (2, 3, 5, 8):
-        for periodic in (False, True):
-            qc = quenched_couplings(L, 0.7, seed=L, periodic=periodic)
-            for R in (1, 3):
-                s0 = (stream(L, R).integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
-                got = heat_bath_sweeps(s0.copy(), qc, 0.9, stream(5, L, R), 7)
-                want = _heat_bath_oracle(s0.copy(), qc, 0.9, stream(5, L, R), 7)
-                assert np.array_equal(got, want), (L, periodic, R)
+def test_heat_bath_bit_equal_to_colour_site_oracle():
+    cases = 0
+    for L in (2, 3, 4, 5, 8):
+        for periodic in (False, True) if L % 2 == 0 else (False,):
+            for J in (0.7, 1.0, 1.3, -1.0):
+                qc = quenched_couplings(L, J, seed=L, periodic=periodic)
+                for beta in (0.44, 0.9):
+                    for R in (1, 3):
+                        s0 = (stream(L, R).integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
+                        got = heat_bath_sweeps(s0.copy(), qc, beta, stream(5, L, R), 7)
+                        want = _heat_bath_oracle(s0.copy(), qc, beta, stream(5, L, R), 7)
+                        assert np.array_equal(got, want), (L, periodic, J, beta, R)
+                        cases += 1
+    assert cases == 128
     # a non-contiguous field is updated in place too
     qc = quenched_couplings(4, 1.0, seed=2, periodic=True)
     base = (stream(6, 0).integers(0, 2, (2, 4, 8)) * 2 - 1).astype(np.int8)
@@ -247,8 +259,54 @@ def test_heat_bath_bit_equal_to_full_lattice_oracle():
     assert np.array_equal(got, want)
 
 
+def test_p_plus_table_is_the_per_site_formula_bit_for_bit():
+    # spins alone rarely show a one-ulp error in p_plus, so compare the table
+    # with the oracle's formula on every (coupling sign, neighbour spin) of
+    # the four neighbours, the field summed right, left, down, up
+    pats = np.array(list(itertools.product([(c, sp) for c in (1, -1, 0) for sp in (1, -1)], repeat=4)))
+    signs, spins = pats[..., 0], pats[..., 1]
+    key = 40 + (signs * spins * 3 ** np.arange(4)).sum(axis=1)
+    for J in (0.7, 1.0, 1.3, -1.0):
+        c = signs * abs(J)
+        for beta in (0.44, 0.9):
+            f = c[:, 0] * spins[:, 0] + c[:, 1] * spins[:, 1] + c[:, 2] * spins[:, 2] + c[:, 3] * spins[:, 3]
+            want = 1.0 / (1.0 + np.exp(-2.0 * (beta * f)))
+            assert np.array_equal(_p_plus_table(abs(J), beta)[key], want), (J, beta)
+
+
+def test_heat_bath_rejects_couplings_off_the_table():
+    qc = quenched_couplings(4, 1.0, seed=1)
+    s = np.ones((2, 4, 4), np.int8)
+    for h, v in ((qc.horizontal * 0.5, qc.vertical), (qc.horizontal, np.where(qc.vertical != 0, 1.5, 0.0))):
+        bad = QuenchedCouplings(4, 1.0, False, 1, h, v)
+        with pytest.raises(ValueError, match="couplings"):
+            heat_bath_sweeps(s, bad, 0.8, stream(0), 1)
+    assert (s == 1).all()
+    # zero couplings and either sign of |J| are on the table
+    mixed = QuenchedCouplings(4, -1.0, False, 1, qc.horizontal, -qc.vertical)
+    heat_bath_sweeps(s, mixed, 0.8, stream(0), 1)
+
+
+def test_odd_periodic_box_is_rejected():
+    # the (x + y) mod 2 checkerboard does not colour an odd torus properly
+    for L in (3, 5, 9):
+        with pytest.raises(ValueError, match="even"):
+            quenched_couplings(L, 1.0, seed=0, periodic=True)
+        quenched_couplings(L, 1.0, seed=0)
+    for L in (1, 257):
+        with pytest.raises(ValueError, match="between"):
+            quenched_couplings(L, 1.0, seed=0)
+
+
+def test_mc_bond_joint_rejects_bad_arguments():
+    qc = quenched_couplings(2, 1.0, seed=3)
+    for kwargs in (dict(n_samples=0), dict(n_samples=4, burn_in=-1), dict(n_samples=4, gap=-2)):
+        with pytest.raises(UsageError):
+            mc_bond_joint(qc, 0.8, 0, **kwargs)
+
+
 def test_mc_bond_joint_matches_per_replica_oracle():
-    for L, periodic, n in ((2, False, 5000), (3, True, 700)):
+    for L, periodic, n in ((2, False, 5000), (4, True, 700)):
         qc = quenched_couplings(L, 1.0, seed=4, periodic=periodic)
         args = (qc, 0.6, 8, n, 30, 2)
         assert mc_bond_joint(*args) == _mc_bond_joint_oracle(*args)
@@ -344,6 +402,26 @@ def test_heat_bath_matches_exact_on_small_box():
     est = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
     assert abs(est - exact_corr) < 5 * max(se, 1e-3)
+
+
+def test_heat_bath_matches_exact_energy_on_odd_open_and_periodic_boxes():
+    # the boxes where the colouring matters: an odd open box, and a torus
+    # whose wrap bonds join the two colours
+    beta = 0.8
+    for L, periodic in ((3, False), (4, True)):
+        qc = quenched_couplings(L, 1.0, seed=7, periodic=periodic)
+        outcomes, probs = zip(*gibbs_measure(glass_spec(qc, beta)).items())
+        exact = float(np.dot(probs, bond_energy(np.array(outcomes).reshape(-1, L, L), qc)))
+        R = 2048
+        rng = stream(12, L)
+        s = (rng.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
+        heat_bath_sweeps(s, qc, beta, rng, 50)
+        per_replica = np.zeros(R)
+        for _ in range(20):
+            heat_bath_sweeps(s, qc, beta, rng, 2)
+            per_replica += bond_energy(s, qc) / 20
+        z = (per_replica.mean() - exact) / (per_replica.std(ddof=1) / math.sqrt(R))
+        assert abs(z) < 4, (L, periodic, z)
 
 
 def test_integrated_autocorr_iid_is_one():

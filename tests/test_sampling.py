@@ -3,12 +3,12 @@ import math
 import pytest
 
 from conftest import random_binary_spec
-from test_percolation import _hyperbond_spec, _three_valued_spec
+from test_percolation import _bfs_connected, _hyperbond_spec, _three_valued_spec
 from rcgibbs import sampling
 from rcgibbs.gibbs import SPIN, BondTable, GibbsSpec, Interaction, effective_bonds
 from rcgibbs.lattice import build_grid, hypergraph
 from rcgibbs.models import ising_spec
-from rcgibbs.percolation import pair_coin_table, regions_connected
+from rcgibbs.percolation import pair_coin_table
 from rcgibbs.rng import run_tasks, stream
 
 
@@ -62,7 +62,6 @@ def _oracle_chain(spec, tables, rng, n_sweeps, state=None, frozen=None):
 
 def _oracle_mc(spec, A, B, n_samples, seed, burn_in=300, gap=2, n_tasks=8, threads=1):
     bonds = effective_bonds(spec)
-    bond_vertices = tuple(eb.vertices for eb in bonds)
     coins = pair_coin_table(spec)
     tables = _oracle_tables(spec, bonds)
     A = frozenset(A)
@@ -81,16 +80,16 @@ def _oracle_mc(spec, A, B, n_samples, seed, burn_in=300, gap=2, n_tasks=8, threa
         for _ in range(per_task):
             s1 = _oracle_chain(spec, tables, rng1, gap, s1)
             s2 = _oracle_chain(spec, tables, rng2, gap, s2)
-            mask = 0
-            for j, (eb, coin) in enumerate(zip(bonds, coins)):
+            active = []
+            for eb, coin in zip(bonds, coins):
                 x1 = x2 = 0
                 for v in eb.inside:
                     x1 = x1 * S + s1[v]
                     x2 = x2 * S + s2[v]
                 q = coin[x1][x2]
                 if q > 0 and rngc.random() < q:
-                    mask |= 1 << j
-            if regions_connected(spec.graph.n_vertices, bond_vertices, mask, A, B):
+                    active.append(eb.vertices)
+            if _bfs_connected(spec.graph.n_vertices, active, A, B):
                 hits += 1
             n_done += 1
         return hits, n_done
