@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 LOG3_HALF = math.log(3.0) / 2.0
 
@@ -40,6 +39,10 @@ def cayley_fixed_points(J: float, h: float, tol: float = 1e-12) -> list[float]:
     """
     if J < 0:
         raise ValueError("J must be >= 0")
+    # imported where a root is solved: scipy.optimize loads some 300 scipy
+    # modules, which no other command of the package needs
+    from scipy.optimize import brentq
+
     f = lambda t: t - h - _log_cosh_ratio(t, J)
     span = 10 * J + abs(h) + 5
     grid = np.linspace(-span, span, 4001)
@@ -134,6 +137,8 @@ def cayley_pbar(J: float, h: float, t: float) -> CayleyActivity:
 
 def argmax_boundary_t(J: float) -> float:
     """t maximizing log(cosh(t+J)/cosh(t-J)) - t over t >= 0."""
+    from scipy.optimize import brentq
+
     g = lambda t: math.tanh(t + J) - math.tanh(t - J) - 1.0
     if g(0.0) <= 0:
         return 0.0
@@ -168,6 +173,8 @@ def crossing_scan(
         t = min(roots, key=abs) if h == 0 else roots[0]
         act = cayley_pbar(J, h, t)
         return act.value if variant == "formula" else act.branching_value
+
+    from scipy.optimize import brentq
 
     f = lambda J: val(J) - 0.5
     lo, hi = bracket

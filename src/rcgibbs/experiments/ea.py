@@ -9,10 +9,12 @@ blue bonds are taken inside the non-overlap (disagreement) region.
 The heat bath updates one checkerboard colour at a time, reading each
 site's p_plus from an 81-entry table keyed by its neighbours' spins and
 drawing uniforms only at that colour's sites; the colouring is proper only
-for even L on the torus, so odd periodic boxes are rejected. Blue clusters
-are labelled with scipy.sparse.csgraph.connected_components; on the torus a
-cluster wraps when one of its cycles has nonzero displacement, found from
-integer potentials on a breadth-first spanning forest.
+for even L on the torus, so odd periodic boxes are rejected. Each disorder
+builds one HeatBathWorkspace (table, key weights and buffers) for every
+heat-bath call of its two chains. Blue clusters are labelled with
+scipy.sparse.csgraph.connected_components; on the torus a cluster wraps
+when one of its cycles has nonzero displacement, found from integer
+potentials on a breadth-first spanning forest.
 """
 
 from __future__ import annotations
@@ -132,7 +134,35 @@ def _p_plus_table(a: float, beta: float) -> np.ndarray:
     return table
 
 
-def heat_bath_sweeps(s, qc: QuenchedCouplings, beta: float, rng, n_sweeps: int):
+class HeatBathWorkspace:
+    """What heat_bath_sweeps builds per disorder: the coupling check, the
+    p_plus table, per colour the key weights sign(c_k) 3^k repeated over
+    the R replicas, and the site-major spin, key, field and uniform buffers.
+
+    One workspace serves every call with the same couplings, beta and
+    replica count, so a disorder's two chains can share one as long as
+    their calls run one after another. Never share one between threads.
+    """
+
+    def __init__(self, qc: QuenchedCouplings, beta: float, R: int):
+        h = qc.horizontal.ravel()
+        v = qc.vertical.ravel()
+        a = abs(qc.J)
+        if not all(((c == 0.0) | (np.abs(c) == a)).all() for c in (h, v)):
+            raise ValueError(f"couplings must be 0 or +-{a}")
+        self.qc, self.beta, self.R = qc, beta, R
+        self.table = _p_plus_table(a, beta)
+        self.spins = np.empty((qc.L * qc.L, R), np.int8)
+        self.colours = []
+        for site, nbrs in _checkerboard(qc.L):
+            shape = (len(site), R)
+            coup = (h[site], h[nbrs[1]], v[site], v[nbrs[3]])
+            w = [np.repeat(np.sign(c).astype(np.int8)[:, None] * 3**k, R, axis=1) for k, c in enumerate(coup)]
+            bufs = (np.empty(shape, np.int8), np.empty(shape, np.int8), np.empty(shape), np.empty((R, len(site))))
+            self.colours.append((site, nbrs, w, *bufs))
+
+
+def heat_bath_sweeps(s, qc: QuenchedCouplings, beta: float, rng, n_sweeps: int, ws: HeatBathWorkspace | None = None):
     """Checkerboard single-site heat bath, in place; s has shape (R, L, L).
 
     Each field is a sum of four terms in {-|J|, 0, |J|} (right, left, down,
@@ -142,28 +172,24 @@ def heat_bath_sweeps(s, qc: QuenchedCouplings, beta: float, rng, n_sweeps: int):
     formula does (see _p_plus_table), so p_plus is that formula's value bit
     for bit. Couplings other than 0 and +-|J| raise ValueError.
 
+    ws is a HeatBathWorkspace for (qc, beta, R); without one, the call
+    builds its own. The spins are the same either way.
+
     Random stream: per colour, one rng.random((R, n_colour)) draw, that is
     one uniform per updated site, replica-major and in _checkerboard's site
     order; a site becomes +1 when its uniform is below p_plus.
     """
     R = s.shape[0]
-    h = qc.horizontal.ravel()
-    v = qc.vertical.ravel()
-    a = abs(qc.J)
-    if not all(((c == 0.0) | (np.abs(c) == a)).all() for c in (h, v)):
-        raise ValueError(f"couplings must be 0 or +-{a}")
-    table = _p_plus_table(a, beta)
+    if ws is None:
+        ws = HeatBathWorkspace(qc, beta, R)
+    elif ws.qc is not qc or ws.beta != beta or ws.R != R:
+        raise ValueError("workspace built for other couplings, beta or replica count")
     # site-major copy: a neighbour gather moves a site's R replicas at once
-    spins = np.ascontiguousarray(s.reshape(R, -1).T, dtype=np.int8)
-    colours = []
-    for site, nbrs in _checkerboard(qc.L):
-        shape = (len(site), R)
-        coup = (h[site], h[nbrs[1]], v[site], v[nbrs[3]])
-        w = [np.repeat(np.sign(c).astype(np.int8)[:, None] * 3**k, R, axis=1) for k, c in enumerate(coup)]
-        bufs = (np.empty(shape, np.int8), np.empty(shape, np.int8), np.empty(shape), np.empty((R, len(site))))
-        colours.append((site, nbrs, w, *bufs))
+    spins = ws.spins
+    spins[...] = s.reshape(R, -1).T
+    table = ws.table
     for _ in range(n_sweeps):
-        for site, nbrs, w, key, t, p, u in colours:
+        for site, nbrs, w, key, t, p, u in ws.colours:
             np.multiply(spins.take(nbrs[0], axis=0, out=key), w[0], out=key)
             for wk, nb in zip(w[1:], nbrs[1:]):
                 key += np.multiply(spins.take(nb, axis=0, out=t), wk, out=t)
@@ -314,14 +340,15 @@ def _one_disorder(args):
     s1 = (rng1.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
     s2 = (rng2.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
     beta = beta_scale
+    ws = HeatBathWorkspace(qc, beta, R)  # one per disorder, shared by both chains
 
     calib = min(128, max(16, n_sweeps // 4))
-    heat_bath_sweeps(s1, qc, beta, rng1, max(0, n_sweeps - calib))
-    heat_bath_sweeps(s2, qc, beta, rng2, max(0, n_sweeps - calib))
+    heat_bath_sweeps(s1, qc, beta, rng1, max(0, n_sweeps - calib), ws)
+    heat_bath_sweeps(s2, qc, beta, rng2, max(0, n_sweeps - calib), ws)
     series = []
     for _ in range(calib):
-        heat_bath_sweeps(s1, qc, beta, rng1, 1)
-        heat_bath_sweeps(s2, qc, beta, rng2, 1)
+        heat_bath_sweeps(s1, qc, beta, rng1, 1, ws)
+        heat_bath_sweeps(s2, qc, beta, rng2, 1, ws)
         series.append(bond_energy(s1[:1], qc)[0])
     tau, converged = integrated_autocorr(np.asarray(series))
     gap = int(min(16, max(1, math.ceil(2 * tau))))
@@ -335,8 +362,8 @@ def _one_disorder(args):
     size_counts: dict[int, int] = {}
     collected = 0
     for _ in range(per):
-        heat_bath_sweeps(s1, qc, beta, rng1, gap)
-        heat_bath_sweeps(s2, qc, beta, rng2, gap)
+        heat_bath_sweeps(s1, qc, beta, rng1, gap, ws)
+        heat_bath_sweeps(s2, qc, beta, rng2, gap, ws)
         blue, red, no_mask = sample_blue_red(s1, s2, qc, beta, rngb)
         (bh, bh_adm), (bv, bv_adm) = blue
         (rh, rh_adm), (rv, rv_adm) = red
@@ -446,13 +473,13 @@ def ea_mns_percolation(
         "blue_density": {
             "mean": p_blue,
             "se": math.sqrt(max(p_blue * (1 - p_blue), 1e-300) / blue_adm) if blue_adm else 0.0,
-            "closed_form": 1 - math.exp(-4 * beta_scale * J),
+            "closed_form": 1 - math.exp(-4 * abs(beta_scale * J)),
             "n_admissible": blue_adm,
         },
         "red_density": {
             "mean": p_red,
             "se": math.sqrt(max(p_red * (1 - p_red), 1e-300) / red_adm) if red_adm else 0.0,
-            "closed_form": 1 - math.exp(-2 * beta_scale * J),
+            "closed_form": 1 - math.exp(-2 * abs(beta_scale * J)),
             "n_admissible": red_adm,
         },
         "largest_blue_nonoverlap_fraction": _mean_se(
@@ -507,8 +534,9 @@ def mc_bond_joint(
     per = -(-n_samples // R)
     s1 = (rng1.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
     s2 = (rng2.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
-    heat_bath_sweeps(s1, qc, beta_scale, rng1, burn_in)
-    heat_bath_sweeps(s2, qc, beta_scale, rng2, burn_in)
+    ws = HeatBathWorkspace(qc, beta_scale, R)
+    heat_bath_sweeps(s1, qc, beta_scale, rng1, burn_in, ws)
+    heat_bath_sweeps(s2, qc, beta_scale, rng2, burn_in, ws)
     hsel = np.nonzero(hmap >= 0)
     vsel = np.nonzero(vmap >= 0)
     bits = [1 << int(k) for k in np.concatenate((hmap[hsel], vmap[vsel]))]
@@ -516,8 +544,8 @@ def mc_bond_joint(
     counts: dict[tuple[int, int], int] = {}
     collected = 0
     for _ in range(per):
-        heat_bath_sweeps(s1, qc, beta_scale, rng1, gap)
-        heat_bath_sweeps(s2, qc, beta_scale, rng2, gap)
+        heat_bath_sweeps(s1, qc, beta_scale, rng1, gap, ws)
+        heat_bath_sweeps(s2, qc, beta_scale, rng2, gap, ws)
         blue, red, _ = sample_blue_red(s1, s2, qc, beta_scale, rngb)
         (bh, _), (bv, _) = blue
         (rh, _), (rv, _) = red

@@ -333,6 +333,18 @@ def test_console_entry_point():
     assert "rcgibbs" in proc.stdout
 
 
+def test_import_loads_no_scipy_module():
+    # scipy.optimize loads at the first Cayley root or LP and csgraph at the
+    # first connectivity query, so a fresh import pays for numpy alone
+    code = (
+        "import sys, rcgibbs, rcgibbs.experiments, rcgibbs.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_rcr_commands_on_a_boundary_forbidden_bond_exit_two(tmp_path, capsys):
     # bond 0's factors vanish whenever vertex 1 is +1, and the boundary pins
     # it there: the effective bond allows no configuration, as in gibbs eval

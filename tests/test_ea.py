@@ -7,6 +7,7 @@ from scipy import stats
 
 from rcgibbs.errors import UsageError
 from rcgibbs.experiments.ea import (
+    HeatBathWorkspace,
     QuenchedCouplings,
     _cluster_stats,
     _p_plus_table,
@@ -274,6 +275,40 @@ def test_p_plus_table_is_the_per_site_formula_bit_for_bit():
             assert np.array_equal(_p_plus_table(abs(J), beta)[key], want), (J, beta)
 
 
+def test_heat_bath_workspace_gives_the_bits_of_fresh_calls():
+    # two chains alternate on one workspace, as a disorder's s1 and s2 do;
+    # each must end where the same calls without a workspace end
+    cases = 0
+    for L, periodic in ((5, False), (8, False), (6, True), (8, True)):
+        qc = quenched_couplings(L, 1.0, seed=L, periodic=periodic)
+        for beta in (0.44, 0.9):
+            for R in (1, 3):
+                start = [(stream(L, R, c).integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8) for c in (0, 1)]
+                shared = [x.copy() for x in start]
+                fresh = [x.copy() for x in start]
+                rngs_shared = [stream(7, L, R, c) for c in (0, 1)]
+                rngs_fresh = [stream(7, L, R, c) for c in (0, 1)]
+                ws = HeatBathWorkspace(qc, beta, R)
+                for n in (0, 1, 7, 1, 0, 7):
+                    for c in (0, 1):
+                        heat_bath_sweeps(shared[c], qc, beta, rngs_shared[c], n, ws)
+                        heat_bath_sweeps(fresh[c], qc, beta, rngs_fresh[c], n)
+                        assert np.array_equal(shared[c], fresh[c]), (L, periodic, beta, R, n, c)
+                        cases += 1
+    assert cases == 4 * 2 * 2 * 6 * 2
+
+
+def test_heat_bath_workspace_must_match_the_call():
+    qc = quenched_couplings(4, 1.0, seed=1)
+    other = quenched_couplings(4, 1.0, seed=2)
+    s = np.ones((2, 4, 4), np.int8)
+    ws = HeatBathWorkspace(qc, 0.8, 2)
+    for args in ((other, 0.8, s), (qc, 0.9, s), (qc, 0.8, np.ones((3, 4, 4), np.int8))):
+        with pytest.raises(ValueError, match="workspace"):
+            heat_bath_sweeps(args[2], args[0], args[1], stream(0), 1, ws)
+    assert (s == 1).all()
+
+
 def test_heat_bath_rejects_couplings_off_the_table():
     qc = quenched_couplings(4, 1.0, seed=1)
     s = np.ones((2, 4, 4), np.int8)
@@ -457,6 +492,18 @@ def test_ea_blue_density_within_three_sigma():
     assert abs(bd["mean"] - bd["closed_form"]) <= 3 * bd["se"]
     rd = rep["red_density"]
     assert abs(rd["mean"] - rd["closed_form"]) <= 3 * rd["se"]
+
+
+def test_ea_closed_forms_use_the_coupling_magnitude():
+    # the sampler draws blue and red bonds with |beta J|, so a sign flip of
+    # J or of beta leaves the closed forms alone
+    forms = set()
+    for J, beta in ((1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        rep = ea_mns_percolation(L=4, J=J, beta_scale=beta, seed=0, n_sweeps=20, n_samples=4)
+        blue, red = rep["blue_density"]["closed_form"], rep["red_density"]["closed_form"]
+        assert 0.0 <= red < blue < 1.0, (J, beta)
+        forms.add((blue, red))
+    assert forms == {(1 - math.exp(-4.0), 1 - math.exp(-2.0))}
 
 
 def test_ea_unequilibrated_run_warns():
