@@ -11,10 +11,10 @@ site's p_plus from an 81-entry table keyed by its neighbours' spins and
 drawing uniforms only at that colour's sites; the colouring is proper only
 for even L on the torus, so odd periodic boxes are rejected. Each disorder
 builds one HeatBathWorkspace (table, key weights and buffers) for every
-heat-bath call of its two chains. Blue clusters are labelled with
-scipy.sparse.csgraph.connected_components; on the torus a cluster wraps
-when one of its cycles has nonzero displacement, found from integer
-potentials on a breadth-first spanning forest.
+heat-bath call of its two chains. Blue clusters are labelled by
+percolation.edge_components and open-box crossings by chains_join; on
+the torus a cluster wraps when one of its cycles has nonzero displacement,
+found from integer potentials on a breadth-first spanning forest.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from ..errors import UsageError
 from ..lattice import build_grid
 from ..models import ising_spec
-from ..percolation import _graph, chains_join
+from ..percolation import _graph, chains_join, edge_components
 from ..rng import run_tasks, stream
 
 
@@ -99,7 +98,6 @@ def glass_spec(qc: QuenchedCouplings, beta_scale: float = 1.0):
     return ising_spec(g, Js)
 
 
-@lru_cache(maxsize=8)
 def _checkerboard(L: int):
     """Per colour: flat site indices and their (right, left, down, up)
     neighbours, indices mod L."""
@@ -110,13 +108,10 @@ def _checkerboard(L: int):
         y, x = yy[sel], xx[sel]
         site = y * L + x
         nbrs = (y * L + (x + 1) % L, y * L + (x - 1) % L, ((y + 1) % L) * L + x, ((y - 1) % L) * L + x)
-        for a in (site, *nbrs):
-            a.setflags(write=False)  # shared by every caller through the cache
         colours.append((site, nbrs))
-    return tuple(colours)
+    return colours
 
 
-@lru_cache(maxsize=8)
 def _p_plus_table(a: float, beta: float) -> np.ndarray:
     """p_plus for every key 40 + t0 + 3 t1 + 9 t2 + 27 t3, t_k in {-1, 0, 1}:
     the field t0*a + t1*a + t2*a + t3*a, summed left to right, then times
@@ -129,9 +124,7 @@ def _p_plus_table(a: float, beta: float) -> np.ndarray:
     f *= -2.0
     np.exp(f, out=f)
     f += 1.0
-    table = np.divide(1.0, f, out=f)
-    table.setflags(write=False)  # shared by every caller through the cache
-    return table
+    return np.divide(1.0, f, out=f)
 
 
 class HeatBathWorkspace:
@@ -257,20 +250,21 @@ def sample_blue_red(s1, s2, qc: QuenchedCouplings, beta: float, rng):
 
 def _wraps(a, b, d, labels, n: int) -> tuple[bool, bool]:
     """Whether some cycle of the bonds a -> b, with displacements d (2, E),
-    has a nonzero x and a nonzero y displacement.
+    has a nonzero x and a nonzero y displacement (labels: edge_components).
 
     Integer potentials come from a spanning forest: a breadth-first tree
-    from a virtual root n joined to one site per component, each tree edge
-    carrying the displacement of a bond that joins its ends, summed to the
-    root by pointer jumping. A cycle winds iff one of its bonds disagrees
-    with the potentials, so checking every bond suffices.
+    from a virtual root n joined to one covered site per component, each
+    tree edge carrying the displacement of a bond that joins its ends,
+    summed to the root by pointer jumping. A cycle winds iff one of its
+    bonds disagrees with the potentials, so checking every bond suffices.
     """
     from scipy.sparse.csgraph import breadth_first_order
 
-    root_of = np.empty(labels.max() + 1, np.int64)
-    root_of[labels] = np.arange(n)  # some site of each component
-    rows = np.concatenate((a, np.full(len(root_of), n)))
-    cols = np.concatenate((b, root_of))
+    root_of = np.full(n, -1)
+    root_of[labels[a]] = a  # a site of each component: every one has a bond
+    roots = root_of[root_of >= 0]
+    rows = np.concatenate((a, np.full(len(roots), n)))
+    cols = np.concatenate((b, roots))
     _, pred = breadth_first_order(_graph(rows, cols, n + 1), n, directed=False, return_predecessors=True)
     keys = np.concatenate((a * (n + 1) + b, b * (n + 1) + a))
     disp = np.concatenate((d, -d), axis=1)
@@ -292,17 +286,13 @@ def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool):
 
     bh[y, x] joins (x, y)-(x+1, y); bv joins (x, y)-(x, y+1), indices mod
     L; a bond counts only when both endpoints are masked. Sites are
-    labelled by scipy's connected_components on the kept bonds, and sizes
-    count the sites that touch a kept bond. An open box is crossed in x
-    when a label covers sites in both the first and the last column (rows
-    for y). On the torus, a cluster wraps in x when one of its cycles has
-    nonzero x displacement (see _wraps), which also catches windings
-    that a doubled-torus test misses.
+    labelled by edge_components on the kept bonds, and sizes count the
+    sites that touch a kept bond. An open box is crossed in x when a label
+    covers sites in both the first and the last column (rows for y). On
+    the torus, a cluster wraps in x when one of its cycles has nonzero x
+    displacement (see _wraps), which also catches windings that a
+    doubled-torus test misses.
     """
-    # imported on first use: csgraph's extension modules would add about
-    # 1 MB of resident memory to every process that imports this module
-    from scipy.sparse.csgraph import connected_components
-
     n = L * L
     keep_h = bh & site_mask & np.roll(site_mask, -1, axis=1)
     keep_v = bv & site_mask & np.roll(site_mask, -1, axis=0)
@@ -310,10 +300,8 @@ def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool):
     yv, xv = np.nonzero(keep_v)
     a = np.concatenate((yh * L + xh, yv * L + xv))
     b = np.concatenate((yh * L + (xh + 1) % L, ((yv + 1) % L) * L + xv))
-    _, labels = connected_components(_graph(a, b, n), directed=False)
-    covered = np.zeros(n, bool)
-    covered[a] = covered[b] = True
-    counts = np.bincount(labels[covered])
+    labels = edge_components(n, a, b)
+    counts = np.bincount(labels[labels >= 0])
     sizes = sorted(counts[counts > 0].tolist(), reverse=True)
     largest = sizes[0] if sizes else 0
     if periodic:
@@ -322,10 +310,9 @@ def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool):
         d[1, len(yh) :] = 1
         cross_x, cross_y = _wraps(a, b, d, labels, n)
     else:
-        row = np.where(covered, labels, -1)[None]
         sites = np.arange(n)
-        cross_x = bool(chains_join(row, sites[::L], sites[L - 1 :: L])[0])
-        cross_y = bool(chains_join(row, sites[:L], sites[-L:])[0])
+        cross_x = bool(chains_join(labels[None], sites[::L], sites[L - 1 :: L])[0])
+        cross_y = bool(chains_join(labels[None], sites[:L], sites[-L:])[0])
     return largest, sizes, cross_x, cross_y
 
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .. import twocopy
-from ..errors import AllForbiddenError
+from ..errors import AllForbiddenError, UsageError
 from ..gibbs import BondTable, GibbsSpec, Interaction, SPIN, gibbs_measure
 from ..lattice import hypergraph
 from ..models import example1_spec
@@ -71,8 +71,11 @@ def run_example2(J12: float = 1.0, J23: float = 1.0) -> dict:
     interaction and yields an integrated connection probability that the
     end-spin correlation obeys. The measured ratio of the integrated
     connection probability to the correlation gap is reported (claimed
-    factor: 2).
+    factor: 2). Couplings that are not finite, or beyond +-350 where the
+    closed forms overflow a float, raise UsageError.
     """
+    if not all(math.isfinite(J) and abs(J) <= 350 for J in (J12, J23)):
+        raise UsageError(f"J12 and J23 must be finite with |J| <= 350, got {J12} and {J23}")
     spec = example1_spec(J12, J23)
     mu = gibbs_measure(spec)
     dmu = mu.event(lambda o: o[0] == 1 and o[2] == 1) - mu.event(

@@ -9,12 +9,14 @@ connectivity coincides with site disagreement percolation.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
+from ..errors import UsageError
 from ..gibbs import gibbs_measure
 from ..lattice import Hypergraph, build_grid
 from ..models import hardcore_spec
-from ..percolation import chain_components, connected_masks
+from ..percolation import chain_components, chains_join
 from ..rcr import allowed_locals, monotone_base
 from ..twocopy import nonoverlap_distribution, symmetrized_spec
 
@@ -160,8 +162,11 @@ def hardcore_disagreement(
     Enumerates the product of the two boundary-conditioned measures,
     evaluates both connectivity indicators for every disagreement region,
     and verifies per-slice (same boundary) that the representation
-    machinery makes exactly the disagreement-interior bonds active.
+    machinery makes exactly the disagreement-interior bonds active. An
+    activity that is not finite and nonnegative raises UsageError.
     """
+    if not (math.isfinite(activity) and activity >= 0):
+        raise UsageError(f"activity must be finite and nonnegative, got {activity}")
     part0, part1 = bipartition(graph)  # raises when not bipartite
     spec1 = hardcore_spec(graph, activity, region=region, boundary=boundary1)
     spec2 = hardcore_spec(graph, activity, region=region, boundary=boundary2)
@@ -186,11 +191,9 @@ def hardcore_disagreement(
     p_dis = 0.0
     p_act = 0.0
     mismatches = 0
-    masks = [_inside_mask(pair_bonds, D) for D in by_region]
-    connected = connected_masks(n, pair_bonds, masks, A, B)
-    for (D, w), mask in zip(by_region.items(), masks):
+    labels = chain_components(n, pair_bonds, [_inside_mask(pair_bonds, D) for D in by_region])
+    for (D, w), ind_act in zip(by_region.items(), chains_join(labels, A, B).tolist()):
         ind_dis = _site_path_exists(adj, D, A, B)
-        ind_act = connected[mask]
         if ind_dis != ind_act:
             mismatches += 1
         p_dis += w * ind_dis

@@ -24,7 +24,7 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import AllForbiddenError, TooLargeError
+from .errors import AllForbiddenError, RcgibbsError, TooLargeError
 from .lattice import Hypergraph
 
 DEFAULT_STATE_CAP = 1 << 24
@@ -92,15 +92,18 @@ class BondTable:
         if not self.factors:
             raise ValueError("empty bond table")
         for f in self.factors:
-            if f < 0:
-                raise ValueError("negative Boltzmann factor")
+            if f < 0 or not (is_exact_number(f) or math.isfinite(f)):
+                raise ValueError(f"Boltzmann factor {f} is negative or not finite")
         if all(f == 0 for f in self.factors):
             raise ValueError("bond table forbids every local configuration")
 
     @classmethod
     def from_exponents(cls, exponents) -> "BondTable":
         """Build from bond energies; None marks a forbidden configuration."""
-        return cls(tuple(0.0 if e is None else math.exp(e) for e in exponents))
+        try:
+            return cls(tuple(0.0 if e is None else math.exp(e) for e in exponents))
+        except OverflowError:
+            raise ValueError("a Boltzmann factor overflows a float; rescale couplings") from None
 
     @classmethod
     def from_factors(cls, factors) -> "BondTable":
@@ -256,7 +259,8 @@ def config_weights(spec: GibbsSpec, tables=None, domains=None, exact=None) -> np
     itertools.product(*domains) order whose entries are 1 times the tables'
     entries in table order: float64, or an object array of Fractions when
     exact (default: spec.exact). Each table is broadcast over the product
-    space, so memory beyond the result stays at one table.
+    space, so memory beyond the result stays at one table. A float weight
+    that overflows raises RcgibbsError.
     """
     if tables is None:
         tables = [(eb.inside, eb.table) for eb in effective_bonds(spec)]
@@ -271,12 +275,15 @@ def config_weights(spec: GibbsSpec, tables=None, domains=None, exact=None) -> np
         w = np.full(shape, Fraction(1), dtype=object)
     else:
         w = np.ones(shape)
-    for inside, table in tables:
-        axes = [pos[v] for v in inside]
-        t = np.asarray(table, dtype=w.dtype).reshape((S,) * len(axes))
-        for k, p in enumerate(axes):
-            t = t.take(domains[p], axis=k)
-        w *= t.reshape([shape[p] if p in axes else 1 for p in range(len(shape))])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for inside, table in tables:
+            axes = [pos[v] for v in inside]
+            t = np.asarray(table, dtype=w.dtype).reshape((S,) * len(axes))
+            for k, p in enumerate(axes):
+                t = t.take(domains[p], axis=k)
+            w *= t.reshape([shape[p] if p in axes else 1 for p in range(len(shape))])
+    if not exact and not np.isfinite(w).all():
+        raise RcgibbsError("configuration weight overflow; rescale couplings")
     return w.reshape(-1)
 
 
@@ -469,7 +476,7 @@ def gibbs_measure(spec: GibbsSpec, max_states: int = DEFAULT_STATE_CAP) -> Finit
     if Z == 0:
         raise AllForbiddenError("all configurations forbidden")
     if not spec.exact and not math.isfinite(Z):
-        raise OverflowError("partition function overflow; rescale couplings")
+        raise RcgibbsError("partition function overflow; rescale couplings")
     w /= Z
     return FiniteDistribution.over_product(
         [spec.domain_values(v) for v in spec.region], w, sites=spec.region

@@ -24,11 +24,11 @@ kernel runs no Fraction arithmetic and each caller forms a Fraction once
 per output value, from a ratio of two ints of one scale. Patterns are int64
 bitmasks, so a spec with more than 62 effective bonds raises TooLargeError.
 
-Connectivity has one labeller, chain_components: one scipy
-connected_components call labels the active chains of a batch of masks
-(the batch form of Hoshen-Kopelman labelling). chains_join is the one
-A<->B query on its labels. Each connection probability labels its distinct
-masks once, then adds the weights of the joined ones in its usual order.
+Connectivity has one labeller, edge_components (the only scipy
+connected_components call); chain_components labels the active chains of
+a batch of masks in one call to it (the batch form of Hoshen-Kopelman
+labelling). chains_join is the one A<->B query on its labels, and
+joined_weight adds the weights of the joined masks in the given order.
 """
 
 from __future__ import annotations
@@ -67,6 +67,19 @@ def _graph(rows, cols, n: int):
     return csr_matrix((np.ones(len(rows)), cols[order].astype(np.int32), indptr), shape=(n, n))
 
 
+def edge_components(n: int, a, b) -> np.ndarray:
+    """Component labels of the graph on nodes 0..n-1 with edges a[i] - b[i],
+    and -1 on every node that no edge touches."""
+    # imported on first use: csgraph's extension modules would add about
+    # 1 MB of resident memory to every process that imports this module
+    from scipy.sparse.csgraph import connected_components
+
+    _, labels = connected_components(_graph(a, b, n), directed=False)
+    covered = np.zeros(n, bool)
+    covered[a] = covered[b] = True
+    return np.where(covered, labels, -1)
+
+
 def chain_components(n_vertices: int, bond_vertices, masks) -> np.ndarray:
     """Chain labels of K activity masks, as a (K, n_vertices) int array.
 
@@ -75,27 +88,19 @@ def chain_components(n_vertices: int, bond_vertices, masks) -> np.ndarray:
     they share a vertex, and row k gives every vertex covered by mask k's
     active bonds the label of its chain, -1 to a vertex no active bond
     covers. Labels are unique across rows. All masks are labelled by one
-    connected_components call on the block-diagonal graph that joins each
-    active bond's first vertex to its others.
+    edge_components call on the block-diagonal graph that joins each active
+    bond's first vertex to its others, and a one-vertex bond's vertex to
+    itself.
     """
-    # imported on first use: csgraph's extension modules would add about
-    # 1 MB of resident memory to every process that imports this module
-    from scipy.sparse.csgraph import connected_components
-
     masks = list(masks)
     K, n = len(masks), n_vertices
     width = (len(bond_vertices) + 7) // 8
     raw = np.frombuffer(b"".join(int(m).to_bytes(width, "little") for m in masks), np.uint8)
     active = np.unpackbits(raw, bitorder="little").reshape(K, 8 * width).view(bool)
-    star = np.array([(j, vs[0], u) for j, vs in enumerate(bond_vertices) for u in vs[1:]], np.int64)
-    cover = np.array([(j, u) for j, vs in enumerate(bond_vertices) for u in vs], np.int64)
-    star, cover = star.reshape(-1, 3), cover.reshape(-1, 2)
+    star = np.array([(j, vs[0], u) for j, vs in enumerate(bond_vertices) for u in vs[1:] or vs], np.int64)
+    star = star.reshape(-1, 3)  # (0, 3) for a model without bonds
     k, e = np.nonzero(active[:, star[:, 0]])
-    _, labels = connected_components(_graph(k * n + star[e, 1], k * n + star[e, 2], K * n), directed=False)
-    k, i = np.nonzero(active[:, cover[:, 0]])
-    covered = np.zeros(K * n, bool)
-    covered[k * n + cover[i, 1]] = True
-    return np.where(covered, labels, -1).reshape(K, n)
+    return edge_components(K * n, k * n + star[e, 1], k * n + star[e, 2]).reshape(K, n)
 
 
 def chains_join(labels: np.ndarray, A, B) -> np.ndarray:
@@ -114,12 +119,19 @@ def chains_join(labels: np.ndarray, A, B) -> np.ndarray:
     return on_b[labels[:, a]].any(axis=1)
 
 
-def connected_masks(n_vertices: int, bond_vertices, masks, A, B) -> dict:
-    """{mask: whether an active chain joins A and B} over the distinct
-    masks, labelled in one batch."""
+def joined_weight(n_vertices: int, bond_vertices, masks, weights, A, B):
+    """Sum of the weights whose masks have an active chain joining A and B,
+    the distinct masks labelled in one batch. It adds them one by one in
+    the given order from the int 0, so floats round as a loop does."""
+    masks = list(masks)
     distinct = list(dict.fromkeys(masks))
-    joined = chains_join(chain_components(n_vertices, bond_vertices, distinct), A, B)
-    return dict(zip(distinct, joined.tolist()))
+    labels = chain_components(n_vertices, bond_vertices, distinct)
+    joined = dict(zip(distinct, chains_join(labels, A, B).tolist()))
+    acc = 0
+    for mask, w in zip(masks, weights):
+        if joined[mask]:
+            acc += w
+    return acc
 
 
 def regions_connected(n_vertices: int, bond_vertices, active_mask: int, A, B) -> bool:
@@ -154,12 +166,7 @@ def base_connection_probability(
         weights.append(w)
     if den == 0:
         raise ZeroSliceError("representation carries no compatible configuration")
-    connected = connected_masks(base.n_vertices, bond_vertices, masks, A, B)
-    num = 0
-    for mask, w in zip(masks, weights):
-        if connected[mask]:
-            num += w
-    return num / den
+    return joined_weight(base.n_vertices, bond_vertices, masks, weights, A, B) / den
 
 
 @dataclass(eq=False)
@@ -180,12 +187,7 @@ class IntegratedRC:
         return sum(self.patterns.values())
 
     def connection_probability(self, A, B):
-        connected = connected_masks(self.n_vertices, self.bond_vertices, self.patterns, A, B)
-        acc = 0
-        for mask, p in self.patterns.items():
-            if connected[mask]:
-                acc += p
-        return acc
+        return joined_weight(self.n_vertices, self.bond_vertices, self.patterns, self.patterns.values(), A, B)
 
     def conditional_active(self, j: int):
         """Per conditioning pattern on the other bonds: P(bond j active | rest).
@@ -454,13 +456,8 @@ def slice_connection_prob(spec: GibbsSpec, sigma, A, B):
     if total == 0:
         raise ZeroSliceError("overlap configuration has probability zero")
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
-    connected = connected_masks(spec.graph.n_vertices, bond_vertices, pats, A, B)
-    acc = 0
-    for mask, w in pats.items():
-        if connected[mask]:
-            acc += w
     div = Fraction if spec.exact else operator.truediv
-    return div(acc, total)
+    return div(joined_weight(spec.graph.n_vertices, bond_vertices, pats, pats.values(), A, B), total)
 
 
 def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):

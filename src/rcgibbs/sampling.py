@@ -6,8 +6,8 @@ shared pair-coin table (percolation.pair_coin_table) at the two copies'
 local values on the bond. Work is split into a fixed number of tasks with
 counter-based streams, so estimates are deterministic for any thread count.
 Each task returns its samples' activity masks; once every task is done,
-their distinct masks are labelled in one batch (percolation.connected_masks),
-and a sample hits when an active chain joins A and B.
+percolation.joined_weight labels their distinct masks in one batch and
+counts the samples whose active chains join A and B.
 
 A site update is a lookup. Each region position keeps a memo of its
 conditional rows (total weight and cumulative weights of its allowed
@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from .errors import UsageError
 from .gibbs import GibbsSpec, effective_bonds
-from .percolation import connected_masks, pair_coin_table
+from .percolation import joined_weight, pair_coin_table
 from .rng import run_tasks, stream
 
 _BLOCK = 1024  # uniforms read ahead per refill of a private stream
@@ -171,8 +171,7 @@ def mc_connection_probability(
         return masks
 
     masks = [m for task_masks in run_tasks(task, list(range(n_tasks)), threads=threads) for m in task_masks]
-    connected = connected_masks(spec.graph.n_vertices, bond_vertices, masks, A, B)
-    hits = sum(connected[m] for m in masks)
+    hits = joined_weight(spec.graph.n_vertices, bond_vertices, masks, [1] * len(masks), A, B)
     n = len(masks)
     p = hits / n
     se = math.sqrt(max(p * (1 - p), 1e-300) / n)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import TooLargeError, ZeroSliceError
+from .errors import RcgibbsError, TooLargeError, ZeroSliceError
 from .gibbs import (
     Alphabet,
     BondTable,
@@ -106,7 +106,8 @@ class PairWalk:
     times D, the lcm of their denominators, as Python ints in an object
     array, so every pair weight and slice total of blocks() is an int over
     D**2, and a caller forms each Fraction once, from a ratio of such ints
-    (the scales cancel). Float specs hold float64 weights.
+    (the scales cancel). Float specs hold float64 weights; one whose pairs
+    could overflow raises RcgibbsError.
     """
 
     def __init__(self, spec: GibbsSpec, sigma=None):
@@ -121,6 +122,8 @@ class PairWalk:
         weights = config_weights(spec, domains=self.indices)
         if weights.dtype == object:
             weights, _ = _scaled(weights.tolist())
+        elif len(weights) and weights.max() > 1e154:  # below the square root of the largest float
+            raise RcgibbsError("two-copy pair weight overflow; rescale couplings")
         self.weights = weights
 
     def blocks(self, cells_per_pair: int = 1):

@@ -6,7 +6,8 @@ pattern leaves are Fractions (floats on a float spec), multiplied and added
 one by one in the kernel's orders, and every consumer divides Fractions.
 The ordering helpers (_first_seen, _runs, product_positions), the coin
 and weight sources (pair_coin_table, config_weights) and the connectivity
-query (connected_masks) are shared with the package; every multiply, add and divide is this module's own. The new
+labeller and query (chain_components, chains_join) are shared with the
+package; every multiply, add and divide is this module's own. The new
 kernel must return literally equal Fractions, and on a float spec the same
 floats bit for bit, in the same dict and row order.
 """
@@ -27,7 +28,7 @@ from rcgibbs.gibbs import (
     product_outcomes,
     product_positions,
 )
-from rcgibbs.percolation import _first_seen, connected_masks, pair_coin_table
+from rcgibbs.percolation import _first_seen, chain_components, chains_join, pair_coin_table
 from rcgibbs.twocopy import _runs, make_slice
 
 
@@ -172,7 +173,8 @@ def laws(spec, A, B):
     acc = 0
     blocks = list(pattern_blocks(spec))
     masks = [m for block in blocks for m in block[3].tolist()]
-    connected = connected_masks(spec.graph.n_vertices, bond_vertices, masks, A, B)
+    labels = chain_components(spec.graph.n_vertices, bond_vertices, masks)
+    connected = dict(zip(masks, chains_join(labels, A, B).tolist()))
     for sigmas, totals, rec_slice, rec_mask, rec_val in blocks:
         for total in totals:
             grand += total
@@ -194,10 +196,10 @@ def laws(spec, A, B):
 def slice_connection_prob(spec, sigma, A, B):
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
     for _, totals, _, mask, val in pattern_blocks(spec, sigma):
-        connected = connected_masks(spec.graph.n_vertices, bond_vertices, mask.tolist(), A, B)
+        connected = chains_join(chain_components(spec.graph.n_vertices, bond_vertices, mask.tolist()), A, B)
         acc = 0
-        for m, w in zip(mask.tolist(), val.tolist()):
-            if connected[m]:
+        for w, joined in zip(val.tolist(), connected.tolist()):
+            if joined:
                 acc += w
         return acc / totals[0]
     return None

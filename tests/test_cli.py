@@ -217,6 +217,37 @@ def test_ea_bad_arguments_exit_two(tmp_path, capsys, argv):
     assert not (tmp_path / "results.json").exists()
 
 
+# 2x2 Ising grids: exp(1000) overflows a bond factor, J = 400 a configuration
+# weight and J = 150 a two-copy pair weight
+NUMERIC_MODELS = {f"@J{J}": {"graph": {"grid": "2x2"}, "interaction": {"template": "ising", "J": J}}
+                  for J in (1000, 400, 150)}
+NUMERIC_BAD = [
+    *([*cmd, "--model", "@J1000"] for cmd in (["gibbs", "eval"], ["twocopy", "rho"], ["rcr", "check"])),
+    ["perc", "ibar", "--model", "@J1000", "--A", "0", "--B", "3"],
+    ["gibbs", "eval", "--model", "@J400"],
+    ["twocopy", "rho", "--model", "@J150"],
+    ["perc", "ibar", "--model", "@J150", "--A", "0", "--B", "3"],
+    ["exp", "hardcore", "--a=-1"],
+    ["exp", "hardcore", "--a=nan"],
+    ["exp", "hardcore", "--a=inf"],
+    ["exp", "hardcore", "--a=1e300"],
+    ["exp", "example2", "--J12=nan"],
+    ["exp", "example2", "--J12=1000"],
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", NUMERIC_BAD, ids=[" ".join(a) for a in NUMERIC_BAD])
+def test_numeric_input_errors_exit_two(tmp_path, capsys, argv):
+    for name, model in NUMERIC_MODELS.items():
+        (tmp_path / name).write_text(json.dumps(model))
+    argv = [str(tmp_path / a) if a in NUMERIC_MODELS else a for a in argv]
+    assert run_cli(["--out", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_gibbs_eval_large_model_site_means(tmp_path):
     # 18 spins routes through the array-backed distribution
     model = {"graph": {"grid": "6x3"}, "interaction": {"template": "ising", "J": 0.3}}
@@ -323,6 +354,25 @@ def test_commands_across_state_thresholds(tmp_path, n):
         if cmd[0] == "rcr":
             assert rc == 0
             assert json.loads((out / "results.json").read_text())["results"]["violations"] == 0
+    # exact P(0 <-> n-1) passes the 2**20 two-copy cap from n = 11 on; the
+    # Monte Carlo route labels 64 samples of the (n-1)-bond chain at every n
+    ends = ["--A", "0", "--B", str(n - 1)]
+    rc = run_cli(["--out", str(tmp_path / "exact"), "perc", "ibar", "--model", str(p), *ends])
+    assert rc == (3 if n >= 11 else 0)
+    out = tmp_path / "mc"
+    assert run_cli(["--out", str(out), "--seed", "1", "perc", "ibar", "--model", str(p), *ends, "--mc", "64"]) == 0
+    results = json.loads((out / "results.json").read_text())["results"]
+    assert results["n_samples"] == 64 and 0 <= results["estimate"] <= 1
+
+
+def test_perc_ibar_on_a_model_without_bonds(tmp_path):
+    # no bond, so no chain: P(0 <-> 0) is 0 by both routes
+    p = tmp_path / "free.json"
+    p.write_text(json.dumps({"graph": {"n": 2, "bonds": []}, "interaction": {"tables": []}}))
+    for extra in ([], ["--mc", "8", "--seed", "1"]):
+        out = tmp_path / str(len(extra))
+        assert run_cli(["--out", str(out), "perc", "ibar", "--model", str(p), "--A", "0", "--B", "0", *extra]) == 0
+        assert json.loads((out / "results.json").read_text())["results"]["estimate"] == 0
 
 
 def test_console_entry_point():

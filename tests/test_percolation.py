@@ -31,6 +31,7 @@ from rcgibbs.percolation import (
     domination_probability,
     extremality_diagnostic,
     integrated_rc,
+    joined_weight,
     pair_coin_table,
     regions_connected,
     sigma_connection_profile,
@@ -68,6 +69,19 @@ def test_connected_overlapping_regions_need_a_bond():
     # shared vertex 2 is covered by no active bond
     assert not regions_connected(3, bonds, 0b1, {2}, {2, 0})
     assert regions_connected(3, bonds, 0b1, {0, 2}, {1, 2})
+
+
+def test_joined_weight_adds_joined_weights_in_order_from_int_zero():
+    bonds = ((0, 1), (1, 2))
+    masks = [0b11, 0b01, 0b11, 0b10, 0b11]  # only 0b11 joins 0 and 2
+    floats = [0.1, 0.5, 0.2, 0.25, 0.3]
+    assert joined_weight(3, bonds, masks, floats, {0}, {2}) == 0 + 0.1 + 0.2 + 0.3
+    fractions = [Fraction(1, k) for k in range(2, 7)]
+    got = joined_weight(3, bonds, masks, fractions, {0}, {2})
+    assert got == Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 6) and isinstance(got, Fraction)
+    for masks, weights in (([], []), ([0b01, 0b10], [0.5, 0.5])):
+        got = joined_weight(3, bonds, masks, weights, {0}, {2})
+        assert got == 0 and type(got) is int
 
 
 def _bfs_connected(n, bond_sets, A, B):
@@ -497,7 +511,8 @@ def _oracle_laws(spec, A, B, base_factory=None):
     acc = 0
     slices = _oracle_slices(spec, base_factory)
     masks = [mask for _, pats in slices.values() for mask in pats]
-    connected = percolation.connected_masks(spec.graph.n_vertices, bond_vertices, masks, A, B)
+    labels = percolation.chain_components(spec.graph.n_vertices, bond_vertices, masks)
+    connected = dict(zip(masks, percolation.chains_join(labels, A, B).tolist()))
     for sigma, (total, pats) in slices.items():
         grand += total
         num = 0
