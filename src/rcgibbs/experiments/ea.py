@@ -6,12 +6,11 @@ with probability 1 - exp(-4|K|) and red bonds where the copies' bond
 products disagree with probability 1 - exp(-2|K|). Cluster statistics of
 blue bonds are taken inside the non-overlap (disagreement) region.
 
-The heat bath updates one checkerboard colour at a time, reading each
-site's p_plus from an 81-entry table keyed by its neighbours' spins and
-drawing uniforms only at that colour's sites; the colouring is proper only
-for even L on the torus, so odd periodic boxes are rejected. Each disorder
-builds one HeatBathWorkspace (table, key weights and buffers) for every
-heat-bath call of its two chains. Blue clusters are labelled by
+The heat bath is sampling.HeatBath: its classes are the two checkerboard
+colours and its table the 81-entry p_plus table keyed by the neighbours'
+spins. The colouring is proper only for even L on the torus, so odd
+periodic boxes are rejected. Each disorder builds one HeatBathWorkspace
+for every heat-bath call of its two chains. Blue clusters are labelled by
 percolation.edge_components and open-box crossings by chains_join; on
 the torus a cluster wraps when one of its cycles has nonzero displacement,
 found from integer potentials on a breadth-first spanning forest.
@@ -30,6 +29,7 @@ from ..lattice import build_grid
 from ..models import ising_spec
 from ..percolation import _graph, chains_join, edge_components
 from ..rng import run_tasks, stream
+from ..sampling import HeatBath
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,8 @@ def _p_plus_table(a: float, beta: float) -> np.ndarray:
 
 
 class HeatBathWorkspace:
-    """What heat_bath_sweeps builds per disorder: the coupling check, the
-    p_plus table, per colour the key weights sign(c_k) 3^k repeated over
-    the R replicas, and the site-major spin, key, field and uniform buffers.
+    """What heat_bath_sweeps builds per disorder: the coupling check and the
+    sampling.HeatBath over R replicas, whose values 0/1 are the spins -1/+1.
 
     One workspace serves every call with the same couplings, beta and
     replica count, so a disorder's two chains can share one as long as
@@ -144,15 +143,12 @@ class HeatBathWorkspace:
         if not all(((c == 0.0) | (np.abs(c) == a)).all() for c in (h, v)):
             raise ValueError(f"couplings must be 0 or +-{a}")
         self.qc, self.beta, self.R = qc, beta, R
-        self.table = _p_plus_table(a, beta)
-        self.spins = np.empty((qc.L * qc.L, R), np.int8)
-        self.colours = []
+        classes = []
         for site, nbrs in _checkerboard(qc.L):
-            shape = (len(site), R)
-            coup = (h[site], h[nbrs[1]], v[site], v[nbrs[3]])
-            w = [np.repeat(np.sign(c).astype(np.int8)[:, None] * 3**k, R, axis=1) for k, c in enumerate(coup)]
-            bufs = (np.empty(shape, np.int8), np.empty(shape, np.int8), np.empty(shape), np.empty((R, len(site))))
-            self.colours.append((site, nbrs, w, *bufs))
+            # the key 40 + sum_k sign(c_k) 3^k s_k, with s_k = 2 v_k - 1 for the values v_k
+            w = np.sign([h[site], h[nbrs[1]], v[site], v[nbrs[3]]]).astype(np.int64) * 3 ** np.arange(4)[:, None]
+            classes.append((site, np.array(nbrs), 2 * w, 40 - w.sum(axis=0)))
+        self.kernel = HeatBath(qc.L * qc.L, classes, _p_plus_table(a, beta)[None], R)
 
 
 def heat_bath_sweeps(s, qc: QuenchedCouplings, beta: float, rng, n_sweeps: int, ws: HeatBathWorkspace | None = None):
@@ -177,20 +173,10 @@ def heat_bath_sweeps(s, qc: QuenchedCouplings, beta: float, rng, n_sweeps: int, 
         ws = HeatBathWorkspace(qc, beta, R)
     elif ws.qc is not qc or ws.beta != beta or ws.R != R:
         raise ValueError("workspace built for other couplings, beta or replica count")
-    # site-major copy: a neighbour gather moves a site's R replicas at once
-    spins = ws.spins
-    spins[...] = s.reshape(R, -1).T
-    table = ws.table
-    for _ in range(n_sweeps):
-        for site, nbrs, w, key, t, p, u in ws.colours:
-            np.multiply(spins.take(nbrs[0], axis=0, out=key), w[0], out=key)
-            for wk, nb in zip(w[1:], nbrs[1:]):
-                key += np.multiply(spins.take(nb, axis=0, out=t), wk, out=t)
-            key += 40
-            table.take(key, out=p)
-            rng.random(out=u)
-            spins[site] = 2 * np.less(u.T, p, out=t.view(bool)).view(np.int8) - 1
-    s[...] = spins.T.reshape(s.shape)
+    # site-major 0/1 copy: a neighbour gather moves a site's R replicas at once
+    ws.kernel.load(s.reshape(R, -1).T > 0)
+    ws.kernel.sweeps(rng, n_sweeps)
+    s[...] = (2 * ws.kernel.values().T - 1).reshape(s.shape)
     return s
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import TooLargeError, ZeroSliceError
+from .errors import RcgibbsError, TooLargeError, ZeroSliceError
 from .gibbs import GibbsSpec, effective_bonds, local_index, product_outcomes, product_positions
 from .lattice import ball, boundary_vertices
 from .rcr import RcrBase, assignment_measure, bond_level_system, monotone_probabilities
@@ -229,7 +229,8 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
     as BondBase sums them. Pairs outside the domains or of factor zero get
     0. Entries are Fractions for exact specs, int factors included. Given a
     sigma (aligned with the region), each bond gets the coins of the local
-    sum sigma gives its inside vertices only, and 0 elsewhere.
+    sum sigma gives its inside vertices only, and 0 elsewhere. A float
+    coin whose support underflows raises RcgibbsError.
     """
     S = spec.alphabet.size
     idx = spec.alphabet.index
@@ -255,7 +256,10 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
             if levels[0] <= 0:
                 continue
             probs = monotone_probabilities(levels)
-            coin = {f: sum(probs[i:-1]) / sum(probs[i:]) for i, f in enumerate(levels) if f != 0}
+            try:
+                coin = {f: sum(probs[i:-1]) / sum(probs[i:]) for i, f in enumerate(levels) if f != 0}
+            except ZeroDivisionError:  # a float level ratio underflowed to 0
+                raise RcgibbsError("activity coin underflow; rescale couplings") from None
             for a, b, f in zip(loc1, loc2, factors):
                 if f != 0:
                     q[a][b] = coin[f]

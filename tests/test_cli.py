@@ -218,15 +218,17 @@ def test_ea_bad_arguments_exit_two(tmp_path, capsys, argv):
 
 
 # 2x2 Ising grids: exp(1000) overflows a bond factor, J = 400 a configuration
-# weight and J = 150 a two-copy pair weight
+# weight and J = 150 a two-copy pair weight; at J = 190 the lower level of a
+# bond's activity coin underflows on the Monte Carlo route
 NUMERIC_MODELS = {f"@J{J}": {"graph": {"grid": "2x2"}, "interaction": {"template": "ising", "J": J}}
-                  for J in (1000, 400, 150)}
+                  for J in (1000, 400, 190, 150)}
 NUMERIC_BAD = [
     *([*cmd, "--model", "@J1000"] for cmd in (["gibbs", "eval"], ["twocopy", "rho"], ["rcr", "check"])),
     ["perc", "ibar", "--model", "@J1000", "--A", "0", "--B", "3"],
     ["gibbs", "eval", "--model", "@J400"],
     ["twocopy", "rho", "--model", "@J150"],
     ["perc", "ibar", "--model", "@J150", "--A", "0", "--B", "3"],
+    ["perc", "ibar", "--model", "@J190", "--A", "0", "--B", "3", "--mc", "50", "--seed", "1"],
     ["exp", "hardcore", "--a=-1"],
     ["exp", "hardcore", "--a=nan"],
     ["exp", "hardcore", "--a=inf"],
@@ -342,7 +344,7 @@ def test_unexpected_error_exits_four(tmp_path, model_file, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("n", [12, 13, 16, 17])
-def test_commands_across_state_thresholds(tmp_path, n):
+def test_commands_across_state_thresholds(tmp_path, capsys, n):
     # Ising chains on both sides of 4096 and 2**16 states
     model = {"graph": {"grid": f"{n}x1"}, "interaction": {"template": "ising", "J": 0.4}}
     p = tmp_path / "chain.json"
@@ -354,6 +356,12 @@ def test_commands_across_state_thresholds(tmp_path, n):
         if cmd[0] == "rcr":
             assert rc == 0
             assert json.loads((out / "results.json").read_text())["results"]["violations"] == 0
+    # the all-zero overlap's slice holds all 2**n configurations
+    zeros = ",".join(["0"] * n)
+    for cmd in (["twocopy", "slice", "--sigma", zeros], ["rcr", "solve"]):
+        rc = run_cli(["--out", str(tmp_path / "-".join(cmd[:2])), *cmd[:2], "--model", str(p), *cmd[2:]])
+        assert rc in (0, 3), (cmd, rc)
+        assert "Traceback" not in capsys.readouterr().err
     # exact P(0 <-> n-1) passes the 2**20 two-copy cap from n = 11 on; the
     # Monte Carlo route labels 64 samples of the (n-1)-bond chain at every n
     ends = ["--A", "0", "--B", str(n - 1)]

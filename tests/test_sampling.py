@@ -5,98 +5,109 @@ import pytest
 from conftest import random_binary_spec
 from test_percolation import _bfs_connected, _hyperbond_spec, _three_valued_spec
 from rcgibbs import sampling
+from rcgibbs.errors import TooLargeError
 from rcgibbs.gibbs import SPIN, BondTable, GibbsSpec, Interaction, effective_bonds
 from rcgibbs.lattice import build_grid, hypergraph
 from rcgibbs.models import ising_spec
-from rcgibbs.percolation import pair_coin_table
-from rcgibbs.rng import run_tasks, stream
+from rcgibbs.percolation import integrated_rc, pair_coin_table
+from rcgibbs.rng import stream
 
 
-# Reference oracle: the dict-based heat bath that recomputed every incident
-# bond factor for each site and value and drew one scalar uniform per
-# update, and the sample loop that drove it.
+# Reference oracle: a scalar loop per (chain, site) that recomputes every
+# incident bond factor, colours the sites greedily in region order, and
+# reads the kernel's uniforms in its order: one (C, n_sites) block for the
+# start, one (C, n_class) block per colour class and sweep, and one
+# (n_tasks, n_bonds) block of coin uniforms per sample step.
 
 
-def _oracle_tables(spec, bonds):
-    incident = {v: [] for v in spec.region}
+def _oracle_plan(spec, bonds):
+    pos = {v: p for p, v in enumerate(spec.region)}
+    incident = [[] for _ in spec.region]
     for eb in bonds:
-        factors = tuple(float(x) for x in eb.table)
-        for v in eb.inside:
-            incident[v].append((eb.inside, factors))
-    doms = {v: spec.domain_indices(v) for v in spec.region}
-    return incident, doms
+        inside = tuple(pos[u] for u in eb.inside)
+        for p in inside:
+            incident[p].append((inside, [float(x) for x in eb.table]))
+    nbrs = [{q for inside, _ in incident[p] for q in inside} - {p} for p in range(len(spec.region))]
+    colour = []
+    for p in range(len(spec.region)):
+        c = 0
+        while any(colour[q] == c for q in nbrs[p] if q < p):
+            c += 1
+        colour.append(c)
+    classes = [[p for p in range(len(spec.region)) if colour[p] == c] for c in range(max(colour, default=-1) + 1)]
+    doms = [spec.domain_indices(v) for v in spec.region]
+    return incident, classes, doms
 
 
-def _oracle_chain(spec, tables, rng, n_sweeps, state=None, frozen=None):
+def _oracle_value(S, weights, u):
+    """The value sum_j [u < T_j], the tails summed from the top value down."""
+    tails = [0.0] * S
+    acc = 0.0
+    for j in range(S - 1, -1, -1):
+        acc = weights[j] + acc
+        tails[j] = acc
+    return sum(1 for j in range(1, S) if u < tails[j] / tails[0])
+
+
+def _oracle_update(spec, plan, state, p, u):
     S = spec.alphabet.size
-    incident, doms = tables
-    if state is None:
-        state = {
-            v: doms[v][int(rng.integers(0, len(doms[v])))] for v in spec.region
-        }
+    incident, _, doms = plan
+    weights = [0.0] * S
+    for vi in doms[p]:
+        w = 1.0
+        for inside, factors in incident[p]:
+            li = 0
+            for q in inside:
+                li = li * S + (vi if q == p else state[q])
+            w *= factors[li]
+        weights[vi] = w
+    if not any(weights):
+        weights = [1.0 if vi in doms[p] else 0.0 for vi in range(S)]
+    return _oracle_value(S, weights, u)
+
+
+def _oracle_sweeps(spec, plan, states, rng, n_sweeps):
+    _, classes, _ = plan
     for _ in range(n_sweeps):
-        for v in spec.region:
-            weights = []
-            for vi in doms[v]:
-                w = 1.0
-                for inside, factors in incident[v]:
-                    li = 0
-                    for u in inside:
-                        li = li * S + (vi if u == v else state[u])
-                    w *= factors[li]
-                weights.append(w)
-            tot = sum(weights)
-            if tot <= 0:
-                if frozen is not None:
-                    frozen.append(v)
-                continue  # frozen site under current neighbors
-            u01 = rng.random() * tot
-            acc = 0.0
-            for vi, w in zip(doms[v], weights):
-                acc += w
-                if u01 <= acc:
-                    state[v] = vi
-                    break
-    return state
+        for sites in classes:
+            u = rng.random((len(states), len(sites)))
+            for c, state in enumerate(states):
+                new = [_oracle_update(spec, plan, state, p, u[c, i]) for i, p in enumerate(sites)]
+                for p, vi in zip(sites, new):
+                    state[p] = vi
 
 
 def _oracle_mc(spec, A, B, n_samples, seed, burn_in=300, gap=2, n_tasks=8, threads=1):
+    S = spec.alphabet.size
     bonds = effective_bonds(spec)
     coins = pair_coin_table(spec)
-    tables = _oracle_tables(spec, bonds)
-    A = frozenset(A)
-    B = frozenset(B)
-    S = spec.alphabet.size
+    plan = _oracle_plan(spec, bonds)
+    doms = plan[2]
+    pos = {v: p for p, v in enumerate(spec.region)}
+    rng = stream(seed, 300)
+    u = rng.random((2 * n_tasks, len(spec.region)))
+    states = [
+        [_oracle_value(S, [1.0 if vi in doms[p] else 0.0 for vi in range(S)], u[c, p]) for p in range(len(spec.region))]
+        for c in range(2 * n_tasks)
+    ]
+    _oracle_sweeps(spec, plan, states, rng, burn_in)
     per_task = -(-n_samples // n_tasks)
-
-    def task(t):
-        rng1 = stream(seed, 300, t, 0)
-        rng2 = stream(seed, 300, t, 1)
-        rngc = stream(seed, 300, t, 2)
-        s1 = _oracle_chain(spec, tables, rng1, burn_in)
-        s2 = _oracle_chain(spec, tables, rng2, burn_in)
-        hits = 0
-        n_done = 0
-        for _ in range(per_task):
-            s1 = _oracle_chain(spec, tables, rng1, gap, s1)
-            s2 = _oracle_chain(spec, tables, rng2, gap, s2)
+    hits = 0
+    for _ in range(per_task):
+        _oracle_sweeps(spec, plan, states, rng, gap)
+        u = rng.random((n_tasks, len(bonds)))
+        for t in range(n_tasks):
+            s1, s2 = states[t], states[n_tasks + t]
             active = []
-            for eb, coin in zip(bonds, coins):
+            for j, (eb, coin) in enumerate(zip(bonds, coins)):
                 x1 = x2 = 0
                 for v in eb.inside:
-                    x1 = x1 * S + s1[v]
-                    x2 = x2 * S + s2[v]
-                q = coin[x1][x2]
-                if q > 0 and rngc.random() < q:
+                    x1 = x1 * S + s1[pos[v]]
+                    x2 = x2 * S + s2[pos[v]]
+                if u[t, j] < float(coin[x1][x2]):
                     active.append(eb.vertices)
-            if _bfs_connected(spec.graph.n_vertices, active, A, B):
-                hits += 1
-            n_done += 1
-        return hits, n_done
-
-    results = run_tasks(task, list(range(n_tasks)), threads=threads)
-    hits = sum(h for h, _ in results)
-    n = sum(c for _, c in results)
+            hits += _bfs_connected(spec.graph.n_vertices, active, A, B)
+    n = per_task * n_tasks
     p = hits / n
     se = math.sqrt(max(p * (1 - p), 1e-300) / n)
     return {"estimate": p, "stderr": se, "n_samples": n, "seed": seed}
@@ -151,23 +162,51 @@ def test_mc_matches_oracle_on_masks_wider_than_62_bits(threads):
     assert 0 < got["estimate"] < 1
 
 
-def test_frozen_site_draws_nothing():
+def _weight(spec, bonds, config):
+    pos = {v: p for p, v in enumerate(spec.region)}
+    S = spec.alphabet.size
+    w = 1.0
+    for eb in bonds:
+        li = 0
+        for v in eb.inside:
+            li = li * S + int(config[pos[v]])
+        w *= float(eb.table[li])
+    return w
+
+
+def test_chains_leave_zero_weight_configurations():
+    # a site whose neighbours disagree has weight 0 for both of its values;
+    # its uniform row lets the chain move on to an allowed configuration
     spec = _equal_chain_spec(6)
     bonds = effective_bonds(spec)
-    for seed in range(4):
-        frozen = []
-        rng_o = stream(seed, 5)
-        want = _oracle_chain(spec, _oracle_tables(spec, bonds), rng_o, 3, frozen=frozen)
-        tables = sampling._chain_tables(spec, bonds)
-        chain = sampling.Chain(tables, stream(seed, 5))
-        got = sampling.heat_bath_chain(spec, tables, chain, 3)
-        if frozen:
-            break
-    assert frozen, "no seed froze a site"
-    assert got == [want[v] for v in spec.region]
-    # both streams stand at the same uniform after the frozen updates
-    assert chain.next_uniform() == rng_o.random()
-    kw = dict(burn_in=3, gap=1, n_tasks=2)
-    assert sampling.mc_connection_probability(spec, {0}, {5}, 40, seed, **kw) == _oracle_mc(
-        spec, {0}, {5}, 40, seed, **kw
-    )
+    hb, start = sampling._generic_heat_bath(spec, bonds, 200)
+    rng = stream(4, 0)
+    hb.load((rng.random((200, 6)).T < start[:, :, None]).sum(axis=0))
+    assert sum(_weight(spec, bonds, col) == 0 for col in hb.values().T) > 100
+    sampling.heat_bath_chain(spec, hb, rng, 300)
+    assert all(_weight(spec, bonds, col) > 0 for col in hb.values().T)
+
+
+# (name, spec, A, B, n_tasks, seed). Each chain of the equal chain settles
+# in one of its two allowed configurations, so only independent pairs
+# average: it runs one sample per pair.
+STAT_CASES = [
+    ("equal_chain", lambda: _equal_chain_spec(6), {0}, {5}, 4000, 1),
+    *[(name, make, A, B, 8, 1) for name, make, A, B in ORACLE_CASES if name in ("grid3x2_field", "three_valued", "hyperbond")],
+]
+
+
+@pytest.mark.parametrize("name,make,A,B,n_tasks,seed", STAT_CASES, ids=[c[0] for c in STAT_CASES])
+def test_mc_estimate_within_005_of_exact(name, make, A, B, n_tasks, seed):
+    spec = make()
+    exact = float(integrated_rc(spec).connection_probability(A, B))
+    got = sampling.mc_connection_probability(spec, A, B, 4000, seed, n_tasks=n_tasks)
+    assert got["n_samples"] == 4000
+    assert abs(got["estimate"] - exact) <= 0.05, (got, exact)
+
+
+def test_table_past_the_cap_raises_too_large():
+    # the centre of a 25-leaf star has 2**25 neighbour codes
+    spec = ising_spec(hypergraph(26, [(0, k) for k in range(1, 26)]), 0.3)
+    with pytest.raises(TooLargeError, match="heat-bath table"):
+        sampling.mc_connection_probability(spec, {0}, {1}, 8, 0)
