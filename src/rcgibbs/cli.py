@@ -41,24 +41,17 @@ from .sampling import mc_connection_probability
 from .twocopy import nonoverlap_distribution, overlap_distribution, make_slice
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (frozenset, set)):
-        return sorted(_jsonable(v) for v in x)
+def _plain(x):
+    """json.dumps's default: the JSON value of what it cannot write itself.
+    A Fraction becomes a float, a numpy scalar or array its tolist() and a
+    set its sorted list."""
     if isinstance(x, Fraction):
         return float(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    return x
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    if isinstance(x, (set, frozenset)):
+        return sorted(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def emit(report: dict, config: dict, out_dir, fmt: str = "json", timing: float | None = None):
@@ -66,12 +59,8 @@ def emit(report: dict, config: dict, out_dir, fmt: str = "json", timing: float |
     a separate meta.json so canonical outputs stay byte-stable."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "config": _jsonable(config),
-        "version": __version__,
-        "results": _jsonable(report),
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    payload = {"config": config, "version": __version__, "results": report}
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_plain)
     (out / "results.json").write_text(text + "\n")
     if fmt == "csv":
         rows = report.get("rows", [])
@@ -93,10 +82,9 @@ def emit(report: dict, config: dict, out_dir, fmt: str = "json", timing: float |
 
 
 def _csv_cell(v):
-    v = _jsonable(v)
-    if isinstance(v, (dict, list)):
-        return json.dumps(v, sort_keys=True)
-    return v
+    if isinstance(v, (dict, list, tuple, set, frozenset, np.ndarray)):
+        return json.dumps(v, sort_keys=True, default=_plain)
+    return _plain(v) if isinstance(v, (Fraction, np.generic)) else v
 
 
 def _parse_numbers(arg: str, what: str, sep: str = ",", kind=int, length=None) -> list:

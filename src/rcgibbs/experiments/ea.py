@@ -6,6 +6,11 @@ with probability 1 - exp(-4|K|) and red bonds where the copies' bond
 products disagree with probability 1 - exp(-2|K|). Cluster statistics of
 blue bonds are taken inside the non-overlap (disagreement) region.
 
+The box's bonds are its nonzero coupling cells (_bond_cells), one bond
+per cell: glass_spec, the exact model, and mc_bond_joint's masks list them
+in one order, build_grid's except on the 2 x 2 torus, where the two cells
+joining a pair of sites are two parallel bonds, as the heat bath sees them.
+
 The heat bath is sampling.HeatBath: its classes are the two checkerboard
 colours and its table the 81-entry p_plus table keyed by the neighbours'
 spins. The colouring is proper only for even L on the torus, so odd
@@ -25,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import UsageError
-from ..lattice import build_grid
+from ..lattice import hypergraph
 from ..models import ising_spec
 from ..percolation import _graph, chains_join, edge_components
 from ..rng import run_tasks, stream
-from ..sampling import HeatBath
+from ..sampling import HeatBath, distinct_masks
 
 
 @dataclass(frozen=True)
@@ -73,29 +78,28 @@ def quenched_couplings(L: int, J: float, seed: int, periodic: bool = False) -> Q
     return QuenchedCouplings(L, J, periodic, seed, h, v)
 
 
-def coupling_list(qc: QuenchedCouplings, beta_scale: float = 1.0):
-    """Couplings aligned with build_grid's bond ordering.
-
-    Returns (graph, [coupling per bond]) with zero-coupling entries absent
-    (open-boundary wrap bonds are not in the graph at all).
-    """
-    g = build_grid(qc.L, qc.L, qc.periodic)
+def _bond_cells(qc: QuenchedCouplings):
+    """The box's bonds: one per nonzero cell of np.stack((horizontal,
+    vertical)), as (flat cell indices, sites a, sites b) with a < b, stably
+    sorted by (a, b). That is build_grid's bond order, except on the 2 x 2
+    torus, whose two cells joining one pair of sites stay two bonds, as the
+    heat bath, bond_energy and _cluster_stats count them."""
     L = qc.L
-    lookup = {}
-    for y in range(L):
-        for x in range(L):
-            if qc.horizontal[y, x] != 0.0:
-                a, b = y * L + x, y * L + (x + 1) % L
-                lookup[tuple(sorted((a, b)))] = beta_scale * qc.horizontal[y, x]
-            if qc.vertical[y, x] != 0.0:
-                a, b = y * L + x, ((y + 1) % L) * L + x
-                lookup[tuple(sorted((a, b)))] = beta_scale * qc.vertical[y, x]
-    return g, [lookup[b] for b in g.bonds]
+    cells = np.flatnonzero(np.stack((qc.horizontal, qc.vertical)))
+    d, y, x = np.unravel_index(cells, (2, L, L))
+    a = y * L + x
+    b = np.where(d == 0, y * L + (x + 1) % L, (y + 1) % L * L + x)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(a * L * L + b, kind="stable")
+    return cells[order], a[order], b[order]
 
 
 def glass_spec(qc: QuenchedCouplings, beta_scale: float = 1.0):
-    g, Js = coupling_list(qc, beta_scale)
-    return ising_spec(g, Js)
+    """The box as an Ising spec over its _bond_cells bonds, coupling
+    beta_scale times the cell's."""
+    cells, a, b = _bond_cells(qc)
+    graph = hypergraph(qc.L * qc.L, zip(a.tolist(), b.tolist()))
+    return ising_spec(graph, beta_scale * np.stack((qc.horizontal, qc.vertical)).ravel()[cells])
 
 
 def _checkerboard(L: int):
@@ -482,24 +486,16 @@ def mc_bond_joint(
 ) -> tuple[dict, int]:
     """Monte Carlo histogram of (blue mask, red mask) over the box's bonds.
 
-    Bond bit order follows build_grid's sorted bond list, so the histogram
-    is directly comparable with the exact two-family joint.
+    Bit j stands for bond j of _bond_cells, the bond order of glass_spec,
+    so the histogram is directly comparable with the exact two-family
+    joint of glass_spec(qc, beta_scale).
     """
     if n_samples < 1:
         raise UsageError("n_samples must be positive")
     if burn_in < 0 or gap < 0:
         raise UsageError("burn_in and gap must be nonnegative")
     L = qc.L
-    g = build_grid(L, L, qc.periodic)
-    bond_index = {b: i for i, b in enumerate(g.bonds)}
-    hmap = np.full((L, L), -1, dtype=int)
-    vmap = np.full((L, L), -1, dtype=int)
-    for y in range(L):
-        for x in range(L):
-            if qc.horizontal[y, x] != 0.0:
-                hmap[y, x] = bond_index[tuple(sorted((y * L + x, y * L + (x + 1) % L)))]
-            if qc.vertical[y, x] != 0.0:
-                vmap[y, x] = bond_index[tuple(sorted((y * L + x, ((y + 1) % L) * L + x)))]
+    cells, _, _ = _bond_cells(qc)
     rng1 = stream(seed, 201)
     rng2 = stream(seed, 202)
     rngb = stream(seed, 203)
@@ -510,29 +506,13 @@ def mc_bond_joint(
     ws = HeatBathWorkspace(qc, beta_scale, R)
     heat_bath_sweeps(s1, qc, beta_scale, rng1, burn_in, ws)
     heat_bath_sweeps(s2, qc, beta_scale, rng2, burn_in, ws)
-    hsel = np.nonzero(hmap >= 0)
-    vsel = np.nonzero(vmap >= 0)
-    bits = [1 << int(k) for k in np.concatenate((hmap[hsel], vmap[vsel]))]
-    nb = len(bits)
-    counts: dict[tuple[int, int], int] = {}
-    collected = 0
-    for _ in range(per):
+    rows = np.empty((per, R, 2, len(cells)), bool)  # per sample: blue bonds, then red
+    for k in range(per):
         heat_bath_sweeps(s1, qc, beta_scale, rng1, gap, ws)
         heat_bath_sweeps(s2, qc, beta_scale, rng2, gap, ws)
         blue, red, _ = sample_blue_red(s1, s2, qc, beta_scale, rngb)
-        (bh, _), (bv, _) = blue
-        (rh, _), (rv, _) = red
-        take = min(R, n_samples - collected)
-        rows = np.concatenate(
-            (bh[:, hsel[0], hsel[1]], bv[:, vsel[0], vsel[1]], rh[:, hsel[0], hsel[1]], rv[:, vsel[0], vsel[1]]),
-            axis=1,
-        )[:take]
-        distinct, mult = np.unique(rows, axis=0, return_counts=True)
-        for row, c in zip(distinct.tolist(), mult.tolist()):
-            key = (
-                sum(bit for bit, on in zip(bits, row[:nb]) if on),
-                sum(bit for bit, on in zip(bits, row[nb:]) if on),
-            )
-            counts[key] = counts.get(key, 0) + c
-        collected += take
-    return counts, collected
+        for c, ((h, _), (v, _)) in enumerate((blue, red)):
+            rows[k, :, c] = np.stack((h, v), axis=1).reshape(R, -1)[:, cells]
+    masks, counts = distinct_masks(rows.reshape(per * R, -1)[:n_samples])
+    low = (1 << len(cells)) - 1
+    return {(m & low, m >> len(cells)): c for m, c in zip(masks, counts)}, n_samples

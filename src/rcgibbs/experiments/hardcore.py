@@ -77,7 +77,7 @@ def _pair_adjacency(graph: Hypergraph):
     return adj
 
 
-def _slice_machinery_check(spec, sigma, pair_bonds, A, B):
+def _slice_machinery_check(spec, sigma, pair_bonds):
     """Activity of one slice from the representation machinery.
 
     Returns (deterministic, active set matches bonds inside the
@@ -210,7 +210,7 @@ def hardcore_disagreement(
             break
     det_ok = match_ok = support_ok = True
     for sigma in sorted(sigmas):
-        d, m, s = _slice_machinery_check(spec1, sigma, pair_bonds, A, B)
+        d, m, s = _slice_machinery_check(spec1, sigma, pair_bonds)
         det_ok &= d
         match_ok &= m
         support_ok &= s

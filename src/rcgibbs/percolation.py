@@ -10,6 +10,7 @@ alone; pair_coin_table computes it once per spec, and every exact query
 and the Monte Carlo sampler read that one table.
 
 One array kernel, _pattern_blocks, computes the law for integrated_rc,
+and through one per-slice reduction, _slice_connections, for
 sigma_connection_profile and slice_connection_prob. It reads the two-copy
 pairs from twocopy.PairWalk, a pair taking a block cell per effective bond,
 groups a slice's pairs by coin vector, and expands each group over its live
@@ -408,15 +409,6 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
                    mask[first], rec_val)
 
 
-def _slice_patterns(spec: GibbsSpec, sigma):
-    """(total, {mask: weight}) of one overlap slice, unnormalized and of one
-    scale, from the pattern blocks; (0, {}) for a slice of zero weight,
-    ZeroSliceError for one some vertex cannot reach."""
-    for _, totals, _, mask, val in _pattern_blocks(spec, sigma):
-        return totals[0], dict(zip(mask.tolist(), val.tolist()))
-    return 0, {}
-
-
 def integrated_rc(spec: GibbsSpec, max_total: int = 1 << 20, max_bonds: int = 20) -> IntegratedRC:
     """Integrated activity-pattern distribution over all overlap slices.
 
@@ -454,14 +446,29 @@ def integrated_rc(spec: GibbsSpec, max_total: int = 1 << 20, max_bonds: int = 20
     )
 
 
+def _slice_connections(spec: GibbsSpec, A, B, sigma=None):
+    """(sigma, total, joined weight) per slice of positive weight, in slice
+    order, of one scale: the pattern blocks' distinct masks are labelled in
+    one batch, and a slice adds its joined records in order from 0. sigma
+    limits the walk to that slice."""
+    bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
+    blocks = list(_pattern_blocks(spec, sigma))
+    distinct = np.unique(np.concatenate([np.zeros(0, np.int64), *(b[3] for b in blocks)]))
+    labels = chain_components(spec.graph.n_vertices, bond_vertices, distinct.tolist())
+    joined = chains_join(labels, A, B)
+    for sigmas, totals, rec_slice, rec_mask, rec_val in blocks:
+        conn = joined[np.searchsorted(distinct, rec_mask)]
+        num = np.zeros(len(sigmas), dtype=rec_val.dtype)
+        np.add.at(num, rec_slice[conn], rec_val[conn])
+        yield from zip(sigmas, totals, num.tolist())
+
+
 def slice_connection_prob(spec: GibbsSpec, sigma, A, B):
     """Probability of the active connection event inside one overlap slice."""
-    total, pats = _slice_patterns(spec, sigma)
-    if total == 0:
-        raise ZeroSliceError("overlap configuration has probability zero")
-    bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
     div = Fraction if spec.exact else operator.truediv
-    return div(joined_weight(spec.graph.n_vertices, bond_vertices, pats, pats.values(), A, B), total)
+    for _, total, joined in _slice_connections(spec, A, B, sigma):
+        return div(joined, total)
+    raise ZeroSliceError("overlap configuration has probability zero")
 
 
 def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):
@@ -475,23 +482,14 @@ def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):
     nst = spec.n_states()
     if nst * nst > max_total:
         raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
-    bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
     div = Fraction if spec.exact else operator.truediv
-    blocks = list(_pattern_blocks(spec))
-    distinct = np.unique(np.concatenate([np.zeros(0, np.int64), *(b[3] for b in blocks)]))
-    labels = chain_components(spec.graph.n_vertices, bond_vertices, distinct.tolist())
-    joined = chains_join(labels, A, B)
     rows = []
     grand = 0
     acc = 0
-    for sigmas, totals, rec_slice, rec_mask, rec_val in blocks:
-        conn = joined[np.searchsorted(distinct, rec_mask)]
-        num = np.zeros(len(sigmas), dtype=rec_val.dtype)
-        np.add.at(num, rec_slice[conn], rec_val[conn])
-        for sigma, total, n in zip(sigmas, totals, num.tolist()):
-            grand += total
-            rows.append((sigma, total, div(n, total)))
-            acc += n
+    for sigma, total, joined in _slice_connections(spec, A, B):
+        grand += total
+        rows.append((sigma, total, div(joined, total)))
+        acc += joined
     if grand == 0:
         raise ZeroSliceError("zero measure")
     rows = [(s, div(t, grand), p) for s, t, p in rows]

@@ -109,23 +109,13 @@ def monotone_probabilities(factors):
 
 
 def monotone_system(factors, level_masks) -> LevelSystem:
+    """The level system whose i-th subset is the union of levels 0..i."""
     subsets = []
     acc = 0
     for m in level_masks:
         acc |= m
         subsets.append(acc)
     return LevelSystem(tuple(factors), tuple(level_masks), tuple(subsets))
-
-
-def _is_monotone_family(system: LevelSystem) -> bool:
-    acc = 0
-    if len(system.subsets) != len(system.level_masks):
-        return False
-    for m, s in zip(system.level_masks, system.subsets):
-        acc |= m
-        if s != acc:
-            return False
-    return True
 
 
 def _solve_linear_base(A: np.ndarray, w: np.ndarray, tol: float):
@@ -187,7 +177,7 @@ def solve_bernoulli(system: LevelSystem, tol: float = 1e-10) -> BernoulliSolutio
     feasibility problem; rank-deficient systems return the minimum-norm
     solution flagged as degenerate.
     """
-    if _is_monotone_family(system):
+    if system.subsets == monotone_system(system.factors, system.level_masks).subsets:
         probs = monotone_probabilities(system.factors)
         scale = 1 / system.factors[0]
         return BernoulliSolution(probs, float(scale), False, 0.0)
@@ -287,17 +277,13 @@ def monotone_base(spec: GibbsSpec) -> RcrBase:
         if levels[0] <= 0:
             raise ZeroSliceError(f"bond {eb.index} forbids every restricted configuration")
         probs = monotone_probabilities(levels)
-        subsets = []
-        acc = 0
-        for m in level_masks:
-            acc |= m
-            subsets.append(acc)
+        subsets = monotone_system(levels, level_masks).subsets
         bonds.append(
             BondBase(
                 vertices=eb.vertices,
                 inside=eb.inside,
-                full_mask=acc,
-                subsets=tuple(subsets),
+                full_mask=subsets[-1],
+                subsets=subsets,
                 probs=probs,
                 levels=levels,
                 level_masks=level_masks,

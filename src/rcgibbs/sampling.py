@@ -137,6 +137,15 @@ def _generic_heat_bath(spec: GibbsSpec, bonds, C: int):
     return HeatBath(n, classes, table, C), _tails(allowed.astype(float))
 
 
+def distinct_masks(rows) -> tuple[list[int], list[int]]:
+    """The distinct rows of a (K, n) bool array as int masks, bit j for
+    column j, with their counts, in np.unique's order of the rows packed
+    little-endian."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    distinct, counts = np.unique(packed, axis=0, return_counts=True)
+    return [int.from_bytes(r.tobytes(), "little") for r in distinct], counts.tolist()
+
+
 def heat_bath_chain(spec: GibbsSpec, hb: HeatBath, rng, n_sweeps: int):
     """Run n_sweeps of the kernel on hb, the chains of spec."""
     hb.sweeps(rng, n_sweeps)
@@ -172,15 +181,14 @@ def mc_connection_probability(
     hb.load((rng.random((2 * T, n)).T < start[:, :, None]).sum(axis=0))
     heat_bath_chain(spec, hb, rng, burn_in)
     per_task = -(-n_samples // T)
-    packed = np.empty((per_task, T, (len(bonds) + 7) // 8), np.uint8)
+    active = np.empty((per_task, T, len(bonds)), bool)
     for k in range(per_task):
         heat_bath_chain(spec, hb, rng, gap)
         code = (radix * hb.state[rows]).sum(axis=0)  # (n_bonds, 2 T)
         x = off + size * code[:, :T] + code[:, T:]
-        packed[k] = np.packbits(rng.random((T, len(bonds))) < q[x].T, axis=1, bitorder="little")
-    distinct, counts = np.unique(packed.reshape(per_task * T, -1), axis=0, return_counts=True)
-    masks = [int.from_bytes(r.tobytes(), "little") for r in distinct]
-    hits = joined_weight(spec.graph.n_vertices, [eb.vertices for eb in bonds], masks, counts.tolist(), A, B)
+        np.less(rng.random((T, len(bonds))), q[x].T, out=active[k])
+    masks, counts = distinct_masks(active.reshape(per_task * T, -1))
+    hits = joined_weight(spec.graph.n_vertices, [eb.vertices for eb in bonds], masks, counts, A, B)
     total = per_task * T
     p = hits / total
     se = math.sqrt(max(p * (1 - p), 1e-300) / total)

@@ -4,8 +4,10 @@ import json
 import subprocess
 import sys
 import tempfile
+import textwrap
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -106,6 +108,51 @@ def test_csv_empty_rows_header_only(tmp_path, model_file):
     )
     assert rc == 0
     assert (out / "table.csv").read_text() == "\n" or (out / "table.csv").read_text() == ""
+
+
+def test_emit_writes_numpy_fraction_and_set_values_as_plain_json(tmp_path):
+    values = {
+        "fraction": Fraction(1, 4),
+        "int": np.int64(7),
+        "bool": np.bool_(True),
+        "float": np.float64(0.1),
+        "set": frozenset({3, 1, 2}),
+        "array": np.array([[1, 2], [3, 4]]),
+    }
+    cli.emit(values, {"seed": np.int64(5)}, tmp_path / "json")
+    assert (tmp_path / "json" / "results.json").read_text() == textwrap.dedent(f"""\
+        {{
+          "config": {{
+            "seed": 5
+          }},
+          "results": {{
+            "array": [
+              [
+                1,
+                2
+              ],
+              [
+                3,
+                4
+              ]
+            ],
+            "bool": true,
+            "float": 0.1,
+            "fraction": 0.25,
+            "int": 7,
+            "set": [
+              1,
+              2,
+              3
+            ]
+          }},
+          "version": "{cli.__version__}"
+        }}
+        """)
+    cli.emit({"rows": [values]}, {}, tmp_path / "csv", fmt="csv")
+    assert (tmp_path / "csv" / "table.csv").read_bytes() == (
+        b'fraction,int,bool,float,set,array\r\n0.25,7,True,0.1,"[1, 2, 3]","[[1, 2], [3, 4]]"\r\n'
+    )
 
 
 def test_same_seed_byte_identical(tmp_path, model_file):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -538,18 +539,21 @@ def test_ea_low_temperature_grows_blue_clusters():
     )
 
 
-def test_mc_bond_joint_matches_exact_small_sample():
-    qc = quenched_couplings(2, 1.0, seed=3)
-    beta = 0.8
-    spec = glass_spec(qc, beta)
-    tb, spec2 = mns_base(spec)
-    tj = typed_joint(spec2, tb)
-    exact = tj.map_outcomes(
+def _exact_bond_joint(qc, beta):
+    """The exact law of (blue mask, red mask) over glass_spec's bonds."""
+    tb, spec2 = mns_base(glass_spec(qc, beta))
+    return typed_joint(spec2, tb).map_outcomes(
         lambda a: (
             sum(1 << k for k, (ja, jb) in enumerate(a) if ja == 0),
             sum(1 << k for k, (ja, jb) in enumerate(a) if jb == 0),
         )
     )
+
+
+def test_mc_bond_joint_matches_exact_small_sample():
+    qc = quenched_couplings(2, 1.0, seed=3)
+    beta = 0.8
+    exact = _exact_bond_joint(qc, beta)
     counts, n = mc_bond_joint(qc, beta, seed=6, n_samples=40000, burn_in=200, gap=3)
     assert n == 40000
     for key, c in counts.items():
@@ -560,3 +564,52 @@ def test_mc_bond_joint_matches_exact_small_sample():
         zs.append(abs(counts.get(key, 0) / n - p) / se)
     assert np.mean(zs) < 2.0
     assert max(zs) < 4.5
+
+
+# The 2 x 2 torus: two coupling cells join each pair of sites, and each is
+# a bond of its own in the heat bath, in glass_spec and in mc_bond_joint.
+
+
+def test_glass_spec_on_the_2x2_torus_has_the_heat_bath_energy():
+    qc = quenched_couplings(2, 1.0, seed=0, periodic=True)
+    beta = 0.8
+    spec = glass_spec(qc, beta)
+    assert len(spec.graph.bonds) == 8
+    outcomes, probs = zip(*gibbs_measure(spec).items())
+    exact = float(np.dot(probs, bond_energy(np.array(outcomes).reshape(-1, 2, 2), qc)))
+    e = bond_energy(np.array(list(itertools.product((-1, 1), repeat=4))).reshape(-1, 2, 2), qc)
+    w = np.exp(-beta * e)
+    assert abs(exact - float(w @ e / w.sum())) < 1e-12
+
+
+def test_glass_spec_without_couplings_has_no_bonds():
+    assert glass_spec(quenched_couplings(4, 0.0, 1)).graph.bonds == ()
+
+
+@functools.lru_cache(maxsize=None)
+def _torus_bond_joint():
+    qc = quenched_couplings(2, 1.0, seed=0, periodic=True)
+    counts, n = mc_bond_joint(qc, 0.8, seed=6, n_samples=200_000, burn_in=200, gap=3)
+    return _exact_bond_joint(qc, 0.8), counts, n
+
+
+def test_mc_bond_joint_on_the_2x2_torus_samples_only_possible_masks():
+    exact, counts, _ = _torus_bond_joint()
+    assert [key for key in counts if exact.prob(key) == 0] == []
+
+
+def test_mc_bond_joint_on_the_2x2_torus_passes_the_c08_gates():
+    # C08's gates: per-bond (blue, red, neither) z, and chi-square over the
+    # outcomes of expected count at least 5
+    exact, counts, n = _torus_bond_joint()
+    worst_z = 0.0
+    for k in range(8):
+        kind = lambda key: 0 if (key[0] >> k) & 1 else 1 if (key[1] >> k) & 1 else 2
+        for label in range(3):
+            p = sum(p for key, p in exact.items() if kind(key) == label)
+            c = sum(c for key, c in counts.items() if kind(key) == label)
+            worst_z = max(worst_z, abs(c / n - p) / math.sqrt(p * (1 - p) / n))
+    expected = {key: p * n for key, p in exact.items() if p * n >= 5}
+    chi2 = sum((counts.get(key, 0) - e) ** 2 / e for key, e in expected.items())
+    assert worst_z <= 3.0
+    assert stats.chi2.sf(chi2, len(expected) - 1) >= 0.01

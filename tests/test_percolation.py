@@ -25,7 +25,6 @@ from rcgibbs.models import example1_exact_spec, example1_spec, ising_spec
 from rcgibbs.percolation import (
     IntegratedRC,
     _pattern_blocks,
-    _slice_patterns,
     activity_pattern,
     chain_components,
     domination_probability,
@@ -396,12 +395,10 @@ def test_overlap_interior_bonds_never_active():
         rho = overlap_distribution(spec)
         for sigma in itertools.islice(rho.outcomes(), 0, 30, 3):
             K = {v for v, s in zip(spec.region, sigma) if s != 0}
-            total, pats = _slice_patterns(spec, sigma)
-            if total == 0:
-                continue
-            for j, verts in enumerate(irc_bonds):
-                if set(verts) <= K:
-                    assert all(not (mask >> j) & 1 for mask in pats)
+            for _, _, _, masks, _ in _pattern_blocks(spec, sigma):
+                for j, verts in enumerate(irc_bonds):
+                    if set(verts) <= K:
+                        assert all(not (mask >> j) & 1 for mask in masks.tolist())
 
 
 # ---------------------------------------------------------------------------
