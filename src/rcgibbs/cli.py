@@ -289,6 +289,7 @@ def cmd_perc_ibar(args) -> dict:
             "estimate": res["estimate"],
             "stderr": res["stderr"],
             "n_samples": res["n_samples"],
+            "equilibration": {k: res[k] for k in ("burn_in", "tau", "equilibrated")},
         }
     profile, pbar = sigma_connection_profile(spec, A, B)
     rows = [

@@ -34,7 +34,7 @@ from ..lattice import hypergraph
 from ..models import ising_spec
 from ..percolation import _graph, chains_join, edge_components
 from ..rng import run_tasks, stream
-from ..sampling import HeatBath, distinct_masks
+from ..sampling import HeatBath, distinct_masks, integrated_autocorr
 
 
 @dataclass(frozen=True)
@@ -189,27 +189,6 @@ def bond_energy(s, qc: QuenchedCouplings) -> np.ndarray:
     e = -(qc.horizontal[None] * s * np.roll(s, -1, axis=2)).sum(axis=(1, 2))
     e -= (qc.vertical[None] * s * np.roll(s, -1, axis=1)).sum(axis=(1, 2))
     return e
-
-
-def integrated_autocorr(x: np.ndarray) -> tuple[float, bool]:
-    """Sokal-windowed integrated autocorrelation time of one series."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n < 8:
-        return 1.0, False
-    x = x - x.mean()
-    var = float(np.dot(x, x)) / n
-    if var == 0:
-        return 1.0, True
-    tau = 1.0
-    converged = False
-    for m in range(1, n // 2):
-        rho = float(np.dot(x[:-m], x[m:])) / ((n - m) * var)
-        tau += 2.0 * rho
-        if m >= 6.0 * tau:
-            converged = True
-            break
-    return max(tau, 1.0), converged
 
 
 def sample_blue_red(s1, s2, qc: QuenchedCouplings, beta: float, rng):
@@ -513,6 +492,6 @@ def mc_bond_joint(
         blue, red, _ = sample_blue_red(s1, s2, qc, beta_scale, rngb)
         for c, ((h, _), (v, _)) in enumerate((blue, red)):
             rows[k, :, c] = np.stack((h, v), axis=1).reshape(R, -1)[:, cells]
-    masks, counts = distinct_masks(rows.reshape(per * R, -1)[:n_samples])
+    masks, counts, _ = distinct_masks(rows.reshape(per * R, -1)[:n_samples])
     low = (1 << len(cells)) - 1
     return {(m & low, m >> len(cells)): c for m, c in zip(masks, counts)}, n_samples

@@ -21,7 +21,12 @@ of one state (pair t: columns t and n_tasks + t) on stream(seed, 300): one
 rng.random((C, n_sites)) for a start uniform over the domains, the burn-in,
 then per sample step the gap sweeps and one rng.random((n_tasks, n_bonds));
 bond j of pair t is active when its uniform is below its pair coin
-(percolation.pair_coin_table) at the copies' local values.
+(percolation.pair_coin_table) at the copies' local values. The burn-in runs
+one sweep at a time and records after each the pairs' mean expected active
+bond count, sum_j of the pair coins at the current state; from sweep
+BURN_IN_MIN on, every BURN_IN_CHECK sweeps, it stops once the integrated
+autocorrelation time tau of the series' later half has converged and the
+sweeps done are at least TAU_SWEEPS * tau. burn_in caps it.
 """
 
 from __future__ import annotations
@@ -32,8 +37,12 @@ import numpy as np
 
 from .errors import RcgibbsError, TooLargeError, UsageError
 from .gibbs import DEFAULT_STATE_CAP, GibbsSpec, effective_bonds
-from .percolation import joined_weight, pair_coin_table
+from .percolation import chain_components, chains_join, pair_coin_table
 from .rng import stream
+
+BURN_IN_MIN = 32  # the first sweep at which the burn-in may stop
+BURN_IN_CHECK = 8  # sweeps between two stopping checks
+TAU_SWEEPS = 20  # a stopped burn-in has run at least this many tau
 
 
 class HeatBath:
@@ -137,13 +146,36 @@ def _generic_heat_bath(spec: GibbsSpec, bonds, C: int):
     return HeatBath(n, classes, table, C), _tails(allowed.astype(float))
 
 
-def distinct_masks(rows) -> tuple[list[int], list[int]]:
+def distinct_masks(rows) -> tuple[list[int], list[int], np.ndarray]:
     """The distinct rows of a (K, n) bool array as int masks, bit j for
-    column j, with their counts, in np.unique's order of the rows packed
-    little-endian."""
+    column j, with their counts and the (K,) index of each row's mask, in
+    np.unique's order of the rows packed little-endian."""
     packed = np.packbits(rows, axis=1, bitorder="little")
-    distinct, counts = np.unique(packed, axis=0, return_counts=True)
-    return [int.from_bytes(r.tobytes(), "little") for r in distinct], counts.tolist()
+    distinct, inverse, counts = np.unique(packed, axis=0, return_inverse=True, return_counts=True)
+    return [int.from_bytes(r.tobytes(), "little") for r in distinct], counts.tolist(), inverse.ravel()
+
+
+def integrated_autocorr(x) -> tuple[float, bool]:
+    """Integrated autocorrelation time of one series and whether Sokal's
+    window m >= 6 tau closed (Madras-Sokal, J. Stat. Phys. 50, 109, 1988).
+    A series shorter than 8 gives (1.0, False); a constant one (1.0, True)."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if n < 8:
+        return 1.0, False
+    x = x - x.mean()
+    var = float(np.dot(x, x)) / n
+    if var == 0:
+        return 1.0, True
+    tau = 1.0
+    converged = False
+    for m in range(1, n // 2):
+        rho = float(np.dot(x[:-m], x[m:])) / ((n - m) * var)
+        tau += 2.0 * rho
+        if m >= 6.0 * tau:
+            converged = True
+            break
+    return max(tau, 1.0), converged
 
 
 def heat_bath_chain(spec: GibbsSpec, hb: HeatBath, rng, n_sweeps: int):
@@ -158,38 +190,71 @@ def mc_connection_probability(
 
     n_tasks pairs of chains, the columns of one kernel state (threads
     changes nothing), give ceil(n_samples / n_tasks) samples each, one every
-    gap sweeps after burn_in: a connection indicator after per-bond activity
-    coins. The standard error is binomial over all samples.
+    gap sweeps after the burn-in: a connection indicator after per-bond
+    activity coins. The burn-in stops by the rule in the module docstring,
+    at most burn_in sweeps; a burn_in below BURN_IN_MIN runs exactly that
+    many. The result reports the sweeps run ("burn_in"), the series' tau and
+    whether the rule stopped the burn-in ("equilibrated"). The standard
+    error is batch means over the pairs, whose chains are independent: the
+    sample standard deviation of the per-pair means over sqrt(n_tasks). It
+    is floored at 1 / N, N the samples in all, the resolution of the
+    estimate, so it stays positive when every pair gives the same mean (or
+    n_tasks is 1).
     """
     if n_samples < 1:
         raise UsageError("n_samples must be positive")
+    if n_tasks < 1:
+        raise UsageError("n_tasks must be positive")
+    if burn_in < 0 or gap < 0:
+        raise UsageError("burn_in and gap must be nonnegative")
     S, n, T = spec.alphabet.size, len(spec.region), n_tasks
     bonds = effective_bonds(spec)
     coins = pair_coin_table(spec)
     hb, start = _generic_heat_bath(spec, bonds, 2 * T)
     # bond j's coin sits at off_j + x1 * S**m + x2, x1 and x2 the copies'
-    # codes on its m inside sites, padded in front with the dummy to M sites
+    # codes on its m inside sites: rows j and n_bonds + j of lift @ state
     q = np.array([float(x) for coin in coins for row in coin for x in row])
     size = np.array([len(coin) for coin in coins], np.int64)[:, None]
     off = np.cumsum(size**2, axis=0) - size**2
-    M = max((len(eb.inside) for eb in bonds), default=0)
+    nb = len(bonds)
+    code = np.zeros((nb, n + 1), np.int64)
     pos = {v: p for p, v in enumerate(spec.region)}
-    sites = [[n] * (M - len(eb.inside)) + [pos[u] for u in eb.inside] for eb in bonds]
-    rows = hb.row[np.array(sites, np.intp).reshape(len(bonds), M).T]
-    radix = S ** np.arange(M - 1, -1, -1)[:, None, None]
+    for j, eb in enumerate(bonds):
+        for k, u in enumerate(eb.inside):
+            code[j, hb.row[pos[u]]] = S ** (len(eb.inside) - 1 - k)
+    lift = np.vstack((size * code, code))
+
+    def pair_coins():  # (n_bonds, T): each pair's coins at its copies' values
+        x = lift @ hb.state  # (2 n_bonds, 2 T)
+        return q[off + x[:nb, :T] + x[nb:, T:]]
+
     rng = stream(seed, 300)
     hb.load((rng.random((2 * T, n)).T < start[:, :, None]).sum(axis=0))
-    heat_bath_chain(spec, hb, rng, burn_in)
+    series, equilibrated = [], False
+    while len(series) < burn_in and not equilibrated:
+        heat_bath_chain(spec, hb, rng, 1)
+        series.append(float(pair_coins().sum()) / T)
+        k = len(series)
+        if k >= BURN_IN_MIN and k % BURN_IN_CHECK == 0:
+            tau, converged = integrated_autocorr(series[k // 2 :])
+            equilibrated = converged and k >= TAU_SWEEPS * tau
+    tau, _ = integrated_autocorr(series[len(series) // 2 :])
     per_task = -(-n_samples // T)
-    active = np.empty((per_task, T, len(bonds)), bool)
+    active = np.empty((per_task, T, nb), bool)
     for k in range(per_task):
         heat_bath_chain(spec, hb, rng, gap)
-        code = (radix * hb.state[rows]).sum(axis=0)  # (n_bonds, 2 T)
-        x = off + size * code[:, :T] + code[:, T:]
-        np.less(rng.random((T, len(bonds))), q[x].T, out=active[k])
-    masks, counts = distinct_masks(active.reshape(per_task * T, -1))
-    hits = joined_weight(spec.graph.n_vertices, [eb.vertices for eb in bonds], masks, counts, A, B)
+        np.less(rng.random((T, nb)), pair_coins().T, out=active[k])
+    masks, _, inverse = distinct_masks(active.reshape(per_task * T, -1))
+    joined = chains_join(chain_components(spec.graph.n_vertices, [eb.vertices for eb in bonds], masks), A, B)
+    hits = joined[inverse].reshape(per_task, T).sum(axis=0)
     total = per_task * T
-    p = hits / total
-    se = math.sqrt(max(p * (1 - p), 1e-300) / total)
-    return {"estimate": p, "stderr": se, "n_samples": total, "seed": seed}
+    sd = float(np.std(hits / per_task, ddof=1)) if T > 1 else 0.0
+    return {
+        "estimate": int(hits.sum()) / total,
+        "stderr": max(sd / math.sqrt(T), 1 / total),
+        "n_samples": total,
+        "seed": seed,
+        "burn_in": len(series),
+        "tau": tau,
+        "equilibrated": equilibrated,
+    }

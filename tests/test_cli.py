@@ -168,6 +168,15 @@ def test_same_seed_byte_identical(tmp_path, model_file):
     assert outs[0] == outs[1]
 
 
+def test_mc_results_report_the_equilibration(tmp_path, model_file):
+    out = tmp_path / "mc"
+    assert run_cli(["--out", str(out), "--seed", "1", "perc", "ibar", "--model", model_file,
+                    "--A", "0", "--B", "2", "--mc", "400"]) == 0
+    eq = json.loads((out / "results.json").read_text())["results"]["equilibration"]
+    assert set(eq) == {"burn_in", "tau", "equilibrated"}
+    assert 32 <= eq["burn_in"] < 300 and eq["tau"] >= 1 and eq["equilibrated"] is True
+
+
 def test_thread_count_does_not_change_bytes(tmp_path, model_file):
     blobs = []
     for threads in ("1", "4"):

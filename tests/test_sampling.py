@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_binary_spec
 from test_percolation import _bfs_connected, _hyperbond_spec, _three_valued_spec
 from rcgibbs import sampling
-from rcgibbs.errors import TooLargeError
+from rcgibbs.errors import TooLargeError, UsageError
 from rcgibbs.gibbs import SPIN, BondTable, GibbsSpec, Interaction, effective_bonds
 from rcgibbs.lattice import build_grid, hypergraph
 from rcgibbs.models import ising_spec
@@ -17,7 +18,9 @@ from rcgibbs.rng import stream
 # incident bond factor, colours the sites greedily in region order, and
 # reads the kernel's uniforms in its order: one (C, n_sites) block for the
 # start, one (C, n_class) block per colour class and sweep, and one
-# (n_tasks, n_bonds) block of coin uniforms per sample step.
+# (n_tasks, n_bonds) block of coin uniforms per sample step. Its burn-in
+# series and its standard error reduce arrays of the same shape and values
+# as the sampler's with the same numpy expressions, so floats round alike.
 
 
 def _oracle_plan(spec, bonds):
@@ -84,33 +87,54 @@ def _oracle_mc(spec, A, B, n_samples, seed, burn_in=300, gap=2, n_tasks=8, threa
     plan = _oracle_plan(spec, bonds)
     doms = plan[2]
     pos = {v: p for p, v in enumerate(spec.region)}
+
+    def pair_coins(t):
+        s1, s2 = states[t], states[n_tasks + t]
+        out = []
+        for eb, coin in zip(bonds, coins):
+            x1 = x2 = 0
+            for v in eb.inside:
+                x1 = x1 * S + s1[pos[v]]
+                x2 = x2 * S + s2[pos[v]]
+            out.append(float(coin[x1][x2]))
+        return out
+
     rng = stream(seed, 300)
     u = rng.random((2 * n_tasks, len(spec.region)))
     states = [
         [_oracle_value(S, [1.0 if vi in doms[p] else 0.0 for vi in range(S)], u[c, p]) for p in range(len(spec.region))]
         for c in range(2 * n_tasks)
     ]
-    _oracle_sweeps(spec, plan, states, rng, burn_in)
+    series, equilibrated = [], False
+    for k in range(1, burn_in + 1):
+        _oracle_sweeps(spec, plan, states, rng, 1)
+        coin_rows = np.array([pair_coins(t) for t in range(n_tasks)]).reshape(n_tasks, len(bonds))
+        series.append(float(np.ascontiguousarray(coin_rows.T).sum()) / n_tasks)
+        if k >= 32 and k % 8 == 0:
+            tau, converged = sampling.integrated_autocorr(series[k // 2 :])
+            if converged and k >= 20 * tau:
+                equilibrated = True
+                break
+    tau, _ = sampling.integrated_autocorr(series[len(series) // 2 :])
     per_task = -(-n_samples // n_tasks)
-    hits = 0
+    hits = [0] * n_tasks
     for _ in range(per_task):
         _oracle_sweeps(spec, plan, states, rng, gap)
         u = rng.random((n_tasks, len(bonds)))
         for t in range(n_tasks):
-            s1, s2 = states[t], states[n_tasks + t]
-            active = []
-            for j, (eb, coin) in enumerate(zip(bonds, coins)):
-                x1 = x2 = 0
-                for v in eb.inside:
-                    x1 = x1 * S + s1[pos[v]]
-                    x2 = x2 * S + s2[pos[v]]
-                if u[t, j] < float(coin[x1][x2]):
-                    active.append(eb.vertices)
-            hits += _bfs_connected(spec.graph.n_vertices, active, A, B)
+            active = [eb.vertices for eb, c, uj in zip(bonds, pair_coins(t), u[t]) if uj < c]
+            hits[t] += _bfs_connected(spec.graph.n_vertices, active, A, B)
     n = per_task * n_tasks
-    p = hits / n
-    se = math.sqrt(max(p * (1 - p), 1e-300) / n)
-    return {"estimate": p, "stderr": se, "n_samples": n, "seed": seed}
+    sd = float(np.std(np.array(hits) / per_task, ddof=1)) if n_tasks > 1 else 0.0
+    return {
+        "estimate": sum(hits) / n,
+        "stderr": max(sd / math.sqrt(n_tasks), 1 / n),
+        "n_samples": n,
+        "seed": seed,
+        "burn_in": len(series),
+        "tau": tau,
+        "equilibrated": equilibrated,
+    }
 
 
 def _equal_chain_spec(n):
@@ -141,6 +165,15 @@ def test_mc_matches_oracle_literally(name, make, A, B):
         assert sampling.mc_connection_probability(spec, A, B, 120, seed, **kw) == _oracle_mc(
             spec, A, B, 120, seed, **kw
         )
+
+
+@pytest.mark.parametrize("name,make,A,B", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_mc_matches_oracle_at_the_default_cap(name, make, A, B):
+    # the burn-in stops by its rule: the series, tau and the sweeps run match
+    spec = make()
+    got = sampling.mc_connection_probability(spec, A, B, 120, 3)
+    assert got == _oracle_mc(spec, A, B, 120, 3)
+    assert sampling.BURN_IN_MIN <= got["burn_in"] <= 300
 
 
 @pytest.mark.parametrize("threads", [1, 4])
@@ -210,3 +243,41 @@ def test_table_past_the_cap_raises_too_large():
     spec = ising_spec(hypergraph(26, [(0, k) for k in range(1, 26)]), 0.3)
     with pytest.raises(TooLargeError, match="heat-bath table"):
         sampling.mc_connection_probability(spec, {0}, {1}, 8, 0)
+
+
+def test_batch_means_stderr_matches_the_spread_around_exact():
+    # over 200 seeds at this size the mean reported SE is 0.94 of the RMS
+    # error (the binomial SE read 0.80); 20-seed windows range 0.73-1.22
+    spec = ising_spec(build_grid(3, 3), 0.5)
+    exact = float(integrated_rc(spec).connection_probability({0}, {8}))
+    runs = [sampling.mc_connection_probability(spec, {0}, {8}, 1000, seed) for seed in range(20)]
+    rms = math.sqrt(sum((r["estimate"] - exact) ** 2 for r in runs) / len(runs))
+    mean_se = sum(r["stderr"] for r in runs) / len(runs)
+    assert abs(mean_se / rms - 1) <= 0.3, (mean_se, rms)
+
+
+def test_stderr_is_floored_at_one_over_the_sample_count():
+    # A and B lie in two components: every pair's mean is 0
+    spec = ising_spec(hypergraph(4, [(0, 1), (2, 3)]), 0.5)
+    for n_tasks in (1, 8):
+        got = sampling.mc_connection_probability(spec, {0}, {3}, 96, 2, n_tasks=n_tasks)
+        assert got["estimate"] == 0.0 and got["stderr"] == 1 / 96
+
+
+def test_capped_burn_in_reports_not_equilibrated():
+    spec = ORACLE_CASES[0][1]()
+    got = sampling.mc_connection_probability(spec, {0}, {5}, 16, 0, burn_in=20)
+    assert (got["burn_in"], got["equilibrated"]) == (20, False)  # below BURN_IN_MIN: no check
+    # a coarsening chain: domain walls only annihilate, and at this seed no
+    # check up to the cap of 64 sweeps passes
+    chain = ising_spec(hypergraph(256, [(i, i + 1) for i in range(255)]), 8.0)
+    got = sampling.mc_connection_probability(chain, {0}, {255}, 8, 4, burn_in=64)
+    assert (got["burn_in"], got["equilibrated"]) == (64, False)
+    assert got["tau"] > 64 / sampling.TAU_SWEEPS
+
+
+@pytest.mark.parametrize("kw", [dict(n_tasks=0), dict(burn_in=-3), dict(gap=-1), dict(n_samples=0)])
+def test_bad_arguments_raise_usage_error(kw):
+    args = dict(n_samples=8, seed=0) | kw
+    with pytest.raises(UsageError):
+        sampling.mc_connection_probability(ising_spec(build_grid(3, 2), 0.5), {0}, {5}, **args)
