@@ -384,10 +384,12 @@ def ea_mns_percolation(
     checkerboard heat-bath chains with the given burn-in, a sampling gap
     estimated from the energy autocorrelation time, and per-sample bond
     draws. Reports blue/red densities on their admissible bonds with
-    binomial standard errors, the largest blue cluster fraction inside the
-    disagreement and agreement regions, box crossing (or wrapping)
-    frequencies, and the aggregated cluster-size counts. Arguments outside
-    their range raise UsageError before any sampling.
+    binomial standard errors floored at 1 / n_admissible, the resolution
+    of a density, so that a density of 0 or 1 keeps a positive one; the
+    largest blue cluster fraction inside the disagreement and agreement
+    regions, box crossing (or wrapping) frequencies, and the aggregated
+    cluster-size counts. Arguments outside their range raise UsageError
+    before any sampling.
     """
     err = _box_error(L, periodic)
     if err:
@@ -428,13 +430,13 @@ def ea_mns_percolation(
         "n_sweeps": n_sweeps,
         "blue_density": {
             "mean": p_blue,
-            "se": math.sqrt(max(p_blue * (1 - p_blue), 1e-300) / blue_adm) if blue_adm else 0.0,
+            "se": max(math.sqrt(p_blue * (1 - p_blue) / blue_adm), 1 / blue_adm) if blue_adm else 0.0,
             "closed_form": 1 - math.exp(-4 * abs(beta_scale * J)),
             "n_admissible": blue_adm,
         },
         "red_density": {
             "mean": p_red,
-            "se": math.sqrt(max(p_red * (1 - p_red), 1e-300) / red_adm) if red_adm else 0.0,
+            "se": max(math.sqrt(p_red * (1 - p_red) / red_adm), 1 / red_adm) if red_adm else 0.0,
             "closed_form": 1 - math.exp(-2 * abs(beta_scale * J)),
             "n_admissible": red_adm,
         },

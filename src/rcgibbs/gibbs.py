@@ -189,6 +189,13 @@ class GibbsSpec:
     def domain_indices(self, v: int) -> tuple[int, ...]:
         return tuple(self.alphabet.index(val) for val in self.domain_values(v))
 
+    def domain_mask(self) -> np.ndarray:
+        """(len(region), S) bool: which value indices each region vertex allows."""
+        mask = np.zeros((len(self.region), self.alphabet.size), bool)
+        for p, v in enumerate(self.region):
+            mask[p, list(self.domain_indices(v))] = True
+        return mask
+
     @property
     def exact(self) -> bool:
         rset = set(self.region)

@@ -34,7 +34,6 @@ joined_weight adds the weights of the joined masks in the given order.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,9 +41,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import RcgibbsError, TooLargeError, ZeroSliceError
-from .gibbs import GibbsSpec, effective_bonds, local_index, product_outcomes, product_positions
+from .gibbs import GibbsSpec, effective_bonds, product_outcomes, product_positions
 from .lattice import ball, boundary_vertices
-from .rcr import RcrBase, assignment_measure, bond_level_system, monotone_probabilities
+from .rcr import RcrBase, assignment_measure
 from .twocopy import PairWalk, _runs, _scaled
 
 
@@ -219,52 +218,90 @@ def domination_probability(irc: IntegratedRC, bond_index: int):
 def pair_coin_table(spec: GibbsSpec, sigma=None):
     """Activity coin of the nested-level base for every pair of copies.
 
-    Returns one table per effective bond, in effective_bonds order:
-    table[x1][x2] is the probability that the bond is active given the
-    full-alphabet local indices x1 and x2 of the two copies on its inside
-    vertices. The coin is the one monotone_base gives the bond in the slice
-    of the local overlap sigma = x1 + x2: the admissible local values y
-    carry the symmetrized factors F(y) = f(y) f(sigma - y), and with x1 in
-    level i of their nested levels the coin is the active weight over the
-    support weight of the subsets containing x1, both summed in level order
-    as BondBase sums them. Pairs outside the domains or of factor zero get
-    0. Entries are Fractions for exact specs, int factors included. Given a
-    sigma (aligned with the region), each bond gets the coins of the local
-    sum sigma gives its inside vertices only, and 0 elsewhere. A float
-    coin whose support underflows raises RcgibbsError.
+    Returns one (S**m, S**m) array per effective bond, in effective_bonds
+    order, m the bond's inside vertices: table[x1, x2] is the probability
+    that the bond is active given the full-alphabet local indices x1 and x2
+    of the two copies on its inside vertices. The coin is the one
+    monotone_base gives the bond in the slice of the local overlap
+    sigma = x1 + x2: the admissible local values y carry the symmetrized
+    factors F(y) = f(y) f(sigma - y), whose distinct values are the levels
+    L_0 > ... > L_{k-1} with probabilities p_j = (L_j - L_{j+1}) / L_0
+    (L_k = 0), and with x1 in level i the coin is the left-to-right sum
+    p_i + ... + p_{k-2} over that sum plus p_{k-1}, the float steps of
+    summing the active and the support weight in level order as BondBase
+    does. Pairs outside the domains or of factor zero get 0. Entries are
+    float64, or Fractions in an object array for exact specs, int factors
+    included. Given a sigma (aligned with the region), each bond gets the
+    coins of the local sum sigma gives its inside vertices only, and 0
+    elsewhere. A float coin whose support underflows raises RcgibbsError.
+
+    The bonds of one inside size are computed together: every pair of
+    allowed local indices is keyed by (bond, local sum), sorted by key and
+    then by descending factor, and each slice's coins are summed over its
+    levels one level offset at a time.
     """
     S = spec.alphabet.size
-    idx = spec.alphabet.index
     exact = spec.exact
+    dtype = object if exact else float
     zero = Fraction(0) if exact else 0.0
+    bonds = effective_bonds(spec)
     pos = {v: p for p, v in enumerate(spec.region)}
-    tables = []
-    for eb in effective_bonds(spec):
-        doms = [spec.domain_values(v) for v in eb.inside]
-        n_local = S ** len(eb.inside)
-        q = [[zero] * n_local for _ in range(n_local)]
-        sums = [sorted({a + b for a in d for b in d}) for d in doms]
-        only = None if sigma is None else tuple(sigma[pos[v]] for v in eb.inside)
-        for sig in itertools.product(*sums):
-            if only is not None and sig != only:
-                continue
-            adm = [tuple(a for a in d if s - a in d) for d, s in zip(doms, sig)]
-            ys = list(itertools.product(*adm))
-            loc1 = [local_index(S, (idx(a) for a in y)) for y in ys]
-            loc2 = [local_index(S, (idx(s - a) for s, a in zip(sig, y))) for y in ys]
-            factors = [eb.table[a] * eb.table[b] for a, b in zip(loc1, loc2)]
-            levels, _ = bond_level_system(factors, range(len(factors)), exact)
-            if levels[0] <= 0:
-                continue
-            probs = monotone_probabilities(levels)
-            try:
-                coin = {f: sum(probs[i:-1]) / sum(probs[i:]) for i, f in enumerate(levels) if f != 0}
-            except ZeroDivisionError:  # a float level ratio underflowed to 0
-                raise RcgibbsError("activity coin underflow; rescale couplings") from None
-            for a, b, f in zip(loc1, loc2, factors):
-                if f != 0:
-                    q[a][b] = coin[f]
-        tables.append(q)
+    values = np.array(spec.alphabet.values)
+    sums, sum_id = np.unique(values[:, None] + values, return_inverse=True)
+    sum_id = sum_id.reshape(S, S)
+    allowed = spec.domain_mask()
+    if sigma is not None:  # each region vertex's slice as a sum id, -1 if no pair makes it
+        where = {x: i for i, x in enumerate(sums.tolist())}
+        target = np.array([where.get(x, -1) for x in sigma], np.int64)
+    groups: dict[int, list[int]] = {}
+    for j, eb in enumerate(bonds):
+        groups.setdefault(len(eb.inside), []).append(j)
+    tables = [None] * len(bonds)
+    for m, js in groups.items():
+        n_local, n_sums = S**m, len(sums) ** m
+        radix = len(sums) ** np.arange(m - 1, -1, -1)
+        digits = np.arange(n_local)[:, None] // S ** np.arange(m - 1, -1, -1) % S  # (S**m, m)
+        inside = np.array([[pos[v] for v in bonds[j].inside] for j in js], np.intp).reshape(len(js), m)
+        ok = allowed[inside[:, None, :], digits].all(axis=2)  # (bonds, S**m)
+        b, x1, x2 = np.nonzero(ok[:, :, None] & ok[:, None, :])
+        key = b * n_sums + sum_id[digits[x1], digits[x2]] @ radix
+        if sigma is not None:
+            slot = target[inside]
+            want = np.where((slot >= 0).all(axis=1), np.arange(len(js)) * n_sums + slot @ radix, -1)
+            b, x1, x2, key = (a[key == want[b]] for a in (b, x1, x2, key))
+        f = np.array([[Fraction(x) if exact else float(x) for x in bonds[j].table] for j in js], dtype)
+        f = f[b, x1] * f[b, x2]
+        order = np.lexsort((-f, key))  # by key, then by descending factor
+        b, x1, x2, key, f = (a[order] for a in (b, x1, x2, key, f))
+        new_slice = np.ones(len(key), bool)
+        new_slice[1:] = key[1:] != key[:-1]
+        new_level = new_slice.copy()
+        new_level[1:] |= f[1:] != f[:-1]
+        level = np.cumsum(new_level) - 1  # each pair's level
+        L = f[new_level]
+        first = np.flatnonzero(new_slice[new_level])  # each slice's top level
+        k = np.diff(np.append(first, len(L)))  # levels per slice
+        sl = np.repeat(np.arange(len(first)), k)
+        r = np.arange(len(L)) - first[sl]  # a level's place in its slice
+        nxt = np.zeros(len(L), dtype)
+        nxt[:-1] = L[1:]
+        nxt[r == k[sl] - 1] = 0
+        top = L[first[sl]]
+        p = (L - nxt) / np.where(top > 0, top, 1)  # a slice without a positive level gets no coin
+        num = np.zeros(len(L), dtype)
+        for t in range(int(k.max(initial=1)) - 1):
+            at = np.flatnonzero(r + t <= k[sl] - 2)
+            num[at] += p[at + t]
+        den = num + p[first[sl] + k[sl] - 1]
+        live = np.flatnonzero(L > 0)
+        if not exact and (den[live] == 0).any():  # a float level ratio underflowed to 0
+            raise RcgibbsError("activity coin underflow; rescale couplings")
+        coin = np.full(len(L), zero, dtype)
+        coin[live] = num[live] / den[live]
+        out = np.full((len(js), n_local, n_local), zero, dtype)
+        out[b, x1, x2] = coin[level]
+        for i, j in enumerate(js):
+            tables[j] = out[i]
     return tables
 
 
@@ -353,18 +390,19 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     for j, eb in enumerate(bonds):
         for v in eb.inside:
             local[j] = local[j] * S + alpha[pos[v]]
-    seen = [{} for _ in bonds]  # per bond: coin value -> coin id, in first-seen order
-    coin_ids = [
-        np.array([[ids.setdefault(q, len(ids)) for q in row] for row in table]).reshape(len(table), -1)
-        for ids, table in zip(seen, pair_coin_table(spec, sigma))
-    ]
-    # per bond: its coins in first-seen order as (q, 1 - q), over the coin scale E_j
+    # per bond: its distinct coins, and each pair's coin as an index into them
+    distinct, coin_ids = [], []
+    for table in pair_coin_table(spec, sigma):
+        values, inverse = np.unique(table, return_inverse=True)
+        distinct.append(values)
+        coin_ids.append(inverse.reshape(table.shape))
+    # per bond: its coins as (q, 1 - q), over the coin scale E_j
     if exact:
-        scaled = [_scaled(list(ids)) for ids in seen]
+        scaled = [_scaled(values) for values in distinct]
         coins = [q for q, _ in scaled]
         scales = np.array([E for _, E in scaled], dtype=object)
     else:
-        coins = [np.array(list(ids), dtype=float) for ids in seen]
+        coins = distinct
         scales = np.ones(n_bonds)
     coins = [(q, E - q) for q, E in zip(coins, scales)]
     unit = scales.prod()

@@ -21,7 +21,10 @@ of one state (pair t: columns t and n_tasks + t) on stream(seed, 300): one
 rng.random((C, n_sites)) for a start uniform over the domains, the burn-in,
 then per sample step the gap sweeps and one rng.random((n_tasks, n_bonds));
 bond j of pair t is active when its uniform is below its pair coin
-(percolation.pair_coin_table) at the copies' local values. The burn-in runs
+(percolation.pair_coin_table) at the copies' local values. The sample steps
+run in chunks of at most SAMPLE_CELLS (sample, bond) cells: each step keeps
+its state and uniforms, and the chunk's coins are read through one integer
+product lift @ states and compared at once. The burn-in runs
 one sweep at a time and records after each the pairs' mean expected active
 bond count, sum_j of the pair coins at the current state; from sweep
 BURN_IN_MIN on, every BURN_IN_CHECK sweeps, it stops once the integrated
@@ -43,6 +46,7 @@ from .rng import stream
 BURN_IN_MIN = 32  # the first sweep at which the burn-in may stop
 BURN_IN_CHECK = 8  # sweeps between two stopping checks
 TAU_SWEEPS = 20  # a stopped burn-in has run at least this many tau
+SAMPLE_CELLS = 1 << 14  # (sample, bond) cells whose coins are read in one batch
 
 
 class HeatBath:
@@ -54,7 +58,10 @@ class HeatBath:
     table holds the (S - 1, n_keys) tails. Keys, and every partial sum of
     their terms, must fit the narrowest int type that holds n_keys - 1.
     state keeps a class's sites in one block of rows (site i in row[i]);
-    load and values read and write its int8 values in site order.
+    load and values read and write its int8 values in site order. Each
+    class keeps its buffers and views (neighbour values, key terms with the
+    offsets as the last term, uniforms, keys, tails), built at full shape
+    once, so a sweep allocates nothing and no operand broadcasts.
     """
 
     def __init__(self, n_sites: int, classes, table: np.ndarray, C: int):
@@ -67,9 +74,17 @@ class HeatBath:
         lo = 0
         for site, nbrs, w, base in classes:
             d, n = np.shape(nbrs)
-            w = np.repeat(np.asarray(w, kd)[:, :, None], C, axis=2)
-            bufs = np.empty((d * n, C), np.int8), np.empty((d, n, C), kd), np.empty((n, C), kd), np.empty((n, C))
-            self.classes.append((self.state[lo : lo + n], self.row[np.ravel(nbrs)], w, np.asarray(base, kd)[:, None], *bufs))
+            # weights at the full (d, n, C) shape, so that no operand broadcasts;
+            # terms[d] holds the offsets, added last as one more term
+            w = np.repeat(np.broadcast_to(np.asarray(w, kd), (d, n))[:, :, None], C, axis=2)
+            terms = np.empty((d + 1, n, C), kd)
+            terms[d] = np.asarray(base, kd)[:, None]
+            g = np.empty((d * n, C), np.int8)
+            u = np.empty((C, n))  # chain-major, as the stream fills it
+            block = self.state[lo : lo + n]
+            bufs = np.empty((n, C), kd), np.empty((n, C)), np.empty((n, C), bool)
+            self.classes.append((block, block.view(bool), self.row[np.ravel(nbrs)], g, g.reshape(d, n, C), w,
+                                 terms, terms[:d], u, u.T, *bufs))
             lo += n
 
     def load(self, values):
@@ -82,16 +97,16 @@ class HeatBath:
 
     def sweeps(self, rng, n_sweeps: int):
         """Update every class in order, n_sweeps times, in place."""
-        state, table = self.state, self.table
+        state, first, rest = self.state, self.table[0], self.table[1:]
         for _ in range(n_sweeps):
-            for block, nbrs, w, base, g, terms, key, p in self.classes:
-                u = rng.random(p.shape[::-1])  # (C, n): chain-major
-                np.multiply(state.take(nbrs, axis=0, out=g).reshape(terms.shape), w, out=terms)
+            for block, hit, nbrs, g, g3, w, terms, products, u, uT, key, p, up in self.classes:
+                rng.random(out=u)
+                state.take(nbrs, axis=0, out=g)
+                np.multiply(g3, w, out=products)
                 np.add.reduce(terms, axis=0, dtype=key.dtype, out=key)
-                key += base
-                np.less(u.T, table[0].take(key, out=p), out=block.view(bool))
-                for tail in table[1:]:
-                    block += u.T < tail.take(key, out=p)
+                np.less(uT, first.take(key, out=p), out=hit)
+                for tail in rest:
+                    block += np.less(uT, tail.take(key, out=p), out=up)
 
 
 def _tails(w: np.ndarray) -> np.ndarray:
@@ -116,7 +131,7 @@ def _generic_heat_bath(spec: GibbsSpec, bonds, C: int):
     offsets = np.cumsum([0] + [S ** len(nb) for nb in nbrs])
     if S > 127 or offsets[-1] * (S - 1) > DEFAULT_STATE_CAP:
         raise TooLargeError(f"heat-bath table of {offsets[-1] * (S - 1)} cells over {S} values exceeds the cap")
-    allowed = np.array([np.isin(np.arange(S), spec.domain_indices(v)) for v in spec.region]).reshape(n, S)
+    allowed = spec.domain_mask()
     weights = np.ones((offsets[-1], S))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for p in range(n):
@@ -213,7 +228,7 @@ def mc_connection_probability(
     hb, start = _generic_heat_bath(spec, bonds, 2 * T)
     # bond j's coin sits at off_j + x1 * S**m + x2, x1 and x2 the copies'
     # codes on its m inside sites: rows j and n_bonds + j of lift @ state
-    q = np.array([float(x) for coin in coins for row in coin for x in row])
+    q = np.concatenate([np.zeros(0), *(coin.ravel() for coin in coins)]).astype(float)
     size = np.array([len(coin) for coin in coins], np.int64)[:, None]
     off = np.cumsum(size**2, axis=0) - size**2
     nb = len(bonds)
@@ -241,9 +256,20 @@ def mc_connection_probability(
     tau, _ = integrated_autocorr(series[len(series) // 2 :])
     per_task = -(-n_samples // T)
     active = np.empty((per_task, T, nb), bool)
-    for k in range(per_task):
-        heat_bath_chain(spec, hb, rng, gap)
-        np.less(rng.random((T, nb)), pair_coins().T, out=active[k])
+    # the sample steps in chunks of K: each step's state and coin uniforms
+    # are kept, and the chunk's coins are read and compared at once
+    K = min(per_task, max(1, SAMPLE_CELLS // (T * max(nb, 1))))
+    states = np.empty((K, n + 1, 2 * T), np.int8)
+    u = np.empty((K, T, nb))
+    for lo in range(0, per_task, K):
+        hi = min(lo + K, per_task)
+        for k in range(hi - lo):
+            heat_bath_chain(spec, hb, rng, gap)
+            states[k] = hb.state
+            rng.random(out=u[k])
+        x = lift @ states[: hi - lo]  # (K, 2 n_bonds, 2 T)
+        coin = q[off + x[:, :nb, :T] + x[:, nb:, T:]]
+        np.less(u[: hi - lo], coin.transpose(0, 2, 1), out=active[lo:hi])
     masks, _, inverse = distinct_masks(active.reshape(per_task * T, -1))
     joined = chains_join(chain_components(spec.graph.n_vertices, [eb.vertices for eb in bonds], masks), A, B)
     hits = joined[inverse].reshape(per_task, T).sum(axis=0)

@@ -4,12 +4,18 @@ This is the exact route as it ran before the kernel moved to scaled
 integers: configuration weights, pair weights, slice totals, coins and
 pattern leaves are Fractions (floats on a float spec), multiplied and added
 one by one in the kernel's orders, and every consumer divides Fractions.
-The ordering helpers (_first_seen, _runs, product_positions), the coin
-and weight sources (pair_coin_table, config_weights) and the connectivity
-labeller and query (chain_components, chains_join) are shared with the
-package; every multiply, add and divide is this module's own. The new
-kernel must return literally equal Fractions, and on a float spec the same
-floats bit for bit, in the same dict and row order.
+The ordering helpers (_first_seen, _runs, product_positions), the weight
+source (config_weights) and the connectivity labeller and query
+(chain_components, chains_join) are shared with the package; every
+multiply, add and divide is this module's own. The new kernel must return
+literally equal Fractions, and on a float spec the same floats bit for
+bit, in the same dict and row order.
+
+pair_coin_table is the coin kernel as it ran before it was vectorized: one
+nested-level base per (bond, local overlap), built with rcr's
+bond_level_system and monotone_probabilities, each coin a level-by-level
+ratio of Python sums. The package's pair_coin_table must return the same
+coins, floats bit for bit and Fractions by value.
 """
 
 from __future__ import annotations
@@ -21,15 +27,57 @@ from fractions import Fraction
 import numpy as np
 
 from rcgibbs import twocopy
+from rcgibbs.errors import RcgibbsError
 from rcgibbs.gibbs import (
     FiniteDistribution,
     config_weights,
     effective_bonds,
+    local_index,
     product_outcomes,
     product_positions,
 )
-from rcgibbs.percolation import _first_seen, chain_components, chains_join, pair_coin_table
+from rcgibbs.percolation import _first_seen, chain_components, chains_join
+from rcgibbs.rcr import bond_level_system, monotone_probabilities
 from rcgibbs.twocopy import _runs, make_slice
+
+
+def pair_coin_table(spec, sigma=None):
+    """Per effective bond, table[x1][x2]: the activity coin of the pair of
+    local indices, as nested lists, 0 outside the domains, for factor zero
+    and (given sigma) outside sigma's slice."""
+    S = spec.alphabet.size
+    idx = spec.alphabet.index
+    exact = spec.exact
+    zero = Fraction(0) if exact else 0.0
+    pos = {v: p for p, v in enumerate(spec.region)}
+    tables = []
+    for eb in effective_bonds(spec):
+        doms = [spec.domain_values(v) for v in eb.inside]
+        n_local = S ** len(eb.inside)
+        q = [[zero] * n_local for _ in range(n_local)]
+        sums = [sorted({a + b for a in d for b in d}) for d in doms]
+        only = None if sigma is None else tuple(sigma[pos[v]] for v in eb.inside)
+        for sig in itertools.product(*sums):
+            if only is not None and sig != only:
+                continue
+            adm = [tuple(a for a in d if s - a in d) for d, s in zip(doms, sig)]
+            ys = list(itertools.product(*adm))
+            loc1 = [local_index(S, (idx(a) for a in y)) for y in ys]
+            loc2 = [local_index(S, (idx(s - a) for s, a in zip(sig, y))) for y in ys]
+            factors = [eb.table[a] * eb.table[b] for a, b in zip(loc1, loc2)]
+            levels, _ = bond_level_system(factors, range(len(factors)), exact)
+            if levels[0] <= 0:
+                continue
+            probs = monotone_probabilities(levels)
+            try:
+                coin = {f: sum(probs[i:-1]) / sum(probs[i:]) for i, f in enumerate(levels) if f != 0}
+            except ZeroDivisionError:  # a float level ratio underflowed to 0
+                raise RcgibbsError("activity coin underflow; rescale couplings") from None
+            for a, b, f in zip(loc1, loc2, factors):
+                if f != 0:
+                    q[a][b] = coin[f]
+        tables.append(q)
+    return tables
 
 
 class FractionWalk:

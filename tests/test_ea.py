@@ -517,6 +517,15 @@ def test_ea_unequilibrated_run_warns():
     assert any("autocorrelation" in str(w.message) for w in caught)
 
 
+def test_ea_degenerate_densities_keep_a_positive_se():
+    # at beta J = 10 every admissible bond is blue and red in every sample:
+    # the binomial SE is 0, and the floor 1 / n_admissible takes its place
+    rep = ea_mns_percolation(4, 1.0, 10.0, seed=0, n_sweeps=50, n_samples=8)
+    for key, n_adm in (("blue_density", 144), ("red_density", 43)):
+        d = rep[key]
+        assert (d["mean"], d["n_admissible"], d["se"]) == (1.0, n_adm, 1 / n_adm)
+
+
 def test_ea_weak_coupling_blue_density_vanishes():
     rep = ea_mns_percolation(L=8, J=1.0, beta_scale=0.01, seed=5, n_sweeps=60, n_samples=30)
     assert rep["blue_density"]["closed_form"] < 0.04

@@ -3,10 +3,12 @@ import math
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import fraction_kernel as oracle
 from conftest import random_binary_spec
-from rcgibbs.errors import TooLargeError, ZeroSliceError
+from rcgibbs.errors import RcgibbsError, TooLargeError, ZeroSliceError
 from rcgibbs import percolation, rcr, twocopy
 from rcgibbs.gibbs import (
     SPIN,
@@ -19,7 +21,7 @@ from rcgibbs.gibbs import (
     gibbs_measure,
     local_index,
 )
-from rcgibbs.lattice import build_cayley_tree, hypergraph
+from rcgibbs.lattice import build_cayley_tree, build_grid, hypergraph
 from rcgibbs.experiments.examples import _random_spec
 from rcgibbs.models import example1_exact_spec, example1_spec, ising_spec
 from rcgibbs.percolation import (
@@ -317,6 +319,74 @@ def test_pair_coin_kernel_matches_slice_bases():
         assert all(type(p) is type(ref[m]) for m, p in irc.patterns.items())
 
 
+def _assert_coins_equal(got, want, exact):
+    """Literal equality with the oracle's nested lists: float64 tables bit
+    for bit, object tables of Fractions by value and type."""
+    assert len(got) == len(want)
+    for table, ref in zip(got, want):
+        assert table.shape == (len(ref), len(ref))
+        if exact:
+            assert table.dtype == object
+            assert all(type(q) is Fraction for q in table.ravel())
+            assert all(type(q) is Fraction for row in ref for q in row)
+            assert table.tolist() == ref
+        else:
+            assert table.dtype == np.float64
+            assert all(type(q) is float for row in ref for q in row)
+            assert table.view(np.uint64).tolist() == np.array(ref).view(np.uint64).tolist()
+
+
+def _domain_spec():
+    """Three values on a chain plus a triangle hyperbond, one vertex
+    pinned to a single value and one restricted to two."""
+    g = hypergraph(4, [(0, 1), (1, 2), (2, 3), (0, 2, 3)])
+    rng = stream(191, 0)
+    tables = {k: BondTable.from_factors(rng.uniform(0.1, 4.0, 3 ** len(b)).tolist()) for k, b in enumerate(g.bonds)}
+    return GibbsSpec(g, Alphabet((-1, 0, 1)), Interaction(tables), (0, 1, 2, 3), domains={1: (0,), 2: (-1, 1)})
+
+
+def _int_factor_spec():
+    g = hypergraph(3, [(0, 1), (1, 2), (0, 2), (1,)])
+    factors = [(3, 1, 1, 3), (5, 2, 1, 4), (1, 0, 2, 2), (7, 3)]
+    return GibbsSpec(g, SPIN, Interaction({k: BondTable.from_factors(f) for k, f in enumerate(factors)}), (0, 1, 2))
+
+
+COIN_CASES = [
+    *[(f"c04_seed{seed}", lambda seed=seed: [_random_spec(m, seed) for m in range(1, 61)]) for seed in (1, 7)],
+    ("three_valued", lambda: [_three_valued_spec(False), _three_valued_spec(True)]),
+    ("hyperbond", lambda: [_hyperbond_spec()]),
+    ("domains", lambda: [_domain_spec()]),
+    # the bonds between the last two rows straddle the region's edge
+    ("boundary", lambda: [ising_spec(build_grid(3, 3), [0.4, -0.9, 1.3, 0.2, 0.7, -0.5, 1.1, 0.6, -0.3, 0.8, 1.4, 0.5],
+                                     h=0.2, region=range(6), boundary={6: 1, 7: -1, 8: 1})]),
+    ("exact", lambda: [_int_factor_spec(), example1_exact_spec(Fraction(3), Fraction(5, 2))]),
+]
+
+
+@pytest.mark.parametrize("name,make", COIN_CASES, ids=[c[0] for c in COIN_CASES])
+def test_pair_coin_table_matches_level_loop_literally(name, make):
+    for spec in make():
+        _assert_coins_equal(pair_coin_table(spec), oracle.pair_coin_table(spec), spec.exact)
+
+
+def test_pair_coin_table_matches_level_loop_on_every_sigma():
+    for exact in (False, True):
+        spec = _three_valued_spec(exact)
+        sums = [sorted({a + b for a in d for b in d}) for d in map(spec.domain_values, spec.region)]
+        sigmas = [*itertools.product(*sums), (3, 0, 0, 0), (0, 0, 0, -1)]  # the last two: no pair makes them
+        assert len(sigmas) == 227
+        for sigma in sigmas:
+            _assert_coins_equal(pair_coin_table(spec, sigma), oracle.pair_coin_table(spec, sigma), exact)
+
+
+def test_pair_coin_underflow_raises():
+    # at J = 190 the lower level of a bond's coin underflows against the top
+    spec = ising_spec(build_grid(2, 2), 190.0)
+    for kernel in (pair_coin_table, oracle.pair_coin_table):
+        with pytest.raises(RcgibbsError, match="underflow"):
+            kernel(spec)
+
+
 def test_default_base_builds_no_slice_spec(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-slice spec or base built on the default route")
@@ -411,7 +481,7 @@ class _SpecTerms:
     indices on first use)."""
 
     def __init__(self, spec, coins):
-        self.coins = pair_coin_table(spec) if coins else None
+        self.coins = oracle.pair_coin_table(spec) if coins else None
         self.index = {v: i for i, v in enumerate(spec.alphabet.values)}
         self._S = spec.alphabet.size
         pos = {v: p for p, v in enumerate(spec.region)}

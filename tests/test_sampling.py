@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import fraction_kernel as oracle
 from conftest import random_binary_spec
 from test_percolation import _bfs_connected, _hyperbond_spec, _three_valued_spec
 from rcgibbs import sampling
@@ -10,7 +12,7 @@ from rcgibbs.errors import TooLargeError, UsageError
 from rcgibbs.gibbs import SPIN, BondTable, GibbsSpec, Interaction, effective_bonds
 from rcgibbs.lattice import build_grid, hypergraph
 from rcgibbs.models import ising_spec
-from rcgibbs.percolation import integrated_rc, pair_coin_table
+from rcgibbs.percolation import integrated_rc
 from rcgibbs.rng import stream
 
 
@@ -83,7 +85,7 @@ def _oracle_sweeps(spec, plan, states, rng, n_sweeps):
 def _oracle_mc(spec, A, B, n_samples, seed, burn_in=300, gap=2, n_tasks=8, threads=1):
     S = spec.alphabet.size
     bonds = effective_bonds(spec)
-    coins = pair_coin_table(spec)
+    coins = oracle.pair_coin_table(spec)
     plan = _oracle_plan(spec, bonds)
     doms = plan[2]
     pos = {v: p for p, v in enumerate(spec.region)}
@@ -160,8 +162,9 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("name,make,A,B", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_mc_matches_oracle_literally(name, make, A, B):
     spec = make()
-    for seed in (0, 5):
-        kw = dict(burn_in=20, gap=2)
+    # gap 0: no sweep runs between two samples, so consecutive states are equal
+    for seed, gap in itertools.product((0, 5), (2, 0)):
+        kw = dict(burn_in=20, gap=gap)
         assert sampling.mc_connection_probability(spec, A, B, 120, seed, **kw) == _oracle_mc(
             spec, A, B, 120, seed, **kw
         )
