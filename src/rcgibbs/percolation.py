@@ -238,7 +238,10 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
     The bonds of one inside size are computed together: every pair of
     allowed local indices is keyed by (bond, local sum), sorted by key and
     then by descending factor, and each slice's coins are summed over its
-    levels one level offset at a time.
+    levels one level offset at a time. An exact spec's factors are ints
+    over one scale (twocopy._scaled), and so are its levels and the
+    differences L_j - L_{j+1}: the division by L_0 cancels in the coin, so
+    each coin is one Fraction of two int sums.
     """
     S = spec.alphabet.size
     exact = spec.exact
@@ -269,7 +272,10 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
             slot = target[inside]
             want = np.where((slot >= 0).all(axis=1), np.arange(len(js)) * n_sums + slot @ radix, -1)
             b, x1, x2, key = (a[key == want[b]] for a in (b, x1, x2, key))
-        f = np.array([[Fraction(x) if exact else float(x) for x in bonds[j].table] for j in js], dtype)
+        if exact:  # the group's factors as ints over one scale
+            f = _scaled([Fraction(x) for j in js for x in bonds[j].table])[0].reshape(len(js), -1)
+        else:
+            f = np.array([[float(x) for x in bonds[j].table] for j in js])
         f = f[b, x1] * f[b, x2]
         order = np.lexsort((-f, key))  # by key, then by descending factor
         b, x1, x2, key, f = (a[order] for a in (b, x1, x2, key, f))
@@ -286,8 +292,10 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
         nxt = np.zeros(len(L), dtype)
         nxt[:-1] = L[1:]
         nxt[r == k[sl] - 1] = 0
-        top = L[first[sl]]
-        p = (L - nxt) / np.where(top > 0, top, 1)  # a slice without a positive level gets no coin
+        p = L - nxt
+        if not exact:  # exact coins are ratios of ints, in which the top level cancels
+            top = L[first[sl]]
+            p = p / np.where(top > 0, top, 1)  # a slice without a positive level gets no coin
         num = np.zeros(len(L), dtype)
         for t in range(int(k.max(initial=1)) - 1):
             at = np.flatnonzero(r + t <= k[sl] - 2)
@@ -297,7 +305,10 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
         if not exact and (den[live] == 0).any():  # a float level ratio underflowed to 0
             raise RcgibbsError("activity coin underflow; rescale couplings")
         coin = np.full(len(L), zero, dtype)
-        coin[live] = num[live] / den[live]
+        if exact:
+            coin[live] = [Fraction(a, c) for a, c in zip(num[live].tolist(), den[live].tolist())]
+        else:
+            coin[live] = num[live] / den[live]
         out = np.full((len(js), n_local, n_local), zero, dtype)
         out[b, x1, x2] = coin[level]
         for i, j in enumerate(js):
@@ -390,12 +401,17 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     for j, eb in enumerate(bonds):
         for v in eb.inside:
             local[j] = local[j] * S + alpha[pos[v]]
-    # per bond: its distinct coins, and each pair's coin as an index into them
+    # per bond: its distinct coins in order of first appearance, and each
+    # pair's coin as an index into them
     distinct, coin_ids = [], []
     for table in pair_coin_table(spec, sigma):
-        values, inverse = np.unique(table, return_inverse=True)
-        distinct.append(values)
-        coin_ids.append(inverse.reshape(table.shape))
+        number = {}
+        inverse = [number.setdefault(q, len(number)) for q in table.ravel().tolist()]
+        distinct.append(np.array(list(number), dtype=table.dtype))
+        coin_ids.append(np.array(inverse).reshape(table.shape))
+    # ids below hold a cell per pair and bond, in the smallest unsigned int
+    # that numbers every bond's coins
+    id_type = np.min_scalar_type(max(map(len, distinct), default=0))
     # per bond: its coins as (q, 1 - q), over the coin scale E_j
     if exact:
         scaled = [_scaled(values) for values in distinct]
@@ -414,7 +430,7 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
             continue
         sigmas = product_outcomes(sids[positive], walk.sums)
 
-        ids = np.zeros((len(row), n_bonds), dtype=np.int64)
+        ids = np.zeros((len(row), n_bonds), dtype=id_type)
         for j, table in enumerate(coin_ids):
             ids[:, j] = table[local[j, c1], local[j, c2]]
 

@@ -164,10 +164,23 @@ def _generic_heat_bath(spec: GibbsSpec, bonds, C: int):
 def distinct_masks(rows) -> tuple[list[int], list[int], np.ndarray]:
     """The distinct rows of a (K, n) bool array as int masks, bit j for
     column j, with their counts and the (K,) index of each row's mask, in
-    np.unique's order of the rows packed little-endian."""
+    np.unique's order of the rows packed little-endian: the packed bytes
+    compared left to right, here as big-endian integer keys of 8 bytes each."""
     packed = np.packbits(rows, axis=1, bitorder="little")
-    distinct, inverse, counts = np.unique(packed, axis=0, return_inverse=True, return_counts=True)
-    return [int.from_bytes(r.tobytes(), "little") for r in distinct], counts.tolist(), inverse.ravel()
+    K, width = packed.shape
+    padded = np.zeros((K, max(-(-width // 8), 1) * 8), np.uint8)
+    padded[:, :width] = packed
+    order = np.lexsort(padded.view(">u8").T[::-1])
+    keys = padded[order].view(">u8")
+    new = np.ones(K, bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    inverse = np.empty(K, np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    masks = [0] * len(first)
+    for col in keys[first].view("<u8").T[::-1]:  # the same bytes read little-endian, high word first
+        masks = [m << 64 | v for m, v in zip(masks, col.tolist())]
+    return masks, np.diff(np.append(first, K)).tolist(), inverse
 
 
 def integrated_autocorr(x) -> tuple[float, bool]:

@@ -64,7 +64,11 @@ def make_slice(spec: GibbsSpec, sigma) -> OverlapSlice:
     return OverlapSlice(spec.region, sigma, tuple(adm), overlap)
 
 
-_BLOCK_CELLS = 1 << 13  # array cells one block of slices holds: pairs x cells per pair, or leaves
+# Array cells one block of slices holds: pairs x cells per pair, or leaves.
+# Each block repeats a fixed set of numpy calls, so the budget is large enough
+# that a query of up to a few thousand configurations takes one or two blocks;
+# the per-pair arrays are int32 to keep a block's memory small.
+_BLOCK_CELLS = 1 << 16
 
 
 def _runs(sizes):
@@ -145,10 +149,10 @@ class PairWalk:
             step //= len(d)
             pos = {x: n for n, x in enumerate(s)}
             pairs = np.array([(pos[a + b], i * step, j * step) for i, a in enumerate(d)
-                              for j, b in enumerate(d) if a + b in pos]).T
+                              for j, b in enumerate(d) if a + b in pos], np.int32).T
             if runs and runs[-1][0].shape[1] * pairs.shape[1] <= _BLOCK_CELLS:
                 prev, n = runs[-1]
-                prev = prev * np.array([[len(s)], [1], [1]])
+                prev = prev * np.array([[len(s)], [1], [1]], np.int32)
                 runs[-1] = (prev[:, :, None] + pairs[:, None, :]).reshape(3, -1), n * len(s)
             else:
                 runs.append((pairs, len(s)))
@@ -163,8 +167,8 @@ class PairWalk:
         W = self.weights
         for lo, hi in _runs(n_pairs * cells_per_pair):
             digits = product_positions(slices[lo:hi], sizes)
-            row = np.arange(hi - lo)  # each pair's slice, as an offset from lo
-            c1 = c2 = np.zeros(hi - lo, dtype=np.int64)
+            row = np.arange(hi - lo, dtype=np.int32)  # each pair's slice, as an offset from lo
+            c1 = c2 = np.zeros(hi - lo, dtype=np.int32)
             for (count, start, f1, f2), k in zip(tables, digits):
                 k = k[row]
                 reps = count[k]

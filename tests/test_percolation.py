@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -632,24 +633,42 @@ def test_pattern_kernel_matches_slice_loop_literally(monkeypatch, name, make, fa
     # factory None: the oracle reads pair_coin_table; monotone_base: it builds
     # each slice's base and reads the coins from its bonds
     spec = make()
-    # a small block budget splits every case into several blocks
-    cells = spec.n_states() ** 2 * max(len(effective_bonds(spec)), 1)
-    monkeypatch.setattr(twocopy, "_BLOCK_CELLS", cells // 8)
-    assert sum(1 for _ in _pattern_blocks(spec)) > 1
     A, B = {spec.region[0]}, {spec.region[-1]}
     patterns, want_rows, want_pbar, slice_probs = _oracle_laws(spec, A, B, factory)
-    irc = integrated_rc(spec)
-    # literal equality, dict order included: floats bit for bit, Fractions exactly
-    assert list(irc.patterns.items()) == list(patterns.items())
-    rows, pbar = sigma_connection_profile(spec, A, B)
-    assert rows == want_rows and pbar == want_pbar
     sums = [sorted({a + b for a in d for b in d}) for d in map(spec.domain_values, spec.region)]
-    for sigma in itertools.islice(itertools.product(*sums), 0, None, 17):
-        if sigma in slice_probs:
-            assert slice_connection_prob(spec, sigma, A, B) == slice_probs[sigma]
-        else:
-            with pytest.raises(ZeroSliceError):
-                slice_connection_prob(spec, sigma, A, B)
+    # the default block budget takes every case in one block, the route of
+    # small specs; a small one splits every case into several blocks
+    cells = spec.n_states() ** 2 * max(len(effective_bonds(spec)), 1)
+    for budget, one_block in ((twocopy._BLOCK_CELLS, True), (cells // 8, False)):
+        monkeypatch.setattr(twocopy, "_BLOCK_CELLS", budget)
+        assert (sum(1 for _ in _pattern_blocks(spec)) == 1) == one_block
+        irc = integrated_rc(spec)
+        # literal equality, dict order included: floats bit for bit, Fractions exactly
+        assert list(irc.patterns.items()) == list(patterns.items())
+        rows, pbar = sigma_connection_profile(spec, A, B)
+        assert rows == want_rows and pbar == want_pbar
+        for sigma in itertools.islice(itertools.product(*sums), 0, None, 17):
+            if sigma in slice_probs:
+                assert slice_connection_prob(spec, sigma, A, B) == slice_probs[sigma]
+            else:
+                with pytest.raises(ZeroSliceError):
+                    slice_connection_prob(spec, sigma, A, B)
+
+
+def test_pattern_blocks_peak_memory_is_bounded():
+    # 16,384 pairs over 6 bonds: two blocks of pairs, cut again into runs of
+    # leaves. The peak measured at a budget of 2^16 cells is 2.36 MB; the
+    # bound is 1.5 times that, so that block memory cannot grow unnoticed.
+    spec = ising_spec(hypergraph(7, [(i, i + 1) for i in range(6)]), 0.5)
+    want = sigma_connection_profile(spec, {0}, {6})  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        got = sigma_connection_profile(spec, {0}, {6})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 3.5e6
 
 
 def test_more_than_62_bonds_raise_before_enumeration(monkeypatch):

@@ -284,3 +284,21 @@ def test_bad_arguments_raise_usage_error(kw):
     args = dict(n_samples=8, seed=0) | kw
     with pytest.raises(UsageError):
         sampling.mc_connection_probability(ising_spec(build_grid(3, 2), 0.5), {0}, {5}, **args)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_distinct_masks_keep_np_unique_row_order(n):
+    # the integer keys order the packed rows as np.unique(axis=0) does, at
+    # every width: one, two and three 8-byte key columns
+    rng = np.random.default_rng(n)
+    for K in (0, 1, 500):
+        rows = rng.random((K, n)) < 0.3
+        rows[K // 2:] = rows[: K - K // 2][::-1]  # repeated rows
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        distinct, inverse, counts = np.unique(packed, axis=0, return_inverse=True, return_counts=True)
+        masks, got_counts, got_inverse = sampling.distinct_masks(rows)
+        assert masks == [int.from_bytes(r.tobytes(), "little") for r in distinct]
+        assert got_counts == counts.tolist()
+        assert got_inverse.tolist() == inverse.ravel().tolist()
+        firsts = rows[np.unique(got_inverse, return_index=True)[1]]
+        assert masks == [sum(1 << j for j in np.flatnonzero(r).tolist()) for r in firsts]
