@@ -9,16 +9,16 @@ connectivity coincides with site disagreement percolation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 
 from ..errors import UsageError
-from ..gibbs import gibbs_measure
+from ..gibbs import effective_bonds, gibbs_measure, local_index
 from ..lattice import Hypergraph, build_grid
 from ..models import hardcore_spec
-from ..percolation import chain_components, chains_join
-from ..rcr import allowed_locals, monotone_base
-from ..twocopy import nonoverlap_distribution, symmetrized_spec
+from ..percolation import chain_components, chains_join, pair_coin_table
+from ..twocopy import make_slice, nonoverlap_distribution
 
 SQUARE_LATTICE_SITE_PC = 0.592746  # reference marker for grid instances
 
@@ -78,29 +78,29 @@ def _pair_adjacency(graph: Hypergraph):
 
 
 def _slice_machinery_check(spec, sigma, pair_bonds):
-    """Activity of one slice from the representation machinery.
+    """Activity of one slice from the representation machinery: each bond's
+    coins (pair_coin_table) at the slice's local pairs of positive factor.
 
     Returns (deterministic, active set matches bonds inside the
     disagreement region, support has two configurations per component).
     """
-    sl_spec = symmetrized_spec(spec, sigma)
-    base = monotone_base(sl_spec)
+    adm, sig = dict(zip(spec.region, make_slice(spec, sigma).admissible)), dict(zip(spec.region, sigma))
+    S, idx = spec.alphabet.size, spec.alphabet.index
     no_sites = {v for v, s in zip(spec.region, sigma) if s == 1}
     active = set()
     deterministic = True
-    for j, bb in enumerate(base.bonds):
+    for eb, coins in zip(effective_bonds(spec), pair_coin_table(spec, sigma)):
         qs = set()
-        for li in allowed_locals(sl_spec, bb.inside):
-            sup = bb.support_weight(li)
-            if sup == 0:
-                continue
-            qs.add(bb.active_weight(li) / sup)
+        for y in itertools.product(*(adm[v] for v in eb.inside)):
+            x1, x2 = (local_index(S, map(idx, c)) for c in (y, [sig[v] - a for v, a in zip(eb.inside, y)]))
+            if eb.table[x1] * eb.table[x2] > 0:
+                qs.add(coins[x1, x2])
         if len(qs) > 1:
             deterministic = False
         if qs and max(qs) > 0:
             if max(qs) != 1:
                 deterministic = False
-            active.add(bb.vertices)
+            active.add(eb.vertices)
     expected = {
         b for b in pair_bonds if b[0] in no_sites and b[1] in no_sites
     }

@@ -24,10 +24,9 @@ from numbers import Rational
 
 import numpy as np
 
-from .errors import AllForbiddenError, RcgibbsError, TooLargeError
+from .errors import AllForbiddenError, RcgibbsError, check_cap
 from .lattice import Hypergraph
 
-DEFAULT_STATE_CAP = 1 << 24
 FLOAT_TOL = 1e-12
 
 
@@ -263,11 +262,13 @@ def config_weights(spec: GibbsSpec, tables=None, domains=None, exact=None) -> np
     configuration of inside, as in EffectiveBond. None takes every
     effective bond of the spec. domains gives each region vertex's alphabet
     indices (default: spec.domain_indices). Returns a flat array in
-    itertools.product(*domains) order whose entries are 1 times the tables'
-    entries in table order: float64, or an object array of Fractions when
-    exact (default: spec.exact). Each table is broadcast over the product
-    space, so memory beyond the result stays at one table. A float weight
-    that overflows raises RcgibbsError.
+    itertools.product(*domains) order whose entries are the int 1 times the
+    tables' entries in table order: float64, or an object array of the
+    tables' exact numbers when exact (default: spec.exact), so int tables
+    give ints. Each table is broadcast over the product space, so memory
+    beyond the result stays at one table. Past the "states" cap it raises
+    TooLargeError before allocating; a float weight that overflows raises
+    RcgibbsError.
     """
     if tables is None:
         tables = [(eb.inside, eb.table) for eb in effective_bonds(spec)]
@@ -276,10 +277,11 @@ def config_weights(spec: GibbsSpec, tables=None, domains=None, exact=None) -> np
     if exact is None:
         exact = spec.exact
     shape = tuple(len(d) for d in domains)
+    check_cap("states", math.prod(shape))
     pos = {v: p for p, v in enumerate(spec.region)}
     S = spec.alphabet.size
     if exact:
-        w = np.full(shape, Fraction(1), dtype=object)
+        w = np.full(shape, 1, dtype=object)
     else:
         w = np.ones(shape)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -466,7 +468,7 @@ class FiniteDistribution:
         return sum(_scalars(self._weights))
 
 
-def gibbs_measure(spec: GibbsSpec, max_states: int = DEFAULT_STATE_CAP) -> FiniteDistribution:
+def gibbs_measure(spec: GibbsSpec) -> FiniteDistribution:
     """Normalized Gibbs distribution over the region's configuration space.
 
     Weight of a configuration is the product of effective bond factors
@@ -475,16 +477,13 @@ def gibbs_measure(spec: GibbsSpec, max_states: int = DEFAULT_STATE_CAP) -> Finit
     Returns a product-backed FiniteDistribution over the region's domain
     values at every size.
     """
-    nst = spec.n_states()
-    if nst > max_states:
-        raise TooLargeError(f"{nst} states exceeds cap {max_states}")
     w = config_weights(spec)
     Z = sum(_scalars(w))
     if Z == 0:
         raise AllForbiddenError("all configurations forbidden")
     if not spec.exact and not math.isfinite(Z):
         raise RcgibbsError("partition function overflow; rescale couplings")
-    w /= Z
+    w /= Fraction(Z) if w.dtype == object else Z  # int weights divide as Fractions too
     return FiniteDistribution.over_product(
         [spec.domain_values(v) for v in spec.region], w, sites=spec.region
     )

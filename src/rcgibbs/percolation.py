@@ -23,7 +23,9 @@ float64 and on object arrays of Python ints: an exact spec's weights are
 integers over one denominator (see PairWalk), and so are its coins, so the
 kernel runs no Fraction arithmetic and each caller forms a Fraction once
 per output value, from a ratio of two ints of one scale. Patterns are int64
-bitmasks, so a spec with more than 62 effective bonds raises TooLargeError.
+bitmasks, so a spec with more than 62 effective bonds raises TooLargeError;
+so does a full walk past 2**20 pairs, or a call that would expand more than
+2**22 leaves (the caps in errors.CAPS).
 
 Connectivity has one labeller, edge_components (the only scipy
 connected_components call); chain_components labels the active chains of
@@ -40,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import RcgibbsError, TooLargeError, ZeroSliceError
+from .errors import RcgibbsError, ZeroSliceError, check_cap
 from .gibbs import GibbsSpec, effective_bonds, product_outcomes, product_positions
 from .lattice import ball, boundary_vertices
 from .rcr import RcrBase, assignment_measure
@@ -143,21 +145,14 @@ def regions_connected(n_vertices: int, bond_vertices, active_mask: int, A, B) ->
     return bool(chains_join(chain_components(n_vertices, bond_vertices, [active_mask]), A, B)[0])
 
 
-def base_connection_probability(
-    spec: GibbsSpec,
-    base: RcrBase,
-    A,
-    B,
-    max_states: int = 1 << 16,
-    max_assignments: int = 10**7,
-):
+def base_connection_probability(spec: GibbsSpec, base: RcrBase, A, B):
     """Probability of the active-chain connection event under the bond
     marginal of the given base (spins summed out, counts exact)."""
     bond_vertices = tuple(bb.vertices for bb in base.bonds)
     masks = []
     weights = []
     den = 0
-    for assign, nu, n in assignment_measure(spec, base, max_states, max_assignments):
+    for assign, nu, n in assignment_measure(spec, base):
         if n == 0:
             continue
         w = nu * n
@@ -316,9 +311,6 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
     return tables
 
 
-_MASK_BONDS = 62  # patterns are int64 bitmasks, bit j for effective bond j
-
-
 def _first_seen(*cols):
     """Number the distinct rows of equal-length integer columns in order of
     first appearance; returns each row's number and each number's first row."""
@@ -385,11 +377,17 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     rec_slice indexes sigmas. Totals and records share one scale, so a
     ratio of them is a probability. sigma limits the walk to that slice.
     Every coin comes from pair_coin_table.
+
+    The caps are checked before the work they bound: the bonds (bit j of a
+    pattern is bond j) and a full walk's pairs before any configuration is
+    weighed, and the leaves the call has expanded so far, summed as Python
+    ints, before each block is expanded.
     """
     bonds = effective_bonds(spec)
     n_bonds = len(bonds)
-    if n_bonds > _MASK_BONDS:
-        raise TooLargeError(f"{n_bonds} bonds exceeds the {_MASK_BONDS}-bond pattern mask")
+    check_cap("bonds", n_bonds)
+    if sigma is None:
+        check_cap("pattern pairs", spec.n_states() ** 2)
     exact = spec.exact
     dtype = object if exact else float
     walk = PairWalk(spec, sigma)
@@ -423,6 +421,7 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     coins = [(q, E - q) for q, E in zip(coins, scales)]
     unit = scales.prod()
     bits = np.left_shift(1, np.arange(n_bonds, dtype=np.int64))
+    leaves = 0
 
     for sids, totals, row, c1, c2, w in walk.blocks(max(n_bonds, 1)):
         positive = np.flatnonzero(totals != 0)
@@ -447,8 +446,11 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
         live = (gq != 0) & (g_off != 0)
         base_mask = ((gq != 0) & ~live) @ bits  # bonds whose coin is 1
         gw = gw * np.where(live, 1, scales).prod(axis=1)  # bonds that do not split keep the scale
+        n_live = live.sum(axis=1)
+        leaves += sum(int(n) << k for k, n in enumerate(np.bincount(n_live)))
+        check_cap("pattern leaves", leaves)
         n_leaves = np.zeros(len(totals), dtype=np.int64)
-        np.add.at(n_leaves, grow, np.left_shift(1, live.sum(axis=1)))
+        np.add.at(n_leaves, grow, np.left_shift(1, n_live))
 
         for a, b in _runs(n_leaves[positive]):
             rows = positive[a:b]
@@ -463,24 +465,17 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
                    mask[first], rec_val)
 
 
-def integrated_rc(spec: GibbsSpec, max_total: int = 1 << 20, max_bonds: int = 20) -> IntegratedRC:
+def integrated_rc(spec: GibbsSpec) -> IntegratedRC:
     """Integrated activity-pattern distribution over all overlap slices.
 
     Each slice carries the nested-level (monotone) base, which is symmetric
     under slice reflection by construction; its coins are read from
     pair_coin_table, the one coin source. Every spec takes the same route
-    through the pattern blocks, whatever its size; max_bonds and max_total
-    cap the work. A mask's probability sums its slice weights in slice
-    order, and masks keep the order of their first slice record; it is
-    divided by the total once, into a Fraction on an exact spec.
+    through the pattern blocks, whatever its size, and their caps bound the
+    work. A mask's probability sums its slice weights in slice order, and
+    masks keep the order of their first slice record; it is divided by the
+    total once, into a Fraction on an exact spec.
     """
-    bonds = effective_bonds(spec)
-    n_bonds = len(bonds)
-    if n_bonds > max_bonds:
-        raise TooLargeError(f"{n_bonds} bonds exceeds pattern cap {max_bonds}")
-    nst = spec.n_states()
-    if nst * nst > max_total:
-        raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
     sums = {}
     grand = 0
     for _, totals, _, rec_mask, rec_val in _pattern_blocks(spec):
@@ -494,7 +489,7 @@ def integrated_rc(spec: GibbsSpec, max_total: int = 1 << 20, max_bonds: int = 20
     patterns = {m: div(w, grand) for m, w in sums.items()}
     return IntegratedRC(
         spec.graph.n_vertices,
-        tuple(eb.vertices for eb in bonds),
+        tuple(eb.vertices for eb in effective_bonds(spec)),
         patterns,
         spec.exact,
     )
@@ -525,7 +520,7 @@ def slice_connection_prob(spec: GibbsSpec, sigma, A, B):
     raise ZeroSliceError("overlap configuration has probability zero")
 
 
-def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):
+def sigma_connection_profile(spec: GibbsSpec, A, B):
     """Per-slice connection probabilities with their overlap weights.
 
     Returns (rows, pbar) where rows list (sigma, rho, conn prob given
@@ -533,9 +528,6 @@ def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):
     connection probability. Each value is one division, into a Fraction on
     an exact spec.
     """
-    nst = spec.n_states()
-    if nst * nst > max_total:
-        raise TooLargeError(f"{nst}^2 two-copy states exceeds cap {max_total}")
     div = Fraction if spec.exact else operator.truediv
     rows = []
     grand = 0
@@ -554,13 +546,7 @@ def sigma_connection_profile(spec: GibbsSpec, A, B, max_total: int = 1 << 20):
 # Finite-volume extremality diagnostic
 
 
-def extremality_diagnostic(
-    specs,
-    A_region,
-    epsilon: float,
-    radii=None,
-    max_total: int = 1 << 20,
-):
+def extremality_diagnostic(specs, A_region, epsilon: float, radii=None):
     """Tabulate connection decay from a region to nested shells.
 
     For each spec in an increasing family and each radius, computes the
@@ -583,7 +569,7 @@ def extremality_diagnostic(
             dlam1 = boundary_vertices(graph, lam1)
             if not dlam1:
                 continue
-            profile, pbar = sigma_connection_profile(spec, A, dlam1, max_total=max_total)
+            profile, pbar = sigma_connection_profile(spec, A, dlam1)
             p_eps = sum(rho for _, rho, p in profile if p <= epsilon)
             rows.append(
                 {

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InfeasibleError, NonSymmetrizableError, TooLargeError, ZeroSliceError
+from .errors import InfeasibleError, NonSymmetrizableError, ZeroSliceError, check_cap
 from .gibbs import (
     FiniteDistribution,
     GibbsSpec,
@@ -301,16 +301,14 @@ def _configs_with_locals(spec: GibbsSpec, base: RcrBase):
         yield cfg, [local_index(S, (cfg[p] for p in ps)) for ps in insides]
 
 
-def reconstruct(spec: GibbsSpec, base: RcrBase, max_states: int = 1 << 20) -> FiniteDistribution:
+def reconstruct(spec: GibbsSpec, base: RcrBase) -> FiniteDistribution:
     """Spin distribution represented by the base.
 
     The weight of a configuration is the product over bonds of the total
     base probability of subsets containing it; this must reproduce the
     underlying Gibbs measure for a valid representation.
     """
-    nst = spec.n_states()
-    if nst > max_states:
-        raise TooLargeError(f"{nst} states exceeds cap {max_states}")
+    check_cap("reconstructed states", spec.n_states())
     S = spec.alphabet.size
     tables = [
         (bb.inside, [bb.support_weight(li) for li in range(S ** len(bb.inside))])
@@ -322,11 +320,10 @@ def reconstruct(spec: GibbsSpec, base: RcrBase, max_states: int = 1 << 20) -> Fi
     )
 
 
-def _compat_bitsets(spec: GibbsSpec, base: RcrBase, max_states: int):
+def _compat_bitsets(spec: GibbsSpec, base: RcrBase):
     """Per bond, per subset: bitset over configurations compatible with it."""
     nst = spec.n_states()
-    if nst > max_states:
-        raise TooLargeError(f"{nst} states exceeds cap {max_states}")
+    check_cap("assignment states", nst)
     bitsets = [[0] * len(bb.subsets) for bb in base.bonds]
     for ci, (_, locs) in enumerate(_configs_with_locals(spec, base)):
         for bb, per_subset, li in zip(base.bonds, bitsets, locs):
@@ -336,12 +333,7 @@ def _compat_bitsets(spec: GibbsSpec, base: RcrBase, max_states: int):
     return bitsets, nst
 
 
-def assignment_measure(
-    spec: GibbsSpec,
-    base: RcrBase,
-    max_states: int = 1 << 16,
-    max_assignments: int = 10**7,
-):
+def assignment_measure(spec: GibbsSpec, base: RcrBase):
     """Unnormalized weights nu(eta) * n_eta over full bond assignments.
 
     n_eta counts spin configurations compatible with every bond subset.
@@ -350,9 +342,8 @@ def assignment_measure(
     n_assign = 1
     for bb in base.bonds:
         n_assign *= len(bb.subsets)
-    if n_assign > max_assignments:
-        raise TooLargeError(f"{n_assign} assignments exceeds cap {max_assignments}")
-    bitsets, nst = _compat_bitsets(spec, base, max_states)
+    check_cap("assignments", n_assign)
+    bitsets, nst = _compat_bitsets(spec, base)
     full = (1 << nst) - 1
     B = len(base.bonds)
     out = []
@@ -373,12 +364,7 @@ def assignment_measure(
     return out
 
 
-def joint_spin_bond(
-    spec: GibbsSpec,
-    base: RcrBase,
-    max_states: int = 1 << 12,
-    max_assignments: int = 10**6,
-) -> FiniteDistribution:
+def joint_spin_bond(spec: GibbsSpec, base: RcrBase) -> FiniteDistribution:
     """Joint law of spin configuration and bond assignment.
 
     Outcomes are (value tuple, assignment tuple) pairs supported on
@@ -387,13 +373,11 @@ def joint_spin_bond(
     """
     vals = spec.alphabet.values
     nst = spec.n_states()
-    if nst > max_states:
-        raise TooLargeError(f"{nst} states exceeds cap {max_states}")
+    check_cap("joint states", nst)
     n_assign = 1
     for bb in base.bonds:
         n_assign *= len(bb.subsets)
-    if nst * n_assign > max_assignments:
-        raise TooLargeError("joint support exceeds cap")
+    check_cap("spin-bond pairs", nst * n_assign)
     table: dict = {}
     for cfg, locals_per_bond in _configs_with_locals(spec, base):
         outcome_cfg = tuple(vals[i] for i in cfg)
@@ -414,12 +398,7 @@ def joint_spin_bond(
     return FiniteDistribution(table, normalize=True)
 
 
-def bond_marginal(
-    spec: GibbsSpec,
-    base: RcrBase,
-    max_states: int = 1 << 16,
-    max_assignments: int = 10**7,
-) -> FiniteDistribution:
+def bond_marginal(spec: GibbsSpec, base: RcrBase) -> FiniteDistribution:
     """Marginal of the joint spin-bond distribution on bond assignments.
 
     P(eta) is proportional to nu(eta) times the number of compatible spin
@@ -427,7 +406,7 @@ def bond_marginal(
     base order.
     """
     table = {}
-    for assign, nu, n in assignment_measure(spec, base, max_states, max_assignments):
+    for assign, nu, n in assignment_measure(spec, base):
         if n:
             table[assign] = table.get(assign, 0) + nu * n
     if not table:
@@ -541,17 +520,12 @@ def mns_base(spec: GibbsSpec):
     return RcrBase(tuple(bonds), spec2.graph.n_vertices, spec2.exact), spec2
 
 
-def typed_joint(
-    spec2: GibbsSpec,
-    base: RcrBase,
-    max_states: int = 1 << 16,
-    max_assignments: int = 10**7,
-) -> FiniteDistribution:
+def typed_joint(spec2: GibbsSpec, base: RcrBase) -> FiniteDistribution:
     """Joint law of the two bond-variable families of mns_base, spins
     summed out.
 
     Outcomes are tuples of (blue subset index, red subset index) per
     paired bond: bond_marginal's outcomes, regrouped in pairs.
     """
-    marginal = bond_marginal(spec2, base, max_states, max_assignments)
+    marginal = bond_marginal(spec2, base)
     return marginal.map_outcomes(lambda a: tuple(zip(a[::2], a[1::2])))

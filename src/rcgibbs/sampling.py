@@ -38,8 +38,8 @@ import math
 
 import numpy as np
 
-from .errors import RcgibbsError, TooLargeError, UsageError
-from .gibbs import DEFAULT_STATE_CAP, GibbsSpec, effective_bonds
+from .errors import RcgibbsError, UsageError, check_cap
+from .gibbs import GibbsSpec, effective_bonds
 from .percolation import chain_components, chains_join, pair_coin_table
 from .rng import stream
 
@@ -118,8 +118,8 @@ def _tails(w: np.ndarray) -> np.ndarray:
 
 def _generic_heat_bath(spec: GibbsSpec, bonds, C: int):
     """The generic sampler's kernel over C chains, and the tails of each
-    site's uniform row over its domain. Past gibbs.DEFAULT_STATE_CAP table
-    cells it raises TooLargeError."""
+    site's uniform row over its domain. Past the "heat-bath values" or the
+    "heat-bath table cells" cap it raises TooLargeError."""
     S, n = spec.alphabet.size, len(spec.region)
     pos = {v: p for p, v in enumerate(spec.region)}
     incident = [[] for _ in range(n)]
@@ -129,8 +129,8 @@ def _generic_heat_bath(spec: GibbsSpec, bonds, C: int):
             incident[p].append((inside, np.array([float(x) for x in eb.table])))
     nbrs = [sorted({q for inside, _ in incident[p] for q in inside} - {p}) for p in range(n)]
     offsets = np.cumsum([0] + [S ** len(nb) for nb in nbrs])
-    if S > 127 or offsets[-1] * (S - 1) > DEFAULT_STATE_CAP:
-        raise TooLargeError(f"heat-bath table of {offsets[-1] * (S - 1)} cells over {S} values exceeds the cap")
+    check_cap("heat-bath values", S)
+    check_cap("heat-bath table cells", offsets[-1] * (S - 1))
     allowed = spec.domain_mask()
     weights = np.ones((offsets[-1], S))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below

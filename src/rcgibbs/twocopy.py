@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import RcgibbsError, TooLargeError, ZeroSliceError
+from .errors import RcgibbsError, ZeroSliceError, check_cap
 from .gibbs import (
     Alphabet,
     BondTable,
@@ -23,12 +23,11 @@ from .gibbs import (
     GibbsSpec,
     Interaction,
     config_weights,
+    effective_bonds,
     local_index,
     product_outcomes,
     product_positions,
 )
-
-DEFAULT_PAIR_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,14 @@ class PairWalk:
     with sigma_v - a in the domain), so an unachievable sigma raises
     ZeroSliceError. This is the one place that forms two-copy pairs: the
     overlap law, the slice measures, decompose_event and the integrated
-    activity law all read it.
+    activity law all read it. A full walk past the "two-copy pairs" cap
+    raises TooLargeError before weighing a configuration; a one-slice walk
+    is bounded by the "states" cap of config_weights.
 
-    Exact specs run on integers. weights holds each configuration's weight
-    times D, the lcm of their denominators, as Python ints in an object
-    array, so every pair weight and slice total of blocks() is an int over
+    Exact specs run on integers. Each bond table is scaled to ints over the
+    lcm of its denominators (_scaled), so weights holds each configuration's
+    weight times D, the product of those scales, as Python ints in an object
+    array; every pair weight and slice total of blocks() is an int over
     D**2, and a caller forms each Fraction once, from a ratio of such ints
     (the scales cancel). Float specs hold float64 weights; one whose pairs
     could overflow raises RcgibbsError.
@@ -116,6 +118,7 @@ class PairWalk:
 
     def __init__(self, spec: GibbsSpec, sigma=None):
         if sigma is None:
+            check_cap("two-copy pairs", spec.n_states() ** 2)
             self.domains = [spec.domain_values(v) for v in spec.region]
             self.sums = [sorted({a + b for a in d for b in d}) for d in self.domains]
         else:
@@ -123,10 +126,11 @@ class PairWalk:
             self.domains = list(sl.admissible)
             self.sums = [[s] for s in sl.sigma]
         self.indices = [tuple(map(spec.alphabet.index, d)) for d in self.domains]
-        weights = config_weights(spec, domains=self.indices)
-        if weights.dtype == object:
-            weights, _ = _scaled(weights.tolist())
-        elif len(weights) and weights.max() > 1e154:  # below the square root of the largest float
+        exact = spec.exact
+        tables = [(eb.inside, _scaled([Fraction(x) for x in eb.table])[0] if exact else eb.table)
+                  for eb in effective_bonds(spec)]
+        weights = config_weights(spec, tables, domains=self.indices, exact=exact)
+        if not exact and len(weights) and weights.max() > 1e154:  # below the square root of the largest float
             raise RcgibbsError("two-copy pair weight overflow; rescale couplings")
         self.weights = weights
 
@@ -185,7 +189,7 @@ class PairWalk:
             yield slices[lo:hi], totals, row, c1, c2, w
 
 
-def overlap_distribution(spec: GibbsSpec, max_pairs: int = DEFAULT_PAIR_CAP) -> FiniteDistribution:
+def overlap_distribution(spec: GibbsSpec) -> FiniteDistribution:
     """Distribution of the per-vertex spin sum of two independent copies.
 
     Outcomes are tuples of sums aligned with the sorted region, over the
@@ -194,9 +198,6 @@ def overlap_distribution(spec: GibbsSpec, max_pairs: int = DEFAULT_PAIR_CAP) -> 
     an exact spec's are Fractions, each slice's int total over the grand
     total.
     """
-    n_states = spec.n_states()
-    if n_states * n_states > max_pairs:
-        raise TooLargeError(f"{n_states}^2 pairs exceeds cap {max_pairs}")
     walk = PairWalk(spec)
     totals = np.concatenate([totals for _, totals, *_ in walk.blocks()])
     if not (totals != 0).any():
@@ -321,7 +322,7 @@ def pair_values(alphabet: Alphabet, pair_value: int) -> tuple[int, int]:
     return alphabet.values[pair_value // S], alphabet.values[pair_value % S]
 
 
-def decompose_event(spec: GibbsSpec, predicate, max_pairs: int = DEFAULT_PAIR_CAP):
+def decompose_event(spec: GibbsSpec, predicate):
     """Probability of an event recomputed through the overlap decomposition.
 
     Returns the sum over overlap slices of the slice's weight times the
@@ -330,9 +331,6 @@ def decompose_event(spec: GibbsSpec, predicate, max_pairs: int = DEFAULT_PAIR_CA
     slice totals cancel: the sum is the event's pair weights over all pair
     weights, one Fraction.
     """
-    n_states = spec.n_states()
-    if n_states * n_states > max_pairs:
-        raise TooLargeError(f"{n_states}^2 pairs exceeds cap {max_pairs}")
     walk = PairWalk(spec)
     hit = np.array([bool(predicate(o)) for o in itertools.product(*walk.domains)])
     totals, events = [], []

@@ -66,17 +66,23 @@ def test_unknown_flag_exits_two(tmp_path, model_file, capsys):
         assert "error: " in err and err.count("\n") == 1, err
 
 
-def test_cap_violation_exits_three(tmp_path):
-    model = {
-        "graph": {"grid": "6x6"},
-        "interaction": {"template": "ising", "J": 0.5},
-    }
-    p = tmp_path / "big.json"
-    p.write_text(json.dumps(model))
-    rc = run_cli(
-        ["--out", str(tmp_path), "perc", "ibar", "--model", str(p), "--A", "0", "--B", "35"]
-    )
-    assert rc == 3
+def test_cap_violation_exits_three(tmp_path, capsys):
+    # the 6x6 grid passes the two-copy pair cap; the complete graph on 8
+    # vertices has 2**16 pairs but would expand 3.3e8 pattern leaves; the
+    # 6x5 grid's all-zero slice holds 2**30 configurations
+    k8 = [[u, v] for u in range(8) for v in range(u + 1, 8)]
+    cases = [
+        ({"grid": "6x6"}, ["perc", "ibar", "--A", "0", "--B", "35"]),
+        ({"n": 8, "bonds": k8}, ["perc", "ibar", "--A", "0", "--B", "1"]),
+        ({"grid": "6x5"}, ["twocopy", "slice", "--sigma", ",".join(["0"] * 30)]),
+    ]
+    for graph, argv in cases:
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"graph": graph, "interaction": {"template": "ising", "J": 0.5}}))
+        rc = run_cli(["--out", str(tmp_path), *argv[:2], "--model", str(p), *argv[2:]])
+        err = capsys.readouterr().err
+        assert rc == 3, (argv, err)
+        assert err.startswith("resource cap: ") and err.count("\n") == 1, err
 
 
 def test_bad_model_file_exits_two(tmp_path):

@@ -259,9 +259,7 @@ def test_fk_identity_on_4x3_grid():
     spec = ising_spec(g, 0.45)
     mu = gibbs_measure(spec)
     cov = mu.covariance(lambda o: o[0], lambda o: o[11])
-    p = base_connection_probability(
-        spec, monotone_base(spec), {0}, {11}, max_states=1 << 13
-    )
+    p = base_connection_probability(spec, monotone_base(spec), {0}, {11})
     assert abs(cov - p) < 1e-10
 
 
@@ -292,8 +290,8 @@ def test_all_forbidden_raises():
 def test_too_large_raises():
     g = build_grid(6, 6)
     spec = ising_spec(g, 0.5)
-    with pytest.raises(TooLargeError):
-        gibbs_measure(spec, max_states=1 << 20)
+    with pytest.raises(TooLargeError, match="states exceeds the cap"):
+        gibbs_measure(spec)
 
 
 def test_boundary_vertex_outside_graph_rejected():

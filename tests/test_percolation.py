@@ -669,6 +669,23 @@ def test_pattern_blocks_peak_memory_is_bounded():
         tracemalloc.stop()
     assert got == want
     assert peak < 3.5e6
+    # That spec's pairs fit one block at 2^17 cells, which peaks at 3.4 MB.
+    # The 4x2 grid's 65,536 pairs over 10 bonds span 10 blocks of 2^16
+    # cells; walked block by block, keeping no records, it peaks at 6.0 MB
+    # at 2^16 and 8.8 MB at 2^17, so a bound of 7.5 MB catches a doubled
+    # budget.
+    spec = ising_spec(build_grid(4, 2), 0.5)
+    assert spec.n_states() ** 2 * len(effective_bonds(spec)) == 10 << 16
+    for _ in _pattern_blocks(spec):  # imports and caches outside the trace
+        pass
+    tracemalloc.start()
+    try:
+        for _ in _pattern_blocks(spec):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5e6
 
 
 def test_more_than_62_bonds_raise_before_enumeration(monkeypatch):
@@ -688,7 +705,23 @@ def test_more_than_62_bonds_raise_before_enumeration(monkeypatch):
     with pytest.raises(TooLargeError, match="63 bonds"):
         slice_connection_prob(spec, (0, 0), {0}, {1})
     with pytest.raises(TooLargeError, match="63 bonds"):
-        integrated_rc(spec, max_bonds=100)
+        integrated_rc(spec)
+
+
+def test_integrated_rc_past_twenty_bonds_matches_the_profile():
+    # 13 pair bonds and 8 field bonds on 8 sites: 21 effective bonds and
+    # 2^16 two-copy pairs, whose leaves fit the leaf cap
+    pairs = [(i, i + 1) for i in range(7)] + [(0, 7), (0, 4), (1, 5), (2, 6), (3, 7), (0, 2)]
+    g = hypergraph(8, pairs + [(v,) for v in range(8)])
+    tables = {k: BondTable.from_factors((Fraction(3, 2), 1, 1, Fraction(3, 2))) for k in range(len(pairs))}
+    for v in range(8):
+        tables[len(pairs) + v] = BondTable.from_factors((1, Fraction(4 + v % 3, 4)))
+    spec = GibbsSpec(g, SPIN, Interaction(tables), tuple(range(8)))
+    assert len(effective_bonds(spec)) == 21 and spec.n_states() ** 2 == 1 << 16
+    for A, B in (({0}, {6}), ({1, 2}, {5})):
+        _, pbar = sigma_connection_profile(spec, A, B)
+        got = integrated_rc(spec).connection_probability(A, B)
+        assert type(got) is Fraction and got == pbar
 
 
 # ---------------------------------------------------------------------------

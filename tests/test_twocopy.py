@@ -270,10 +270,11 @@ def test_overlap_pair_cap():
     from rcgibbs.errors import TooLargeError
     from rcgibbs.lattice import hypergraph as hg
 
-    n = 9
+    # 2**13 states: 2**26 pairs pass the 2**24 cap, though the states fit
+    n = 13
     spec = ising_spec(hg(n, [(i, i + 1) for i in range(n - 1)]), 0.3)
-    with pytest.raises(TooLargeError):
-        overlap_distribution(spec, max_pairs=1 << 10)
+    with pytest.raises(TooLargeError, match="two-copy pairs"):
+        overlap_distribution(spec)
 
 
 def test_two_copy_spec_is_product_measure():
@@ -403,8 +404,9 @@ def test_pair_walk_matches_replaced_routes(monkeypatch, name, make):
     want = _pair_loop_totals(spec)
     totals = totals.tolist()
     if spec.exact:
-        # exact totals are ints over D**2, D the lcm of the weights' denominators
-        D = math.lcm(*(w.denominator for w in config_weights(spec).tolist()))
+        # exact totals are ints over D**2, D the product over bond tables of
+        # the lcm of each table's denominators
+        D = math.prod(math.lcm(*(Fraction(x).denominator for x in eb.table)) for eb in effective_bonds(spec))
         assert all(type(t) is int for t in totals)
         totals = [Fraction(t, D * D) for t in totals]
     # unnormalized sigma totals bit for bit (Fractions literally)
