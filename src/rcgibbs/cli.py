@@ -19,6 +19,7 @@ import re
 import sys
 import time
 import traceback
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -482,6 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -495,7 +500,9 @@ def main(argv=None) -> int:
     }
     t0 = time.perf_counter()
     try:
-        report = args.fn(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line  # one stderr line per warning, no source echo
+            report = args.fn(args)
         wall = time.perf_counter() - t0
         try:
             emit(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from ..lattice import hypergraph
 from ..models import ising_spec
 from ..percolation import _graph, chains_join, edge_components
 from ..rng import run_tasks, stream
-from ..sampling import HeatBath, distinct_masks, integrated_autocorr
+from ..sampling import HeatBath, integrated_autocorr
 
 
 @dataclass(frozen=True)
@@ -494,6 +495,7 @@ def mc_bond_joint(
         blue, red, _ = sample_blue_red(s1, s2, qc, beta_scale, rngb)
         for c, ((h, _), (v, _)) in enumerate((blue, red)):
             rows[k, :, c] = np.stack((h, v), axis=1).reshape(R, -1)[:, cells]
-    masks, counts, _ = distinct_masks(rows.reshape(per * R, -1)[:n_samples])
+    packed = np.packbits(rows.reshape(per * R, -1)[:n_samples], axis=1, bitorder="little")
+    counts = Counter(int.from_bytes(row, "little") for row in packed)
     low = (1 << len(cells)) - 1
-    return {(m & low, m >> len(cells)): c for m, c in zip(masks, counts)}, n_samples
+    return {(m & low, m >> len(cells)): c for m, c in counts.items()}, n_samples

@@ -14,6 +14,7 @@ from ..gibbs import BondTable, GibbsSpec, Interaction, SPIN, gibbs_measure
 from ..lattice import hypergraph
 from ..models import example1_spec
 from ..percolation import (
+    activity_rows,
     base_connection_probability,
     chain_components,
     integrated_rc,
@@ -272,7 +273,7 @@ def _pair_values(spec: GibbsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     probs = np.asarray([float(irc.patterns[m]) for m in masks])
     # reach[v, i]: the vertex mask of pattern i's chain through v, 0 if none;
     # A and B connect in pattern i when the chains through A meet B.
-    labels = chain_components(irc.n_vertices, irc.bond_vertices, masks)
+    labels = chain_components(irc.n_vertices, irc.bond_vertices, activity_rows(masks, len(irc.bond_vertices)))
     chain_mask = np.zeros(int(labels.max(initial=-1)) + 2, dtype=np.int64)  # label -1 reads the last, 0
     i, v = np.nonzero(labels >= 0)
     np.bitwise_or.at(chain_mask, labels[i, v], np.left_shift(1, v))

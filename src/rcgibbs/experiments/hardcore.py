@@ -111,15 +111,15 @@ def _slice_machinery_check(spec, sigma, pair_bonds):
     return deterministic, match, support_ok
 
 
-def _inside_mask(pair_bonds, sites) -> int:
-    """Bitmask of the pair bonds with both ends in sites."""
-    return sum(1 << k for k, (a, b) in enumerate(pair_bonds) if a in sites and b in sites)
+def _inside_row(pair_bonds, sites) -> list[bool]:
+    """Activity row of the pair bonds: which have both ends in sites."""
+    return [a in sites and b in sites for a, b in pair_bonds]
 
 
 def _count_components(n_vertices, pair_bonds, sites) -> int:
     """Connected components of the sites under the pair bonds inside them:
     the chains of those bonds plus the sites no such bond covers."""
-    labels = chain_components(n_vertices, pair_bonds, [_inside_mask(pair_bonds, sites)])[0, sorted(sites)].tolist()
+    labels = chain_components(n_vertices, pair_bonds, [_inside_row(pair_bonds, sites)])[0, sorted(sites)].tolist()
     return len(set(labels) - {-1}) + labels.count(-1)
 
 
@@ -191,7 +191,7 @@ def hardcore_disagreement(
     p_dis = 0.0
     p_act = 0.0
     mismatches = 0
-    labels = chain_components(n, pair_bonds, [_inside_mask(pair_bonds, D) for D in by_region])
+    labels = chain_components(n, pair_bonds, [_inside_row(pair_bonds, D) for D in by_region])
     for (D, w), ind_act in zip(by_region.items(), chains_join(labels, A, B).tolist()):
         ind_dis = _site_path_exists(adj, D, A, B)
         if ind_dis != ind_act:

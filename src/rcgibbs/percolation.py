@@ -28,10 +28,12 @@ so does a full walk past 2**20 pairs, or a call that would expand more than
 2**22 leaves (the caps in errors.CAPS).
 
 Connectivity has one labeller, edge_components (the only scipy
-connected_components call); chain_components labels the active chains of
-a batch of masks in one call to it (the batch form of Hoshen-Kopelman
-labelling). chains_join is the one A<->B query on its labels, and
-joined_weight adds the weights of the joined masks in the given order.
+connected_components call), and one way in: chain_components labels the
+active chains of a batch of bool activity rows in one call to it (the
+batch form of Hoshen-Kopelman labelling), and chains_join is the one
+A<->B query on its labels. activity_rows is the one place where int masks
+become rows, and joined asks the query of a list of int masks, labelling
+each distinct mask once.
 """
 
 from __future__ import annotations
@@ -82,27 +84,33 @@ def edge_components(n: int, a, b) -> np.ndarray:
     return np.where(covered, labels, -1)
 
 
-def chain_components(n_vertices: int, bond_vertices, masks) -> np.ndarray:
-    """Chain labels of K activity masks, as a (K, n_vertices) int array.
-
-    Bit j of a mask marks bond j active; masks are Python ints of any width
-    below 2**len(bond_vertices). Two active bonds belong to one chain when
-    they share a vertex, and row k gives every vertex covered by mask k's
-    active bonds the label of its chain, -1 to a vertex no active bond
-    covers. Labels are unique across rows. All masks are labelled by one
-    edge_components call on the block-diagonal graph that joins each active
-    bond's first vertex to its others, and a one-vertex bond's vertex to
-    itself.
-    """
+def activity_rows(masks, n_bonds: int) -> np.ndarray:
+    """(K, n_bonds) bool activity rows of K masks, Python ints of any width
+    below 2**n_bonds: column j of a row is bit j of its mask."""
     masks = list(masks)
-    K, n = len(masks), n_vertices
-    width = (len(bond_vertices) + 7) // 8
+    width = (n_bonds + 7) // 8
     raw = np.frombuffer(b"".join(int(m).to_bytes(width, "little") for m in masks), np.uint8)
-    active = np.unpackbits(raw, bitorder="little").reshape(K, 8 * width).view(bool)
+    return np.unpackbits(raw, bitorder="little").reshape(len(masks), 8 * width)[:, :n_bonds].view(bool)
+
+
+def chain_components(n_vertices: int, bond_vertices, active) -> np.ndarray:
+    """Chain labels of K activity rows, as a (K, n_vertices) int array.
+
+    active is a (K, len(bond_vertices)) bool array whose column j marks bond
+    j active (activity_rows makes it from int masks). Two active bonds
+    belong to one chain when they share a vertex, and row k gives every
+    vertex covered by row k's active bonds the label of its chain, -1 to a
+    vertex no active bond covers. Labels are unique across rows. All rows
+    are labelled by one edge_components call on the block-diagonal graph
+    that joins each active bond's first vertex to its others, and a
+    one-vertex bond's vertex to itself.
+    """
+    n = n_vertices
+    active = np.asarray(active, bool).reshape(len(active), len(bond_vertices))
     star = np.array([(j, vs[0], u) for j, vs in enumerate(bond_vertices) for u in vs[1:] or vs], np.int64)
     star = star.reshape(-1, 3)  # (0, 3) for a model without bonds
     k, e = np.nonzero(active[:, star[:, 0]])
-    return edge_components(K * n, k * n + star[e, 1], k * n + star[e, 2]).reshape(K, n)
+    return edge_components(len(active) * n, k * n + star[e, 1], k * n + star[e, 2]).reshape(len(active), n)
 
 
 def chains_join(labels: np.ndarray, A, B) -> np.ndarray:
@@ -121,19 +129,15 @@ def chains_join(labels: np.ndarray, A, B) -> np.ndarray:
     return on_b[labels[:, a]].any(axis=1)
 
 
-def joined_weight(n_vertices: int, bond_vertices, masks, weights, A, B):
-    """Sum of the weights whose masks have an active chain joining A and B,
-    the distinct masks labelled in one batch. It adds them one by one in
-    the given order from the int 0, so floats round as a loop does."""
-    masks = list(masks)
-    distinct = list(dict.fromkeys(masks))
-    labels = chain_components(n_vertices, bond_vertices, distinct)
-    joined = dict(zip(distinct, chains_join(labels, A, B).tolist()))
-    acc = 0
-    for mask, w in zip(masks, weights):
-        if joined[mask]:
-            acc += w
-    return acc
+def joined(n_vertices: int, bond_vertices, masks, A, B) -> np.ndarray:
+    """Per mask of a list or array of int masks: whether an active chain
+    joins A and B. The distinct masks are labelled in one batch."""
+    values = np.asarray(masks)
+    if values.dtype.kind == "f":  # no masks, or masks past 2**63 among smaller ones
+        values = np.asarray(masks, dtype=object)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    labels = chain_components(n_vertices, bond_vertices, activity_rows(distinct.tolist(), len(bond_vertices)))
+    return chains_join(labels, A, B)[inverse]
 
 
 def regions_connected(n_vertices: int, bond_vertices, active_mask: int, A, B) -> bool:
@@ -142,7 +146,7 @@ def regions_connected(n_vertices: int, bond_vertices, active_mask: int, A, B) ->
     Requires at least one active bond meeting each side; overlapping
     regions are not automatically connected.
     """
-    return bool(chains_join(chain_components(n_vertices, bond_vertices, [active_mask]), A, B)[0])
+    return bool(joined(n_vertices, bond_vertices, [active_mask], A, B)[0])
 
 
 def base_connection_probability(spec: GibbsSpec, base: RcrBase, A, B):
@@ -161,7 +165,8 @@ def base_connection_probability(spec: GibbsSpec, base: RcrBase, A, B):
         weights.append(w)
     if den == 0:
         raise ZeroSliceError("representation carries no compatible configuration")
-    return joined_weight(base.n_vertices, bond_vertices, masks, weights, A, B) / den
+    hits = joined(base.n_vertices, bond_vertices, masks, A, B)
+    return sum(w for w, j in zip(weights, hits) if j) / den
 
 
 @dataclass(eq=False)
@@ -182,7 +187,10 @@ class IntegratedRC:
         return sum(self.patterns.values())
 
     def connection_probability(self, A, B):
-        return joined_weight(self.n_vertices, self.bond_vertices, self.patterns, self.patterns.values(), A, B)
+        """Sum of the probabilities of the masks whose active chains join A
+        and B, added in pattern order from the int 0."""
+        hits = joined(self.n_vertices, self.bond_vertices, list(self.patterns), A, B)
+        return sum(p for p, j in zip(self.patterns.values(), hits) if j)
 
     def conditional_active(self, j: int):
         """Per conditioning pattern on the other bonds: P(bond j active | rest).
@@ -497,16 +505,12 @@ def integrated_rc(spec: GibbsSpec) -> IntegratedRC:
 
 def _slice_connections(spec: GibbsSpec, A, B, sigma=None):
     """(sigma, total, joined weight) per slice of positive weight, in slice
-    order, of one scale: the pattern blocks' distinct masks are labelled in
-    one batch, and a slice adds its joined records in order from 0. sigma
-    limits the walk to that slice."""
+    order, of one scale: each block's distinct masks are labelled in one
+    batch as the block arrives, and a slice adds its joined records in
+    order from 0. sigma limits the walk to that slice."""
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
-    blocks = list(_pattern_blocks(spec, sigma))
-    distinct = np.unique(np.concatenate([np.zeros(0, np.int64), *(b[3] for b in blocks)]))
-    labels = chain_components(spec.graph.n_vertices, bond_vertices, distinct.tolist())
-    joined = chains_join(labels, A, B)
-    for sigmas, totals, rec_slice, rec_mask, rec_val in blocks:
-        conn = joined[np.searchsorted(distinct, rec_mask)]
+    for sigmas, totals, rec_slice, rec_mask, rec_val in _pattern_blocks(spec, sigma):
+        conn = joined(spec.graph.n_vertices, bond_vertices, rec_mask, A, B)
         num = np.zeros(len(sigmas), dtype=rec_val.dtype)
         np.add.at(num, rec_slice[conn], rec_val[conn])
         yield from zip(sigmas, totals, num.tolist())

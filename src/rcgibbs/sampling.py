@@ -22,9 +22,11 @@ rng.random((C, n_sites)) for a start uniform over the domains, the burn-in,
 then per sample step the gap sweeps and one rng.random((n_tasks, n_bonds));
 bond j of pair t is active when its uniform is below its pair coin
 (percolation.pair_coin_table) at the copies' local values. The sample steps
-run in chunks of at most SAMPLE_CELLS (sample, bond) cells: each step keeps
-its state and uniforms, and the chunk's coins are read through one integer
-product lift @ states and compared at once. The burn-in runs
+run in chunks of at most twocopy._BLOCK_CELLS (sample, bond) cells, the
+package's one cell budget: each step keeps its state and uniforms, and the
+chunk's coins are read through one integer product lift @ states and
+compared at once, and its bool activity rows go to
+percolation.chain_components as they are, in one batch. The burn-in runs
 one sweep at a time and records after each the pairs' mean expected active
 bond count, sum_j of the pair coins at the current state; from sweep
 BURN_IN_MIN on, every BURN_IN_CHECK sweeps, it stops once the integrated
@@ -38,6 +40,7 @@ import math
 
 import numpy as np
 
+from . import twocopy
 from .errors import RcgibbsError, UsageError, check_cap
 from .gibbs import GibbsSpec, effective_bonds
 from .percolation import chain_components, chains_join, pair_coin_table
@@ -46,7 +49,6 @@ from .rng import stream
 BURN_IN_MIN = 32  # the first sweep at which the burn-in may stop
 BURN_IN_CHECK = 8  # sweeps between two stopping checks
 TAU_SWEEPS = 20  # a stopped burn-in has run at least this many tau
-SAMPLE_CELLS = 1 << 14  # (sample, bond) cells whose coins are read in one batch
 
 
 class HeatBath:
@@ -161,28 +163,6 @@ def _generic_heat_bath(spec: GibbsSpec, bonds, C: int):
     return HeatBath(n, classes, table, C), _tails(allowed.astype(float))
 
 
-def distinct_masks(rows) -> tuple[list[int], list[int], np.ndarray]:
-    """The distinct rows of a (K, n) bool array as int masks, bit j for
-    column j, with their counts and the (K,) index of each row's mask, in
-    np.unique's order of the rows packed little-endian: the packed bytes
-    compared left to right, here as big-endian integer keys of 8 bytes each."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    K, width = packed.shape
-    padded = np.zeros((K, max(-(-width // 8), 1) * 8), np.uint8)
-    padded[:, :width] = packed
-    order = np.lexsort(padded.view(">u8").T[::-1])
-    keys = padded[order].view(">u8")
-    new = np.ones(K, bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    inverse = np.empty(K, np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    first = np.flatnonzero(new)
-    masks = [0] * len(first)
-    for col in keys[first].view("<u8").T[::-1]:  # the same bytes read little-endian, high word first
-        masks = [m << 64 | v for m, v in zip(masks, col.tolist())]
-    return masks, np.diff(np.append(first, K)).tolist(), inverse
-
-
 def integrated_autocorr(x) -> tuple[float, bool]:
     """Integrated autocorrelation time of one series and whether Sokal's
     window m >= 6 tau closed (Madras-Sokal, J. Stat. Phys. 50, 109, 1988).
@@ -252,40 +232,38 @@ def mc_connection_probability(
             code[j, hb.row[pos[u]]] = S ** (len(eb.inside) - 1 - k)
     lift = np.vstack((size * code, code))
 
-    def pair_coins():  # (n_bonds, T): each pair's coins at its copies' values
-        x = lift @ hb.state  # (2 n_bonds, 2 T)
-        return q[off + x[:nb, :T] + x[nb:, T:]]
+    def coins_at(x):  # each pair's coins, (..., n_bonds, T), at x = lift @ state(s)
+        return q[off + x[..., :nb, :T] + x[..., nb:, T:]]
 
     rng = stream(seed, 300)
     hb.load((rng.random((2 * T, n)).T < start[:, :, None]).sum(axis=0))
     series, equilibrated = [], False
     while len(series) < burn_in and not equilibrated:
         heat_bath_chain(spec, hb, rng, 1)
-        series.append(float(pair_coins().sum()) / T)
+        series.append(float(coins_at(lift @ hb.state).sum()) / T)
         k = len(series)
         if k >= BURN_IN_MIN and k % BURN_IN_CHECK == 0:
             tau, converged = integrated_autocorr(series[k // 2 :])
             equilibrated = converged and k >= TAU_SWEEPS * tau
     tau, _ = integrated_autocorr(series[len(series) // 2 :])
     per_task = -(-n_samples // T)
-    active = np.empty((per_task, T, nb), bool)
     # the sample steps in chunks of K: each step's state and coin uniforms
-    # are kept, and the chunk's coins are read and compared at once
-    K = min(per_task, max(1, SAMPLE_CELLS // (T * max(nb, 1))))
+    # are kept, and the chunk's coins are read and compared, and its
+    # activity rows labelled, at once, so memory stays within the budget
+    K = min(per_task, max(1, twocopy._BLOCK_CELLS // (T * max(nb, 1))))
     states = np.empty((K, n + 1, 2 * T), np.int8)
     u = np.empty((K, T, nb))
+    active = np.empty((K, T, nb), bool)
+    hits = np.zeros(T, np.int64)
     for lo in range(0, per_task, K):
-        hi = min(lo + K, per_task)
-        for k in range(hi - lo):
+        m = min(K, per_task - lo)
+        for k in range(m):
             heat_bath_chain(spec, hb, rng, gap)
             states[k] = hb.state
             rng.random(out=u[k])
-        x = lift @ states[: hi - lo]  # (K, 2 n_bonds, 2 T)
-        coin = q[off + x[:, :nb, :T] + x[:, nb:, T:]]
-        np.less(u[: hi - lo], coin.transpose(0, 2, 1), out=active[lo:hi])
-    masks, _, inverse = distinct_masks(active.reshape(per_task * T, -1))
-    joined = chains_join(chain_components(spec.graph.n_vertices, [eb.vertices for eb in bonds], masks), A, B)
-    hits = joined[inverse].reshape(per_task, T).sum(axis=0)
+        np.less(u[:m], coins_at(lift @ states[:m]).transpose(0, 2, 1), out=active[:m])
+        labels = chain_components(spec.graph.n_vertices, [eb.vertices for eb in bonds], active[:m].reshape(m * T, nb))
+        hits += chains_join(labels, A, B).reshape(m, T).sum(axis=0)
     total = per_task * T
     sd = float(np.std(hits / per_task, ddof=1)) if T > 1 else 0.0
     return {

@@ -36,7 +36,7 @@ from rcgibbs.gibbs import (
     product_outcomes,
     product_positions,
 )
-from rcgibbs.percolation import _first_seen, chain_components, chains_join
+from rcgibbs.percolation import _first_seen, activity_rows, chain_components, chains_join
 from rcgibbs.rcr import bond_level_system, monotone_probabilities
 from rcgibbs.twocopy import _runs, make_slice
 
@@ -221,7 +221,7 @@ def laws(spec, A, B):
     acc = 0
     blocks = list(pattern_blocks(spec))
     masks = [m for block in blocks for m in block[3].tolist()]
-    labels = chain_components(spec.graph.n_vertices, bond_vertices, masks)
+    labels = chain_components(spec.graph.n_vertices, bond_vertices, activity_rows(masks, len(bond_vertices)))
     connected = dict(zip(masks, chains_join(labels, A, B).tolist()))
     for sigmas, totals, rec_slice, rec_mask, rec_val in blocks:
         for total in totals:
@@ -244,7 +244,8 @@ def laws(spec, A, B):
 def slice_connection_prob(spec, sigma, A, B):
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
     for _, totals, _, mask, val in pattern_blocks(spec, sigma):
-        connected = chains_join(chain_components(spec.graph.n_vertices, bond_vertices, mask.tolist()), A, B)
+        rows = activity_rows(mask.tolist(), len(bond_vertices))
+        connected = chains_join(chain_components(spec.graph.n_vertices, bond_vertices, rows), A, B)
         acc = 0
         for w, joined in zip(val.tolist(), connected.tolist()):
             if joined:

@@ -453,6 +453,14 @@ def test_console_entry_point():
     assert "rcgibbs" in proc.stdout
 
 
+def test_unequilibrated_ea_run_warns_in_one_stderr_line(tmp_path):
+    argv = ["--out", str(tmp_path), "exp", "ea", "--L", "3", "--sweeps", "0", "--samples", "1", "--seed", "1"]
+    proc = subprocess.run([sys.executable, "-m", "rcgibbs.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: autocorrelation diagnostics did not converge; treat results as unequilibrated\n"
+    assert (tmp_path / "results.json").exists()
+
+
 def test_import_loads_no_scipy_module():
     # scipy.optimize loads at the first Cayley root or LP and csgraph at the
     # first connectivity query, so a fresh import pays for numpy alone

@@ -33,7 +33,7 @@ from rcgibbs.experiments.hardcore import (
 from rcgibbs.gibbs import Alphabet, BondTable, GibbsSpec, Interaction, gibbs_measure
 from rcgibbs.lattice import build_grid, hypergraph
 from rcgibbs.models import example1_spec, ising_spec
-from rcgibbs.percolation import chain_components, integrated_rc
+from rcgibbs.percolation import activity_rows, chain_components, integrated_rc
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def _per_pair_oracle(spec):
     probs = np.asarray([float(irc.patterns[m]) for m in masks])
     comp_lists = []
     maxc = 1
-    for row in chain_components(irc.n_vertices, irc.bond_vertices, masks).tolist():
+    for row in chain_components(irc.n_vertices, irc.bond_vertices, activity_rows(masks, len(irc.bond_vertices))).tolist():
         comps = {}  # label -> vertex mask of its chain
         for v, label in enumerate(row):
             if label >= 0:

@@ -29,11 +29,12 @@ from rcgibbs.percolation import (
     IntegratedRC,
     _pattern_blocks,
     activity_pattern,
+    activity_rows,
     chain_components,
     domination_probability,
     extremality_diagnostic,
     integrated_rc,
-    joined_weight,
+    joined,
     pair_coin_table,
     regions_connected,
     sigma_connection_profile,
@@ -73,16 +74,18 @@ def test_connected_overlapping_regions_need_a_bond():
     assert regions_connected(3, bonds, 0b1, {0, 2}, {1, 2})
 
 
-def test_joined_weight_adds_joined_weights_in_order_from_int_zero():
-    bonds = ((0, 1), (1, 2))
-    masks = [0b11, 0b01, 0b11, 0b10, 0b11]  # only 0b11 joins 0 and 2
-    floats = [0.1, 0.5, 0.2, 0.25, 0.3]
-    assert joined_weight(3, bonds, masks, floats, {0}, {2}) == 0 + 0.1 + 0.2 + 0.3
-    fractions = [Fraction(1, k) for k in range(2, 7)]
-    got = joined_weight(3, bonds, masks, fractions, {0}, {2})
+def test_connection_probability_adds_joined_weights_in_order_from_int_zero():
+    bonds = ((0, 1), (1, 2), (0, 2))
+    # 0b011, 0b111 and 0b100 join 0 and 2; in dict order their floats add to
+    # 0.6000000000000001, in mask order to 0.6
+    masks = [0b111, 0b001, 0b011, 0b010, 0b100]
+    floats = IntegratedRC(3, bonds, dict(zip(masks, [0.1, 0.5, 0.2, 0.25, 0.3])), False)
+    assert floats.connection_probability({0}, {2}) == 0 + 0.1 + 0.2 + 0.3 != 0.2 + 0.3 + 0.1
+    fractions = IntegratedRC(3, bonds, {m: Fraction(1, k) for k, m in enumerate(masks, 2)}, True)
+    got = fractions.connection_probability({0}, {2})
     assert got == Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 6) and isinstance(got, Fraction)
-    for masks, weights in (([], []), ([0b01, 0b10], [0.5, 0.5])):
-        got = joined_weight(3, bonds, masks, weights, {0}, {2})
+    for patterns in ({}, {0b001: 0.5, 0b010: 0.5}):
+        got = IntegratedRC(3, bonds, patterns, False).connection_probability({0}, {2})
         assert got == 0 and type(got) is int
 
 
@@ -155,7 +158,7 @@ def test_chain_labels_match_bfs_oracle():
         n = int(rng.integers(1, 13))
         bonds = _random_bonds(rng, n, int(rng.choice([0, 3, 12, 70])))
         masks = [0 if rng.random() < 0.2 else _random_mask(rng, len(bonds)) for _ in range(int(rng.integers(0, 6)))]
-        labels = chain_components(n, bonds, masks)
+        labels = chain_components(n, bonds, activity_rows(masks, len(bonds)))
         assert labels.shape == (len(masks), n)
         batch_sizes.add(len(masks))
         rows = []
@@ -171,6 +174,73 @@ def test_chain_labels_match_bfs_oracle():
             seen_uncovered += len(covered) < n
         assert all(not (r & q) for r, q in itertools.combinations(rows, 2))  # unique across rows
     assert seen_wide and seen_empty and seen_uncovered and 0 in batch_sizes
+
+
+def _mask_partition(n, bonds, mask):
+    """Oracle: per vertex, the least vertex of its chain under the active
+    bonds of an int mask (union-find), -1 where no active bond covers it."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    covered = set()
+    for j, b in enumerate(bonds):
+        if mask >> j & 1:
+            covered.update(b)
+            for u in b[1:]:
+                ru, rv = sorted((find(b[0]), find(u)))
+                parent[rv] = ru
+    return [min(u for u in covered if find(u) == find(v)) if v in covered else -1 for v in range(n)]
+
+
+@pytest.mark.parametrize("n_bonds", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+def test_activity_rows_put_bit_j_in_column_j(n_bonds):
+    # one, two and three 8-byte words; repeated rows, and K = 0 and 1
+    rng = np.random.default_rng(n_bonds)
+    n = 12
+    bonds = [tuple(sorted(rng.permutation(n)[: int(rng.integers(1, 4))].tolist())) for _ in range(n_bonds)]
+    for K in (0, 1, 40):
+        rows = rng.random((K, n_bonds)) < 0.05 + 2 / max(n_bonds, 1)
+        rows[K // 2 :] = rows[: K - K // 2][::-1]
+        masks = [sum(1 << j for j in np.flatnonzero(r).tolist()) for r in rows]
+        got = activity_rows(masks, n_bonds)
+        assert got.dtype == bool and got.shape == (K, n_bonds) and (got == rows).all()
+        labels = chain_components(n, bonds, rows)
+        assert labels.shape == (K, n)
+        for row, mask in zip(labels.tolist(), masks):
+            least = {}
+            for v, label in enumerate(row):
+                least.setdefault(label, v)
+            assert [least[label] if label >= 0 else -1 for label in row] == _mask_partition(n, bonds, mask)
+
+
+def test_joined_matches_regions_connected_per_mask():
+    # repeated masks, masks of 63-100 bonds, and masks with bit 63 set among
+    # smaller ones, which numpy would turn into floats
+    rng = stream(15, 0)
+    for n_bonds in (3, 12, 63, 64, 65, 100):
+        for _ in range(20):
+            n = int(rng.integers(4, 30))
+            bonds = _random_bonds(rng, n, n_bonds)
+            masks = [_random_mask(rng, n_bonds) for _ in range(5)]
+            masks += [masks[0], masks[3], 0, (1 << n_bonds) - 1, masks[3]]
+            if n_bonds >= 64:
+                masks += [m | 1 << 63 for m in masks[:3]]
+            A = set(rng.permutation(n)[: int(rng.integers(1, 3))].tolist())
+            B = set(rng.permutation(n)[: int(rng.integers(1, 3))].tolist())
+            got = joined(n, bonds, masks, A, B)
+            assert got.dtype == bool and got.shape == (len(masks),)
+            want = [regions_connected(n, bonds, m, A, B) for m in masks]
+            assert got.tolist() == want
+            assert want == [_bfs_connected(n, [b for j, b in enumerate(bonds) if m >> j & 1], A, B) for m in masks]
+            if n_bonds < 63:
+                assert joined(n, bonds, np.array(masks, np.int64), A, B).tolist() == want
+    bonds = [(0, 1)] + [(3, 4)] * 62 + [(1, 2)]
+    assert joined(5, bonds, [1 << 63, 1 << 63 | 1, 1], {0}, {2}).tolist() == [False, True, False]
+    assert joined(5, bonds, [], {0}, {2}).shape == (0,)
 
 
 def test_connected_rejects_vertices_outside_the_graph():
@@ -579,7 +649,7 @@ def _oracle_laws(spec, A, B, base_factory=None):
     acc = 0
     slices = _oracle_slices(spec, base_factory)
     masks = [mask for _, pats in slices.values() for mask in pats]
-    labels = percolation.chain_components(spec.graph.n_vertices, bond_vertices, masks)
+    labels = percolation.chain_components(spec.graph.n_vertices, bond_vertices, activity_rows(masks, len(bond_vertices)))
     connected = dict(zip(masks, percolation.chains_join(labels, A, B).tolist()))
     for sigma, (total, pats) in slices.items():
         grand += total

@@ -7,7 +7,7 @@ import pytest
 import fraction_kernel as oracle
 from conftest import random_binary_spec
 from test_percolation import _bfs_connected, _hyperbond_spec, _three_valued_spec
-from rcgibbs import sampling
+from rcgibbs import sampling, twocopy
 from rcgibbs.errors import TooLargeError, UsageError
 from rcgibbs.gibbs import SPIN, BondTable, GibbsSpec, Interaction, effective_bonds
 from rcgibbs.lattice import build_grid, hypergraph
@@ -188,6 +188,14 @@ def test_mc_matches_oracle_uneven_tasks_and_threads(threads):
     assert got["n_samples"] == 102  # 100 samples over 3 tasks round up to 34 each
 
 
+def test_mc_matches_oracle_in_chunks_of_the_cell_budget(monkeypatch):
+    # 15 sample steps of 8 pairs, read and labelled in chunks of 7, 7 and 1
+    spec = ising_spec(build_grid(3, 2), 0.6, h=0.2)
+    want = _oracle_mc(spec, {0}, {5}, 120, 4, burn_in=20)
+    monkeypatch.setattr(twocopy, "_BLOCK_CELLS", 7 * 8 * len(effective_bonds(spec)))
+    assert sampling.mc_connection_probability(spec, {0}, {5}, 120, 4, burn_in=20) == want
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_mc_matches_oracle_on_masks_wider_than_62_bits(threads):
     spec = ising_spec(build_grid(8, 8), 0.8)
@@ -284,21 +292,3 @@ def test_bad_arguments_raise_usage_error(kw):
     args = dict(n_samples=8, seed=0) | kw
     with pytest.raises(UsageError):
         sampling.mc_connection_probability(ising_spec(build_grid(3, 2), 0.5), {0}, {5}, **args)
-
-
-@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 130])
-def test_distinct_masks_keep_np_unique_row_order(n):
-    # the integer keys order the packed rows as np.unique(axis=0) does, at
-    # every width: one, two and three 8-byte key columns
-    rng = np.random.default_rng(n)
-    for K in (0, 1, 500):
-        rows = rng.random((K, n)) < 0.3
-        rows[K // 2:] = rows[: K - K // 2][::-1]  # repeated rows
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        distinct, inverse, counts = np.unique(packed, axis=0, return_inverse=True, return_counts=True)
-        masks, got_counts, got_inverse = sampling.distinct_masks(rows)
-        assert masks == [int.from_bytes(r.tobytes(), "little") for r in distinct]
-        assert got_counts == counts.tolist()
-        assert got_inverse.tolist() == inverse.ravel().tolist()
-        firsts = rows[np.unique(got_inverse, return_index=True)[1]]
-        assert masks == [sum(1 << j for j in np.flatnonzero(r).tolist()) for r in firsts]
