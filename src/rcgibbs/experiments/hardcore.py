@@ -21,6 +21,7 @@ from ..percolation import chain_components, chains_join, pair_coin_table
 from ..twocopy import make_slice, nonoverlap_distribution
 
 SQUARE_LATTICE_SITE_PC = 0.592746  # reference marker for grid instances
+MAX_SLICE_CHECKS = 200  # same-boundary slices checked through the coin table
 
 
 def bipartition(graph: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
@@ -77,9 +78,10 @@ def _pair_adjacency(graph: Hypergraph):
     return adj
 
 
-def _slice_machinery_check(spec, sigma, pair_bonds):
+def _slice_machinery_check(spec, sigma, pair_bonds, coin_table):
     """Activity of one slice from the representation machinery: each bond's
-    coins (pair_coin_table) at the slice's local pairs of positive factor.
+    coins in coin_table (the spec's pair_coin_table) at the slice's local
+    pairs of positive factor.
 
     Returns (deterministic, active set matches bonds inside the
     disagreement region, support has two configurations per component).
@@ -89,7 +91,7 @@ def _slice_machinery_check(spec, sigma, pair_bonds):
     no_sites = {v for v, s in zip(spec.region, sigma) if s == 1}
     active = set()
     deterministic = True
-    for eb, coins in zip(effective_bonds(spec), pair_coin_table(spec, sigma)):
+    for eb, coins in zip(effective_bonds(spec), coin_table):
         qs = set()
         for y in itertools.product(*(adm[v] for v in eb.inside)):
             x1, x2 = (local_index(S, map(idx, c)) for c in (y, [sig[v] - a for v, a in zip(eb.inside, y)]))
@@ -154,16 +156,15 @@ def hardcore_disagreement(
     boundary1=None,
     boundary2=None,
     region=None,
-    site_pc: float = SQUARE_LATTICE_SITE_PC,
-    max_slice_checks: int = 200,
 ) -> dict:
     """Compare disagreement-path and active-chain connectivity exactly.
 
     Enumerates the product of the two boundary-conditioned measures,
     evaluates both connectivity indicators for every disagreement region,
     and verifies per-slice (same boundary) that the representation
-    machinery makes exactly the disagreement-interior bonds active. An
-    activity that is not finite and nonnegative raises UsageError.
+    machinery makes exactly the disagreement-interior bonds active, on up
+    to MAX_SLICE_CHECKS slices read from one pair_coin_table. An activity
+    that is not finite and nonnegative raises UsageError.
     """
     if not (math.isfinite(activity) and activity >= 0):
         raise UsageError(f"activity must be finite and nonnegative, got {activity}")
@@ -201,21 +202,19 @@ def hardcore_disagreement(
 
     # Same-boundary slice checks through the representation machinery.
     sigmas = set()
-    for o1, _ in support1:
-        for o2, _ in support1:
-            sigmas.add(tuple(a + b for a, b in zip(o1, o2)))
-            if len(sigmas) >= max_slice_checks:
-                break
-        if len(sigmas) >= max_slice_checks:
+    for (o1, _), (o2, _) in itertools.product(support1, repeat=2):
+        if len(sigmas) == MAX_SLICE_CHECKS:
             break
+        sigmas.add(tuple(a + b for a, b in zip(o1, o2)))
     det_ok = match_ok = support_ok = True
+    coin_table = pair_coin_table(spec1)
     for sigma in sorted(sigmas):
-        d, m, s = _slice_machinery_check(spec1, sigma, pair_bonds)
+        d, m, s = _slice_machinery_check(spec1, sigma, pair_bonds, coin_table)
         det_ok &= d
         match_ok &= m
         support_ok &= s
 
-    marker = site_pc / (1 - site_pc)
+    marker = SQUARE_LATTICE_SITE_PC / (1 - SQUARE_LATTICE_SITE_PC)
     return {
         "activity": float(activity),
         "n_sites": n,
@@ -231,7 +230,7 @@ def hardcore_disagreement(
             "two_configs_per_component": bool(support_ok),
         },
         "uniqueness_marker": {
-            "site_percolation_pc": site_pc,
+            "site_percolation_pc": SQUARE_LATTICE_SITE_PC,
             "activity_threshold": marker,
             "below_threshold": bool(activity < marker),
         },

@@ -218,7 +218,7 @@ def domination_probability(irc: IntegratedRC, bond_index: int):
 # The pair-coin kernel and the pattern kernel
 
 
-def pair_coin_table(spec: GibbsSpec, sigma=None):
+def pair_coin_table(spec: GibbsSpec):
     """Activity coin of the nested-level base for every pair of copies.
 
     Returns one (S**m, S**m) array per effective bond, in effective_bonds
@@ -234,9 +234,10 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
     summing the active and the support weight in level order as BondBase
     does. Pairs outside the domains or of factor zero get 0. Entries are
     float64, or Fractions in an object array for exact specs, int factors
-    included. Given a sigma (aligned with the region), each bond gets the
-    coins of the local sum sigma gives its inside vertices only, and 0
-    elsewhere. A float coin whose support underflows raises RcgibbsError.
+    included. One table per spec serves every slice: a slice's pairs
+    (twocopy.make_slice gives their admissible values) index only entries
+    of their own local sums. A float coin whose support underflows, at any
+    local sum, raises RcgibbsError.
 
     The bonds of one inside size are computed together: every pair of
     allowed local indices is keyed by (bond, local sum), sorted by key and
@@ -256,9 +257,6 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
     sums, sum_id = np.unique(values[:, None] + values, return_inverse=True)
     sum_id = sum_id.reshape(S, S)
     allowed = spec.domain_mask()
-    if sigma is not None:  # each region vertex's slice as a sum id, -1 if no pair makes it
-        where = {x: i for i, x in enumerate(sums.tolist())}
-        target = np.array([where.get(x, -1) for x in sigma], np.int64)
     groups: dict[int, list[int]] = {}
     for j, eb in enumerate(bonds):
         groups.setdefault(len(eb.inside), []).append(j)
@@ -271,10 +269,6 @@ def pair_coin_table(spec: GibbsSpec, sigma=None):
         ok = allowed[inside[:, None, :], digits].all(axis=2)  # (bonds, S**m)
         b, x1, x2 = np.nonzero(ok[:, :, None] & ok[:, None, :])
         key = b * n_sums + sum_id[digits[x1], digits[x2]] @ radix
-        if sigma is not None:
-            slot = target[inside]
-            want = np.where((slot >= 0).all(axis=1), np.arange(len(js)) * n_sums + slot @ radix, -1)
-            b, x1, x2, key = (a[key == want[b]] for a in (b, x1, x2, key))
         if exact:  # the group's factors as ints over one scale
             f = _scaled([Fraction(x) for j in js for x in bonds[j].table])[0].reshape(len(js), -1)
         else:
@@ -383,8 +377,9 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     slices of positive total, their totals, and their (mask, weight)
     records, slice by slice and each slice's masks in order of first leaf;
     rec_slice indexes sigmas. Totals and records share one scale, so a
-    ratio of them is a probability. sigma limits the walk to that slice.
-    Every coin comes from pair_coin_table.
+    ratio of them is a probability. sigma limits the walk to that slice,
+    whose admissible values twocopy.make_slice gives. Every coin, a
+    slice's too, is read from the spec's one pair_coin_table.
 
     The caps are checked before the work they bound: the bonds (bit j of a
     pattern is bond j) and a full walk's pairs before any configuration is
@@ -410,7 +405,7 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     # per bond: its distinct coins in order of first appearance, and each
     # pair's coin as an index into them
     distinct, coin_ids = [], []
-    for table in pair_coin_table(spec, sigma):
+    for table in pair_coin_table(spec):
         number = {}
         inverse = [number.setdefault(q, len(number)) for q in table.ravel().tolist()]
         distinct.append(np.array(list(number), dtype=table.dtype))

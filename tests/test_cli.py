@@ -312,6 +312,17 @@ def test_numeric_input_errors_exit_two(tmp_path, capsys, argv):
     assert not (tmp_path / "out" / "results.json").exists()
 
 
+def test_heat_bath_weight_overflow_exits_two(tmp_path, capsys):
+    # on the 3x3 Ising grid at J = 180 the activity coins are still
+    # representable, but the heat-bath table's conditional weights overflow
+    model = tmp_path / "J180.json"
+    model.write_text(json.dumps({"graph": {"grid": "3x3"}, "interaction": {"template": "ising", "J": 180}}))
+    argv = ["perc", "ibar", "--model", str(model), "--mc", "50", "--seed", "1", "--A", "0", "--B", "8"]
+    assert run_cli(["--out", str(tmp_path / "out"), *argv]) == 2
+    assert capsys.readouterr().err == "error: conditional weight overflow; rescale couplings\n"
+    assert not (tmp_path / "out" / "results.json").exists()
+
+
 def test_gibbs_eval_large_model_site_means(tmp_path):
     # 18 spins routes through the array-backed distribution
     model = {"graph": {"grid": "6x3"}, "interaction": {"template": "ising", "J": 0.3}}

@@ -25,6 +25,7 @@ from rcgibbs.experiments.examples import (
     run_example2,
     sweep_correlation_bound,
 )
+from rcgibbs.experiments import hardcore
 from rcgibbs.experiments.hardcore import (
     bipartition,
     checkerboard_instance,
@@ -33,7 +34,7 @@ from rcgibbs.experiments.hardcore import (
 from rcgibbs.gibbs import Alphabet, BondTable, GibbsSpec, Interaction, gibbs_measure
 from rcgibbs.lattice import build_grid, hypergraph
 from rcgibbs.models import example1_spec, ising_spec
-from rcgibbs.percolation import activity_rows, chain_components, integrated_rc
+from rcgibbs.percolation import activity_rows, chain_components, integrated_rc, pair_coin_table
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,25 @@ def test_hardcore_opposite_checkerboards():
     assert rep["uniqueness_marker"]["activity_threshold"] == pytest.approx(
         0.592746 / (1 - 0.592746)
     )
+
+
+def test_hardcore_checks_its_slices_on_one_coin_table(monkeypatch):
+    tables = []
+
+    def counted(spec):
+        tables.append(spec)
+        return pair_coin_table(spec)
+
+    monkeypatch.setattr(hardcore, "pair_coin_table", counted)
+    monkeypatch.setattr(hardcore, "MAX_SLICE_CHECKS", 5)
+    rep = hardcore_disagreement(build_grid(3, 2), 1.0, {0}, {5})
+    assert len(tables) == 1
+    assert rep["slice_checks"] == {
+        "n_sigma": 5,
+        "activity_deterministic": True,
+        "active_set_matches_disagreement_interior": True,
+        "two_configs_per_component": True,
+    }
 
 
 def test_hardcore_threshold_marker_flag():

@@ -440,14 +440,45 @@ def test_pair_coin_table_matches_level_loop_literally(name, make):
         _assert_coins_equal(pair_coin_table(spec), oracle.pair_coin_table(spec), spec.exact)
 
 
-def test_pair_coin_table_matches_level_loop_on_every_sigma():
+def test_one_pair_coin_table_holds_every_slice_coin():
+    # at the local pairs of each sigma, the spec's one table holds the coins
+    # of the level loop restricted to that slice, and the restricted loop
+    # has no coin elsewhere
     for exact in (False, True):
         spec = _three_valued_spec(exact)
+        S, values = spec.alphabet.size, spec.alphabet.values
+        pos = {v: p for p, v in enumerate(spec.region)}
         sums = [sorted({a + b for a in d for b in d}) for d in map(spec.domain_values, spec.region)]
         sigmas = [*itertools.product(*sums), (3, 0, 0, 0), (0, 0, 0, -1)]  # the last two: no pair makes them
         assert len(sigmas) == 227
+        tables = pair_coin_table(spec)
+        live = 0
         for sigma in sigmas:
-            _assert_coins_equal(pair_coin_table(spec, sigma), oracle.pair_coin_table(spec, sigma), exact)
+            for eb, table, ref in zip(effective_bonds(spec), tables, oracle.pair_coin_table(spec, sigma)):
+                local = [sigma[pos[v]] for v in eb.inside]
+                locals_ = list(itertools.product(range(S), repeat=len(eb.inside)))
+                pairs = [(local_index(S, y1), local_index(S, y2)) for y1 in locals_ for y2 in locals_
+                         if [values[a] + values[b] for a, b in zip(y1, y2)] == local]
+                got = [table[x1, x2] for x1, x2 in pairs]
+                want = [ref[x1][x2] for x1, x2 in pairs]
+                assert sum(q != 0 for row in ref for q in row) == sum(q != 0 for q in want)
+                if exact:
+                    assert all(type(q) is Fraction for q in got + want) and got == want
+                else:
+                    assert all(type(q) is float for q in want)
+                    assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+                live += sum(0 < q < 1 for q in want)
+        assert live > 0
+
+
+def test_one_slice_query_refuses_a_spec_whose_coin_underflows():
+    # the slice sigma = (2, 2) has a single coin level, but the spec's one
+    # coin table underflows at the local overlap (0, 0), and every query
+    # reads that table
+    spec = ising_spec(build_grid(2, 1), 190.0)
+    for query in (lambda: slice_connection_prob(spec, (2, 2), {0}, {1}), lambda: integrated_rc(spec)):
+        with pytest.raises(RcgibbsError, match="^activity coin underflow; rescale couplings$"):
+            query()
 
 
 def test_pair_coin_underflow_raises():
@@ -792,6 +823,26 @@ def test_integrated_rc_past_twenty_bonds_matches_the_profile():
         _, pbar = sigma_connection_profile(spec, A, B)
         got = integrated_rc(spec).connection_probability(A, B)
         assert type(got) is Fraction and got == pbar
+
+
+def test_first_seen_re_ranks_codes_past_two_to_the_62():
+    # 11 columns with a radix of 2**20 each: the mixed-radix code passes
+    # 2**62 at the fourth column, so the columns are re-ranked densely, and
+    # a code left to wrap would merge rows that differ only in early columns
+    rng = stream(193, 0)
+    base = rng.integers(0, 1 << 20, (40, 11))
+    base[0] = (1 << 20) - 1
+    base[1:10] = base[10]
+    base[1:10, :3] = rng.integers(0, 1 << 20, (9, 3))  # rows equal from the fourth column on
+    rows = np.concatenate([base, base[::-1], base[rng.integers(0, 40, 100)]])
+    number = {}
+    want = [number.setdefault(tuple(r), len(number)) for r in rows.tolist()]
+    firsts = {}
+    for i, n in enumerate(want):
+        firsts.setdefault(n, i)
+    got, first = percolation._first_seen(*rows.T)
+    assert got.tolist() == want
+    assert first.tolist() == list(firsts.values())
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_binary_spec
+from rcgibbs import rcr
 from rcgibbs.errors import InfeasibleError, NonSymmetrizableError
 from rcgibbs.gibbs import BondTable, GibbsSpec, Interaction, SPIN, gibbs_measure, local_index
 from rcgibbs.lattice import build_grid, hypergraph
@@ -110,6 +111,24 @@ def test_solve_bernoulli_infeasible():
     system = LevelSystem((2.0, 1.0), (0b01, 0b10), (0b01,))
     with pytest.raises(InfeasibleError):
         solve_bernoulli(system)
+
+
+def test_solve_bernoulli_falls_back_to_the_lp(monkeypatch):
+    # the minimum-norm point of this family has a negative entry, so the
+    # solver takes the LP feasibility route
+    lp = []
+    real = rcr._lp_feasible
+    monkeypatch.setattr(rcr, "_lp_feasible", lambda *args: lp.append(args) or real(*args))
+    w = np.array([3.615, 2.6, 0.856, 0.806])
+    system = LevelSystem(tuple(w), (1, 2, 4, 8), (1, 3, 5, 7, 15))
+    tol = 1e-10
+    sol = solve_bernoulli(system, tol=tol)
+    assert len(lp) == 1
+    assert sol.degenerate
+    p = np.array(sol.probs)
+    assert p.min() >= 0
+    assert abs(p.sum() - 1) < 1e-12
+    assert np.max(np.abs(system.membership_matrix() @ p - sol.scale * w)) <= tol
 
 
 def test_solve_bernoulli_degenerate_flagged():

@@ -290,6 +290,22 @@ def test_two_copy_spec_is_product_measure():
             assert abs(p2 - mu.prob(o_a) * mu.prob(o_b)) < 1e-12
 
 
+def test_two_copy_spec_of_a_domain_restricted_spec_is_the_product_measure():
+    # exact factors, a boundary spin and per-vertex domains: the pair
+    # alphabet's domains are the pairs of each vertex's allowed values
+    spec = _three_valued_spec(True)
+    mu = gibbs_measure(spec)
+    spec2 = two_copy_spec(spec)
+    mu2 = gibbs_measure(spec2)
+    assert spec2.domains is not None
+    assert len(mu2) == len(mu) ** 2
+    for o2, p2 in mu2.items():
+        vals = [pair_values(spec.alphabet, pv) for pv in o2]
+        o_a = tuple(v[0] for v in vals)
+        o_b = tuple(v[1] for v in vals)
+        assert type(p2) is Fraction and p2 == mu.prob(o_a) * mu.prob(o_b)
+
+
 # ---------------------------------------------------------------------------
 # the one pair walk against the routes it replaced
 
