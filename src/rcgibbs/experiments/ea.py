@@ -300,12 +300,13 @@ def _one_disorder(args):
     ws = HeatBathWorkspace(qc, beta, R)  # one per disorder, shared by both chains
 
     calib = min(128, max(16, n_sweeps // 4))
+    # only chain 1's energy series calibrates the gap; chain 2 runs its
+    # burn-in and calibration sweeps in one call, with the same bits
     heat_bath_sweeps(s1, qc, beta, rng1, max(0, n_sweeps - calib), ws)
-    heat_bath_sweeps(s2, qc, beta, rng2, max(0, n_sweeps - calib), ws)
+    heat_bath_sweeps(s2, qc, beta, rng2, max(0, n_sweeps - calib) + calib, ws)
     series = []
     for _ in range(calib):
         heat_bath_sweeps(s1, qc, beta, rng1, 1, ws)
-        heat_bath_sweeps(s2, qc, beta, rng2, 1, ws)
         series.append(bond_energy(s1[:1], qc)[0])
     tau, converged = integrated_autocorr(np.asarray(series))
     gap = int(min(16, max(1, math.ceil(2 * tau))))

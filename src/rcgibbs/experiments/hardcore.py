@@ -13,6 +13,9 @@ import itertools
 import math
 from collections import deque
 
+import numpy as np
+
+from .. import twocopy
 from ..errors import UsageError
 from ..gibbs import effective_bonds, gibbs_measure, local_index
 from ..lattice import Hypergraph, build_grid
@@ -51,9 +54,10 @@ def bipartition(graph: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def _site_path_exists(adjacency, allowed, A, B) -> bool:
-    """Is there a path from A to B through allowed sites only?"""
-    start = [v for v in A if v in allowed]
-    targets = {v for v in B if v in allowed}
+    """Is there a path from A to B through allowed sites only? allowed[v]
+    says whether vertex v is allowed."""
+    start = [v for v in A if allowed[v]]
+    targets = {v for v in B if allowed[v]}
     if not start or not targets:
         return False
     seen = set(start)
@@ -63,7 +67,7 @@ def _site_path_exists(adjacency, allowed, A, B) -> bool:
         if v in targets:
             return True
         for u in adjacency[v]:
-            if u in allowed and u not in seen:
+            if allowed[u] and u not in seen:
                 seen.add(u)
                 q.append(u)
     return False
@@ -160,11 +164,13 @@ def hardcore_disagreement(
     """Compare disagreement-path and active-chain connectivity exactly.
 
     Enumerates the product of the two boundary-conditioned measures,
-    evaluates both connectivity indicators for every disagreement region,
-    and verifies per-slice (same boundary) that the representation
-    machinery makes exactly the disagreement-interior bonds active, on up
-    to MAX_SLICE_CHECKS slices read from one pair_coin_table. An activity
-    that is not finite and nonnegative raises UsageError.
+    evaluates both connectivity indicators for every disagreement region
+    (the regions' activity rows labelled in chunks of twocopy._BLOCK_CELLS
+    cells, pair weights multiplied as floats), and verifies per-slice
+    (same boundary) that the representation machinery makes exactly the
+    disagreement-interior bonds active, on up to MAX_SLICE_CHECKS slices
+    read from one pair_coin_table. An activity that is not finite and
+    nonnegative raises UsageError.
     """
     if not (math.isfinite(activity) and activity >= 0):
         raise UsageError(f"activity must be finite and nonnegative, got {activity}")
@@ -183,22 +189,37 @@ def hardcore_disagreement(
 
     support1 = [(o, w) for o, w in mu1.items() if w > 0]
     support2 = [(o, w) for o, w in mu2.items() if w > 0]
-    by_region: dict[frozenset, float] = {}
-    for o1, w1 in support1:
-        for o2, w2 in support2:
-            D = frozenset(v for v, a, b in zip(region, o1, o2) if a != b)
-            by_region[D] = by_region.get(D, 0.0) + w1 * w2
+    # a disagreement region as the bitmask, over region positions, of the
+    # sites whose occupations differ: the xor of the two configurations' masks
+    bit = 1 << np.arange(len(region), dtype=np.int64)
+    (c1, w1), (c2, w2) = (
+        ((np.array([o for o, _ in s]).reshape(len(s), -1) != 0) @ bit, np.array([w for _, w in s], float))
+        for s in (support1, support2)
+    )
+    by_region: dict[int, float] = {}  # weights summed in pair order, regions in first-seen order
+    for c, w in zip(c1, w1):
+        for D, p in zip((c ^ c2).tolist(), (w * w2).tolist()):
+            by_region[D] = by_region.get(D, 0.0) + p
 
     p_dis = 0.0
     p_act = 0.0
     mismatches = 0
-    labels = chain_components(n, pair_bonds, [_inside_row(pair_bonds, D) for D in by_region])
-    for (D, w), ind_act in zip(by_region.items(), chains_join(labels, A, B).tolist()):
-        ind_dis = _site_path_exists(adj, D, A, B)
-        if ind_dis != ind_act:
-            mismatches += 1
-        p_dis += w * ind_dis
-        p_act += w * ind_act
+    # the regions' sites and activity rows in chunks of the cell budget
+    regions = np.fromiter(by_region, np.int64, len(by_region))
+    weights = list(by_region.values())
+    ends = np.array(pair_bonds, np.int64).reshape(-1, 2).T
+    K = max(1, twocopy._BLOCK_CELLS // max(1, len(pair_bonds)))
+    sites = np.zeros((min(K, len(regions)), n), bool)
+    for lo in range(0, len(regions), K):
+        chunk = sites[: min(K, len(regions) - lo)]
+        chunk[:, list(region)] = regions[lo : lo + K, None] & bit != 0
+        labels = chain_components(n, pair_bonds, chunk[:, ends[0]] & chunk[:, ends[1]])
+        for w, allowed, ind_act in zip(weights[lo : lo + K], chunk.tolist(), chains_join(labels, A, B).tolist()):
+            ind_dis = _site_path_exists(adj, allowed, A, B)
+            if ind_dis != ind_act:
+                mismatches += 1
+            p_dis += w * ind_dis
+            p_act += w * ind_act
 
     # Same-boundary slice checks through the representation machinery.
     sigmas = set()

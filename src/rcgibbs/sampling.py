@@ -26,12 +26,15 @@ run in chunks of at most twocopy._BLOCK_CELLS (sample, bond) cells, the
 package's one cell budget: each step keeps its state and uniforms, and the
 chunk's coins are read through one integer product lift @ states and
 compared at once, and its bool activity rows go to
-percolation.chain_components as they are, in one batch. The burn-in runs
-one sweep at a time and records after each the pairs' mean expected active
-bond count, sum_j of the pair coins at the current state; from sweep
-BURN_IN_MIN on, every BURN_IN_CHECK sweeps, it stops once the integrated
-autocorrelation time tau of the series' later half has converged and the
-sweeps done are at least TAU_SWEEPS * tau. burn_in caps it.
+percolation.chain_components as they are, in one batch. The burn-in
+records after each sweep the pairs' mean expected active bond count,
+sum_j of the pair coins at the current state; from sweep BURN_IN_MIN on,
+every BURN_IN_CHECK sweeps, it stops once the integrated autocorrelation
+time tau of the series' later half has converged and the sweeps done are
+at least TAU_SWEEPS * tau. burn_in caps it. It runs one sweep per kernel
+call, in runs that end at the next check (or the cap, or after
+twocopy._BLOCK_CELLS state cells): each sweep's state is kept, and the
+run's coins are read through one lift @ states.
 """
 
 from __future__ import annotations
@@ -57,25 +60,41 @@ class HeatBath:
     classes lists per colour class (site, nbrs, w, base): its sites (n,),
     their neighbours (d, n) (padding reads the dummy site n_sites, whose
     value is 0), and int key weights (d, n) or (d, 1) and offsets (n,).
-    table holds the (S - 1, n_keys) tails. Keys, and every partial sum of
-    their terms, must fit the narrowest int type that holds n_keys - 1.
+    table holds the (S - 1, n_keys) tails. Keys are summed in the
+    narrowest int type that holds n_keys - 1; a partial sum may wrap, since
+    that arithmetic is modular and the full key lies in the table.
     state keeps a class's sites in one block of rows (site i in row[i]);
     load and values read and write its int8 values in site order. Each
     class keeps its buffers and views (neighbour values, key terms with the
     offsets as the last term, uniforms, keys, tails), built at full shape
-    once, so a sweep allocates nothing and no operand broadcasts.
+    once, so no operand broadcasts.
+
+    Both gathers of a sweep, the neighbour values and the table tails, run
+    in take's mode="clip", which writes straight into the buffer; the
+    default mode="raise" buffers out on every call. Clipping never acts:
+    the constructor proves every neighbour in 0..n_sites and every key a
+    site can reach, over values 0..S-1 at its real neighbours, inside the
+    table, and load refuses values outside 0..S-1; each raises ValueError.
+    What a sweep still allocates is take's intp copy of a class's narrow
+    keys, 8 bytes per (site, chain): tracemalloc peaks at 128 KiB per sweep
+    at C = 8 and 512 KiB at C = 32 on the L = 64 glass, against 256 KiB and
+    1 MiB with buffered gathers. Keys held as intp would avoid the copy,
+    but the wider key sums made a sweep slower.
     """
 
     def __init__(self, n_sites: int, classes, table: np.ndarray, C: int):
         self.table = table
+        self.S = table.shape[0] + 1
+        n_keys = table.shape[1]
         self.state = np.zeros((n_sites + 1, C), np.int8)
         self.order = np.array([i for site, *_ in classes for i in site], np.intp)
         self.row = np.append(np.argsort(self.order), n_sites)
-        kd = next(t for t in (np.int8, np.int16, np.int32, np.int64) if table.shape[1] <= np.iinfo(t).max + 1)
+        kd = next(t for t in (np.int8, np.int16, np.int32, np.int64) if n_keys <= np.iinfo(t).max + 1)
         self.classes = []
         lo = 0
         for site, nbrs, w, base in classes:
             d, n = np.shape(nbrs)
+            _check_keys(nbrs, w, base, n_sites, self.S, n_keys)
             # weights at the full (d, n, C) shape, so that no operand broadcasts;
             # terms[d] holds the offsets, added last as one more term
             w = np.repeat(np.broadcast_to(np.asarray(w, kd), (d, n))[:, :, None], C, axis=2)
@@ -90,7 +109,11 @@ class HeatBath:
             lo += n
 
     def load(self, values):
-        """Set the chains to values, (n_sites, C) value indices in site order."""
+        """Set the chains to values, (n_sites, C) value indices in site order.
+        A value outside 0..S-1 raises ValueError and leaves the chains."""
+        values = np.asarray(values)
+        if values.size and (values.min() < 0 or values.max() >= self.S):
+            raise ValueError(f"chain values must lie in 0..{self.S - 1}")
         self.state[:-1] = values.take(self.order, axis=0)
 
     def values(self) -> np.ndarray:
@@ -103,12 +126,32 @@ class HeatBath:
         for _ in range(n_sweeps):
             for block, hit, nbrs, g, g3, w, terms, products, u, uT, key, p, up in self.classes:
                 rng.random(out=u)
-                state.take(nbrs, axis=0, out=g)
+                state.take(nbrs, axis=0, out=g, mode="clip")
                 np.multiply(g3, w, out=products)
                 np.add.reduce(terms, axis=0, dtype=key.dtype, out=key)
-                np.less(uT, first.take(key, out=p), out=hit)
+                np.less(uT, first.take(key, out=p, mode="clip"), out=hit)
                 for tail in rest:
-                    block += np.less(uT, tail.take(key, out=p), out=up)
+                    block += np.less(uT, tail.take(key, out=p, mode="clip"), out=up)
+
+
+def _check_keys(nbrs, w, base, n_sites: int, S: int, n_keys: int):
+    """Raise ValueError unless every neighbour of the class lies in
+    0..n_sites and every key its sites reach, their real neighbours (those
+    below n_sites) taking any values in 0..S-1, lies in 0..n_keys-1."""
+    nbrs = np.asarray(nbrs)
+    if nbrs.size and (nbrs.min() < 0 or nbrs.max() > n_sites):
+        raise ValueError(f"neighbours must lie in 0..{n_sites}")
+    w = np.asarray(w, np.int64) * (nbrs < n_sites) * (S > 1)  # padded slots read the zero row
+    # one term of |w| >= n_keys spans more than the table; below that bound
+    # the sums cannot overflow
+    lo = hi = np.asarray(base, np.int64)
+    if w.size:
+        if np.abs(w).max() >= n_keys:
+            raise ValueError("a key lies outside the table")
+        lo = lo + (S - 1) * np.minimum(w, 0).sum(axis=0)
+        hi = hi + (S - 1) * np.maximum(w, 0).sum(axis=0)
+    if lo.size and (lo.min() < 0 or hi.max() >= n_keys):
+        raise ValueError("a key lies outside the table")
 
 
 def _tails(w: np.ndarray) -> np.ndarray:
@@ -124,30 +167,47 @@ def _generic_heat_bath(spec: GibbsSpec, bonds, C: int):
     "heat-bath table cells" cap it raises TooLargeError."""
     S, n = spec.alphabet.size, len(spec.region)
     pos = {v: p for p, v in enumerate(spec.region)}
-    incident = [[] for _ in range(n)]
+    factors = np.array([float(x) for eb in bonds for x in eb.table] + [1.0])
+    incident = [[] for _ in range(n)]  # per site, (inside, factor offset) of its bonds in bond order
+    f0 = 0
     for eb in bonds:
         inside = tuple(pos[u] for u in eb.inside)
         for p in inside:
-            incident[p].append((inside, np.array([float(x) for x in eb.table])))
+            incident[p].append((inside, f0))
+        f0 += len(eb.table)
     nbrs = [sorted({q for inside, _ in incident[p] for q in inside} - {p}) for p in range(n)]
     offsets = np.cumsum([0] + [S ** len(nb) for nb in nbrs])
     check_cap("heat-bath values", S)
     check_cap("heat-bath table cells", offsets[-1] * (S - 1))
     allowed = spec.domain_mask()
-    weights = np.ones((offsets[-1], S))
+    # per site and incident-bond slot: the bond's factor offset and the
+    # Horner weights S**(m-1-i) of its inside vertices, the site's own
+    # (times the row's value) and its neighbours' (times their digits of
+    # the row's code); a slot past a site's bonds reads the appended 1.0
+    slots = max(map(len, incident), default=0)
+    deg = max(map(len, nbrs), default=0)
+    off = np.full((n, slots), f0)
+    own = np.zeros((n, slots), np.int64)
+    coef = np.zeros((n, slots, deg), np.int64)
+    for p, inc in enumerate(incident):
+        for k, (inside, f) in enumerate(inc):
+            off[p, k] = f
+            for i, q in enumerate(inside):
+                if q == p:
+                    own[p, k] = S ** (len(inside) - 1 - i)
+                else:
+                    coef[p, k, nbrs[p].index(q)] = S ** (len(inside) - 1 - i)
+    site = np.repeat(np.arange(n), np.diff(offsets))  # each table row's site
+    digits = (np.arange(len(site)) - offsets[site])[:, None] // S ** np.arange(deg) % S  # its neighbours' values
+    li = (coef[site] * digits[:, None, :]).sum(axis=2) + off[site]
+    f = factors[li[:, :, None] + own[site][:, :, None] * np.arange(S)]  # (rows, slots, S)
+    weights = np.ones((len(site), S))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for p in range(n):
-            w = weights[offsets[p] : offsets[p + 1]]
-            code = np.arange(len(w))[:, None]
-            vals = {q: code // S**k % S for k, q in enumerate(nbrs[p])}
-            vals[p] = np.arange(S)
-            for inside, factors in incident[p]:
-                li = 0
-                for q in inside:
-                    li = li * S + vals[q]
-                w *= factors[li]
-            w[:, ~allowed[p]] = 0.0
-            w[~w.any(axis=1)] = allowed[p]  # a forbidden neighbourhood: uniform over the domain
+        for k in range(slots):  # 1.0 times the factors in bond order, as the per-site product
+            weights *= f[:, k]
+        weights[~allowed[site]] = 0.0
+        void = ~weights.any(axis=1)
+        weights[void] = allowed[site[void]]  # a forbidden neighbourhood: uniform over the domain
         table = _tails(weights)
     if not np.isfinite(table).all():
         raise RcgibbsError("conditional weight overflow; rescale couplings")
@@ -237,11 +297,19 @@ def mc_connection_probability(
 
     rng = stream(seed, 300)
     hb.load((rng.random((2 * T, n)).T < start[:, :, None]).sum(axis=0))
+    # the burn-in in runs that end at the next stopping check: each sweep's
+    # state is kept, and the run's coins are read at once; each sweep's value
+    # sums its own contiguous (n_bonds, T) block, as a per-sweep read does
+    run = np.empty((min(BURN_IN_MIN, burn_in, max(1, twocopy._BLOCK_CELLS // hb.state.size)), *hb.state.shape), np.int8)
     series, equilibrated = [], False
     while len(series) < burn_in and not equilibrated:
-        heat_bath_chain(spec, hb, rng, 1)
-        series.append(float(coins_at(lift @ hb.state).sum()) / T)
         k = len(series)
+        m = min(max(BURN_IN_MIN, k + BURN_IN_CHECK - k % BURN_IN_CHECK) - k, burn_in - k, len(run))
+        for i in range(m):
+            heat_bath_chain(spec, hb, rng, 1)
+            run[i] = hb.state
+        series.extend(float(x.sum()) / T for x in coins_at(lift @ run[:m]))
+        k += m
         if k >= BURN_IN_MIN and k % BURN_IN_CHECK == 0:
             tau, converged = integrated_autocorr(series[k // 2 :])
             equilibrated = converged and k >= TAU_SWEEPS * tau

@@ -261,6 +261,32 @@ def test_heat_bath_bit_equal_to_colour_site_oracle():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("R", [8, 32])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_heat_bath_bit_equal_to_oracle_at_the_run_replica_counts(R, periodic):
+    # R = 8 is the benchmark's replica count, R = 32 the cap exp ea reaches
+    qc = quenched_couplings(16, 1.0, seed=R, periodic=periodic)
+    s0 = (stream(R, 1).integers(0, 2, (R, 16, 16)) * 2 - 1).astype(np.int8)
+    got = heat_bath_sweeps(s0.copy(), qc, 0.9, stream(5, R), 4)
+    assert np.array_equal(got, _heat_bath_oracle(s0.copy(), qc, 0.9, stream(5, R), 4))
+
+
+def test_heat_bath_sweeps_split_into_calls_give_the_same_bits():
+    # n = a + b sweeps in one call equal a then b on one workspace, with the
+    # other chain's calls in between: the glass's chain 2 runs its burn-in
+    # and calibration sweeps in one call
+    qc = quenched_couplings(8, 1.0, seed=4, periodic=True)
+    start = [(stream(9, c).integers(0, 2, (3, 8, 8)) * 2 - 1).astype(np.int8) for c in (0, 1)]
+    ws = HeatBathWorkspace(qc, 0.7, 3)
+    for a, b in ((0, 5), (3, 4), (6, 1), (2, 0)):
+        whole = heat_bath_sweeps(start[1].copy(), qc, 0.7, stream(3, a, b), a + b, ws)
+        parts, other, rng = start[1].copy(), start[0].copy(), stream(3, a, b)
+        heat_bath_sweeps(parts, qc, 0.7, rng, a, ws)
+        heat_bath_sweeps(other, qc, 0.7, stream(4), 2, ws)
+        heat_bath_sweeps(parts, qc, 0.7, rng, b, ws)
+        assert np.array_equal(whole, parts), (a, b)
+
+
 def test_p_plus_table_is_the_per_site_formula_bit_for_bit():
     # spins alone rarely show a one-ulp error in p_plus, so compare the table
     # with the oracle's formula on every (coupling sign, neighbour spin) of

@@ -33,7 +33,7 @@ from rcgibbs.experiments.hardcore import (
 )
 from rcgibbs.gibbs import Alphabet, BondTable, GibbsSpec, Interaction, gibbs_measure
 from rcgibbs.lattice import build_grid, hypergraph
-from rcgibbs.models import example1_spec, ising_spec
+from rcgibbs.models import example1_spec, hardcore_spec, ising_spec
 from rcgibbs.percolation import activity_rows, chain_components, integrated_rc, pair_coin_table
 
 
@@ -320,6 +320,37 @@ def test_hardcore_opposite_checkerboards():
     assert rep["uniqueness_marker"]["activity_threshold"] == pytest.approx(
         0.592746 / (1 - 0.592746)
     )
+
+
+def _oracle_region_weights(spec1, spec2):
+    """Pair weights summed per disagreement region (a frozenset of sites),
+    in pair order, regions in first-seen order."""
+    out = {}
+    for o1, w1 in gibbs_measure(spec1).items():
+        for o2, w2 in gibbs_measure(spec2).items():
+            if w1 > 0 and w2 > 0:
+                D = frozenset(v for v, a, b in zip(spec1.region, o1, o2) if a != b)
+                out[D] = out.get(D, 0.0) + w1 * w2
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7 * 31])
+def test_hardcore_regions_in_chunks_match_the_region_sets(monkeypatch, budget):
+    # chunks of one region, of 7 regions (31 pair bonds) and of the default budget
+    graph, region, bc1 = checkerboard_instance(3, 2, 0)
+    _, _, bc2 = checkerboard_instance(3, 2, 1)
+    A, B = {region[0]}, {region[-1]}
+    weights = _oracle_region_weights(*(hardcore_spec(graph, 1.3, region=region, boundary=bc) for bc in (bc1, bc2)))
+    adj = hardcore._pair_adjacency(graph)
+    p_dis = 0.0
+    for D, w in weights.items():
+        p_dis += w * hardcore._site_path_exists(adj, [v in D for v in range(graph.n_vertices)], A, B)
+    if budget:
+        monkeypatch.setattr(twocopy, "_BLOCK_CELLS", budget)
+    rep = hardcore_disagreement(graph, 1.3, A, B, boundary1=bc1, boundary2=bc2, region=region)
+    assert rep["n_disagreement_regions"] == len(weights) > 7
+    assert rep["p_disagreement_path"] == rep["p_active_connection"] == p_dis > 0
+    assert rep["indicators_equal_everywhere"]
 
 
 def test_hardcore_checks_its_slices_on_one_coin_table(monkeypatch):
