@@ -26,15 +26,12 @@ run in chunks of at most twocopy._BLOCK_CELLS (sample, bond) cells, the
 package's one cell budget: each step keeps its state and uniforms, and the
 chunk's coins are read through one integer product lift @ states and
 compared at once, and its bool activity rows go to
-percolation.chain_components as they are, in one batch. The burn-in
-records after each sweep the pairs' mean expected active bond count,
-sum_j of the pair coins at the current state; from sweep BURN_IN_MIN on,
-every BURN_IN_CHECK sweeps, it stops once the integrated autocorrelation
-time tau of the series' later half has converged and the sweeps done are
-at least TAU_SWEEPS * tau. burn_in caps it. It runs one sweep per kernel
-call, in runs that end at the next check (or the cap, or after
-twocopy._BLOCK_CELLS state cells): each sweep's state is kept, and the
-run's coins are read through one lift @ states.
+percolation.chain_components as they are, in one batch. The burn-in runs
+one sweep at a time and records after each the pairs' mean expected active
+bond count, sum_j of the pair coins at the current state; from sweep
+BURN_IN_MIN on, every BURN_IN_CHECK sweeps, it stops once the integrated
+autocorrelation time tau of the series' later half has converged and the
+sweeps done are at least TAU_SWEEPS * tau. burn_in caps it.
 """
 
 from __future__ import annotations
@@ -167,47 +164,30 @@ def _generic_heat_bath(spec: GibbsSpec, bonds, C: int):
     "heat-bath table cells" cap it raises TooLargeError."""
     S, n = spec.alphabet.size, len(spec.region)
     pos = {v: p for p, v in enumerate(spec.region)}
-    factors = np.array([float(x) for eb in bonds for x in eb.table] + [1.0])
-    incident = [[] for _ in range(n)]  # per site, (inside, factor offset) of its bonds in bond order
-    f0 = 0
+    incident = [[] for _ in range(n)]
     for eb in bonds:
         inside = tuple(pos[u] for u in eb.inside)
         for p in inside:
-            incident[p].append((inside, f0))
-        f0 += len(eb.table)
+            incident[p].append((inside, np.array([float(x) for x in eb.table])))
     nbrs = [sorted({q for inside, _ in incident[p] for q in inside} - {p}) for p in range(n)]
     offsets = np.cumsum([0] + [S ** len(nb) for nb in nbrs])
     check_cap("heat-bath values", S)
     check_cap("heat-bath table cells", offsets[-1] * (S - 1))
     allowed = spec.domain_mask()
-    # per site and incident-bond slot: the bond's factor offset and the
-    # Horner weights S**(m-1-i) of its inside vertices, the site's own
-    # (times the row's value) and its neighbours' (times their digits of
-    # the row's code); a slot past a site's bonds reads the appended 1.0
-    slots = max(map(len, incident), default=0)
-    deg = max(map(len, nbrs), default=0)
-    off = np.full((n, slots), f0)
-    own = np.zeros((n, slots), np.int64)
-    coef = np.zeros((n, slots, deg), np.int64)
-    for p, inc in enumerate(incident):
-        for k, (inside, f) in enumerate(inc):
-            off[p, k] = f
-            for i, q in enumerate(inside):
-                if q == p:
-                    own[p, k] = S ** (len(inside) - 1 - i)
-                else:
-                    coef[p, k, nbrs[p].index(q)] = S ** (len(inside) - 1 - i)
-    site = np.repeat(np.arange(n), np.diff(offsets))  # each table row's site
-    digits = (np.arange(len(site)) - offsets[site])[:, None] // S ** np.arange(deg) % S  # its neighbours' values
-    li = (coef[site] * digits[:, None, :]).sum(axis=2) + off[site]
-    f = factors[li[:, :, None] + own[site][:, :, None] * np.arange(S)]  # (rows, slots, S)
-    weights = np.ones((len(site), S))
+    weights = np.ones((offsets[-1], S))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for k in range(slots):  # 1.0 times the factors in bond order, as the per-site product
-            weights *= f[:, k]
-        weights[~allowed[site]] = 0.0
-        void = ~weights.any(axis=1)
-        weights[void] = allowed[site[void]]  # a forbidden neighbourhood: uniform over the domain
+        for p in range(n):
+            w = weights[offsets[p] : offsets[p + 1]]
+            code = np.arange(len(w))[:, None]
+            vals = {q: code // S**k % S for k, q in enumerate(nbrs[p])}
+            vals[p] = np.arange(S)
+            for inside, factors in incident[p]:
+                li = 0
+                for q in inside:
+                    li = li * S + vals[q]
+                w *= factors[li]
+            w[:, ~allowed[p]] = 0.0
+            w[~w.any(axis=1)] = allowed[p]  # a forbidden neighbourhood: uniform over the domain
         table = _tails(weights)
     if not np.isfinite(table).all():
         raise RcgibbsError("conditional weight overflow; rescale couplings")
@@ -297,19 +277,11 @@ def mc_connection_probability(
 
     rng = stream(seed, 300)
     hb.load((rng.random((2 * T, n)).T < start[:, :, None]).sum(axis=0))
-    # the burn-in in runs that end at the next stopping check: each sweep's
-    # state is kept, and the run's coins are read at once; each sweep's value
-    # sums its own contiguous (n_bonds, T) block, as a per-sweep read does
-    run = np.empty((min(BURN_IN_MIN, burn_in, max(1, twocopy._BLOCK_CELLS // hb.state.size)), *hb.state.shape), np.int8)
     series, equilibrated = [], False
     while len(series) < burn_in and not equilibrated:
+        heat_bath_chain(spec, hb, rng, 1)
+        series.append(float(coins_at(lift @ hb.state).sum()) / T)
         k = len(series)
-        m = min(max(BURN_IN_MIN, k + BURN_IN_CHECK - k % BURN_IN_CHECK) - k, burn_in - k, len(run))
-        for i in range(m):
-            heat_bath_chain(spec, hb, rng, 1)
-            run[i] = hb.state
-        series.extend(float(x.sum()) / T for x in coins_at(lift @ run[:m]))
-        k += m
         if k >= BURN_IN_MIN and k % BURN_IN_CHECK == 0:
             tau, converged = integrated_autocorr(series[k // 2 :])
             equilibrated = converged and k >= TAU_SWEEPS * tau
