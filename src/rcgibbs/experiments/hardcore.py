@@ -82,10 +82,10 @@ def _pair_adjacency(graph: Hypergraph):
     return adj
 
 
-def _slice_machinery_check(spec, sigma, pair_bonds, coin_table):
+def _slice_machinery_check(spec, sigma, pair_bonds, bonds, coin_table):
     """Activity of one slice from the representation machinery: each bond's
     coins in coin_table (the spec's pair_coin_table) at the slice's local
-    pairs of positive factor.
+    pairs of positive factor, bonds the spec's effective_bonds.
 
     Returns (deterministic, active set matches bonds inside the
     disagreement region, support has two configurations per component).
@@ -95,7 +95,7 @@ def _slice_machinery_check(spec, sigma, pair_bonds, coin_table):
     no_sites = {v for v, s in zip(spec.region, sigma) if s == 1}
     active = set()
     deterministic = True
-    for eb, coins in zip(effective_bonds(spec), coin_table):
+    for eb, coins in zip(bonds, coin_table):
         qs = set()
         for y in itertools.product(*(adm[v] for v in eb.inside)):
             x1, x2 = (local_index(S, map(idx, c)) for c in (y, [sig[v] - a for v, a in zip(eb.inside, y)]))
@@ -228,9 +228,9 @@ def hardcore_disagreement(
             break
         sigmas.add(tuple(a + b for a, b in zip(o1, o2)))
     det_ok = match_ok = support_ok = True
-    coin_table = pair_coin_table(spec1)
+    bonds, coin_table = effective_bonds(spec1), pair_coin_table(spec1)
     for sigma in sorted(sigmas):
-        d, m, s = _slice_machinery_check(spec1, sigma, pair_bonds, coin_table)
+        d, m, s = _slice_machinery_check(spec1, sigma, pair_bonds, bonds, coin_table)
         det_ok &= d
         match_ok &= m
         support_ok &= s

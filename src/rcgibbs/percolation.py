@@ -9,23 +9,24 @@ a bond's coin is a function of the two copies' local values on that bond
 alone; pair_coin_table computes it once per spec, and every exact query
 and the Monte Carlo sampler read that one table.
 
-One array kernel, _pattern_blocks, computes the law for integrated_rc,
-and through one per-slice reduction, _slice_connections, for
-sigma_connection_profile and slice_connection_prob. It reads the two-copy
-pairs from twocopy.PairWalk, a pair taking a block cell per effective bond,
-groups a slice's pairs by coin vector, and expands each group over its live
-bonds only (0 < q < 1). Every sum is sequential: a group sums its pairs in
-the walk's order, a slice a mask's leaves in (group, active-first
-depth-first) order, and the law a mask's slice weights in slice order.
-Masks keep the order of their first nonzero leaf, the order in which float
-sums over a pattern dict add. Floats and exact specs run the same code, on
-float64 and on object arrays of Python ints: an exact spec's weights are
-integers over one denominator (see PairWalk), and so are its coins, so the
-kernel runs no Fraction arithmetic and each caller forms a Fraction once
-per output value, from a ratio of two ints of one scale. Patterns are int64
-bitmasks, so a spec with more than 62 effective bonds raises TooLargeError;
-so does a full walk past 2**20 pairs, or a call that would expand more than
-2**22 leaves (the caps in errors.CAPS).
+One array kernel, _pattern_blocks, computes the law for integrated_rc, and
+through one per-slice reduction, _slice_connections (which alone forms sigma
+tuples), for sigma_connection_profile and slice_connection_prob. It reads
+the pairs of twocopy.PairWalk, a pair taking a block cell per effective
+bond, gathers all bonds' coin ids at once, groups a slice's pairs by coin
+vector, and expands each group over its live bonds only (0 < q < 1). Every
+sum is sequential: a group sums its pairs in the walk's order, a slice a
+mask's leaves in (group, active-first depth-first) order, and the law a
+mask's slice weights in slice order. Masks keep the order of their first
+nonzero leaf, the order in which float sums over a pattern dict add. Floats
+and exact specs run the same code, on float64 and on object arrays of Python
+ints: an exact spec's weights are integers over one denominator (see
+PairWalk), and so are its coins, so the kernel runs no Fraction arithmetic
+and each caller forms a Fraction once per output value, from a ratio of two
+ints of one scale. Patterns are int64 bitmasks, so a spec with more than 62
+effective bonds raises TooLargeError; so does a full walk past 2**20 pairs,
+or a call that would expand more than 2**22 leaves (the caps in
+errors.CAPS).
 
 Connectivity has one labeller, edge_components (the only scipy
 connected_components call), and one way in: chain_components labels the
@@ -48,7 +49,7 @@ from .errors import RcgibbsError, ZeroSliceError, check_cap
 from .gibbs import GibbsSpec, effective_bonds, product_outcomes, product_positions
 from .lattice import ball, boundary_vertices
 from .rcr import RcrBase, assignment_measure
-from .twocopy import PairWalk, _runs, _scaled
+from .twocopy import PairWalk, _runs, _scaled, _slice_sums
 
 
 def activity_pattern(base: RcrBase, assignment) -> int:
@@ -365,21 +366,26 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     into w * q and w * (1 - q), bonds in order; a coin of 1 sets the bond's
     bit, a coin of 0 clears it, and zero leaves are dropped.
 
+    A bond's coins are numbered by first appearance, and the flattened id
+    tables lie end to end in cat, bond j's from offset_j. With lift[j, c] =
+    local[j, c] * S**m_j + offset_j, a block's ids are one bond-major gather
+    cat[lift[:, c1] + local[:, c2]], and its groups' q, 1 - q, live and one
+    flags one take each from all bonds' coins laid end to end.
+
     On an exact spec the pair weights are ints over D**2 (PairWalk), and
     bond j's coins are ints over E_j, the lcm of the denominators of its
     distinct coins: q becomes the pair (a, E_j - a). A group's weight is
     multiplied by E_j for each bond whose coin is 0 or 1, so every leaf and
     record is an int over one scale, D**2 times the product of the E_j, and
     the totals are brought to that scale too. Float coins stay (q, 1 - q)
-    with the float steps above, and the scale is 1.
+    with the float steps above, and the scale is 1: no weight is scaled.
 
-    Yields (sigmas, totals, rec_slice, rec_mask, rec_val) per block: its
-    slices of positive total, their totals, and their (mask, weight)
-    records, slice by slice and each slice's masks in order of first leaf;
-    rec_slice indexes sigmas. Totals and records share one scale, so a
-    ratio of them is a probability. sigma limits the walk to that slice,
-    whose admissible values twocopy.make_slice gives. Every coin, a
-    slice's too, is read from the spec's one pair_coin_table.
+    Yields (slice_ids, totals, rec_slice, rec_mask, rec_val) per block: its
+    slices of positive total (ids in twocopy._slice_sums), their totals and
+    (mask, weight) records, slice by slice and each slice's masks in order
+    of first leaf; rec_slice indexes slice_ids. Totals and records share one
+    scale, so a ratio of them is a probability. sigma limits the walk to that
+    slice (twocopy.make_slice). Every coin is read from pair_coin_table.
 
     The caps are checked before the work they bound: the bonds (bit j of a
     pattern is bond j) and a full walk's pairs before any configuration is
@@ -395,34 +401,29 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     dtype = object if exact else float
     walk = PairWalk(spec, sigma)
     S = spec.alphabet.size
-    pos = {v: p for p, v in enumerate(spec.region)}
     digits = product_positions(np.arange(len(walk.weights)), [len(i) for i in walk.indices])
-    alpha = [np.asarray(i)[k] for i, k in zip(walk.indices, digits)]  # alphabet index per configuration
-    local = np.zeros((n_bonds, len(walk.weights)), dtype=np.int64)
-    for j, eb in enumerate(bonds):
+    alpha = {v: np.asarray(i)[k] for v, i, k in zip(spec.region, walk.indices, digits)}  # v's value index per c
+    local, lift, coin_ids, distinct = [], [], [], []
+    for eb, table in zip(bonds, pair_coin_table(spec)):
+        loc = np.zeros(len(walk.weights), dtype=np.int64)  # c's index on the inside vertices
         for v in eb.inside:
-            local[j] = local[j] * S + alpha[pos[v]]
-    # per bond: its distinct coins in order of first appearance, and each
-    # pair's coin as an index into them
-    distinct, coin_ids = [], []
-    for table in pair_coin_table(spec):
+            loc = loc * S + alpha[v]
+        local.append(loc)
+        lift.append(loc * len(table) + len(coin_ids))
         number = {}
-        inverse = [number.setdefault(q, len(number)) for q in table.ravel().tolist()]
-        distinct.append(np.array(list(number), dtype=table.dtype))
-        coin_ids.append(np.array(inverse).reshape(table.shape))
-    # ids below hold a cell per pair and bond, in the smallest unsigned int
-    # that numbers every bond's coins
-    id_type = np.min_scalar_type(max(map(len, distinct), default=0))
-    # per bond: its coins as (q, 1 - q), over the coin scale E_j
-    if exact:
-        scaled = [_scaled(values) for values in distinct]
-        coins = [q for q, _ in scaled]
-        scales = np.array([E for _, E in scaled], dtype=object)
-    else:
-        coins = distinct
-        scales = np.ones(n_bonds)
-    coins = [(q, E - q) for q, E in zip(coins, scales)]
+        coin_ids.extend(number.setdefault(q, len(number)) for q in table.ravel().tolist())
+        distinct.append(list(number))
+    cat = np.array(coin_ids, dtype=np.min_scalar_type(max(map(len, distinct), default=0)))
+    index_type = np.min_scalar_type(max(len(cat) - 1, 0))  # holds every index, a coin's too
+    local, lift = (np.array(a, dtype=index_type).reshape(n_bonds, len(walk.weights)) for a in (local, lift))
+    coin_at = np.cumsum([0, *map(len, distinct)])[:-1].astype(index_type)  # bond j's first coin
+    scaled = [_scaled(d) if exact else (np.array(d), 1.0) for d in distinct]  # bond j's coins over E_j
+    q = np.array([x for values, _ in scaled for x in values.tolist()], dtype=dtype)
+    off = np.array([E - x for values, E in scaled for x in values.tolist()], dtype=dtype)
+    scales = np.array([E for _, E in scaled], dtype=dtype)
     unit = scales.prod()
+    is_live = (q != 0) & (off != 0)
+    is_one = (q != 0) & ~is_live
     bits = np.left_shift(1, np.arange(n_bonds, dtype=np.int64))
     leaves = 0
 
@@ -430,25 +431,17 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
         positive = np.flatnonzero(totals != 0)
         if not len(positive):
             continue
-        sigmas = product_outcomes(sids[positive], walk.sums)
-
-        ids = np.zeros((len(row), n_bonds), dtype=id_type)
-        for j, table in enumerate(coin_ids):
-            ids[:, j] = table[local[j, c1], local[j, c2]]
-
-        labels, first = _first_seen(row, *ids.T)
+        ids = cat.take(lift.take(c1, axis=1) + local.take(c2, axis=1))  # (bonds, pairs)
+        labels, first = _first_seen(row, *ids)
         gw = np.zeros(len(first), dtype=dtype)
         np.add.at(gw, labels, w)
         keep = gw != 0
-        gw, grow, gids = gw[keep], row[first[keep]], ids[first[keep]]
-        gq = np.empty(gids.shape, dtype=dtype)
-        g_off = np.empty(gids.shape, dtype=dtype)
-        for j, (q, off) in enumerate(coins):
-            gq[:, j] = q[gids[:, j]]
-            g_off[:, j] = off[gids[:, j]]
-        live = (gq != 0) & (g_off != 0)
-        base_mask = ((gq != 0) & ~live) @ bits  # bonds whose coin is 1
-        gw = gw * np.where(live, 1, scales).prod(axis=1)  # bonds that do not split keep the scale
+        gw, grow = gw[keep], row[first[keep]]
+        at = ids.T[first[keep]] + coin_at  # (groups, bonds): each group's coins
+        gq, g_off, live, one = (a.take(at) for a in (q, off, is_live, is_one))
+        base_mask = one @ bits  # bonds whose coin is 1
+        if exact:  # bonds that do not split keep the scale
+            gw = gw * np.where(live, 1, scales).prod(axis=1)
         n_live = live.sum(axis=1)
         leaves += sum(int(n) << k for k, n in enumerate(np.bincount(n_live)))
         check_cap("pattern leaves", leaves)
@@ -464,7 +457,7 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
             labels, first = _first_seen(lrow, mask)
             rec_val = np.zeros(len(first), dtype=dtype)
             np.add.at(rec_val, labels, val)
-            yield (sigmas[a:b], (totals[rows] * unit).tolist(), np.searchsorted(rows, lrow[first]),
+            yield (sids[rows], (totals[rows] * unit).tolist(), np.searchsorted(rows, lrow[first]),
                    mask[first], rec_val)
 
 
@@ -502,13 +495,14 @@ def _slice_connections(spec: GibbsSpec, A, B, sigma=None):
     """(sigma, total, joined weight) per slice of positive weight, in slice
     order, of one scale: each block's distinct masks are labelled in one
     batch as the block arrives, and a slice adds its joined records in
-    order from 0. sigma limits the walk to that slice."""
+    order from 0 and forms its sigma from its id. sigma limits the walk to it."""
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
-    for sigmas, totals, rec_slice, rec_mask, rec_val in _pattern_blocks(spec, sigma):
+    sums = _slice_sums(spec, sigma)
+    for sids, totals, rec_slice, rec_mask, rec_val in _pattern_blocks(spec, sigma):
         conn = joined(spec.graph.n_vertices, bond_vertices, rec_mask, A, B)
-        num = np.zeros(len(sigmas), dtype=rec_val.dtype)
+        num = np.zeros(len(sids), dtype=rec_val.dtype)
         np.add.at(num, rec_slice[conn], rec_val[conn])
-        yield from zip(sigmas, totals, num.tolist())
+        yield from zip(product_outcomes(sids, sums), totals, num.tolist())
 
 
 def slice_connection_prob(spec: GibbsSpec, sigma, A, B):
@@ -525,15 +519,16 @@ def sigma_connection_profile(spec: GibbsSpec, A, B):
     Returns (rows, pbar) where rows list (sigma, rho, conn prob given
     sigma) over slices of positive weight and pbar is the integrated
     connection probability. Each value is one division, into a Fraction on
-    an exact spec.
+    an exact spec; slices that join nothing share one zero of that type.
     """
     div = Fraction if spec.exact else operator.truediv
+    zero = Fraction(0) if spec.exact else 0.0
     rows = []
     grand = 0
     acc = 0
     for sigma, total, joined in _slice_connections(spec, A, B):
         grand += total
-        rows.append((sigma, total, div(joined, total)))
+        rows.append((sigma, total, div(joined, total) if joined else zero))
         acc += joined
     if grand == 0:
         raise ZeroSliceError("zero measure")

@@ -89,6 +89,13 @@ def _scaled(values):
     return np.array([v.numerator * (D // v.denominator) for v in values], dtype=object), D
 
 
+def _slice_sums(spec: GibbsSpec, sigma=None):
+    """Each region vertex's slice axis: its sorted sums of two domain values, or sigma's value."""
+    if sigma is not None:
+        return [[int(s)] for s in sigma]
+    return [sorted({a + b for a in d for b in d}) for d in map(spec.domain_values, spec.region)]
+
+
 class PairWalk:
     """The two-copy pairs of a spec, grouped by their overlap.
 
@@ -120,11 +127,9 @@ class PairWalk:
         if sigma is None:
             check_cap("two-copy pairs", spec.n_states() ** 2)
             self.domains = [spec.domain_values(v) for v in spec.region]
-            self.sums = [sorted({a + b for a in d for b in d}) for d in self.domains]
         else:
-            sl = make_slice(spec, sigma)
-            self.domains = list(sl.admissible)
-            self.sums = [[s] for s in sl.sigma]
+            self.domains = list(make_slice(spec, sigma).admissible)
+        self.sums = _slice_sums(spec, sigma)
         self.indices = [tuple(map(spec.alphabet.index, d)) for d in self.domains]
         exact = spec.exact
         tables = [(eb.inside, _scaled([Fraction(x) for x in eb.table])[0] if exact else eb.table)

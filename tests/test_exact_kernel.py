@@ -15,10 +15,10 @@ import fraction_kernel as oracle
 from conftest import random_binary_spec
 from test_percolation import _three_valued_spec
 from rcgibbs import twocopy
-from rcgibbs.gibbs import BondTable, GibbsSpec, Interaction, SPIN, effective_bonds
+from rcgibbs.gibbs import Alphabet, BondTable, GibbsSpec, Interaction, SPIN, effective_bonds
 from rcgibbs.lattice import build_grid, hypergraph
 from rcgibbs.models import example1_exact_spec, hardcore_spec, ising_exact_spec
-from rcgibbs.percolation import integrated_rc, sigma_connection_profile, slice_connection_prob
+from rcgibbs.percolation import integrated_rc, pair_coin_table, sigma_connection_profile, slice_connection_prob
 from rcgibbs.rng import stream
 from rcgibbs.twocopy import decompose_event, nonoverlap_distribution, overlap_distribution
 
@@ -52,6 +52,18 @@ def _hyperbond_exact_spec():
     return GibbsSpec(g, SPIN, Interaction(tables), (0, 1, 2, 3, 5), {4: 1})
 
 
+def _wide_coin_spec():
+    """A four-vertex bond and a pair bond on the alphabet (-1, 0, 1), with
+    Fraction factors: the four-vertex bond has more distinct coins than a
+    byte numbers, exact and as a float twin."""
+    g = hypergraph(4, [(0, 1, 2, 3), (1, 2)])
+    rng = stream(41, 0)
+    tables = {k: BondTable.from_factors([Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+                                         for _ in range(3 ** len(b))])
+              for k, b in enumerate(g.bonds)}
+    return GibbsSpec(g, Alphabet((-1, 0, 1)), Interaction(tables), (0, 1, 2, 3))
+
+
 SMALL = [
     *[(f"random{m}", lambda m=m: random_binary_spec(
         m, seed=9, n_min=3, n_max=5, exact=True, allow_forbidden=True, with_boundary=True))
@@ -61,6 +73,7 @@ SMALL = [
     ("hardcore_exact", lambda: hardcore_spec(build_grid(3, 2), Fraction(3, 2))),
     ("hyperbond_exact", _hyperbond_exact_spec),
     ("three_valued_exact", lambda: _three_valued_spec(True)),
+    ("wide_coins_exact", _wide_coin_spec),
 ]
 CASES = [(name, make, twin) for name, make in SMALL for twin in (False, True)]
 
@@ -101,6 +114,12 @@ def test_exact_kernel_matches_fraction_oracle(monkeypatch, name, make, twin):
     n = len(spec.region)
     for ev in (lambda o: o[0] == max(o), lambda o: o[n - 1] != o[0], lambda o: sum(o) > 0):
         assert _typed(decompose_event(spec, ev)) == _typed(oracle.decompose_event(spec, ev))
+
+
+def test_wide_coin_spec_has_more_coins_than_a_byte_numbers():
+    spec = _wide_coin_spec()
+    for s in (spec, _float_twin(spec)):
+        assert len(set(pair_coin_table(s)[0].ravel().tolist())) > 255
 
 
 def test_exact_kernel_matches_fraction_oracle_on_3x3_grid():
