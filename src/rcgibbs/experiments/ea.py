@@ -242,12 +242,12 @@ def _wraps(a, b, d, labels, n: int) -> tuple[bool, bool]:
     child = np.flatnonzero((pred >= 0) & (pred != n))
     hit = order[np.searchsorted(keys[order], pred[child] * (n + 1) + child)]
     pot = np.zeros((2, n + 1), np.int64)
-    pot[:, child] = disp[:, hit]
+    pot[:, child] = disp.take(hit, axis=1)
     up = np.where(pred >= 0, pred, n)
     while (up != n).any():
-        pot += pot[:, up]
-        up = up[up]
-    off = pot[:, a] + d - pot[:, b]
+        pot += pot.take(up, axis=1)
+        up = up.take(up)
+    off = pot.take(a, axis=1) + d - pot.take(b, axis=1)
     return bool(off[0].any()), bool(off[1].any())
 
 

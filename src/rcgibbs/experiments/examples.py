@@ -241,6 +241,25 @@ def _pair_groups(n: int) -> tuple:
     return tuple(out)
 
 
+# The joint cells of _pair_values' chunks (see there), which the sweep's
+# models of one size share. At most 1 MiB in 64 entries is retained.
+_cells = twocopy._Retained(1 << 20)
+
+
+def _joint_cells(n: int, g: int, lo: int, hi: int) -> tuple:
+    """(cell,), cell a (hi - lo, 2**n) int64 array: for pair lo + i of shape
+    group g of _pair_groups(n) and each configuration, its joint cell (A's
+    bits above B's bits) plus i * 2**(|A| + |B|), one bin range per pair."""
+    _, As, Bs = _pair_groups(n)[g]
+    A, B = As[lo:hi], Bs[lo:hi]
+    a, b = A.shape[1], B.shape[1]
+    bits = (np.arange(1 << n, dtype=np.int64) >> np.arange(n)[:, None]) & 1
+    shifts = np.r_[np.arange(b, a + b), np.arange(b)][:, None]
+    cell = (bits[np.hstack([A, B])] << shifts).sum(axis=1)
+    cell += (np.arange(hi - lo) * (1 << (a + b)))[:, None]
+    return (cell,)
+
+
 def _pair_values(spec: GibbsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per support pair, in _support_pairs order: the largest event gap
     ev_max, the integrated connection probability pbar and the largest
@@ -253,6 +272,9 @@ def _pair_values(spec: GibbsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the margins sum along the same axes, and the subset products and pbar
     are stacked matmuls, one matrix product or dot product per pair (one
     matrix-vector product for the chunk's pbar would round differently).
+    A chunk's joint cells depend only on n and its pairs, and come from
+    _cells, keyed by (n, shape group, chunk range); a chunk holds at most
+    _BLOCK_CELLS cells, so an entry is at most 512 KiB at 2^16.
     """
     n = len(spec.region)
     if (
@@ -267,10 +289,11 @@ def _pair_values(spec: GibbsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         )
     # Reversing the axes puts site j's alphabet index at bit j.
     w = np.asarray(gibbs_measure(spec).weights, dtype=float).reshape((2,) * n).T.ravel()
-    bits = (np.arange(1 << n, dtype=np.int64) >> np.arange(n)[:, None]) & 1
     irc = integrated_rc(spec)
-    masks = sorted(irc.patterns)
-    probs = np.asarray([float(irc.patterns[m]) for m in masks])
+    masks = np.fromiter(irc.patterns, np.int64, len(irc.patterns))
+    order = np.argsort(masks)
+    masks = masks[order]
+    probs = np.fromiter(map(float, irc.patterns.values()), float, len(masks))[order]
     # reach[v, i]: the vertex mask of pattern i's chain through v, 0 if none;
     # A and B connect in pattern i when the chains through A meet B.
     labels = chain_components(irc.n_vertices, irc.bond_vertices, activity_rows(masks, len(irc.bond_vertices)))
@@ -281,19 +304,15 @@ def _pair_values(spec: GibbsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     n_pairs = sum(len(pos) for pos, _, _ in _pair_groups(n))
     ev_max, pbar, cov_max = np.empty(n_pairs), np.empty(n_pairs), np.empty(n_pairs)
-    for pos, As, Bs in _pair_groups(n):
-        a, b = As.shape[1], Bs.shape[1]
-        ra, rb = 1 << a, 1 << b
+    for g, (pos, As, Bs) in enumerate(_pair_groups(n)):
+        ra, rb = 1 << As.shape[1], 1 << Bs.shape[1]
         M, sign = _subset_matrices(ra)
-        # the joint cell of a configuration: A's bits above B's bits
-        shifts = np.r_[np.arange(b, a + b), np.arange(b)][:, None]
         step = max(1, twocopy._BLOCK_CELLS // max(1 << n, len(masks), M.shape[0] * rb))
         for lo in range(0, len(pos), step):
             at = pos[lo : lo + step]
             A, B = As[lo : lo + step], Bs[lo : lo + step]
             K = len(at)
-            cell = (bits[np.hstack([A, B])] << shifts).sum(axis=1)
-            cell += (np.arange(K) * (ra * rb))[:, None]
+            (cell,) = _cells.get((n, g, lo, lo + K), lambda: _joint_cells(n, g, lo, lo + K), lambda t: t[0].size)
             # bincount adds each bin's weights in input order
             joint = np.bincount(
                 cell.ravel(), weights=np.tile(w, K), minlength=K * ra * rb

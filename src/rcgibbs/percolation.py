@@ -86,12 +86,18 @@ def edge_components(n: int, a, b) -> np.ndarray:
 
 
 def activity_rows(masks, n_bonds: int) -> np.ndarray:
-    """(K, n_bonds) bool activity rows of K masks, Python ints of any width
-    below 2**n_bonds: column j of a row is bit j of its mask."""
-    masks = list(masks)
+    """(K, n_bonds) bool activity rows of K masks below 2**n_bonds, ints or
+    an int array: column j of a row is bit j of its mask. Below 64 bonds the
+    masks are read as little-endian int64 bytes; wider ones (the rcr bases)
+    go through Python ints."""
     width = (n_bonds + 7) // 8
-    raw = np.frombuffer(b"".join(int(m).to_bytes(width, "little") for m in masks), np.uint8)
-    return np.unpackbits(raw, bitorder="little").reshape(len(masks), 8 * width)[:, :n_bonds].view(bool)
+    if n_bonds < 64:
+        raw = np.ascontiguousarray(masks, dtype="<i8").reshape(-1, 1).view(np.uint8)[:, :width]
+    else:
+        masks = list(masks)
+        raw = np.frombuffer(b"".join(int(m).to_bytes(width, "little") for m in masks), np.uint8)
+        raw = raw.reshape(len(masks), width)
+    return np.unpackbits(raw, axis=1, bitorder="little")[:, :n_bonds].view(bool)
 
 
 def chain_components(n_vertices: int, bond_vertices, active) -> np.ndarray:
@@ -137,7 +143,7 @@ def joined(n_vertices: int, bond_vertices, masks, A, B) -> np.ndarray:
     if values.dtype.kind == "f":  # no masks, or masks past 2**63 among smaller ones
         values = np.asarray(masks, dtype=object)
     distinct, inverse = np.unique(values, return_inverse=True)
-    labels = chain_components(n_vertices, bond_vertices, activity_rows(distinct.tolist(), len(bond_vertices)))
+    labels = chain_components(n_vertices, bond_vertices, activity_rows(distinct, len(bond_vertices)))
     return chains_join(labels, A, B)[inverse]
 
 

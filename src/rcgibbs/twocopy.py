@@ -4,12 +4,20 @@ Conditioning two independent copies of a Gibbs field on the per-vertex sum
 of their spins splits the product space into slices. Each slice carries a
 symmetric Gibbs measure whose interaction adds the original energy of a
 configuration and of its reflection through the sum.
+
+The pair walk's index lists depend only on a spec's shape, its domains and
+slice sums, not on its couplings. The module keeps the most recently used
+ones, read-only, in one bounded cache (_retained, at most 1 MiB in 64
+entries), so specs of one shape walked in turn build them once.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +90,55 @@ def _runs(sizes):
         lo = hi
 
 
+class _Retained:
+    """A least-recently-used cache of tuples of arrays, made read-only.
+
+    get(key, build, size) returns the tuple build() made for key. It keeps
+    the tuple only when size(tuple), the pairs or cells it lists, is at most
+    _BLOCK_CELLS, and drops the oldest tuples past max_bytes of array data
+    or MAX_ENTRIES tuples (which bounds the arrays' own headers, about 100
+    bytes each, when the tuples are small). hits and misses count the gets.
+    A lock guards the bookkeeping, not build(), so threads may share the
+    cache.
+    """
+
+    MAX_ENTRIES = 64
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.entries = collections.OrderedDict()
+        self.nbytes = self.hits = self.misses = 0
+        self.lock = threading.Lock()
+
+    def get(self, key, build, size):
+        with self.lock:
+            arrays = self.entries.get(key)
+            if arrays is not None:
+                self.hits += 1
+                self.entries.move_to_end(key)
+                return arrays
+            self.misses += 1
+        arrays = build()
+        if size(arrays) <= _BLOCK_CELLS:
+            for a in arrays:
+                a.flags.writeable = False
+            with self.lock:
+                if key not in self.entries:  # another thread may have built it meanwhile
+                    self.entries[key] = arrays
+                    self.nbytes += sum(a.nbytes for a in arrays)
+                    while self.nbytes > self.max_bytes or len(self.entries) > self.MAX_ENTRIES:
+                        self.nbytes -= sum(a.nbytes for a in self.entries.popitem(last=False)[1])
+        return arrays
+
+
+# The shape-only part of PairWalk.blocks (see PairWalk), which specs of one
+# shape share whatever their weights: the C04 sweep's 500 models come in four
+# shapes. A walk whose lists do not all fit keeps none of them, since it would
+# push out its own first blocks before a repeat reads them, and every other
+# walk's.
+_retained = _Retained(1 << 20)
+
+
 def _scaled(values):
     """Exact rationals as Python ints over one denominator D, the lcm of
     theirs: (object array of the numerators, D)."""
@@ -121,6 +178,16 @@ class PairWalk:
     D**2, and a caller forms each Fraction once, from a ratio of such ints
     (the scales cancel). Float specs hold float64 weights; one whose pairs
     could overflow raises RcgibbsError.
+
+    blocks() splits in two. The shape-only part, the run tables and each
+    block's (row, c1, c2) lists, comes from _retained: the tables keyed by
+    (sums, domains, configuration count, _BLOCK_CELLS), a block's lists by
+    that and its slice range [lo, hi), which carries cells_per_pair. Only
+    tables and blocks of at most _BLOCK_CELLS pairs are kept, and only the
+    lists of walks whose lists fit the cache at once; retained arrays are
+    read-only, and the cache holds at most 1 MiB of them in 64 entries. The
+    weights part, w(c1) * w(c2), the zero filter and the slice totals, runs
+    per walk.
     """
 
     def __init__(self, spec: GibbsSpec, sigma=None):
@@ -147,51 +214,75 @@ class PairWalk:
         Yields (slices, totals, row, c1, c2, weight) per block: the slices'
         ids and weights, each summed in pair order, and per pair its slice
         (an index into slices), both copies' configurations and w(c1) * w(c2).
+        The run tables and the pair lists come from _retained (see the class).
         """
-        # A run is consecutive vertices with at most _BLOCK_CELLS joint value
-        # pairs (or one vertex), in one table: per pair, its sums' position in
-        # the run's product of sums and what its first and second copy add to
-        # the configuration numbers, ordered by sums then first copy.
-        runs = []
-        step = len(self.weights)
-        for s, d in zip(self.sums, self.domains):
-            step //= len(d)
-            pos = {x: n for n, x in enumerate(s)}
-            pairs = np.array([(pos[a + b], i * step, j * step) for i, a in enumerate(d)
-                              for j, b in enumerate(d) if a + b in pos], np.int32).T
-            if runs and runs[-1][0].shape[1] * pairs.shape[1] <= _BLOCK_CELLS:
-                prev, n = runs[-1]
-                prev = prev * np.array([[len(s)], [1], [1]], np.int32)
-                runs[-1] = (prev[:, :, None] + pairs[:, None, :]).reshape(3, -1), n * len(s)
-            else:
-                runs.append((pairs, len(s)))
-        sizes = [n for _, n in runs]
-        tables = []
-        for (k, f1, f2), n in runs:
-            order = np.argsort(k, kind="stable")
-            count = np.bincount(k, minlength=n)
-            tables.append((count, np.cumsum(count) - count, f1[order], f2[order]))
-        slices = np.arange(math.prod(sizes))
-        n_pairs = math.prod(count[k] for (count, *_), k in zip(tables, product_positions(slices, sizes)))
+        shape = (tuple(map(tuple, self.sums)), tuple(map(tuple, self.domains)), len(self.weights), _BLOCK_CELLS)
+        n_pairs, *tables = _retained.get(shape, lambda: _run_tables(self.sums, self.domains, len(self.weights)),
+                                         lambda t: sum(map(len, t[3::4])))
+        tables = list(zip(*[iter(tables)] * 4))
+        fits = 12 * int(n_pairs.sum()) <= _retained.max_bytes  # all the walk's lists at once
         W = self.weights
         for lo, hi in _runs(n_pairs * cells_per_pair):
-            digits = product_positions(slices[lo:hi], sizes)
-            row = np.arange(hi - lo, dtype=np.int32)  # each pair's slice, as an offset from lo
-            c1 = c2 = np.zeros(hi - lo, dtype=np.int32)
-            for (count, start, f1, f2), k in zip(tables, digits):
-                k = k[row]
-                reps = count[k]
-                take = np.repeat(np.arange(len(row)), reps)
-                e = np.arange(len(take)) + np.repeat(start[k] - (np.cumsum(reps) - reps), reps)
-                row = row[take]
-                c1 = c1[take] + f1[e]
-                c2 = c2[take] + f2[e]
+            lists = functools.partial(_pair_lists, tables, lo, hi)
+            row, c1, c2 = _retained.get((shape, lo, hi), lists, lambda t: len(t[0])) if fits else lists()
             w = W[c1] * W[c2]
             keep = w != 0
             row, c1, c2, w = row[keep], c1[keep], c2[keep], w[keep]
             totals = np.zeros(hi - lo, dtype=W.dtype)
             np.add.at(totals, row, w)
-            yield slices[lo:hi], totals, row, c1, c2, w
+            yield np.arange(lo, hi), totals, row, c1, c2, w
+
+
+def _run_tables(sums, domains, n_configs: int) -> tuple:
+    """A walk's slice pair counts and run tables: (n_pairs, count, start, f1,
+    f2, count, ...), the four arrays of each run in turn.
+
+    A run is consecutive vertices with at most _BLOCK_CELLS joint value pairs
+    (or one vertex), in one table: per pair, its sums' position in the run's
+    product of sums and what its first and second copy add to the
+    configuration numbers, ordered by sums then first copy; count and start
+    give each position's pairs. n_pairs[s] counts slice s's pairs.
+    """
+    runs = []
+    step = n_configs
+    for s, d in zip(sums, domains):
+        step //= len(d)
+        pos = {x: n for n, x in enumerate(s)}
+        pairs = np.array([(pos[a + b], i * step, j * step) for i, a in enumerate(d)
+                          for j, b in enumerate(d) if a + b in pos], np.int32).T
+        if runs and runs[-1][0].shape[1] * pairs.shape[1] <= _BLOCK_CELLS:
+            prev, n = runs[-1]
+            prev = prev * np.array([[len(s)], [1], [1]], np.int32)
+            runs[-1] = (prev[:, :, None] + pairs[:, None, :]).reshape(3, -1), n * len(s)
+        else:
+            runs.append((pairs, len(s)))
+    sizes = [n for _, n in runs]
+    tables = []
+    for (k, f1, f2), n in runs:
+        order = np.argsort(k, kind="stable")
+        count = np.bincount(k, minlength=n)
+        tables += [count, np.cumsum(count) - count, f1[order], f2[order]]
+    slices = np.arange(math.prod(sizes))
+    n_pairs = math.prod(count[k] for count, k in zip(tables[::4], product_positions(slices, sizes)))
+    return (np.asarray(n_pairs), *tables)
+
+
+def _pair_lists(tables, lo: int, hi: int) -> tuple:
+    """(row, c1, c2) of the pairs of slices [lo, hi), by the ragged product of
+    the run tables: per pair its slice as an offset from lo and both copies'
+    configurations, int32, in slice then first-copy order."""
+    digits = product_positions(np.arange(lo, hi), [len(count) for count, *_ in tables])
+    row = np.arange(hi - lo, dtype=np.int32)
+    c1 = c2 = np.zeros(hi - lo, dtype=np.int32)
+    for (count, start, f1, f2), k in zip(tables, digits):
+        k = k[row]
+        reps = count[k]
+        take = np.repeat(np.arange(len(row)), reps)
+        e = np.arange(len(take)) + np.repeat(start[k] - (np.cumsum(reps) - reps), reps)
+        row = row[take]
+        c1 = c1[take] + f1[e]
+        c2 = c2[take] + f2[e]
+    return row, c1, c2
 
 
 def overlap_distribution(spec: GibbsSpec) -> FiniteDistribution:

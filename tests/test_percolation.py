@@ -196,7 +196,7 @@ def _mask_partition(n, bonds, mask):
     return [min(u for u in covered if find(u) == find(v)) if v in covered else -1 for v in range(n)]
 
 
-@pytest.mark.parametrize("n_bonds", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+@pytest.mark.parametrize("n_bonds", [0, 1, 7, 8, 9, 62, 63, 64, 65, 130])
 def test_activity_rows_put_bit_j_in_column_j(n_bonds):
     # one, two and three 8-byte words; repeated rows, and K = 0 and 1
     rng = np.random.default_rng(n_bonds)
@@ -205,9 +205,19 @@ def test_activity_rows_put_bit_j_in_column_j(n_bonds):
     for K in (0, 1, 40):
         rows = rng.random((K, n_bonds)) < 0.05 + 2 / max(n_bonds, 1)
         rows[K // 2 :] = rows[: K - K // 2][::-1]
+        if K > 1:
+            rows[1] = True  # the widest mask, 2**63 - 1 at 63 bonds
         masks = [sum(1 << j for j in np.flatnonzero(r).tolist()) for r in rows]
         got = activity_rows(masks, n_bonds)
         assert got.dtype == bool and got.shape == (K, n_bonds) and (got == rows).all()
+        # below 64 bonds the masks are read as int64 bytes, ints or an int64
+        # array; the Python-int route of wider masks gives the same columns
+        wide = activity_rows(masks, max(n_bonds, 64))
+        assert (wide[:, :n_bonds] == rows).all() and not wide[:, n_bonds:].any()
+        if n_bonds < 64:
+            assert (activity_rows(np.array(masks, dtype=np.int64), n_bonds) == rows).all()
+        else:  # as joined passes them, an object array from np.unique
+            assert (activity_rows(np.array(masks, dtype=object), n_bonds) == rows).all()
         labels = chain_components(n, bonds, rows)
         assert labels.shape == (K, n)
         for row, mask in zip(labels.tolist(), masks):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from conftest import random_binary_spec
 from test_percolation import _hyperbond_spec, _three_valued_spec
 from rcgibbs import twocopy
+from rcgibbs.experiments import examples
+from rcgibbs.experiments.examples import check_model_bounds
 from rcgibbs.errors import ZeroSliceError
 from rcgibbs.gibbs import (
     BondTable,
@@ -20,8 +24,9 @@ from rcgibbs.gibbs import (
     gibbs_measure,
     local_index,
 )
-from rcgibbs.lattice import hypergraph
-from rcgibbs.models import example1_exact_spec, example1_spec, ising_spec
+from rcgibbs.lattice import build_grid, hypergraph
+from rcgibbs.models import example1_exact_spec, example1_spec, ising_exact_spec, ising_spec
+from rcgibbs.percolation import integrated_rc, sigma_connection_profile
 from rcgibbs.rcr import allowed_locals
 from rcgibbs.twocopy import (
     PairWalk,
@@ -464,3 +469,116 @@ def test_pair_walk_matches_replaced_routes(monkeypatch, name, make):
             assert abs(got - mu.event(ev)) < 1e-12
         else:
             assert abs(got - _per_slice_decompose(spec, ev)) < 1e-12
+
+
+def _shape_twins(exact):
+    """Two specs of one shape (domains and slice sums) with other couplings."""
+    g = hypergraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
+    if exact:
+        return [ising_exact_spec(g, f) for f in (Fraction(2), Fraction(5, 3))]
+    return [ising_spec(g, J, h=0.2) for J in ([0.3, -0.5, 0.9, 0.1, 0.7, -0.2], 0.6)]
+
+
+def _queries(spec):
+    """The exact routes that read the walk, as literal reprs."""
+    irc = integrated_rc(spec)
+    return [
+        repr(list(irc.patterns.items())),
+        repr(sigma_connection_profile(spec, {0}, {3})),
+        repr(list(overlap_distribution(spec).items())),
+        repr(list(check_model_bounds(spec).items())),
+    ]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_retained_walks_give_the_cold_results(monkeypatch, exact):
+    first, second = _shape_twins(exact)
+    cold = []
+    for spec in (first, second):
+        monkeypatch.setattr(twocopy, "_retained", twocopy._Retained(1 << 21))
+        monkeypatch.setattr(examples, "_cells", twocopy._Retained(1 << 21))
+        cold.append(_queries(spec))
+    # one cache for both: the second spec's walks and chunks are all served
+    # from what the first one left
+    walks, cells = twocopy._retained, examples._cells
+    assert _queries(first) == cold[0]
+    misses = walks.misses, cells.misses
+    assert _queries(second) == cold[1]
+    assert (walks.misses, cells.misses) == misses and walks.hits > 0 and cells.hits > 0
+    for a in [a for cache in (walks, cells) for entry in cache.entries.values() for a in entry]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+def test_walk_past_the_block_budget_retains_nothing(monkeypatch):
+    cache = twocopy._Retained(twocopy._retained.max_bytes)
+    monkeypatch.setattr(twocopy, "_retained", cache)
+    # one slice of 2^17 pairs: its block and its run tables (2^16 + 2 pairs)
+    # list more than _BLOCK_CELLS pairs
+    spec = ising_spec(hypergraph(17, [(i, i + 1) for i in range(16)]), 0.4)
+    blocks = list(PairWalk(spec, (0,) * 17).blocks())
+    assert len(blocks) == 1 and len(blocks[0][2]) == 1 << 17
+    # the 3x3 grid's 2^18 pairs come in blocks of at most 2^16, but its lists
+    # do not fit the cache at once, and its run tables list 2^16 + 4 pairs
+    blocks = list(PairWalk(ising_spec(build_grid(3, 3), 0.5)).blocks())
+    assert len(blocks) > 1 and max(len(b[2]) for b in blocks) <= twocopy._BLOCK_CELLS
+    assert not cache.entries and cache.nbytes == 0 and cache.hits == 0
+    # the 7-site chain's 2^14 pairs: its tables and its one block are kept
+    spec = ising_spec(hypergraph(7, [(i, i + 1) for i in range(6)]), 0.4)
+    list(PairWalk(spec).blocks())
+    assert len(cache.entries) == 2
+    assert cache.nbytes == sum(a.nbytes for e in cache.entries.values() for a in e) <= cache.max_bytes
+
+
+def test_retained_drops_the_least_recently_used():
+    cache = twocopy._Retained(100)
+    built = []
+
+    def build(key):
+        built.append(key)
+        return (np.zeros(5),)  # 40 bytes
+
+    for key in ("a", "b", "a", "c", "b"):
+        cache.get(key, lambda: build(key), len)
+    # past 100 bytes, c dropped b (a had been read since) and b then dropped a
+    assert built == ["a", "b", "c", "b"] and list(cache.entries) == ["c", "b"]
+    assert (cache.hits, cache.misses, cache.nbytes) == (1, 4, 80)
+    # small tuples are bounded by their count: the first of 65 is dropped
+    cache = twocopy._Retained(1 << 20)
+    for key in range(cache.MAX_ENTRIES + 1):
+        cache.get(key, lambda: (np.zeros(1),), len)
+    assert list(cache.entries) == list(range(1, cache.MAX_ENTRIES + 1)) and cache.nbytes == 8 * cache.MAX_ENTRIES
+
+
+def test_retained_shared_by_threads_keeps_its_books():
+    # four threads walk three shapes through a cache that holds about one
+    # walk, so gets, inserts and evictions interleave
+    specs = [ising_spec(hypergraph(n, [(i, i + 1) for i in range(n - 1)]), 0.3 + 0.1 * n) for n in (5, 6, 7)]
+    want = [repr(list(integrated_rc(spec).patterns.items())) for spec in specs]
+    cache = twocopy._Retained(200_000)
+    errors, got = [], []
+
+    def work(k):
+        try:
+            for i in range(12):
+                j = (i + k) % 3
+                got.append((j, repr(list(integrated_rc(specs[j]).patterns.items()))))
+        except Exception as e:  # a race shows as an exception in a worker
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(twocopy, "_retained", cache)
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and len(got) == 48 and all(text == want[j] for j, text in got)
+    assert cache.hits + cache.misses > 48 and cache.hits > 0
+    assert cache.nbytes == sum(a.nbytes for e in cache.entries.values() for a in e) <= cache.max_bytes
