@@ -251,7 +251,7 @@ def _wraps(a, b, d, labels, n: int) -> tuple[bool, bool]:
     return bool(off[0].any()), bool(off[1].any())
 
 
-def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool):
+def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool, crossings: bool = True):
     """Cluster sizes of bonds restricted to masked sites, with crossings.
 
     bh[y, x] joins (x, y)-(x+1, y); bv joins (x, y)-(x, y+1), indices mod
@@ -261,7 +261,8 @@ def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool):
     covers sites in both the first and the last column (rows for y). On
     the torus, a cluster wraps in x when one of its cycles has nonzero x
     displacement (see _wraps), which also catches windings that a
-    doubled-torus test misses.
+    doubled-torus test misses. With crossings False neither test runs and
+    both crossings read None.
     """
     n = L * L
     keep_h = bh & site_mask & np.roll(site_mask, -1, axis=1)
@@ -274,7 +275,9 @@ def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool):
     counts = np.bincount(labels[labels >= 0])
     sizes = sorted(counts[counts > 0].tolist(), reverse=True)
     largest = sizes[0] if sizes else 0
-    if periodic:
+    if not crossings:
+        cross_x = cross_y = None
+    elif periodic:
         d = np.zeros((2, len(a)), np.int64)
         d[0, : len(yh)] = 1
         d[1, len(yh) :] = 1
@@ -336,7 +339,7 @@ def _one_disorder(args):
                 bh[rep], bv[rep], no_mask[rep], L, periodic
             )
             big_ov, _, _, _ = _cluster_stats(
-                bh[rep], bv[rep], ~no_mask[rep], L, periodic
+                bh[rep], bv[rep], ~no_mask[rep], L, periodic, crossings=False
             )
             largest_no.append(big_no / (L * L))
             largest_ov.append(big_ov / (L * L))

@@ -241,9 +241,11 @@ def _pair_groups(n: int) -> tuple:
     return tuple(out)
 
 
-# The joint cells of _pair_values' chunks (see there), which the sweep's
-# models of one size share. At most 1 MiB in 64 entries is retained.
+# The joint cells of _pair_values' chunks and the chain reach of every
+# activity mask of a bond structure (see there), which the sweep's models of
+# one size and of one structure share. Each keeps at most 1 MiB in 64 entries.
 _cells = twocopy._Retained(1 << 20)
+_reach = twocopy._Retained(1 << 20)
 
 
 def _joint_cells(n: int, g: int, lo: int, hi: int) -> tuple:
@@ -260,6 +262,33 @@ def _joint_cells(n: int, g: int, lo: int, hi: int) -> tuple:
     return (cell,)
 
 
+def _chain_reach(n_vertices: int, bond_vertices, masks) -> np.ndarray:
+    """(n_vertices, len(masks)) int64: entry (v, i) is the vertex mask of
+    mask i's active chain through v, 0 if no active bond covers v; A and B
+    connect in mask i when the chains through A meet B."""
+    labels = chain_components(n_vertices, bond_vertices, activity_rows(masks, len(bond_vertices)))
+    chain_mask = np.zeros(int(labels.max(initial=-1)) + 2, dtype=np.int64)  # label -1 reads the last, 0
+    i, v = np.nonzero(labels >= 0)
+    np.bitwise_or.at(chain_mask, labels[i, v], np.left_shift(1, v))
+    return chain_mask[labels].T
+
+
+def _reach_of(n_vertices: int, bond_vertices, masks) -> np.ndarray:
+    """_chain_reach of the masks, read from the bond structure's table of
+    every mask when it has at most _BLOCK_CELLS cells (n_vertices * 2**B,
+    B bonds), and labelled directly otherwise. The table depends only on
+    (n_vertices, bond_vertices), its key in _reach."""
+    n_masks = 1 << len(bond_vertices)
+    if n_vertices * n_masks > twocopy._BLOCK_CELLS:
+        return _chain_reach(n_vertices, bond_vertices, masks)
+    (table,) = _reach.get(
+        (n_vertices, bond_vertices),
+        lambda: (_chain_reach(n_vertices, bond_vertices, np.arange(n_masks, dtype=np.int64)),),
+        lambda t: t[0].size,
+    )
+    return table.take(masks, axis=1)
+
+
 def _pair_values(spec: GibbsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per support pair, in _support_pairs order: the largest event gap
     ev_max, the integrated connection probability pbar and the largest
@@ -274,7 +303,11 @@ def _pair_values(spec: GibbsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrix-vector product for the chunk's pbar would round differently).
     A chunk's joint cells depend only on n and its pairs, and come from
     _cells, keyed by (n, shape group, chunk range); a chunk holds at most
-    _BLOCK_CELLS cells, so an entry is at most 512 KiB at 2^16.
+    _BLOCK_CELLS cells, so an entry is at most 512 KiB at 2^16. Whether a
+    pattern joins A and B depends only on the bond structure, so the
+    patterns' chain reach comes from _reach_of: from the structure's table
+    in _reach (C04's models, at most 8 bonds, always have one), or labelled
+    directly past the cell rule, with the same reach integers either way.
     """
     n = len(spec.region)
     if (
@@ -294,13 +327,7 @@ def _pair_values(spec: GibbsSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(masks)
     masks = masks[order]
     probs = np.fromiter(map(float, irc.patterns.values()), float, len(masks))[order]
-    # reach[v, i]: the vertex mask of pattern i's chain through v, 0 if none;
-    # A and B connect in pattern i when the chains through A meet B.
-    labels = chain_components(irc.n_vertices, irc.bond_vertices, activity_rows(masks, len(irc.bond_vertices)))
-    chain_mask = np.zeros(int(labels.max(initial=-1)) + 2, dtype=np.int64)  # label -1 reads the last, 0
-    i, v = np.nonzero(labels >= 0)
-    np.bitwise_or.at(chain_mask, labels[i, v], np.left_shift(1, v))
-    reach = chain_mask[labels].T
+    reach = _reach_of(irc.n_vertices, irc.bond_vertices, masks)
 
     n_pairs = sum(len(pos) for pos, _, _ in _pair_groups(n))
     ev_max, pbar, cov_max = np.empty(n_pairs), np.empty(n_pairs), np.empty(n_pairs)

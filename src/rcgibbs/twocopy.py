@@ -7,8 +7,9 @@ configuration and of its reflection through the sum.
 
 The pair walk's index lists depend only on a spec's shape, its domains and
 slice sums, not on its couplings. The module keeps the most recently used
-ones, read-only, in one bounded cache (_retained, at most 1 MiB in 64
-entries), so specs of one shape walked in turn build them once.
+ones of full walks, read-only, in one bounded cache (_retained, at most
+1 MiB in 64 entries), so specs of one shape walked in turn build them once.
+A one-slice walk seldom repeats its slice and keeps nothing.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ class _Retained:
 # shape share whatever their weights: the C04 sweep's 500 models come in four
 # shapes. A walk whose lists do not all fit keeps none of them, since it would
 # push out its own first blocks before a repeat reads them, and every other
-# walk's.
+# walk's; nor does a one-slice walk, whose sigma seldom repeats.
 _retained = _Retained(1 << 20)
 
 
@@ -185,9 +186,10 @@ class PairWalk:
     that and its slice range [lo, hi), which carries cells_per_pair. Only
     tables and blocks of at most _BLOCK_CELLS pairs are kept, and only the
     lists of walks whose lists fit the cache at once; retained arrays are
-    read-only, and the cache holds at most 1 MiB of them in 64 entries. The
-    weights part, w(c1) * w(c2), the zero filter and the slice totals, runs
-    per walk.
+    read-only, and the cache holds at most 1 MiB of them in 64 entries. A
+    walk given sigma builds its tables and lists directly and keeps none:
+    its slice seldom comes again. The weights part, w(c1) * w(c2), the zero
+    filter and the slice totals, runs per walk.
     """
 
     def __init__(self, spec: GibbsSpec, sigma=None):
@@ -197,6 +199,7 @@ class PairWalk:
         else:
             self.domains = list(make_slice(spec, sigma).admissible)
         self.sums = _slice_sums(spec, sigma)
+        self.retain = sigma is None
         self.indices = [tuple(map(spec.alphabet.index, d)) for d in self.domains]
         exact = spec.exact
         tables = [(eb.inside, _scaled([Fraction(x) for x in eb.table])[0] if exact else eb.table)
@@ -214,13 +217,14 @@ class PairWalk:
         Yields (slices, totals, row, c1, c2, weight) per block: the slices'
         ids and weights, each summed in pair order, and per pair its slice
         (an index into slices), both copies' configurations and w(c1) * w(c2).
-        The run tables and the pair lists come from _retained (see the class).
+        The run tables and the pair lists of a full walk come from _retained
+        (see the class).
         """
         shape = (tuple(map(tuple, self.sums)), tuple(map(tuple, self.domains)), len(self.weights), _BLOCK_CELLS)
-        n_pairs, *tables = _retained.get(shape, lambda: _run_tables(self.sums, self.domains, len(self.weights)),
-                                         lambda t: sum(map(len, t[3::4])))
+        build = functools.partial(_run_tables, self.sums, self.domains, len(self.weights))
+        n_pairs, *tables = _retained.get(shape, build, lambda t: sum(map(len, t[3::4]))) if self.retain else build()
         tables = list(zip(*[iter(tables)] * 4))
-        fits = 12 * int(n_pairs.sum()) <= _retained.max_bytes  # all the walk's lists at once
+        fits = self.retain and 12 * int(n_pairs.sum()) <= _retained.max_bytes  # all the walk's lists at once
         W = self.weights
         for lo, hi in _runs(n_pairs * cells_per_pair):
             lists = functools.partial(_pair_lists, tables, lo, hi)

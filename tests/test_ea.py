@@ -214,6 +214,8 @@ def test_cluster_stats_matches_union_find_oracle():
                 mask = rng.random((L, L)) < rng.uniform(0.3, 1.0)
                 got = _cluster_stats(bh, bv, mask, L, periodic)
                 assert got == _cluster_stats_oracle(bh, bv, mask, L, periodic), (L, periodic)
+                # the overlap side's call: same clusters, no crossing tests
+                assert _cluster_stats(bh, bv, mask, L, periodic, crossings=False) == (*got[:2], None, None)
                 assert all(type(x) is int for x in got[1]) and type(got[2]) is bool
                 cases += 1
     # L = 2 on the torus: both parallel bonds of each pair kept or one of them

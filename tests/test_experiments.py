@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from rcgibbs.experiments.hardcore import (
     checkerboard_instance,
     hardcore_disagreement,
 )
-from rcgibbs.gibbs import Alphabet, BondTable, GibbsSpec, Interaction, gibbs_measure
+from rcgibbs.gibbs import SPIN, Alphabet, BondTable, GibbsSpec, Interaction, effective_bonds, gibbs_measure
 from rcgibbs.lattice import build_grid, hypergraph
 from rcgibbs.models import example1_spec, hardcore_spec, ising_spec
 from rcgibbs.percolation import activity_rows, chain_components, integrated_rc, pair_coin_table
@@ -160,6 +161,69 @@ def test_sweep_pinned_values():
 def _three_valued_spec():
     tables = {0: BondTable.from_exponents([0.1 * k for k in range(9)])}
     return GibbsSpec(hypergraph(2, [(0, 1)]), Alphabet((-1, 0, 1)), Interaction(tables), (0, 1))
+
+
+def _reach_oracle(n_vertices, bond_vertices, mask):
+    """Per vertex, the vertex mask of its chain in one activity mask, 0 if
+    no active bond covers it, by union-find over the active bonds."""
+    parent = list(range(n_vertices))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    covered = set()
+    for j, vs in enumerate(bond_vertices):
+        if mask >> j & 1:
+            covered.update(vs)
+            for u in vs[1:]:
+                parent[find(u)] = find(vs[0])
+    chain = {}
+    for v in covered:
+        chain[find(v)] = chain.get(find(v), 0) | 1 << v
+    return [chain[find(v)] if v in covered else 0 for v in range(n_vertices)]
+
+
+@pytest.mark.parametrize("m", range(1, 7), ids=["cycle", "grid", "random", "hyper", "field", "path"])
+def test_reach_table_matches_direct_labelling(monkeypatch, m):
+    cache = twocopy._Retained(1 << 20)
+    monkeypatch.setattr(examples, "_reach", cache)
+    spec = examples._random_spec(m, 7)  # m % 6 picks the graph kind
+    n, bonds = spec.graph.n_vertices, tuple(eb.vertices for eb in effective_bonds(spec))
+    kind = ["path", "cycle", "grid", "random", "hyper", "field"][m % 6]
+    assert {len(b) for b in bonds} == {"hyper": {2, 3}, "field": {1, 2}}.get(kind, {2})
+    masks = np.random.default_rng(m).permutation(1 << len(bonds))
+    got = examples._reach_of(n, bonds, masks)
+    (table,) = cache.entries[(n, bonds)]
+    assert (cache.hits, cache.misses) == (0, 1) and table.shape == (n, 1 << len(bonds))
+    assert np.array_equal(got, examples._chain_reach(n, bonds, masks))
+    assert np.array_equal(examples._reach_of(n, bonds, masks[::-1]), got[:, ::-1]) and cache.hits == 1
+    assert table.T.tolist() == [_reach_oracle(n, bonds, mask) for mask in range(1 << len(bonds))]
+
+
+def _all_subsets_spec():
+    """4 sites and one bond on every nonempty vertex set: 15 bonds, so the
+    reach table would hold 4 * 2**15 = 2**17 cells, past _BLOCK_CELLS."""
+    bonds = [b for k in range(1, 5) for b in itertools.combinations(range(4), k)]
+    rng = np.random.default_rng(3)
+    tables = {k: BondTable.from_exponents(rng.uniform(-1, 1, 2 ** len(b)).tolist()) for k, b in enumerate(bonds)}
+    return GibbsSpec(hypergraph(4, bonds), SPIN, Interaction(tables), tuple(range(4)))
+
+
+def test_model_past_the_cell_rule_labels_its_patterns_directly(monkeypatch):
+    cache = twocopy._Retained(1 << 20)
+    monkeypatch.setattr(examples, "_reach", cache)
+    spec = _all_subsets_spec()
+
+    def run():
+        return repr(check_model_bounds(spec)), [a.tolist() for a in examples._pair_values(spec)]
+
+    direct = run()
+    assert (cache.hits, cache.misses, len(cache.entries)) == (0, 0, 0)
+    monkeypatch.setattr(twocopy, "_BLOCK_CELLS", 1 << 17)
+    assert run() == direct
+    assert (cache.hits, cache.misses) == (1, 1) and cache.nbytes == 8 << 17
 
 
 @pytest.mark.parametrize(

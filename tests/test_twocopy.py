@@ -26,7 +26,7 @@ from rcgibbs.gibbs import (
 )
 from rcgibbs.lattice import build_grid, hypergraph
 from rcgibbs.models import example1_exact_spec, example1_spec, ising_exact_spec, ising_spec
-from rcgibbs.percolation import integrated_rc, sigma_connection_profile
+from rcgibbs.percolation import integrated_rc, sigma_connection_profile, slice_connection_prob
 from rcgibbs.rcr import allowed_locals
 from rcgibbs.twocopy import (
     PairWalk,
@@ -497,15 +497,16 @@ def test_retained_walks_give_the_cold_results(monkeypatch, exact):
     for spec in (first, second):
         monkeypatch.setattr(twocopy, "_retained", twocopy._Retained(1 << 21))
         monkeypatch.setattr(examples, "_cells", twocopy._Retained(1 << 21))
+        monkeypatch.setattr(examples, "_reach", twocopy._Retained(1 << 21))
         cold.append(_queries(spec))
-    # one cache for both: the second spec's walks and chunks are all served
-    # from what the first one left
-    walks, cells = twocopy._retained, examples._cells
+    # one cache for both: the second spec's walks, chunks and reach table
+    # (one bond structure) are all served from what the first one left
+    caches = twocopy._retained, examples._cells, examples._reach
     assert _queries(first) == cold[0]
-    misses = walks.misses, cells.misses
+    misses = [cache.misses for cache in caches]
     assert _queries(second) == cold[1]
-    assert (walks.misses, cells.misses) == misses and walks.hits > 0 and cells.hits > 0
-    for a in [a for cache in (walks, cells) for entry in cache.entries.values() for a in entry]:
+    assert [cache.misses for cache in caches] == misses and all(cache.hits > 0 for cache in caches)
+    for a in [a for cache in caches for entry in cache.entries.values() for a in entry]:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
 
@@ -528,6 +529,20 @@ def test_walk_past_the_block_budget_retains_nothing(monkeypatch):
     list(PairWalk(spec).blocks())
     assert len(cache.entries) == 2
     assert cache.nbytes == sum(a.nbytes for e in cache.entries.values() for a in e) <= cache.max_bytes
+
+
+def test_one_slice_walks_leave_the_cache_alone(monkeypatch):
+    cache = twocopy._Retained(1 << 20)
+    monkeypatch.setattr(twocopy, "_retained", cache)
+    spec = ising_spec(hypergraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]), 0.4)
+    integrated_rc(spec)  # a full walk keeps its tables and lists
+    books = cache.hits, cache.misses, list(cache.entries), cache.nbytes
+    assert books[2]
+    for _ in range(2):  # a repeated sigma is built again, not looked up
+        mu = nonoverlap_distribution(spec, (0, 2, 0, -2, 0))
+        p = slice_connection_prob(spec, (0, 0, 2, 0, 0), {0}, {3})
+    assert (cache.hits, cache.misses, list(cache.entries), cache.nbytes) == books
+    assert len(list(mu.items())) == 8 and 0 < p < 1
 
 
 def test_retained_drops_the_least_recently_used():
