@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -75,10 +76,6 @@ class SpinConfig:
 
     def as_dict(self) -> dict[int, int]:
         return dict(zip(self.sites, self.values))
-
-    def restrict(self, region) -> "SpinConfig":
-        keep = [(v, x) for v, x in zip(self.sites, self.values) if v in set(region)]
-        return SpinConfig(tuple(v for v, _ in keep), tuple(x for _, x in keep))
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ class GibbsSpec:
             mask[p, list(self.domain_indices(v))] = True
         return mask
 
-    @property
+    @functools.cached_property
     def exact(self) -> bool:
         rset = set(self.region)
         return all(

@@ -64,16 +64,6 @@ def boundary_vertices(h: Hypergraph, region) -> frozenset[int]:
     return frozenset(out)
 
 
-def _boundary_bruteforce(h: Hypergraph, region) -> frozenset[int]:
-    # Direct bond scan, kept as an independent reference for tests.
-    lam = frozenset(region)
-    out = set()
-    for b in h.bonds:
-        if any(u in lam for u in b) and any(u not in lam for u in b):
-            out.update(b)
-    return frozenset(out)
-
-
 def build_grid(width: int, height: int, periodic: bool = False) -> Hypergraph:
     """Nearest-neighbor pair bonds on a width x height grid.
 

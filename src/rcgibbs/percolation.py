@@ -10,8 +10,9 @@ alone; pair_coin_table computes it once per spec, and every exact query
 and the Monte Carlo sampler read that one table.
 
 One array kernel, _pattern_blocks, computes the law for integrated_rc, and
-through one per-slice reduction, _slice_connections (which alone forms sigma
-tuples), for sigma_connection_profile and slice_connection_prob. It reads
+through one per-slice reduction, _slice_connections, for
+sigma_connection_profile (which alone forms sigma tuples) and
+slice_connection_prob. It reads
 the pairs of twocopy.PairWalk, a pair taking a block cell per effective
 bond, gathers all bonds' coin ids at once, groups a slice's pairs by coin
 vector, and expands each group over its live bonds only (0 < q < 1). Every
@@ -19,11 +20,13 @@ sum is sequential: a group sums its pairs in the walk's order, a slice a
 mask's leaves in (group, active-first depth-first) order, and the law a
 mask's slice weights in slice order. Masks keep the order of their first
 nonzero leaf, the order in which float sums over a pattern dict add. Floats
-and exact specs run the same code, on float64 and on object arrays of Python
-ints: an exact spec's weights are integers over one denominator (see
-PairWalk), and so are its coins, so the kernel runs no Fraction arithmetic
-and each caller forms a Fraction once per output value, from a ratio of two
-ints of one scale. Patterns are int64 bitmasks, so a spec with more than 62
+and exact specs run the same code on lanes of machine words (twocopy): one
+float64 lane, or int64 residues of the exact values. An exact spec's weights
+are integers over one denominator (see PairWalk), and so are its coins, all
+at most a bound known before the walk, so the kernel runs no Fraction or
+Python-int arithmetic; each caller sums in lanes, rebuilds each output int
+once (Garner) and forms a Fraction once per output value, from a ratio of
+two ints of one scale. Patterns are int64 bitmasks, so a spec with more than 62
 effective bonds raises TooLargeError; so does a full walk past 2**20 pairs,
 or a call that would expand more than 2**22 leaves (the caps in
 errors.CAPS).
@@ -39,6 +42,7 @@ each distinct mask once.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -277,7 +281,8 @@ def pair_coin_table(spec: GibbsSpec):
         b, x1, x2 = np.nonzero(ok[:, :, None] & ok[:, None, :])
         key = b * n_sums + sum_id[digits[x1], digits[x2]] @ radix
         if exact:  # the group's factors as ints over one scale
-            f = _scaled([Fraction(x) for j in js for x in bonds[j].table])[0].reshape(len(js), -1)
+            f = np.array(_scaled([Fraction(x) for j in js for x in bonds[j].table])[0], dtype=object)
+            f = f.reshape(len(js), -1)
         else:
             f = np.array([[float(x) for x in bonds[j].table] for j in js])
         f = f[b, x1] * f[b, x2]
@@ -339,12 +344,14 @@ def _first_seen(*cols):
     return rank[inverse], first[order]
 
 
-def _expand(weights, q, q_off, live, base):
+def _expand(mul, weights, coins, q, q_off, live, base):
     """Leaves (group, mask, weight) of each group's activity tree, in
     (group, active-first depth-first) order: group g's live bond j splits a
-    leaf of weight w into w * q[g, j] with bit j set and w * q_off[g, j]
-    without it, bonds in order; other bonds keep their bit from base."""
-    grp = np.arange(len(weights))
+    leaf of weight w into mul(w, q[:, c]) with bit j set and
+    mul(w, q_off[:, c]) without it, c = coins[g, j], bonds in order; other
+    bonds keep their bit from base. Weights and coins are in lanes
+    (twocopy), one column per group or leaf and per coin."""
+    grp = np.arange(weights.shape[1])
     mask = base
     val = weights
     for j in range(live.shape[1]):
@@ -353,11 +360,11 @@ def _expand(weights, q, q_off, live, base):
             continue
         reps = 1 + split
         at = (np.cumsum(reps) - reps)[split]
-        w, q_j, off_j = val[split], q[grp[split], j], q_off[grp[split], j]
+        w, c = val.compress(split, axis=1), coins[grp[split], j]
         take = np.repeat(np.arange(len(grp)), reps)
-        grp, mask, val = grp[take], mask[take], val[take]
-        val[at] = w * q_j
-        val[at + 1] = w * off_j
+        grp, mask, val = grp[take], mask[take], val.take(take, axis=1)
+        val[:, at] = mul(w, q.take(c, axis=1))
+        val[:, at + 1] = mul(w, q_off.take(c, axis=1))
         mask[at] |= 1 << j
     return grp, mask, val
 
@@ -383,15 +390,20 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     distinct coins: q becomes the pair (a, E_j - a). A group's weight is
     multiplied by E_j for each bond whose coin is 0 or 1, so every leaf and
     record is an int over one scale, D**2 times the product of the E_j, and
-    the totals are brought to that scale too. Float coins stay (q, 1 - q)
-    with the float steps above, and the scale is 1: no weight is scaled.
+    the totals are brought to that scale too. All of them are at most the
+    walk's total**2 times that product, so they run in the walk's residue
+    lanes for that bound (PairWalk.lanes), int64 throughout. Float coins
+    stay (q, 1 - q) with the float steps above in one float64 lane, and the
+    scale is 1: no weight is scaled.
 
-    Yields (slice_ids, totals, rec_slice, rec_mask, rec_val) per block: its
-    slices of positive total (ids in twocopy._slice_sums), their totals and
-    (mask, weight) records, slice by slice and each slice's masks in order
-    of first leaf; rec_slice indexes slice_ids. Totals and records share one
-    scale, so a ratio of them is a probability. sigma limits the walk to that
-    slice (twocopy.make_slice). Every coin is read from pair_coin_table.
+    Returns (lanes, blocks). blocks yields (slice_ids, totals, rec_slice,
+    rec_mask, rec_val) per block: its slices of positive total (ids in
+    twocopy._slice_sums), their totals and (mask, weight) records, slice by
+    slice and each slice's masks in order of first leaf; rec_slice indexes
+    slice_ids, and totals and rec_val are in lanes. Totals and records share
+    one scale, so a ratio of them is a probability. sigma limits the walk to
+    that slice (twocopy.make_slice). Every coin is read from
+    pair_coin_table.
 
     The caps are checked before the work they bound: the bonds (bit j of a
     pattern is bond j) and a full walk's pairs before any configuration is
@@ -403,8 +415,6 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     check_cap("bonds", n_bonds)
     if sigma is None:
         check_cap("pattern pairs", spec.n_states() ** 2)
-    exact = spec.exact
-    dtype = object if exact else float
     walk = PairWalk(spec, sigma)
     S = spec.alphabet.size
     digits = product_positions(np.arange(len(walk.weights)), [len(i) for i in walk.indices])
@@ -423,48 +433,52 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     index_type = np.min_scalar_type(max(len(cat) - 1, 0))  # holds every index, a coin's too
     local, lift = (np.array(a, dtype=index_type).reshape(n_bonds, len(walk.weights)) for a in (local, lift))
     coin_at = np.cumsum([0, *map(len, distinct)])[:-1].astype(index_type)  # bond j's first coin
-    scaled = [_scaled(d) if exact else (np.array(d), 1.0) for d in distinct]  # bond j's coins over E_j
-    q = np.array([x for values, _ in scaled for x in values.tolist()], dtype=dtype)
-    off = np.array([E - x for values, E in scaled for x in values.tolist()], dtype=dtype)
-    scales = np.array([E for _, E in scaled], dtype=dtype)
-    unit = scales.prod()
-    is_live = (q != 0) & (off != 0)
-    is_one = (q != 0) & ~is_live
+    scaled = [_scaled(d) if spec.exact else (d, 1.0) for d in distinct]  # bond j's coins over E_j
+    scale = math.prod(E for _, E in scaled)
+    lanes = walk.lanes(scale)
+    q = lanes.of([x for values, _ in scaled for x in values])
+    off = lanes.of([E - x for values, E in scaled for x in values])
+    rescaled = [(j, E) for j, (_, E) in enumerate(scaled) if E != 1]  # bonds whose coins have a scale
+    unit = lanes.of([scale])
+    is_live = lanes.nonzero(q) & lanes.nonzero(off)
+    is_one = lanes.nonzero(q) & ~is_live
     bits = np.left_shift(1, np.arange(n_bonds, dtype=np.int64))
-    leaves = 0
 
-    for sids, totals, row, c1, c2, w in walk.blocks(max(n_bonds, 1)):
-        positive = np.flatnonzero(totals != 0)
-        if not len(positive):
-            continue
-        ids = cat.take(lift.take(c1, axis=1) + local.take(c2, axis=1))  # (bonds, pairs)
-        labels, first = _first_seen(row, *ids)
-        gw = np.zeros(len(first), dtype=dtype)
-        np.add.at(gw, labels, w)
-        keep = gw != 0
-        gw, grow = gw[keep], row[first[keep]]
-        at = ids.T[first[keep]] + coin_at  # (groups, bonds): each group's coins
-        gq, g_off, live, one = (a.take(at) for a in (q, off, is_live, is_one))
-        base_mask = one @ bits  # bonds whose coin is 1
-        if exact:  # bonds that do not split keep the scale
-            gw = gw * np.where(live, 1, scales).prod(axis=1)
-        n_live = live.sum(axis=1)
-        leaves += sum(int(n) << k for k, n in enumerate(np.bincount(n_live)))
-        check_cap("pattern leaves", leaves)
-        n_leaves = np.zeros(len(totals), dtype=np.int64)
-        np.add.at(n_leaves, grow, np.left_shift(1, n_live))
+    def blocks():
+        leaves = 0
+        for sids, totals, row, c1, c2, w in walk.blocks(max(n_bonds, 1), lanes):
+            positive = np.flatnonzero(lanes.nonzero(totals))
+            if not len(positive):
+                continue
+            ids = cat.take(lift.take(c1, axis=1) + local.take(c2, axis=1))  # (bonds, pairs)
+            labels, first = _first_seen(row, *ids)
+            gw = lanes.sum_at(labels, w, len(first))
+            keep = lanes.nonzero(gw)
+            gw, grow = gw.compress(keep, axis=1), row[first[keep]]
+            at = ids.T[first[keep]] + coin_at  # (groups, bonds): each group's coins
+            live, one = is_live.take(at), is_one.take(at)
+            base_mask = one @ bits  # bonds whose coin is 1
+            if rescaled:  # bonds that do not split keep the scale, one product per live set
+                codes, inverse = np.unique(live @ bits, return_inverse=True)
+                kept = lanes.of([math.prod(E for j, E in rescaled if not c >> j & 1) for c in codes.tolist()])
+                gw = lanes.mul(gw, kept.take(inverse, axis=1))
+            n_live = live.sum(axis=1)
+            leaves += sum(int(n) << k for k, n in enumerate(np.bincount(n_live)))
+            check_cap("pattern leaves", leaves)
+            n_leaves = np.zeros(totals.shape[1], dtype=np.int64)
+            np.add.at(n_leaves, grow, np.left_shift(1, n_live))
 
-        for a, b in _runs(n_leaves[positive]):
-            rows = positive[a:b]
-            ga, gb = np.searchsorted(grow, [rows[0], rows[-1] + 1])
-            grp, mask, val = _expand(gw[ga:gb], gq[ga:gb], g_off[ga:gb], live[ga:gb], base_mask[ga:gb])
-            nz = val != 0
-            lrow, mask, val = grow[ga:gb][grp[nz]], mask[nz], val[nz]
-            labels, first = _first_seen(lrow, mask)
-            rec_val = np.zeros(len(first), dtype=dtype)
-            np.add.at(rec_val, labels, val)
-            yield (sids[rows], (totals[rows] * unit).tolist(), np.searchsorted(rows, lrow[first]),
-                   mask[first], rec_val)
+            for a, b in _runs(n_leaves[positive]):
+                rows = positive[a:b]
+                ga, gb = np.searchsorted(grow, [rows[0], rows[-1] + 1])
+                grp, mask, val = _expand(lanes.mul, gw[:, ga:gb], at[ga:gb], q, off, live[ga:gb], base_mask[ga:gb])
+                nz = lanes.nonzero(val)
+                lrow, mask, val = grow[ga:gb][grp[nz]], mask[nz], val.compress(nz, axis=1)
+                labels, first = _first_seen(lrow, mask)
+                yield (sids[rows], lanes.mul(totals.take(rows, axis=1), unit), np.searchsorted(rows, lrow[first]),
+                       mask[first], lanes.sum_at(labels, val, len(first)))
+
+    return lanes, blocks()
 
 
 def integrated_rc(spec: GibbsSpec) -> IntegratedRC:
@@ -474,49 +488,56 @@ def integrated_rc(spec: GibbsSpec) -> IntegratedRC:
     under slice reflection by construction; its coins are read from
     pair_coin_table, the one coin source. Every spec takes the same route
     through the pattern blocks, whatever its size, and their caps bound the
-    work. A mask's probability sums its slice weights in slice order, and
-    masks keep the order of their first slice record; it is divided by the
-    total once, into a Fraction on an exact spec.
+    work. Each block's records are merged into the masks seen so far by one
+    _first_seen and one in-order sum, so a mask's probability sums its slice
+    weights in slice order, and masks keep the order of their first slice
+    record; it is divided by the total once, into a Fraction on an exact
+    spec.
     """
-    sums = {}
-    grand = 0
-    for _, totals, _, rec_mask, rec_val in _pattern_blocks(spec):
-        for total in totals:
-            grand += total
-        for m, v in zip(rec_mask.tolist(), rec_val.tolist()):
-            sums[m] = sums.get(m, 0) + v
+    lanes, blocks = _pattern_blocks(spec)
+    masks, sums, totals = np.zeros(0, np.int64), lanes.zeros(0), [lanes.zeros(0)]
+    for _, block_totals, _, rec_mask, rec_val in blocks:
+        totals.append(block_totals)
+        masks = np.concatenate([masks, rec_mask])
+        labels, first = _first_seen(masks)
+        sums = lanes.sum_at(labels, np.concatenate([sums, rec_val], axis=1), len(first))
+        masks = masks[first]
+    grand = lanes.total(np.concatenate(totals, axis=1))
     if grand == 0:
         raise ZeroSliceError("zero measure")
     div = Fraction if spec.exact else operator.truediv
-    patterns = {m: div(w, grand) for m, w in sums.items()}
     return IntegratedRC(
         spec.graph.n_vertices,
         tuple(eb.vertices for eb in effective_bonds(spec)),
-        patterns,
+        {m: div(w, grand) for m, w in zip(masks.tolist(), lanes.values(sums))},
         spec.exact,
     )
 
 
 def _slice_connections(spec: GibbsSpec, A, B, sigma=None):
-    """(sigma, total, joined weight) per slice of positive weight, in slice
-    order, of one scale: each block's distinct masks are labelled in one
-    batch as the block arrives, and a slice adds its joined records in
-    order from 0 and forms its sigma from its id. sigma limits the walk to it."""
+    """(lanes, ids, totals, joined) over the slices of positive weight, in
+    slice order: their ids in twocopy._slice_sums, and in lanes of one scale
+    their totals and joined weights. Each block's distinct masks are labelled
+    in one batch as the block arrives, and a slice adds its joined records
+    in order from 0. sigma limits the walk to it."""
     bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
-    sums = _slice_sums(spec, sigma)
-    for sids, totals, rec_slice, rec_mask, rec_val in _pattern_blocks(spec, sigma):
+    lanes, blocks = _pattern_blocks(spec, sigma)
+    ids, totals, hits = [np.zeros(0, np.int64)], [lanes.zeros(0)], [lanes.zeros(0)]
+    for sids, block_totals, rec_slice, rec_mask, rec_val in blocks:
         conn = joined(spec.graph.n_vertices, bond_vertices, rec_mask, A, B)
-        num = np.zeros(len(sids), dtype=rec_val.dtype)
-        np.add.at(num, rec_slice[conn], rec_val[conn])
-        yield from zip(product_outcomes(sids, sums), totals, num.tolist())
+        ids.append(sids)
+        totals.append(block_totals)
+        hits.append(lanes.sum_at(rec_slice[conn], rec_val.compress(conn, axis=1), len(sids)))
+    return lanes, np.concatenate(ids), np.concatenate(totals, axis=1), np.concatenate(hits, axis=1)
 
 
 def slice_connection_prob(spec: GibbsSpec, sigma, A, B):
     """Probability of the active connection event inside one overlap slice."""
     div = Fraction if spec.exact else operator.truediv
-    for _, total, joined in _slice_connections(spec, A, B, sigma):
-        return div(joined, total)
-    raise ZeroSliceError("overlap configuration has probability zero")
+    lanes, _, totals, hits = _slice_connections(spec, A, B, sigma)
+    if not totals.shape[1]:
+        raise ZeroSliceError("overlap configuration has probability zero")
+    return div(lanes.values(hits)[0], lanes.values(totals)[0])
 
 
 def sigma_connection_profile(spec: GibbsSpec, A, B):
@@ -525,21 +546,19 @@ def sigma_connection_profile(spec: GibbsSpec, A, B):
     Returns (rows, pbar) where rows list (sigma, rho, conn prob given
     sigma) over slices of positive weight and pbar is the integrated
     connection probability. Each value is one division, into a Fraction on
-    an exact spec; slices that join nothing share one zero of that type.
+    an exact spec, of ints rebuilt once from their lanes; slices that join
+    nothing share one zero of that type.
     """
     div = Fraction if spec.exact else operator.truediv
     zero = Fraction(0) if spec.exact else 0.0
-    rows = []
-    grand = 0
-    acc = 0
-    for sigma, total, joined in _slice_connections(spec, A, B):
-        grand += total
-        rows.append((sigma, total, div(joined, total) if joined else zero))
-        acc += joined
+    lanes, ids, totals, hits = _slice_connections(spec, A, B)
+    grand = lanes.total(totals)
     if grand == 0:
         raise ZeroSliceError("zero measure")
-    rows = [(s, div(t, grand), p) for s, t, p in rows]
-    return rows, div(acc, grand)
+    sigmas = product_outcomes(ids, _slice_sums(spec))
+    rows = [(s, div(t, grand), div(h, t) if h else zero)
+            for s, t, h in zip(sigmas, lanes.values(totals), lanes.values(hits))]
+    return rows, div(lanes.total(hits), grand)
 
 
 # ---------------------------------------------------------------------------

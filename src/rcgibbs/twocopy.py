@@ -8,8 +8,13 @@ configuration and of its reflection through the sum.
 The pair walk's index lists depend only on a spec's shape, its domains and
 slice sums, not on its couplings. The module keeps the most recently used
 ones of full walks, read-only, in one bounded cache (_retained, at most
-1 MiB in 64 entries), so specs of one shape walked in turn build them once.
-A one-slice walk seldom repeats its slice and keeps nothing.
+1 MiB, array headers counted), so specs of one shape walked in turn build
+them once. A one-slice walk seldom repeats its slice and keeps nothing.
+
+The walk's values run in lanes of machine words: one float64 lane for a
+float spec, and for an exact one int64 residues modulo fixed primes below
+2**31, as many as the walk's bound needs, rebuilt into Python ints once per
+output (_Residues).
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import collections
 import functools
 import itertools
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,20 +102,21 @@ class _Retained:
 
     get(key, build, size) returns the tuple build() made for key. It keeps
     the tuple only when size(tuple), the pairs or cells it lists, is at most
-    _BLOCK_CELLS, and drops the oldest tuples past max_bytes of array data
-    or MAX_ENTRIES tuples (which bounds the arrays' own headers, about 100
-    bytes each, when the tuples are small). hits and misses count the gets.
-    A lock guards the bookkeeping, not build(), so threads may share the
-    cache.
+    _BLOCK_CELLS, and drops the oldest tuples past max_bytes, counting each
+    array's data and its header (_HEADER bytes). hits and misses count the
+    gets. A lock guards the bookkeeping, not build(), so threads may share
+    the cache.
     """
-
-    MAX_ENTRIES = 64
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.entries = collections.OrderedDict()
         self.nbytes = self.hits = self.misses = 0
         self.lock = threading.Lock()
+
+    @staticmethod
+    def size(arrays) -> int:
+        return sum(a.nbytes + _HEADER for a in arrays)
 
     def get(self, key, build, size):
         with self.lock:
@@ -126,10 +133,15 @@ class _Retained:
             with self.lock:
                 if key not in self.entries:  # another thread may have built it meanwhile
                     self.entries[key] = arrays
-                    self.nbytes += sum(a.nbytes for a in arrays)
-                    while self.nbytes > self.max_bytes or len(self.entries) > self.MAX_ENTRIES:
-                        self.nbytes -= sum(a.nbytes for a in self.entries.popitem(last=False)[1])
+                    self.nbytes += self.size(arrays)
+                    while self.nbytes > self.max_bytes:
+                        self.nbytes -= self.size(self.entries.popitem(last=False)[1])
         return arrays
+
+
+# The bytes of an array object without its data, which a cache of small
+# arrays must count too.
+_HEADER = sys.getsizeof(np.empty(0))
 
 
 # The shape-only part of PairWalk.blocks (see PairWalk), which specs of one
@@ -142,9 +154,133 @@ _retained = _Retained(1 << 20)
 
 def _scaled(values):
     """Exact rationals as Python ints over one denominator D, the lcm of
-    theirs: (object array of the numerators, D)."""
+    theirs: (list of the numerators, D)."""
     D = math.lcm(*(v.denominator for v in values))
-    return np.array([v.numerator * (D // v.denominator) for v in values], dtype=object), D
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
+# The arithmetic of a walk's values, in lanes: a (k, n) array holds n values.
+# A float walk has one lane of float64. An exact walk's values are
+# nonnegative ints of one scale, at most a bound known before the walk
+# (PairWalk.lanes), so it carries each as its residues modulo the k leading
+# _PRIMES whose product exceeds the bound, in int64: a product of two residues
+# fits in 62 bits, and a value is 0 exactly when all its residues are. Each
+# output int is rebuilt once, by Garner's mixed-radix reconstruction (Garner,
+# IRE Trans. EC-8, 140, 1959; Knuth, TAOCP vol. 2, 4.3.2).
+
+_PRIMES = [2**31 - 1]  # the lane moduli found so far: primes below 2**31, descending
+_PRIMES_LOCK = threading.Lock()
+
+
+def _lane_primes(bound: int) -> list:
+    """The fewest leading _PRIMES, at least one, whose product exceeds bound;
+    primes past the known ones are found by trial division below the last."""
+    with _PRIMES_LOCK:
+        k, product = 1, _PRIMES[0]
+        while product <= bound:
+            if k == len(_PRIMES):
+                n = _PRIMES[-1] - 2
+                odd = np.arange(3, math.isqrt(n) + 1, 2)
+                while (n % odd == 0).any():
+                    n -= 2
+                _PRIMES.append(n)
+            product *= _PRIMES[k]
+            k += 1
+        return _PRIMES[:k]
+
+
+class _Floats:
+    """One lane of float64: (1, n) arrays, added in index order."""
+
+    k, dtype = 1, float  # the number of lanes and the type of their values
+
+    def of(self, values) -> np.ndarray:
+        return np.asarray(values, dtype=float).reshape(1, -1)
+
+    def zeros(self, n: int) -> np.ndarray:
+        return np.zeros((self.k, n), self.dtype)
+
+    def mul(self, a, b):
+        return a * b
+
+    def nonzero(self, a) -> np.ndarray:
+        return a[0] != 0
+
+    def sum_at(self, index, values, n: int) -> np.ndarray:
+        """(k, n) sums of values[:, i] into column index[i], each from 0 in
+        the order of i (np.add.at)."""
+        out = self.zeros(n)
+        for o, v in zip(out, values):
+            np.add.at(o, index, v)
+        return out
+
+    def values(self, a) -> list:
+        """The Python numbers of a (k, n) array."""
+        return a[0].tolist()
+
+    def total(self, a):
+        """The sum of a (k, n) array's values from 0, in order."""
+        return self.values(self.sum_at(np.zeros(a.shape[1], np.intp), a, 1))[0]
+
+
+_FLOATS = _Floats()
+
+
+class _Residues(_Floats):
+    """int64 residues of nonnegative ints up to bound, modulo _lane_primes(bound)."""
+
+    dtype = np.int64
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.primes = _lane_primes(bound)
+        self.k = len(self.primes)
+        self.p = np.array(self.primes, dtype=np.int64)[:, None]
+        # Garner's constants: 1 / (p_0 ... p_{i-1}) and p_j mod p_i
+        self.inverse = [pow(math.prod(self.primes[:i]), -1, p) for i, p in enumerate(self.primes)]
+        self.radix = [[q % p for q in self.primes[:i]] for i, p in enumerate(self.primes)]
+
+    def of(self, values) -> np.ndarray:
+        values = list(values)
+        return np.array([[v % p for v in values] for p in self.primes], np.int64).reshape(self.k, len(values))
+
+    def mod(self, x):
+        """x modulo the lanes' primes. Past a few thousand values a lane, a
+        floor division of each lane by its prime, which numpy runs as a
+        multiply, beats one broadcast %, which divides (x is overwritten)."""
+        if x.shape[1] < 2048:
+            return x % self.p
+        for row, p in zip(x, self.primes):
+            row -= row // p * p
+        return x
+
+    def mul(self, a, b):
+        return self.mod(a * b)
+
+    def nonzero(self, a) -> np.ndarray:
+        return (a != 0).any(axis=0)
+
+    def sum_at(self, index, values, n: int) -> np.ndarray:
+        return self.mod(super().sum_at(index, values, n))
+
+    def values(self, a) -> list:
+        """The ints of a (k, n) residue array, by Garner: lane i's mixed-radix
+        digit is its residue less the digits below, over p_0 ... p_{i-1}."""
+        digits = []
+        for x, p, inverse, radix in zip(a, self.primes, self.inverse, self.radix):
+            below = np.zeros_like(x)
+            for d, r in zip(digits[::-1], radix[::-1]):
+                below = (below * r + d) % p
+            digits.append((x - below) % p * inverse % p)
+        # value = a_0 + r_0 (a_1 + r_1 (a_2 + ...)), a_i = d_2i + p_2i d_2i+1 in
+        # 62 bits and r_i = p_2i p_2i+1: half the digits become Python ints
+        pairs = [d + p * e for d, e, p in zip(digits[::2], digits[1::2], self.primes[::2])]
+        pairs += digits[len(pairs) * 2:]
+        radix = [p * q for p, q in zip(self.primes[::2], self.primes[1::2])]
+        value = pairs[-1].astype(object)
+        for a, r in zip(pairs[-2::-1], radix[len(pairs) - 2::-1]):
+            value = value * r + a.astype(object)
+        return value.tolist()
 
 
 def _slice_sums(spec: GibbsSpec, sigma=None):
@@ -175,10 +311,13 @@ class PairWalk:
     Exact specs run on integers. Each bond table is scaled to ints over the
     lcm of its denominators (_scaled), so weights holds each configuration's
     weight times D, the product of those scales, as Python ints in an object
-    array; every pair weight and slice total of blocks() is an int over
-    D**2, and a caller forms each Fraction once, from a ratio of such ints
-    (the scales cancel). Float specs hold float64 weights; one whose pairs
-    could overflow raises RcgibbsError.
+    array, and total their sum. Every pair weight and slice total of
+    blocks() is an int over D**2, at most total**2; blocks() carries them as
+    int64 residues in the lanes of lanes(unit), which hold every sum of pair
+    weights times unit, and a caller rebuilds each output int once and forms
+    each Fraction from a ratio of such ints (the scales cancel). Float specs
+    hold float64 weights, in one lane; one whose pairs could overflow raises
+    RcgibbsError.
 
     blocks() splits in two. The shape-only part, the run tables and each
     block's (row, c1, c2) lists, comes from _retained: the tables keyed by
@@ -186,7 +325,7 @@ class PairWalk:
     that and its slice range [lo, hi), which carries cells_per_pair. Only
     tables and blocks of at most _BLOCK_CELLS pairs are kept, and only the
     lists of walks whose lists fit the cache at once; retained arrays are
-    read-only, and the cache holds at most 1 MiB of them in 64 entries. A
+    read-only, and the cache holds at most 1 MiB of them, headers counted. A
     walk given sigma builds its tables and lists directly and keeps none:
     its slice seldom comes again. The weights part, w(c1) * w(c2), the zero
     filter and the slice totals, runs per walk.
@@ -208,8 +347,15 @@ class PairWalk:
         if not exact and len(weights) and weights.max() > 1e154:  # below the square root of the largest float
             raise RcgibbsError("two-copy pair weight overflow; rescale couplings")
         self.weights = weights
+        self.total = sum(weights.tolist()) if exact else None
 
-    def blocks(self, cells_per_pair: int = 1):
+    def lanes(self, unit: int = 1):
+        """The lanes of the walk's values times unit: float64 on a float spec;
+        on an exact one residues up to total**2 * unit, which bounds every
+        sum of pair weights times unit."""
+        return _Residues(self.total**2 * unit) if self.total is not None else _FLOATS
+
+    def blocks(self, cells_per_pair: int = 1, lanes=None):
         """Blocks of whole slices, in order, of at most _BLOCK_CELLS cells at
         cells_per_pair cells per pair (a larger slice makes a block alone),
         each listing its pairs by a ragged product over runs of vertices.
@@ -217,24 +363,25 @@ class PairWalk:
         Yields (slices, totals, row, c1, c2, weight) per block: the slices'
         ids and weights, each summed in pair order, and per pair its slice
         (an index into slices), both copies' configurations and w(c1) * w(c2).
-        The run tables and the pair lists of a full walk come from _retained
-        (see the class).
+        Totals and weights are in lanes (default self.lanes()), one column
+        per value. The run tables and the pair lists of a full walk come from
+        _retained (see the class).
         """
+        if lanes is None:
+            lanes = self.lanes()
         shape = (tuple(map(tuple, self.sums)), tuple(map(tuple, self.domains)), len(self.weights), _BLOCK_CELLS)
         build = functools.partial(_run_tables, self.sums, self.domains, len(self.weights))
         n_pairs, *tables = _retained.get(shape, build, lambda t: sum(map(len, t[3::4]))) if self.retain else build()
         tables = list(zip(*[iter(tables)] * 4))
         fits = self.retain and 12 * int(n_pairs.sum()) <= _retained.max_bytes  # all the walk's lists at once
-        W = self.weights
+        W = lanes.of(self.weights)
         for lo, hi in _runs(n_pairs * cells_per_pair):
             lists = functools.partial(_pair_lists, tables, lo, hi)
             row, c1, c2 = _retained.get((shape, lo, hi), lists, lambda t: len(t[0])) if fits else lists()
-            w = W[c1] * W[c2]
-            keep = w != 0
-            row, c1, c2, w = row[keep], c1[keep], c2[keep], w[keep]
-            totals = np.zeros(hi - lo, dtype=W.dtype)
-            np.add.at(totals, row, w)
-            yield np.arange(lo, hi), totals, row, c1, c2, w
+            w = lanes.mul(W.take(c1, axis=1), W.take(c2, axis=1))
+            keep = lanes.nonzero(w)
+            row, c1, c2, w = row[keep], c1[keep], c2[keep], w.compress(keep, axis=1)
+            yield np.arange(lo, hi), lanes.sum_at(row, w, hi - lo), row, c1, c2, w
 
 
 def _run_tables(sums, domains, n_configs: int) -> tuple:
@@ -299,9 +446,11 @@ def overlap_distribution(spec: GibbsSpec) -> FiniteDistribution:
     total.
     """
     walk = PairWalk(spec)
-    totals = np.concatenate([totals for _, totals, *_ in walk.blocks()])
-    if not (totals != 0).any():
+    lanes = walk.lanes()
+    totals = np.concatenate([lanes.zeros(0), *(totals for _, totals, *_ in walk.blocks(lanes=lanes))], axis=1)
+    if not lanes.nonzero(totals).any():
         raise ZeroSliceError("zero measure: every configuration forbidden")
+    totals = np.array(lanes.values(totals), dtype=object) if spec.exact else totals[0]
     return FiniteDistribution.over_product(walk.sums, totals, sites=spec.region, normalize=True)
 
 
@@ -313,9 +462,10 @@ def nonoverlap_distribution(spec: GibbsSpec, sigma) -> FiniteDistribution:
     Outcomes of positive weight only, in first-copy order.
     """
     walk = PairWalk(spec, sigma)
+    lanes = walk.lanes()
     table = {}
-    for _, _, _, c1, _, w in walk.blocks():
-        table.update(zip(product_outcomes(c1, walk.domains), w.tolist()))
+    for _, _, _, c1, _, w in walk.blocks(lanes=lanes):
+        table.update(zip(product_outcomes(c1, walk.domains), lanes.values(w)))
     if not table:
         raise ZeroSliceError("overlap configuration has probability zero")
     return FiniteDistribution(table, sites=spec.region, normalize=True)
@@ -432,16 +582,17 @@ def decompose_event(spec: GibbsSpec, predicate):
     weights, one Fraction.
     """
     walk = PairWalk(spec)
+    lanes = walk.lanes()
     hit = np.array([bool(predicate(o)) for o in itertools.product(*walk.domains)])
-    totals, events = [], []
-    for _, tot, row, c1, _, w in walk.blocks():
-        ev = np.zeros(len(tot), dtype=tot.dtype)
-        np.add.at(ev, row[hit[c1]], w[hit[c1]])
-        totals += tot.tolist()
-        events += ev.tolist()
-    grand = sum(totals)
+    totals, events = [lanes.zeros(0)], [lanes.zeros(0)]
+    for _, tot, row, c1, _, w in walk.blocks(lanes=lanes):
+        h = hit[c1]
+        totals.append(tot)
+        events.append(lanes.sum_at(row[h], w.compress(h, axis=1), tot.shape[1]))
+    totals, events = np.concatenate(totals, axis=1), np.concatenate(events, axis=1)
+    grand = lanes.total(totals)
     if grand == 0:
         raise ZeroSliceError("zero measure: every configuration forbidden")
     if spec.exact:
-        return Fraction(sum(events), grand)
-    return sum(t / grand * (e / t) for t, e in zip(totals, events) if t != 0)
+        return Fraction(lanes.total(events), grand)
+    return sum(t / grand * (e / t) for t, e in zip(lanes.values(totals), lanes.values(events)) if t != 0)

@@ -92,7 +92,10 @@ class FractionWalk:
             self.domains = list(sl.admissible)
             self.sums = [[s] for s in sl.sigma]
         self.indices = [tuple(map(spec.alphabet.index, d)) for d in self.domains]
-        self.weights = config_weights(spec, domains=self.indices)
+        weights = config_weights(spec, domains=self.indices)
+        if spec.exact:  # Fractions even where every factor is an int
+            weights = np.array([Fraction(w) for w in weights.tolist()], dtype=object)
+        self.weights = weights
 
     def blocks(self, cells_per_pair=1):
         budget = twocopy._BLOCK_CELLS

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
+from model_strategies import small_models
 from rcgibbs import cli
 from rcgibbs.cli import main
 from rcgibbs.gibbs import gibbs_measure
@@ -563,38 +564,10 @@ def test_option_values_starting_with_dash(tmp_path, model_file, capsys, argv, co
     assert runs[0][0] == code and runs[0][1].count("\n") == (code != 0)
 
 
-@st.composite
-def _small_models(draw):
-    """A model file dict and arguments for every model-taking command: 2 or
-    3 spin values, hyperbonds of 1-3 vertices with some zero factors, site
-    factors that forbid values (the model file's domains) and boundary spins;
-    at most 6 sites with 2 values and 4 with 3, to keep exact runs short.
-    The A and B vertices of perc ibar may lie one step outside the graph;
-    the third item says whether one does."""
-    values = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=3, unique=True))
-    S = len(values)
-    n = draw(st.integers(1, 6 if S == 2 else 4))
-    vertex = st.integers(0, n - 1)
-    bonds = draw(st.lists(st.lists(vertex, min_size=1, max_size=3, unique=True), min_size=1, max_size=6))
-    factor = st.sampled_from([0, 0, 1, 2, 3, 0.5])
-    tables = [draw(st.lists(factor, min_size=S ** len(b), max_size=S ** len(b))) for b in bonds]
-    for v, allowed in draw(st.dictionaries(vertex, st.lists(st.booleans(), min_size=S, max_size=S),
-                                           max_size=2)).items():
-        bonds.append([v])
-        tables.append([int(a) for a in allowed])
-    boundary = draw(st.dictionaries(vertex, st.sampled_from(values), max_size=2))
-    region = [v for v in range(n) if v not in boundary]
-    sums = sorted({a + b for a in values for b in values})
-    sigma = draw(st.lists(st.sampled_from(sums), min_size=len(region), max_size=len(region)))
-    endpoint = st.integers(-1, n)
-    A = draw(st.lists(endpoint, min_size=1, max_size=2, unique=True))
-    B = draw(st.lists(endpoint, min_size=1, max_size=2, unique=True))
-    model = {
-        "graph": {"n": n, "bonds": bonds},
-        "alphabet": values,
-        "interaction": {"tables": [{"bond": k, "factors": f} for k, f in enumerate(tables)]},
-        "boundary": {str(v): a for v, a in boundary.items()},
-    }
+def _commands(model, sigma, A, B):
+    """Arguments for every model-taking command on a small_models draw, and
+    whether an A or B vertex of perc ibar lies outside the graph."""
+    n = model["graph"]["n"]
     ab = ["--A", ",".join(map(str, A)), "--B", ",".join(map(str, B))]
     commands = [
         ["gibbs", "eval"],
@@ -605,16 +578,17 @@ def _small_models(draw):
         ["perc", "ibar", *ab],
         ["perc", "ibar", *ab, "--mc", "4", "--seed", "1"],
     ]
-    return model, commands, not all(0 <= v < n for v in A + B)
+    return commands, not all(0 <= v < n for v in A + B)
 
 
-@given(_small_models())
+@given(small_models())
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 def test_model_commands_keep_the_exit_code_contract(case):
     # any small model: success, violation, usage error or cap, never an
     # internal error, and never more than one line on stderr; perc ibar with
     # a vertex outside the graph is a usage error
-    model, commands, outside = case
+    model = case[0]
+    commands, outside = _commands(*case)
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/model.json"
         with open(path, "w") as fh:

@@ -7,17 +7,25 @@ Fraction, of the same type, in the same dict and row order, and on each
 spec's float twin the same floats bit for bit.
 """
 
+import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import fraction_kernel as oracle
 from conftest import random_binary_spec
+from model_strategies import small_exact_models
 from test_percolation import _three_valued_spec
-from rcgibbs import twocopy
+from rcgibbs import percolation, twocopy
+from rcgibbs.errors import UsageError, ZeroSliceError
 from rcgibbs.gibbs import Alphabet, BondTable, GibbsSpec, Interaction, SPIN, effective_bonds
 from rcgibbs.lattice import build_grid, hypergraph
-from rcgibbs.models import example1_exact_spec, hardcore_spec, ising_exact_spec
+from rcgibbs.models import example1_exact_spec, hardcore_spec, ising_exact_spec, spec_from_dict
 from rcgibbs.percolation import integrated_rc, pair_coin_table, sigma_connection_profile, slice_connection_prob
 from rcgibbs.rng import stream
 from rcgibbs.twocopy import decompose_event, nonoverlap_distribution, overlap_distribution
@@ -150,3 +158,162 @@ def test_exact_3x3_grid_profile_agrees_with_its_float_twin():
         assert isinstance(rho, Fraction) and isinstance(p, Fraction)
         assert abs(float(rho) - frho) < 1e-12 and abs(float(p) - fp) < 1e-12
     assert sum(rho for _, rho, _ in rows) == 1
+
+
+# ---------------------------------------------------------------------------
+# the residue lanes: any small exact model, small primes, the lane boundary
+
+
+@given(small_exact_models())
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+def test_residue_kernel_matches_fraction_oracle_on_small_models(case):
+    model, sigma, A, B = case
+    try:
+        spec = spec_from_dict(model)
+    except UsageError:  # a table of zeros; the CLI refuses it
+        assume(False)
+    assert spec.exact
+    A, B = ({v for v in R if 0 <= v < spec.graph.n_vertices} for R in (A, B))
+    try:
+        oracle.laws(spec, A, B)
+    except ZeroDivisionError:  # every configuration forbidden
+        with pytest.raises(ZeroSliceError):
+            integrated_rc(spec)
+        return
+    _check_laws(spec, A, B)
+    try:  # the drawn slice, through a one-slice walk
+        want = oracle.slice_connection_prob(spec, sigma, A, B)
+    except ZeroSliceError:  # a sum no two domain values make
+        want = None
+    if want is None:
+        with pytest.raises(ZeroSliceError):
+            slice_connection_prob(spec, sigma, A, B)
+    else:
+        assert _typed(slice_connection_prob(spec, sigma, A, B)) == _typed(want)
+
+
+def _lanes(spec):
+    return len(percolation._pattern_blocks(spec)[0].primes)
+
+
+@pytest.mark.parametrize("name", ["ising_exact_3x2", "wide_coins_exact"])
+def test_small_primes_give_the_oracle_fractions(monkeypatch, name):
+    # lanes modulo primes below 2**12, found below 4093 as the bound needs
+    spec = dict(SMALL)[name]()
+    monkeypatch.setattr(twocopy, "_PRIMES", [4093])
+    assert _lanes(spec) >= 6
+    assert twocopy._PRIMES[:3] == [4093, 4091, 4079]
+    _check_laws(spec, {spec.region[0]}, {spec.region[-1]})
+
+
+def _coprime_parts(n: int) -> list:
+    """n's prime-power factors, largest first: pairwise coprime moduli whose
+    product is n."""
+    parts, p = [], 2
+    while n > 1:
+        q = 1
+        while n % p == 0:
+            n, q = n // p, q * p
+        if q > 1:
+            parts.append(q)
+        p += 1
+    return sorted(parts, reverse=True)
+
+
+def test_bound_at_a_lane_boundary(monkeypatch):
+    # a full walk's grand total is its bound G = total**2 * the coin scales,
+    # so lanes whose moduli multiply to G exactly would read it as 0: the
+    # lanes must multiply past G, and moduli multiplying to G + 1 suffice
+    spec = example1_exact_spec(Fraction(3), Fraction(5, 2))
+    bound = percolation._pattern_blocks(spec)[0].bound
+    for n, extra in ((bound, 1), (bound + 1, 0)):
+        parts = _coprime_parts(n)
+        assert max(parts) < 1 << 31
+        monkeypatch.setattr(twocopy, "_PRIMES", parts + [2**31 - 1])
+        assert _lanes(spec) == len(parts) + extra
+        _check_laws(spec, {0}, {2})
+
+
+class _NoObjectArrays:
+    """numpy with every function checked: none may return an object array."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        f = getattr(np, name)
+        if not callable(f) or isinstance(f, (type, np.ufunc)):
+            return f
+
+        def checked(*args, **kwargs):
+            out = f(*args, **kwargs)
+            for a in out if isinstance(out, tuple) else (out,):
+                assert not (isinstance(a, np.ndarray) and a.dtype == object), name
+            self.calls += 1
+            return out
+
+        return checked
+
+
+def test_exact_kernel_builds_no_object_array(monkeypatch):
+    # pair_coin_table's Fractions are its output, made before the patch; the
+    # walk's config_weights are Python ints, which the lanes take as given
+    spec = ising_exact_spec(build_grid(3, 2), Fraction(3, 2))
+    coins = pair_coin_table(spec)
+    monkeypatch.setattr(percolation, "pair_coin_table", lambda s: coins)
+    checked = _NoObjectArrays()
+    monkeypatch.setattr(percolation, "np", checked)
+    monkeypatch.setattr(twocopy, "np", checked)
+    lanes, blocks = percolation._pattern_blocks(spec)
+    blocks = list(blocks)
+    assert checked.calls > 50 and len(lanes.primes) > 1
+    for block in blocks:
+        assert all(a.dtype != object for a in block)
+    for _, _, _, _, _, w in twocopy.PairWalk(spec).blocks():
+        assert w.dtype == np.int64
+
+
+def test_lane_primes_shared_by_threads(monkeypatch):
+    # four threads released at once each need about 100 more primes than the
+    # list holds, which grows by trial division below its last prime: every
+    # prime must be found once, in descending order, whatever the interleaving
+    monkeypatch.setattr(twocopy, "_PRIMES", [4093])
+    start = threading.Barrier(4)
+    errors, got = [], []
+
+    def work():
+        try:
+            start.wait(timeout=60)
+            got.append(twocopy._lane_primes((1 << 1200) - 1))
+        except Exception as e:  # a race shows as an exception in a worker
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    primes = twocopy._PRIMES
+    assert not errors and len(got) == 4 and all(g == primes for g in got)
+    assert primes == sorted(set(primes), reverse=True) and math.prod(primes[:-1]) < 1 << 1200 < math.prod(primes)
+    assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
+
+
+def test_residue_arithmetic_matches_python_ints():
+    # below 2048 values a lane the lanes reduce by one broadcast %, past it
+    # by a floor division per lane: both must give the ints' residues
+    rng = random.Random(5)
+    lanes = twocopy._Residues((1 << 400) - 1)
+    for n in (5, 3000):
+        a, b, c = ([rng.randrange(1 << 130) for _ in range(n)] for _ in range(3))
+        product = lanes.mul(lanes.mul(lanes.of(a), lanes.of(b)), lanes.of(c))
+        assert lanes.values(product) == [x * y * z for x, y, z in zip(a, b, c)]
+        index = [rng.randrange(7) for _ in range(n)]
+        sums = [sum(x for x, i in zip(a, index) if i == j) for j in range(7)]
+        assert lanes.values(lanes.sum_at(np.array(index), lanes.of(a), 7)) == sums

@@ -202,6 +202,22 @@ def test_reach_table_matches_direct_labelling(monkeypatch, m):
     assert table.T.tolist() == [_reach_oracle(n, bonds, mask) for mask in range(1 << len(bonds))]
 
 
+def test_reach_keeps_many_small_structures(monkeypatch):
+    # 126 bond structures of 4 and 5 vertices, each table at most 2.5 KB: the
+    # cache's 1 MiB holds them all, so each one misses once, whatever their
+    # number
+    cache = twocopy._Retained(1 << 20)
+    monkeypatch.setattr(examples, "_reach", cache)
+    edges = list(itertools.combinations(range(4), 2))
+    structures = [(n, tuple(e for k, e in enumerate(edges) if s >> k & 1)) for n in (4, 5) for s in range(1, 64)]
+    for _ in range(2):
+        for n, bonds in structures:
+            masks = np.arange(1 << len(bonds))
+            assert np.array_equal(examples._reach_of(n, bonds, masks), examples._chain_reach(n, bonds, masks))
+    assert (cache.misses, cache.hits, len(cache.entries)) == (126, 126, 126)
+    assert cache.nbytes == sum(map(cache.size, cache.entries.values())) <= cache.max_bytes
+
+
 def _all_subsets_spec():
     """4 sites and one bond on every nonempty vertex set: 15 bonds, so the
     reach table would hold 4 * 2**15 = 2**17 cells, past _BLOCK_CELLS."""
@@ -212,7 +228,8 @@ def _all_subsets_spec():
 
 
 def test_model_past_the_cell_rule_labels_its_patterns_directly(monkeypatch):
-    cache = twocopy._Retained(1 << 20)
+    table = (8 << 17) + twocopy._HEADER  # 2**17 int64 cells and the array's header
+    cache = twocopy._Retained(table)
     monkeypatch.setattr(examples, "_reach", cache)
     spec = _all_subsets_spec()
 
@@ -223,7 +240,7 @@ def test_model_past_the_cell_rule_labels_its_patterns_directly(monkeypatch):
     assert (cache.hits, cache.misses, len(cache.entries)) == (0, 0, 0)
     monkeypatch.setattr(twocopy, "_BLOCK_CELLS", 1 << 17)
     assert run() == direct
-    assert (cache.hits, cache.misses) == (1, 1) and cache.nbytes == 8 << 17
+    assert (cache.hits, cache.misses) == (1, 1) and cache.nbytes == table
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,18 @@ from rcgibbs.lattice import (
     graph_from_dict,
     graph_to_dict,
     hypergraph,
-    _boundary_bruteforce,
 )
+
+
+def _boundary_bruteforce(h, region) -> frozenset[int]:
+    """The boundary by a direct scan of every bond: the vertices of each bond
+    that has a vertex inside region and one outside."""
+    lam = frozenset(region)
+    out = set()
+    for b in h.bonds:
+        if any(u in lam for u in b) and any(u not in lam for u in b):
+            out.update(b)
+    return frozenset(out)
 
 
 def test_boundary_path_middle_vertex():

@@ -577,7 +577,7 @@ def test_overlap_interior_bonds_never_active():
         rho = overlap_distribution(spec)
         for sigma in itertools.islice(rho.outcomes(), 0, 30, 3):
             K = {v for v, s in zip(spec.region, sigma) if s != 0}
-            for _, _, _, masks, _ in _pattern_blocks(spec, sigma):
+            for _, _, _, masks, _ in _pattern_blocks(spec, sigma)[1]:
                 for j, verts in enumerate(irc_bonds):
                     if set(verts) <= K:
                         assert all(not (mask >> j) & 1 for mask in masks.tolist())
@@ -752,7 +752,7 @@ def test_pattern_kernel_matches_slice_loop_literally(monkeypatch, name, make, fa
     cells = spec.n_states() ** 2 * max(len(effective_bonds(spec)), 1)
     for budget, one_block in ((twocopy._BLOCK_CELLS, True), (cells // 8, False)):
         monkeypatch.setattr(twocopy, "_BLOCK_CELLS", budget)
-        assert (sum(1 for _ in _pattern_blocks(spec)) == 1) == one_block
+        assert (sum(1 for _ in _pattern_blocks(spec)[1]) == 1) == one_block
         irc = integrated_rc(spec)
         # literal equality, dict order included: floats bit for bit, Fractions exactly
         assert list(irc.patterns.items()) == list(patterns.items())
@@ -787,11 +787,11 @@ def test_pattern_blocks_peak_memory_is_bounded():
     # budget.
     spec = ising_spec(build_grid(4, 2), 0.5)
     assert spec.n_states() ** 2 * len(effective_bonds(spec)) == 10 << 16
-    for _ in _pattern_blocks(spec):  # imports and caches outside the trace
+    for _ in _pattern_blocks(spec)[1]:  # imports and caches outside the trace
         pass
     tracemalloc.start()
     try:
-        for _ in _pattern_blocks(spec):
+        for _ in _pattern_blocks(spec)[1]:
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:

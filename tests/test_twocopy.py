@@ -418,12 +418,13 @@ def test_pair_walk_matches_replaced_routes(monkeypatch, name, make):
     # a small block budget splits every case into several blocks
     monkeypatch.setattr(twocopy, "_BLOCK_CELLS", spec.n_states() ** 2 // 8)
     walk = PairWalk(spec)
-    blocks = list(walk.blocks())
+    lanes = walk.lanes()
+    blocks = list(walk.blocks(lanes=lanes))
     assert len(blocks) > 1
-    totals = np.concatenate([totals for _, totals, *_ in blocks])
+    totals = np.concatenate([totals for _, totals, *_ in blocks], axis=1)
     sigmas = list(itertools.product(*walk.sums))
     want = _pair_loop_totals(spec)
-    totals = totals.tolist()
+    totals = lanes.values(totals)
     if spec.exact:
         # exact totals are ints over D**2, D the product over bond tables of
         # the lcm of each table's denominators
@@ -528,7 +529,7 @@ def test_walk_past_the_block_budget_retains_nothing(monkeypatch):
     spec = ising_spec(hypergraph(7, [(i, i + 1) for i in range(6)]), 0.4)
     list(PairWalk(spec).blocks())
     assert len(cache.entries) == 2
-    assert cache.nbytes == sum(a.nbytes for e in cache.entries.values() for a in e) <= cache.max_bytes
+    assert cache.nbytes == sum(map(cache.size, cache.entries.values())) <= cache.max_bytes
 
 
 def test_one_slice_walks_leave_the_cache_alone(monkeypatch):
@@ -546,23 +547,26 @@ def test_one_slice_walks_leave_the_cache_alone(monkeypatch):
 
 
 def test_retained_drops_the_least_recently_used():
-    cache = twocopy._Retained(100)
+    cost = np.zeros(5).nbytes + twocopy._HEADER  # an array's data and its header
+    cache = twocopy._Retained(3 * cost - 1)
     built = []
 
     def build(key):
         built.append(key)
-        return (np.zeros(5),)  # 40 bytes
+        return (np.zeros(5),)
 
     for key in ("a", "b", "a", "c", "b"):
         cache.get(key, lambda: build(key), len)
-    # past 100 bytes, c dropped b (a had been read since) and b then dropped a
+    # past two arrays, c dropped b (a had been read since) and b then dropped a
     assert built == ["a", "b", "c", "b"] and list(cache.entries) == ["c", "b"]
-    assert (cache.hits, cache.misses, cache.nbytes) == (1, 4, 80)
-    # small tuples are bounded by their count: the first of 65 is dropped
-    cache = twocopy._Retained(1 << 20)
-    for key in range(cache.MAX_ENTRIES + 1):
+    assert (cache.hits, cache.misses, cache.nbytes) == (1, 4, 2 * cost)
+    # small tuples are bounded by their bytes alone: 1 KiB holds the last
+    # floor(1024 / (8 + header)) one-float arrays
+    cache = twocopy._Retained(1 << 10)
+    for key in range(100):
         cache.get(key, lambda: (np.zeros(1),), len)
-    assert list(cache.entries) == list(range(1, cache.MAX_ENTRIES + 1)) and cache.nbytes == 8 * cache.MAX_ENTRIES
+    kept = (1 << 10) // (8 + twocopy._HEADER)
+    assert list(cache.entries) == list(range(100 - kept, 100)) and cache.nbytes == kept * (8 + twocopy._HEADER)
 
 
 def test_retained_shared_by_threads_keeps_its_books():
@@ -596,4 +600,4 @@ def test_retained_shared_by_threads_keeps_its_books():
         sys.setswitchinterval(interval)
     assert not errors and len(got) == 48 and all(text == want[j] for j, text in got)
     assert cache.hits + cache.misses > 48 and cache.hits > 0
-    assert cache.nbytes == sum(a.nbytes for e in cache.entries.values() for a in e) <= cache.max_bytes
+    assert cache.nbytes == sum(map(cache.size, cache.entries.values())) <= cache.max_bytes
