@@ -243,8 +243,9 @@ def _pair_groups(n: int) -> tuple:
 
 # The joint cells of _pair_values' chunks and the chain reach of every
 # activity mask of a bond structure (see there), which the sweep's models of
-# one size and of one structure share. Each keeps at most 1 MiB, array
-# headers counted, so many small tables fit.
+# one size and of one structure share. Each keeps at most 1 MiB of arrays,
+# headers counted but keys not, and has no entry cap, so many small tables
+# fit.
 _cells = twocopy._Retained(1 << 20)
 _reach = twocopy._Retained(1 << 20)
 

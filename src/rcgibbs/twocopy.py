@@ -8,8 +8,9 @@ configuration and of its reflection through the sum.
 The pair walk's index lists depend only on a spec's shape, its domains and
 slice sums, not on its couplings. The module keeps the most recently used
 ones of full walks, read-only, in one bounded cache (_retained, at most
-1 MiB, array headers counted), so specs of one shape walked in turn build
-them once. A one-slice walk seldom repeats its slice and keeps nothing.
+1 MiB of arrays, headers counted; its keys are not), so specs of one shape
+walked in turn build them once. A one-slice walk seldom repeats its slice
+and keeps nothing.
 
 The walk's values run in lanes of machine words: one float64 lane for a
 float spec, and for an exact one int64 residues modulo fixed primes below
@@ -103,9 +104,13 @@ class _Retained:
     get(key, build, size) returns the tuple build() made for key. It keeps
     the tuple only when size(tuple), the pairs or cells it lists, is at most
     _BLOCK_CELLS, and drops the oldest tuples past max_bytes, counting each
-    array's data and its header (_HEADER bytes). hits and misses count the
-    gets. A lock guards the bookkeeping, not build(), so threads may share
-    the cache.
+    array's data and its header (_HEADER bytes). There is no entry cap, so
+    many distinct small structures fit (the C04 sweep's reach tables at
+    n = 2000); no perfbench workload has that many. max_bytes bounds the
+    arrays only: each entry's key and dictionary node are not counted, so
+    a cache of tiny arrays (thousands of entries) holds more than it says.
+    hits and misses count the gets. A lock guards the bookkeeping, not
+    build(), so threads may share the cache.
     """
 
     def __init__(self, max_bytes: int):
@@ -244,24 +249,14 @@ class _Residues(_Floats):
         values = list(values)
         return np.array([[v % p for v in values] for p in self.primes], np.int64).reshape(self.k, len(values))
 
-    def mod(self, x):
-        """x modulo the lanes' primes. Past a few thousand values a lane, a
-        floor division of each lane by its prime, which numpy runs as a
-        multiply, beats one broadcast %, which divides (x is overwritten)."""
-        if x.shape[1] < 2048:
-            return x % self.p
-        for row, p in zip(x, self.primes):
-            row -= row // p * p
-        return x
-
     def mul(self, a, b):
-        return self.mod(a * b)
+        return a * b % self.p
 
     def nonzero(self, a) -> np.ndarray:
         return (a != 0).any(axis=0)
 
     def sum_at(self, index, values, n: int) -> np.ndarray:
-        return self.mod(super().sum_at(index, values, n))
+        return super().sum_at(index, values, n) % self.p
 
     def values(self, a) -> list:
         """The ints of a (k, n) residue array, by Garner: lane i's mixed-radix
@@ -325,9 +320,9 @@ class PairWalk:
     that and its slice range [lo, hi), which carries cells_per_pair. Only
     tables and blocks of at most _BLOCK_CELLS pairs are kept, and only the
     lists of walks whose lists fit the cache at once; retained arrays are
-    read-only, and the cache holds at most 1 MiB of them, headers counted. A
-    walk given sigma builds its tables and lists directly and keeps none:
-    its slice seldom comes again. The weights part, w(c1) * w(c2), the zero
+    read-only, and the cache holds at most 1 MiB of them, headers counted
+    (keys are not). A walk given sigma builds its tables and lists directly
+    and keeps none: its slice seldom comes again. The weights part, w(c1) * w(c2), the zero
     filter and the slice totals, runs per walk.
     """
 
@@ -590,7 +585,9 @@ def decompose_event(spec: GibbsSpec, predicate):
         totals.append(tot)
         events.append(lanes.sum_at(row[h], w.compress(h, axis=1), tot.shape[1]))
     totals, events = np.concatenate(totals, axis=1), np.concatenate(events, axis=1)
-    grand = lanes.total(totals)
+    # a float total keeps builtin sum's order, which is compensated from
+    # Python 3.12 on and so is not the lanes' in-order sum
+    grand = lanes.total(totals) if spec.exact else sum(lanes.values(totals))
     if grand == 0:
         raise ZeroSliceError("zero measure: every configuration forbidden")
     if spec.exact:
