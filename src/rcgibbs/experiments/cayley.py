@@ -79,27 +79,6 @@ def transition_matrix(J: float, t: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CayleyChain:
-    """A tree Markov chain at coupling J and field h with parameter t.
-
-    Construction checks the fixed-point equation to 1e-12; rows of the
-    transition matrix sum to one by construction.
-    """
-
-    J: float
-    h: float
-    t: float
-
-    def __post_init__(self):
-        if fixed_point_residual(self.J, self.h, self.t) > 1e-12:
-            raise ValueError("t is not a fixed point at (J, h)")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return transition_matrix(self.J, self.t)
-
-
-@dataclass(frozen=True)
 class CayleyActivity:
     """Bond-activity quantities at one (J, h, t) point.
 

@@ -169,9 +169,10 @@ def heat_bath_sweeps(s, qc: QuenchedCouplings, beta: float, rng, n_sweeps: int, 
     ws is a HeatBathWorkspace for (qc, beta, R); without one, the call
     builds its own. The spins are the same either way.
 
-    Random stream: per colour, one rng.random((R, n_colour)) draw, that is
-    one uniform per updated site, replica-major and in _checkerboard's site
-    order; a site becomes +1 when its uniform is below p_plus.
+    Random stream: per sweep, one rng.random draw of one uniform per
+    updated site: per colour in turn an (R, n_colour) block, replica-major
+    and in _checkerboard's site order. These are the values, in order, of
+    one draw per colour. A site becomes +1 when its uniform is below p_plus.
     """
     R = s.shape[0]
     if ws is None:

@@ -74,9 +74,6 @@ class SpinConfig:
         if len(self.sites) != len(self.values):
             raise ValueError("sites and values must align")
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(zip(self.sites, self.values))
-
 
 @dataclass(frozen=True)
 class BondTable:
@@ -186,11 +183,42 @@ class GibbsSpec:
         return tuple(self.alphabet.index(val) for val in self.domain_values(v))
 
     def domain_mask(self) -> np.ndarray:
-        """(len(region), S) bool: which value indices each region vertex allows."""
+        """(len(region), S) bool: which value indices each region vertex
+        allows. Built once per spec; the array is read-only."""
+        return self._domain_mask
+
+    @functools.cached_property
+    def _domain_mask(self) -> np.ndarray:
         mask = np.zeros((len(self.region), self.alphabet.size), bool)
         for p, v in enumerate(self.region):
             mask[p, list(self.domain_indices(v))] = True
+        mask.flags.writeable = False
         return mask
+
+    @functools.cached_property
+    def _effective_bonds(self) -> tuple["EffectiveBond", ...]:
+        rset = set(self.region)
+        S = self.alphabet.size
+        out = []
+        for k, b in enumerate(self.graph.bonds):
+            inside = tuple(v for v in b if v in rset)
+            if not inside:
+                continue
+            outside = tuple(v for v in b if v not in rset)
+            full = self.interaction.tables[k].factors
+            if not outside:
+                out.append(EffectiveBond(k, inside, b, full))
+                continue
+            if any(v not in self.boundary for v in outside):
+                continue
+            out_idx = {v: self.alphabet.index(self.boundary[v]) for v in outside}
+            eff = []
+            for x in itertools.product(range(S), repeat=len(inside)):
+                vals = dict(zip(inside, x))
+                vals.update(out_idx)
+                eff.append(full[local_index(S, (vals[v] for v in b))])
+            out.append(EffectiveBond(k, inside, b, tuple(eff)))
+        return tuple(out)
 
     @functools.cached_property
     def exact(self) -> bool:
@@ -225,30 +253,9 @@ class EffectiveBond:
 
 def effective_bonds(spec: GibbsSpec) -> list[EffectiveBond]:
     """Region-restricted bond tables; straddling bonds whose exterior part
-    is not fully covered by the boundary condition are dropped (free)."""
-    rset = set(spec.region)
-    S = spec.alphabet.size
-    out = []
-    for k, b in enumerate(spec.graph.bonds):
-        inside = tuple(v for v in b if v in rset)
-        if not inside:
-            continue
-        outside = tuple(v for v in b if v not in rset)
-        full = spec.interaction.tables[k].factors
-        if not outside:
-            out.append(EffectiveBond(k, inside, b, full))
-            continue
-        if any(v not in spec.boundary for v in outside):
-            continue
-        out_idx = {v: spec.alphabet.index(spec.boundary[v]) for v in outside}
-        m = len(inside)
-        eff = []
-        for x in itertools.product(range(S), repeat=m):
-            vals = dict(zip(inside, x))
-            vals.update(out_idx)
-            eff.append(full[local_index(S, (vals[v] for v in b))])
-        out.append(EffectiveBond(k, inside, b, tuple(eff)))
-    return out
+    is not fully covered by the boundary condition are dropped (free).
+    Derived once per spec; each call returns a fresh list."""
+    return list(spec._effective_bonds)
 
 
 def config_weights(spec: GibbsSpec, tables=None, domains=None, exact=None) -> np.ndarray:

@@ -128,10 +128,6 @@ def ball(h: Hypergraph, seeds, radius: int) -> frozenset[int]:
     return frozenset(dist)
 
 
-def graph_to_dict(h: Hypergraph) -> dict:
-    return {"n": h.n_vertices, "bonds": [list(b) for b in h.bonds]}
-
-
 def graph_from_dict(d: dict) -> Hypergraph:
     return hypergraph(int(d["n"]), d["bonds"])
 

@@ -217,15 +217,6 @@ class BondBase:
                 acc += p
         return acc
 
-    def active_weight(self, local: int):
-        """Probability of active subsets containing the configuration."""
-        full = self.full_mask
-        acc = 0
-        for s, p in zip(self.subsets, self.probs):
-            if s != full and (s >> local) & 1:
-                acc += p
-        return acc
-
 
 @dataclass(frozen=True, eq=False)
 class RcrBase:

@@ -5,8 +5,10 @@ the +-J glass (experiments.ea). It updates C chains at once, one colour
 class of sites at a time (the chromatic Gibbs sampler, Geman-Geman, IEEE
 PAMI 6, 721, 1984). A site's key is base[site] + sum_k w_k[site] *
 state[nbr_k]; a flat table holds per key the tails T_j = P(value >= j |
-neighbours), j = 1..S-1. Random stream: per class one rng.random((C,
-n_class)) draw, chain-major in its site order; a site takes sum_j [u < T_j].
+neighbours), j = 1..S-1. Random stream: per sweep one rng.random draw
+that fills every class's (C, n_class) block end to end, in class order,
+each chain-major in its site order: the same values in the same order as
+one draw per class would give. A site takes sum_j [u < T_j].
 
 The generic sampler colours the interaction graph greedily in region order
 and keys a site by its table offset plus sum_k S**k * (value of neighbour
@@ -27,11 +29,15 @@ package's one cell budget: each step keeps its state and uniforms, and the
 chunk's coins are read through one integer product lift @ states and
 compared at once, and its bool activity rows go to
 percolation.chain_components as they are, in one batch. The burn-in runs
-one sweep at a time and records after each the pairs' mean expected active
-bond count, sum_j of the pair coins at the current state; from sweep
-BURN_IN_MIN on, every BURN_IN_CHECK sweeps, it stops once the integrated
-autocorrelation time tau of the series' later half has converged and the
-sweeps done are at least TAU_SWEEPS * tau. burn_in caps it.
+one sweep at a time; its series holds after each sweep the pairs' mean
+expected active bond count, sum_j of the pair coins at that sweep's state.
+From sweep BURN_IN_MIN on, every BURN_IN_CHECK sweeps, it stops once the
+integrated autocorrelation time tau of the series' later half has
+converged and the sweeps done are at least TAU_SWEEPS * tau. burn_in caps
+it. The burn-in keeps each sweep's state and reads the series of the kept
+states in one batch, within the same cell budget, when a check or the cap
+needs it; each state's sum adds its coins pairwise in the same order as
+one state read alone, so the series has the same bits.
 """
 
 from __future__ import annotations
@@ -63,8 +69,11 @@ class HeatBath:
     state keeps a class's sites in one block of rows (site i in row[i]);
     load and values read and write its int8 values in site order. Each
     class keeps its buffers and views (neighbour values, key terms with the
-    offsets as the last term, uniforms, keys, tails), built at full shape
-    once, so no operand broadcasts.
+    offsets as the last term, keys, tails), built at full shape once, so no
+    operand broadcasts. A sweep draws its uniforms with one rng.random into
+    uniforms, which holds every class's (C, n) block end to end in class
+    order; each class reads its own block. Philox gives the same doubles
+    however a draw is split, so the stream is that of one draw per class.
 
     Both gathers of a sweep, the neighbour values and the table tails, run
     in take's mode="clip", which writes straight into the buffer; the
@@ -88,6 +97,7 @@ class HeatBath:
         self.row = np.append(np.argsort(self.order), n_sites)
         kd = next(t for t in (np.int8, np.int16, np.int32, np.int64) if n_keys <= np.iinfo(t).max + 1)
         self.classes = []
+        self.uniforms = np.empty(C * len(self.order))
         lo = 0
         for site, nbrs, w, base in classes:
             d, n = np.shape(nbrs)
@@ -98,11 +108,11 @@ class HeatBath:
             terms = np.empty((d + 1, n, C), kd)
             terms[d] = np.asarray(base, kd)[:, None]
             g = np.empty((d * n, C), np.int8)
-            u = np.empty((C, n))  # chain-major, as the stream fills it
+            u = self.uniforms[lo * C : (lo + n) * C].reshape(C, n)  # chain-major, as the stream fills it
             block = self.state[lo : lo + n]
             bufs = np.empty((n, C), kd), np.empty((n, C)), np.empty((n, C), bool)
             self.classes.append((block, block.view(bool), self.row[np.ravel(nbrs)], g, g.reshape(d, n, C), w,
-                                 terms, terms[:d], u, u.T, *bufs))
+                                 terms, terms[:d], u.T, *bufs))
             lo += n
 
     def load(self, values):
@@ -121,8 +131,8 @@ class HeatBath:
         """Update every class in order, n_sweeps times, in place."""
         state, first, rest = self.state, self.table[0], self.table[1:]
         for _ in range(n_sweeps):
-            for block, hit, nbrs, g, g3, w, terms, products, u, uT, key, p, up in self.classes:
-                rng.random(out=u)
+            rng.random(out=self.uniforms)
+            for block, hit, nbrs, g, g3, w, terms, products, uT, key, p, up in self.classes:
                 state.take(nbrs, axis=0, out=g, mode="clip")
                 np.multiply(g3, w, out=products)
                 np.add.reduce(terms, axis=0, dtype=key.dtype, out=key)
@@ -275,23 +285,36 @@ def mc_connection_probability(
     def coins_at(x):  # each pair's coins, (..., n_bonds, T), at x = lift @ state(s)
         return q[off + x[..., :nb, :T] + x[..., nb:, T:]]
 
+    per_task = -(-n_samples // T)
+    # the kept states of a burn-in batch or a sample chunk, at most K of
+    # them, so that their coins stay within the cell budget; a burn-in batch
+    # ends at a stopping check, at the cap or when the buffer is full
+    budget = max(1, twocopy._BLOCK_CELLS // (T * max(nb, 1)))
+    K = min(budget, max(per_task, min(burn_in, BURN_IN_MIN)))
+    states = np.empty((K, n + 1, 2 * T), np.int8)
+
     rng = stream(seed, 300)
     hb.load((rng.random((2 * T, n)).T < start[:, :, None]).sum(axis=0))
-    series, equilibrated = [], False
-    while len(series) < burn_in and not equilibrated:
+    series, equilibrated, b = [], False, 0
+    for k in range(1, burn_in + 1):
         heat_bath_chain(spec, hb, rng, 1)
-        series.append(float(coins_at(lift @ hb.state).sum()) / T)
-        k = len(series)
-        if k >= BURN_IN_MIN and k % BURN_IN_CHECK == 0:
+        states[b] = hb.state
+        b += 1
+        check = k >= BURN_IN_MIN and k % BURN_IN_CHECK == 0
+        if check or b == K or k == burn_in:
+            # each row's sum adds its (n_bonds, T) coins pairwise, as one state's .sum() does
+            series += (coins_at(lift @ states[:b]).reshape(b, nb * T).sum(axis=1) / T).tolist()
+            b = 0
+        if check:
             tau, converged = integrated_autocorr(series[k // 2 :])
-            equilibrated = converged and k >= TAU_SWEEPS * tau
+            if converged and k >= TAU_SWEEPS * tau:
+                equilibrated = True
+                break
     tau, _ = integrated_autocorr(series[len(series) // 2 :])
-    per_task = -(-n_samples // T)
     # the sample steps in chunks of K: each step's state and coin uniforms
     # are kept, and the chunk's coins are read and compared, and its
     # activity rows labelled, at once, so memory stays within the budget
-    K = min(per_task, max(1, twocopy._BLOCK_CELLS // (T * max(nb, 1))))
-    states = np.empty((K, n + 1, 2 * T), np.int8)
+    K = min(K, per_task)
     u = np.empty((K, T, nb))
     active = np.empty((K, T, nb), bool)
     hits = np.zeros(T, np.int64)

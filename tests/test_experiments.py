@@ -343,16 +343,6 @@ def test_critical_field_zero_below_threshold():
     assert critical_field(1.0) > 0.0
 
 
-def test_cayley_chain_type_validates_fixed_point():
-    from rcgibbs.experiments.cayley import CayleyChain
-
-    roots = cayley_fixed_points(1.0, 0.0)
-    chain = CayleyChain(1.0, 0.0, roots[2])
-    assert np.allclose(chain.matrix.sum(axis=1), 1.0)
-    with pytest.raises(ValueError):
-        CayleyChain(1.0, 0.0, 0.123)
-
-
 def test_run_cayley_report():
     rep = run_cayley([0.3, 0.8])
     assert rep["crossing_branching"]["gap_to_log3_half"] < 1e-6

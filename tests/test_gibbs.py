@@ -267,7 +267,7 @@ def test_spin_config_helpers():
     from rcgibbs.gibbs import SpinConfig
 
     c = SpinConfig((0, 2, 5), (-1, 1, 1))
-    assert c.as_dict() == {0: -1, 2: 1, 5: 1}
+    assert dict(zip(c.sites, c.values)) == {0: -1, 2: 1, 5: 1}
     with pytest.raises(ValueError):
         SpinConfig((0, 1), (1,))
 
@@ -314,3 +314,24 @@ def test_bond_table_validation():
         BondTable.from_factors((0.0, 0.0))
     with pytest.raises(ValueError):
         BondTable.from_factors((-1.0, 2.0))
+
+
+def test_derived_tables_do_not_share_writes():
+    # effective_bonds and domain_mask are derived once per spec: a caller's
+    # edits must not reach the next caller
+    g = hypergraph(4, [(0, 1), (1, 2), (2, 3)])
+    tables = {k: BondTable.from_factors((2.0, 1.0, 1.0, 2.0)) for k in range(3)}
+    spec = GibbsSpec(g, SPIN, Interaction(tables), (0, 1, 2), {3: 1}, domains={1: (1,)})
+    from rcgibbs.gibbs import effective_bonds
+
+    bonds = effective_bonds(spec)
+    want = list(bonds)
+    bonds.reverse()
+    bonds.pop()
+    bonds[0] = None
+    assert effective_bonds(spec) == want and len(want) == 3
+    mask = spec.domain_mask()
+    assert mask.tolist() == [[True, True], [False, True], [True, True]]
+    with pytest.raises(ValueError):
+        mask[1, 0] = True
+    assert spec.domain_mask().tolist() == [[True, True], [False, True], [True, True]]

@@ -644,12 +644,18 @@ def _slice_pattern_terms(spec, sigma, base_factory, terms=None):
     else:
         base = base_factory(symmetrized_spec(spec, sigma))
         for l1, _, w in pairs:
-            key = tuple(bb.active_weight(li) / bb.support_weight(li) for bb, li in zip(base.bonds, l1))
+            key = tuple(_active_weight(bb, li) / bb.support_weight(li) for bb, li in zip(base.bonds, l1))
             by_q[key] = by_q.get(key, 0) + w
     patterns = {}
     for qs, w in by_q.items():
         _expand_pattern(qs, w, patterns)
     return total, patterns
+
+
+def _active_weight(bb, local):
+    """Probability of the bond base's active subsets (all but the full
+    mask) containing the local configuration."""
+    return sum(p for s, p in zip(bb.subsets, bb.probs) if s != bb.full_mask and (s >> local) & 1)
 
 
 def _expand_pattern(qs, weight, out, bond=0, mask=0):

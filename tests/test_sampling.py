@@ -9,7 +9,7 @@ from conftest import random_binary_spec
 from test_percolation import _bfs_connected, _hyperbond_spec, _three_valued_spec
 from rcgibbs import sampling, twocopy
 from rcgibbs.errors import TooLargeError, UsageError
-from rcgibbs.gibbs import SPIN, BondTable, GibbsSpec, Interaction, effective_bonds
+from rcgibbs.gibbs import SPIN, Alphabet, BondTable, GibbsSpec, Interaction, effective_bonds
 from rcgibbs.lattice import build_grid, hypergraph
 from rcgibbs.models import ising_spec
 from rcgibbs.percolation import integrated_rc
@@ -21,8 +21,11 @@ from rcgibbs.rng import stream
 # reads the kernel's uniforms in its order: one (C, n_sites) block for the
 # start, one (C, n_class) block per colour class and sweep, and one
 # (n_tasks, n_bonds) block of coin uniforms per sample step. Its burn-in
-# series and its standard error reduce arrays of the same shape and values
-# as the sampler's with the same numpy expressions, so floats round alike.
+# series sums each sweep's coins as one contiguous (n_bonds, n_tasks)
+# array; the sampler sums the same values as one row of a batch of states,
+# and numpy adds a contiguous row pairwise in the same order as the whole
+# array. Its standard error reduces an array of the same shape and values
+# as the sampler's with the same numpy expression. So floats round alike.
 
 
 def _oracle_plan(spec, bonds):
@@ -147,6 +150,23 @@ def _equal_chain_spec(n):
     return GibbsSpec(g, SPIN, Interaction(tables), tuple(range(n)))
 
 
+def _three_colour_spec():
+    """Alphabet (0, 1, 2) on a wheel (hub 0, rim 1..6) with a pendant path
+    1-7-8-2 and the boundary vertex 9 next to 8: colour classes {0, 7},
+    {1, 3, 5, 8} and {2, 4, 6}. Vertex 3 allows two values, and some
+    factors are 0."""
+    rim = [(k, k % 6 + 1) for k in range(1, 7)]
+    g = hypergraph(10, [(0, k) for k in range(1, 7)] + rim + [(1, 7), (7, 8), (2, 8), (8, 9)])
+    rng = stream(29, 0)
+    tables = {}
+    for k in range(len(g.bonds)):
+        facs = rng.uniform(0.2, 3.0, 9)
+        facs[rng.random(9) < 0.15] = 0.0
+        facs[0] = max(facs[0], 0.5)
+        tables[k] = BondTable.from_factors(facs.tolist())
+    return GibbsSpec(g, Alphabet((0, 1, 2)), Interaction(tables), tuple(range(9)), {9: 2}, domains={3: (0, 2)})
+
+
 ORACLE_CASES = [
     ("grid3x2_field", lambda: ising_spec(build_grid(3, 2), [0.3, 0.9, 0.5, 1.1, 0.7, 0.4, 0.8], h=0.3), {0}, {5}),
     ("three_valued", lambda: _three_valued_spec(False), {0}, {3}),
@@ -156,6 +176,7 @@ ORACLE_CASES = [
         for m in (2, 7, 12, 14, 19, 20)
     ],
     ("hyperbond", _hyperbond_spec, {0}, {3}),
+    ("three_colour", _three_colour_spec, {0}, {8}),
 ]
 
 
@@ -206,15 +227,55 @@ def test_mc_matches_oracle_on_masks_wider_than_62_bits(threads):
     assert 0 < got["estimate"] < 1
 
 
-@pytest.mark.parametrize("burn_in", [0, 5, 33, 41, 300])
+@pytest.mark.parametrize("burn_in", [0, 5, 32, 33, 39, 40, 41, 47, 300])
 def test_mc_burn_in_caps_match_oracle(burn_in):
-    # caps on and off a stopping check, under BURN_IN_MIN and past the
+    # caps on and beside a stopping check, under BURN_IN_MIN and past the
     # rule's stop; at this seed the rule stops the burn-in at sweep 40
     spec = ORACLE_CASES[0][1]()
     kw = dict(burn_in=burn_in, gap=1)
     got = sampling.mc_connection_probability(spec, {0}, {5}, 48, 1, **kw)
     assert got == _oracle_mc(spec, {0}, {5}, 48, 1, **kw)
     assert got["burn_in"] == min(burn_in, 40)
+
+
+@pytest.mark.parametrize("burn_in", [0, 5, 33, 41, 300])
+def test_mc_in_small_batches_and_chunks_matches_the_unsplit_call(burn_in, monkeypatch):
+    # a budget of 3 states: the burn-in reads its series in batches of at
+    # most 3 between its checks, and the 6 sample steps run in 2 chunks
+    spec = ORACLE_CASES[0][1]()
+    kw = dict(burn_in=burn_in, gap=1)
+    want = sampling.mc_connection_probability(spec, {0}, {5}, 48, 1, **kw)
+    monkeypatch.setattr(twocopy, "_BLOCK_CELLS", 3 * 8 * len(effective_bonds(spec)))
+    assert sampling.mc_connection_probability(spec, {0}, {5}, 48, 1, **kw) == want
+
+
+def test_mc_keeps_at_most_the_budget_of_states(monkeypatch):
+    # the burn-in's batches and the sample chunks share one buffer of kept
+    # states, sized by the cell budget, not by the burn-in's length
+    spec = ORACLE_CASES[0][1]()
+    n, T, nb = len(spec.region), 8, len(effective_bonds(spec))
+    monkeypatch.setattr(twocopy, "_BLOCK_CELLS", 3 * T * nb)
+    shapes = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, *args, **kw):
+            shapes.append(tuple(np.atleast_1d(shape)))
+            return np.empty(shape, *args, **kw)
+
+    monkeypatch.setattr(sampling, "np", Spy())
+    got = sampling.mc_connection_probability(spec, {0}, {5}, 48, 1, burn_in=300, gap=1)
+    assert got["burn_in"] == 40
+    assert [s[0] for s in shapes if s[1:] == (n + 1, 2 * T)] == [3]
+
+
+def test_three_colour_spec_has_unequal_classes():
+    # the per-sweep uniform block holds classes of 2, 4 and 3 sites end to end
+    spec = _three_colour_spec()
+    hb, _ = sampling._generic_heat_bath(spec, effective_bonds(spec), 2)
+    assert [len(c[0]) for c in hb.classes] == [2, 4, 3] and hb.S == 3
 
 
 def test_heat_bath_proves_its_index_ranges():
