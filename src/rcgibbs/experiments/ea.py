@@ -14,11 +14,12 @@ joining a pair of sites are two parallel bonds, as the heat bath sees them.
 The heat bath is sampling.HeatBath: its classes are the two checkerboard
 colours and its table the 81-entry p_plus table keyed by the neighbours'
 spins. The colouring is proper only for even L on the torus, so odd
-periodic boxes are rejected. Each disorder builds one HeatBathWorkspace
-for every heat-bath call of its two chains. Blue clusters are labelled by
-percolation.edge_components and open-box crossings by chains_join; on
-the torus a cluster wraps when one of its cycles has nonzero displacement,
-found from integer potentials on a breadth-first spanning forest.
+periodic boxes are rejected. Each disorder builds one heat_bath_kernel
+for every heat-bath call of its two chains. One percolation.edge_components
+call per replica labels the blue clusters on both sides of the mask, and
+open-box crossings are read by chains_join; on the torus a cluster wraps
+when one of its cycles has nonzero displacement, found from integer
+potentials on a breadth-first spanning forest.
 """
 
 from __future__ import annotations
@@ -132,42 +133,36 @@ def _p_plus_table(a: float, beta: float) -> np.ndarray:
     return np.divide(1.0, f, out=f)
 
 
-class HeatBathWorkspace:
-    """What heat_bath_sweeps builds per disorder: the coupling check and the
-    sampling.HeatBath over R replicas, whose values 0/1 are the spins -1/+1.
-
-    One workspace serves every call with the same couplings, beta and
-    replica count, so a disorder's two chains can share one as long as
-    their calls run one after another. Never share one between threads.
+def heat_bath_kernel(qc: QuenchedCouplings, beta: float, R: int) -> HeatBath:
+    """The sampling.HeatBath of heat_bath_sweeps over R replicas, whose
+    values 0/1 are the spins -1/+1. Couplings other than 0 and +-|J| raise
+    ValueError. A disorder's two chains can share one kernel as long as
+    their calls run one after another; never share one between threads.
     """
-
-    def __init__(self, qc: QuenchedCouplings, beta: float, R: int):
-        h = qc.horizontal.ravel()
-        v = qc.vertical.ravel()
-        a = abs(qc.J)
-        if not all(((c == 0.0) | (np.abs(c) == a)).all() for c in (h, v)):
-            raise ValueError(f"couplings must be 0 or +-{a}")
-        self.qc, self.beta, self.R = qc, beta, R
-        classes = []
-        for site, nbrs in _checkerboard(qc.L):
-            # the key 40 + sum_k sign(c_k) 3^k s_k, with s_k = 2 v_k - 1 for the values v_k
-            w = np.sign([h[site], h[nbrs[1]], v[site], v[nbrs[3]]]).astype(np.int64) * 3 ** np.arange(4)[:, None]
-            classes.append((site, np.array(nbrs), 2 * w, 40 - w.sum(axis=0)))
-        self.kernel = HeatBath(qc.L * qc.L, classes, _p_plus_table(a, beta)[None], R)
+    h = qc.horizontal.ravel()
+    v = qc.vertical.ravel()
+    a = abs(qc.J)
+    if not all(((c == 0.0) | (np.abs(c) == a)).all() for c in (h, v)):
+        raise ValueError(f"couplings must be 0 or +-{a}")
+    classes = []
+    for site, nbrs in _checkerboard(qc.L):
+        # the key 40 + sum_k sign(c_k) 3^k s_k, with s_k = 2 v_k - 1 for the values v_k
+        w = np.sign([h[site], h[nbrs[1]], v[site], v[nbrs[3]]]).astype(np.int64) * 3 ** np.arange(4)[:, None]
+        classes.append((site, np.array(nbrs), 2 * w, 40 - w.sum(axis=0)))
+    return HeatBath(qc.L * qc.L, classes, _p_plus_table(a, beta)[None], R)
 
 
-def heat_bath_sweeps(s, qc: QuenchedCouplings, beta: float, rng, n_sweeps: int, ws: HeatBathWorkspace | None = None):
-    """Checkerboard single-site heat bath, in place; s has shape (R, L, L).
+def heat_bath_sweeps(s, kernel: HeatBath, rng, n_sweeps: int):
+    """Checkerboard single-site heat bath, in place; s has shape (R, L, L)
+    and kernel is heat_bath_kernel(qc, beta, R) for the box's couplings.
 
     Each field is a sum of four terms in {-|J|, 0, |J|} (right, left, down,
     up neighbour), so p_plus = 1 / (1 + exp(-2 beta field)) is read from an
     81-entry table at the key 40 + sum_k sign(c_k) 3^k s_k, c_k being the
     coupling to neighbour k. The table rounds each field as the per-site
     formula does (see _p_plus_table), so p_plus is that formula's value bit
-    for bit. Couplings other than 0 and +-|J| raise ValueError.
-
-    ws is a HeatBathWorkspace for (qc, beta, R); without one, the call
-    builds its own. The spins are the same either way.
+    for bit. A field whose replica or site count is not the kernel's
+    raises ValueError.
 
     Random stream: per sweep, one rng.random draw of one uniform per
     updated site: per colour in turn an (R, n_colour) block, replica-major
@@ -175,14 +170,12 @@ def heat_bath_sweeps(s, qc: QuenchedCouplings, beta: float, rng, n_sweeps: int, 
     one draw per colour. A site becomes +1 when its uniform is below p_plus.
     """
     R = s.shape[0]
-    if ws is None:
-        ws = HeatBathWorkspace(qc, beta, R)
-    elif ws.qc is not qc or ws.beta != beta or ws.R != R:
-        raise ValueError("workspace built for other couplings, beta or replica count")
+    if kernel.state.shape != (math.prod(s.shape[1:]) + 1, R):
+        raise ValueError("kernel built for another box or replica count")
     # site-major 0/1 copy: a neighbour gather moves a site's R replicas at once
-    ws.kernel.load(s.reshape(R, -1).T > 0)
-    ws.kernel.sweeps(rng, n_sweeps)
-    s[...] = (2 * ws.kernel.values().T - 1).reshape(s.shape)
+    kernel.load(s.reshape(R, -1).T > 0)
+    kernel.sweeps(rng, n_sweeps)
+    s[...] = (2 * kernel.values().T - 1).reshape(s.shape)
     return s
 
 
@@ -201,7 +194,6 @@ def sample_blue_red(s1, s2, qc: QuenchedCouplings, beta: float, rng):
     """
     out_blue = []
     out_red = []
-    r = s1 * s2
     for coup, axis in ((qc.horizontal, 2), (qc.vertical, 1)):
         K = beta * coup[None, :, :]
         absK = np.abs(K)
@@ -210,7 +202,7 @@ def sample_blue_red(s1, s2, qc: QuenchedCouplings, beta: float, rng):
         blue_adm = sat1 & sat2
         p_blue = 1.0 - np.exp(-4.0 * absK)
         blue = blue_adm & (rng.random(s1.shape) < p_blue)
-        red_adm = (r * np.roll(r, -1, axis=axis) < 0) & (absK > 0)
+        red_adm = sat1 ^ sat2  # the copies' bond products disagree, on a nonzero coupling
         p_red = 1.0 - np.exp(-2.0 * absK)
         red = red_adm & (rng.random(s1.shape) < p_red)
         out_blue.append((blue, blue_adm))
@@ -252,42 +244,45 @@ def _wraps(a, b, d, labels, n: int) -> tuple[bool, bool]:
     return bool(off[0].any()), bool(off[1].any())
 
 
-def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool, crossings: bool = True):
-    """Cluster sizes of bonds restricted to masked sites, with crossings.
+def _cluster_stats(bh, bv, site_mask, L: int, periodic: bool):
+    """Cluster sizes and crossings of the bonds inside the masked sites, and
+    the largest cluster outside them.
 
     bh[y, x] joins (x, y)-(x+1, y); bv joins (x, y)-(x, y+1), indices mod
-    L; a bond counts only when both endpoints are masked. Sites are
-    labelled by edge_components on the kept bonds, and sizes count the
-    sites that touch a kept bond. An open box is crossed in x when a label
-    covers sites in both the first and the last column (rows for y). On
-    the torus, a cluster wraps in x when one of its cycles has nonzero x
-    displacement (see _wraps), which also catches windings that a
-    doubled-torus test misses. With crossings False neither test runs and
-    both crossings read None.
+    L. A bond counts only when both its ends lie on one side of the mask;
+    one edge_components call labels both sides, and sizes count the sites
+    that touch a kept bond. Returns (largest, sizes, cross_x, cross_y) of
+    the inside side, then the outside side's largest size. An open box is
+    crossed in x when an inside label covers sites in both the first and
+    the last column (rows for y). On the torus, an inside cluster wraps in
+    x when one of its cycles has nonzero x displacement (see _wraps), which
+    also catches windings that a doubled-torus test misses.
     """
     n = L * L
-    keep_h = bh & site_mask & np.roll(site_mask, -1, axis=1)
-    keep_v = bv & site_mask & np.roll(site_mask, -1, axis=0)
+    keep_h = bh & (site_mask == np.roll(site_mask, -1, axis=1))
+    keep_v = bv & (site_mask == np.roll(site_mask, -1, axis=0))
     yh, xh = np.nonzero(keep_h)
     yv, xv = np.nonzero(keep_v)
     a = np.concatenate((yh * L + xh, yv * L + xv))
     b = np.concatenate((yh * L + (xh + 1) % L, ((yv + 1) % L) * L + xv))
     labels = edge_components(n, a, b)
-    counts = np.bincount(labels[labels >= 0])
+    inside = site_mask.ravel()
+    counts = np.bincount(labels[(labels >= 0) & inside])
     sizes = sorted(counts[counts > 0].tolist(), reverse=True)
     largest = sizes[0] if sizes else 0
-    if not crossings:
-        cross_x = cross_y = None
-    elif periodic:
+    largest_out = int(np.bincount(labels[(labels >= 0) & ~inside]).max(initial=0))
+    if periodic:
         d = np.zeros((2, len(a)), np.int64)
         d[0, : len(yh)] = 1
         d[1, len(yh) :] = 1
-        cross_x, cross_y = _wraps(a, b, d, labels, n)
+        ins = inside[a]
+        cross_x, cross_y = _wraps(a[ins], b[ins], d[:, ins], labels, n)
     else:
         sites = np.arange(n)
-        cross_x = bool(chains_join(labels[None], sites[::L], sites[L - 1 :: L])[0])
-        cross_y = bool(chains_join(labels[None], sites[:L], sites[-L:])[0])
-    return largest, sizes, cross_x, cross_y
+        labels_in = np.where(inside, labels, -1)[None]
+        cross_x = bool(chains_join(labels_in, sites[::L], sites[L - 1 :: L])[0])
+        cross_y = bool(chains_join(labels_in, sites[:L], sites[-L:])[0])
+    return largest, sizes, cross_x, cross_y, largest_out
 
 
 def _one_disorder(args):
@@ -300,17 +295,16 @@ def _one_disorder(args):
     per = -(-n_samples // R)
     s1 = (rng1.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
     s2 = (rng2.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
-    beta = beta_scale
-    ws = HeatBathWorkspace(qc, beta, R)  # one per disorder, shared by both chains
+    kernel = heat_bath_kernel(qc, beta_scale, R)  # one per disorder, shared by both chains
 
     calib = min(128, max(16, n_sweeps // 4))
     # only chain 1's energy series calibrates the gap; chain 2 runs its
     # burn-in and calibration sweeps in one call, with the same bits
-    heat_bath_sweeps(s1, qc, beta, rng1, max(0, n_sweeps - calib), ws)
-    heat_bath_sweeps(s2, qc, beta, rng2, max(0, n_sweeps - calib) + calib, ws)
+    heat_bath_sweeps(s1, kernel, rng1, max(0, n_sweeps - calib))
+    heat_bath_sweeps(s2, kernel, rng2, max(0, n_sweeps - calib) + calib)
     series = []
     for _ in range(calib):
-        heat_bath_sweeps(s1, qc, beta, rng1, 1, ws)
+        heat_bath_sweeps(s1, kernel, rng1, 1)
         series.append(bond_energy(s1[:1], qc)[0])
     tau, converged = integrated_autocorr(np.asarray(series))
     gap = int(min(16, max(1, math.ceil(2 * tau))))
@@ -324,9 +318,9 @@ def _one_disorder(args):
     size_counts: dict[int, int] = {}
     collected = 0
     for _ in range(per):
-        heat_bath_sweeps(s1, qc, beta, rng1, gap, ws)
-        heat_bath_sweeps(s2, qc, beta, rng2, gap, ws)
-        blue, red, no_mask = sample_blue_red(s1, s2, qc, beta, rngb)
+        heat_bath_sweeps(s1, kernel, rng1, gap)
+        heat_bath_sweeps(s2, kernel, rng2, gap)
+        blue, red, no_mask = sample_blue_red(s1, s2, qc, beta_scale, rngb)
         (bh, bh_adm), (bv, bv_adm) = blue
         (rh, rh_adm), (rv, rv_adm) = red
         blue_count += int(bh.sum() + bv.sum())
@@ -336,12 +330,7 @@ def _one_disorder(args):
         for rep in range(R):
             if collected >= n_samples:
                 break
-            big_no, sizes, cx, cy = _cluster_stats(
-                bh[rep], bv[rep], no_mask[rep], L, periodic
-            )
-            big_ov, _, _, _ = _cluster_stats(
-                bh[rep], bv[rep], ~no_mask[rep], L, periodic, crossings=False
-            )
+            big_no, sizes, cx, cy, big_ov = _cluster_stats(bh[rep], bv[rep], no_mask[rep], L, periodic)
             largest_no.append(big_no / (L * L))
             largest_ov.append(big_ov / (L * L))
             cross_x.append(cx)
@@ -490,13 +479,13 @@ def mc_bond_joint(
     per = -(-n_samples // R)
     s1 = (rng1.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
     s2 = (rng2.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
-    ws = HeatBathWorkspace(qc, beta_scale, R)
-    heat_bath_sweeps(s1, qc, beta_scale, rng1, burn_in, ws)
-    heat_bath_sweeps(s2, qc, beta_scale, rng2, burn_in, ws)
+    kernel = heat_bath_kernel(qc, beta_scale, R)
+    heat_bath_sweeps(s1, kernel, rng1, burn_in)
+    heat_bath_sweeps(s2, kernel, rng2, burn_in)
     rows = np.empty((per, R, 2, len(cells)), bool)  # per sample: blue bonds, then red
     for k in range(per):
-        heat_bath_sweeps(s1, qc, beta_scale, rng1, gap, ws)
-        heat_bath_sweeps(s2, qc, beta_scale, rng2, gap, ws)
+        heat_bath_sweeps(s1, kernel, rng1, gap)
+        heat_bath_sweeps(s2, kernel, rng2, gap)
         blue, red, _ = sample_blue_red(s1, s2, qc, beta_scale, rngb)
         for c, ((h, _), (v, _)) in enumerate((blue, red)):
             rows[k, :, c] = np.stack((h, v), axis=1).reshape(R, -1)[:, cells]

@@ -37,7 +37,7 @@ active chains of a batch of bool activity rows in one call to it (the
 batch form of Hoshen-Kopelman labelling), and chains_join is the one
 A<->B query on its labels. activity_rows is the one place where int masks
 become rows, and joined asks the query of a list of int masks, labelling
-each distinct mask once.
+each distinct mask once, in batches of the cell budget.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .errors import RcgibbsError, ZeroSliceError, check_cap
 from .gibbs import GibbsSpec, effective_bonds, product_outcomes, product_positions
 from .lattice import ball, boundary_vertices
 from .rcr import RcrBase, assignment_measure
+from . import twocopy
 from .twocopy import PairWalk, _runs, _scaled, _slice_sums
 
 
@@ -142,13 +143,19 @@ def chains_join(labels: np.ndarray, A, B) -> np.ndarray:
 
 def joined(n_vertices: int, bond_vertices, masks, A, B) -> np.ndarray:
     """Per mask of a list or array of int masks: whether an active chain
-    joins A and B. The distinct masks are labelled in one batch."""
+    joins A and B. The distinct masks are labelled in batches of at most
+    twocopy._BLOCK_CELLS // n_bonds masks, read at call time."""
     values = np.asarray(masks)
     if values.dtype.kind == "f":  # no masks, or masks past 2**63 among smaller ones
         values = np.asarray(masks, dtype=object)
     distinct, inverse = np.unique(values, return_inverse=True)
-    labels = chain_components(n_vertices, bond_vertices, activity_rows(distinct, len(bond_vertices)))
-    return chains_join(labels, A, B)[inverse]
+    nb = len(bond_vertices)
+    step = max(1, twocopy._BLOCK_CELLS // max(1, nb))
+    hits = [  # one batch even without masks, so that A and B are always checked
+        chains_join(chain_components(n_vertices, bond_vertices, activity_rows(distinct[lo : lo + step], nb)), A, B)
+        for lo in range(0, max(1, len(distinct)), step)
+    ]
+    return np.concatenate(hits)[inverse]
 
 
 def regions_connected(n_vertices: int, bond_vertices, active_mask: int, A, B) -> bool:

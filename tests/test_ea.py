@@ -8,13 +8,13 @@ from scipy import stats
 
 from rcgibbs.errors import UsageError
 from rcgibbs.experiments.ea import (
-    HeatBathWorkspace,
     QuenchedCouplings,
     _cluster_stats,
     _p_plus_table,
     bond_energy,
     ea_mns_percolation,
     glass_spec,
+    heat_bath_kernel,
     heat_bath_sweeps,
     integrated_autocorr,
     mc_bond_joint,
@@ -129,15 +129,16 @@ def _mc_bond_joint_oracle(qc, beta, seed, n_samples, burn_in, gap):
     R = min(4096, n_samples)
     s1 = (rng1.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
     s2 = (rng2.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
-    heat_bath_sweeps(s1, qc, beta, rng1, burn_in)
-    heat_bath_sweeps(s2, qc, beta, rng2, burn_in)
+    kernel = heat_bath_kernel(qc, beta, R)
+    heat_bath_sweeps(s1, kernel, rng1, burn_in)
+    heat_bath_sweeps(s2, kernel, rng2, burn_in)
     hbit = lambda y, x: 1 << bond_index[tuple(sorted((y * L + x, y * L + (x + 1) % L)))]
     vbit = lambda y, x: 1 << bond_index[tuple(sorted((y * L + x, ((y + 1) % L) * L + x)))]
     counts = {}
     collected = 0
     for _ in range(-(-n_samples // R)):
-        heat_bath_sweeps(s1, qc, beta, rng1, gap)
-        heat_bath_sweeps(s2, qc, beta, rng2, gap)
+        heat_bath_sweeps(s1, kernel, rng1, gap)
+        heat_bath_sweeps(s2, kernel, rng2, gap)
         blue, red, _ = sample_blue_red(s1, s2, qc, beta, rngb)
         (bh, _), (bv, _) = blue
         (rh, _), (rv, _) = red
@@ -171,8 +172,8 @@ def test_wrap_union_find_detects_ring():
     bh[2, :] = True
     bv = np.zeros((L, L), bool)
     mask = np.ones((L, L), bool)
-    big, sizes, cx, cy = _cluster_stats(bh, bv, mask, L, periodic=True)
-    assert big == L and cx and not cy
+    big, sizes, cx, cy, big_out = _cluster_stats(bh, bv, mask, L, periodic=True)
+    assert big == L and cx and not cy and big_out == 0
 
 
 def _staircase(L, wx, wy):
@@ -199,7 +200,7 @@ def test_staircase_winds_in_both_directions():
     mask = np.ones((L, L), bool)
     want = _cluster_stats_oracle(bh, bv, mask, L, True)
     assert want == (15, [15], True, True)
-    assert _cluster_stats(bh, bv, mask, L, periodic=True) == want
+    assert _cluster_stats(bh, bv, mask, L, periodic=True) == (*want, 0)
 
 
 def test_cluster_stats_matches_union_find_oracle():
@@ -213,19 +214,23 @@ def test_cluster_stats_matches_union_find_oracle():
                 bv = rng.random((L, L)) < density
                 mask = rng.random((L, L)) < rng.uniform(0.3, 1.0)
                 got = _cluster_stats(bh, bv, mask, L, periodic)
-                assert got == _cluster_stats_oracle(bh, bv, mask, L, periodic), (L, periodic)
-                # the overlap side's call: same clusters, no crossing tests
-                assert _cluster_stats(bh, bv, mask, L, periodic, crossings=False) == (*got[:2], None, None)
-                assert all(type(x) is int for x in got[1]) and type(got[2]) is bool
+                assert got[:4] == _cluster_stats_oracle(bh, bv, mask, L, periodic), (L, periodic)
+                # the overlap side, labelled by the same call
+                assert got[4] == _cluster_stats_oracle(bh, bv, ~mask, L, periodic)[0], (L, periodic)
+                assert all(type(x) is int for x in (*got[1], got[4])) and type(got[2]) is bool
                 cases += 1
-    # L = 2 on the torus: both parallel bonds of each pair kept or one of them
+    # L = 2 on the torus: both parallel bonds of each pair kept or one of
+    # them, under the full mask and under a mask that splits the sites
     full = np.ones((2, 2), bool)
     for bits in range(256):
         bh = np.array([(bits >> k) & 1 for k in range(4)], bool).reshape(2, 2)
         bv = np.array([(bits >> k) & 1 for k in range(4, 8)], bool).reshape(2, 2)
-        assert _cluster_stats(bh, bv, full, 2, True) == _cluster_stats_oracle(bh, bv, full, 2, True)
+        split = np.array([(bits * 5 >> k) & 1 for k in range(4)], bool).reshape(2, 2)
+        for mask in (full, split):
+            want = _cluster_stats_oracle(bh, bv, mask, 2, True)
+            assert _cluster_stats(bh, bv, mask, 2, True) == (*want, _cluster_stats_oracle(bh, bv, ~mask, 2, True)[0])
         cases += 1
-    assert cases >= 400
+    assert cases == 440 + 256
 
 
 def test_cluster_stats_empty_and_single_bond():
@@ -233,10 +238,12 @@ def test_cluster_stats_empty_and_single_bond():
     none = np.zeros((L, L), bool)
     full = np.ones((L, L), bool)
     for periodic in (False, True):
-        assert _cluster_stats(none, none, full, L, periodic) == (0, [], False, False)
+        assert _cluster_stats(none, none, full, L, periodic) == (0, [], False, False, 0)
+        assert _cluster_stats(full, full, none, L, periodic) == (0, [], False, False, L * L)
     bh = none.copy()
     bh[0, L - 1] = True  # wrap bond: one bond, no cycle
-    assert _cluster_stats(bh, none, full, L, True) == (2, [2], False, False)
+    assert _cluster_stats(bh, none, full, L, True) == (2, [2], False, False, 0)
+    assert _cluster_stats(bh, none, ~full, L, True) == (0, [], False, False, 2)
 
 
 def test_heat_bath_bit_equal_to_colour_site_oracle():
@@ -248,7 +255,7 @@ def test_heat_bath_bit_equal_to_colour_site_oracle():
                 for beta in (0.44, 0.9):
                     for R in (1, 3):
                         s0 = (stream(L, R).integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
-                        got = heat_bath_sweeps(s0.copy(), qc, beta, stream(5, L, R), 7)
+                        got = heat_bath_sweeps(s0.copy(), heat_bath_kernel(qc, beta, R), stream(5, L, R), 7)
                         want = _heat_bath_oracle(s0.copy(), qc, beta, stream(5, L, R), 7)
                         assert np.array_equal(got, want), (L, periodic, J, beta, R)
                         cases += 1
@@ -257,7 +264,7 @@ def test_heat_bath_bit_equal_to_colour_site_oracle():
     qc = quenched_couplings(4, 1.0, seed=2, periodic=True)
     base = (stream(6, 0).integers(0, 2, (2, 4, 8)) * 2 - 1).astype(np.int8)
     got = base.copy()
-    heat_bath_sweeps(got[:, :, ::2], qc, 0.8, stream(6, 1), 3)
+    heat_bath_sweeps(got[:, :, ::2], heat_bath_kernel(qc, 0.8, 2), stream(6, 1), 3)
     want = base.copy()
     want[:, :, ::2] = _heat_bath_oracle(base[:, :, ::2].copy(), qc, 0.8, stream(6, 1), 3)
     assert np.array_equal(got, want)
@@ -269,23 +276,23 @@ def test_heat_bath_bit_equal_to_oracle_at_the_run_replica_counts(R, periodic):
     # R = 8 is the benchmark's replica count, R = 32 the cap exp ea reaches
     qc = quenched_couplings(16, 1.0, seed=R, periodic=periodic)
     s0 = (stream(R, 1).integers(0, 2, (R, 16, 16)) * 2 - 1).astype(np.int8)
-    got = heat_bath_sweeps(s0.copy(), qc, 0.9, stream(5, R), 4)
+    got = heat_bath_sweeps(s0.copy(), heat_bath_kernel(qc, 0.9, R), stream(5, R), 4)
     assert np.array_equal(got, _heat_bath_oracle(s0.copy(), qc, 0.9, stream(5, R), 4))
 
 
 def test_heat_bath_sweeps_split_into_calls_give_the_same_bits():
-    # n = a + b sweeps in one call equal a then b on one workspace, with the
+    # n = a + b sweeps in one call equal a then b on one kernel, with the
     # other chain's calls in between: the glass's chain 2 runs its burn-in
     # and calibration sweeps in one call
     qc = quenched_couplings(8, 1.0, seed=4, periodic=True)
     start = [(stream(9, c).integers(0, 2, (3, 8, 8)) * 2 - 1).astype(np.int8) for c in (0, 1)]
-    ws = HeatBathWorkspace(qc, 0.7, 3)
+    kernel = heat_bath_kernel(qc, 0.7, 3)
     for a, b in ((0, 5), (3, 4), (6, 1), (2, 0)):
-        whole = heat_bath_sweeps(start[1].copy(), qc, 0.7, stream(3, a, b), a + b, ws)
+        whole = heat_bath_sweeps(start[1].copy(), kernel, stream(3, a, b), a + b)
         parts, other, rng = start[1].copy(), start[0].copy(), stream(3, a, b)
-        heat_bath_sweeps(parts, qc, 0.7, rng, a, ws)
-        heat_bath_sweeps(other, qc, 0.7, stream(4), 2, ws)
-        heat_bath_sweeps(parts, qc, 0.7, rng, b, ws)
+        heat_bath_sweeps(parts, kernel, rng, a)
+        heat_bath_sweeps(other, kernel, stream(4), 2)
+        heat_bath_sweeps(parts, kernel, rng, b)
         assert np.array_equal(whole, parts), (a, b)
 
 
@@ -305,8 +312,8 @@ def test_p_plus_table_is_the_per_site_formula_bit_for_bit():
 
 
 def test_heat_bath_workspace_gives_the_bits_of_fresh_calls():
-    # two chains alternate on one workspace, as a disorder's s1 and s2 do;
-    # each must end where the same calls without a workspace end
+    # two chains alternate on one kernel, as a disorder's s1 and s2 do;
+    # each must end where the same calls on a fresh kernel per call end
     cases = 0
     for L, periodic in ((5, False), (8, False), (6, True), (8, True)):
         qc = quenched_couplings(L, 1.0, seed=L, periodic=periodic)
@@ -317,25 +324,25 @@ def test_heat_bath_workspace_gives_the_bits_of_fresh_calls():
                 fresh = [x.copy() for x in start]
                 rngs_shared = [stream(7, L, R, c) for c in (0, 1)]
                 rngs_fresh = [stream(7, L, R, c) for c in (0, 1)]
-                ws = HeatBathWorkspace(qc, beta, R)
+                kernel = heat_bath_kernel(qc, beta, R)
                 for n in (0, 1, 7, 1, 0, 7):
                     for c in (0, 1):
-                        heat_bath_sweeps(shared[c], qc, beta, rngs_shared[c], n, ws)
-                        heat_bath_sweeps(fresh[c], qc, beta, rngs_fresh[c], n)
+                        heat_bath_sweeps(shared[c], kernel, rngs_shared[c], n)
+                        heat_bath_sweeps(fresh[c], heat_bath_kernel(qc, beta, R), rngs_fresh[c], n)
                         assert np.array_equal(shared[c], fresh[c]), (L, periodic, beta, R, n, c)
                         cases += 1
     assert cases == 4 * 2 * 2 * 6 * 2
 
 
 def test_heat_bath_workspace_must_match_the_call():
-    qc = quenched_couplings(4, 1.0, seed=1)
-    other = quenched_couplings(4, 1.0, seed=2)
-    s = np.ones((2, 4, 4), np.int8)
-    ws = HeatBathWorkspace(qc, 0.8, 2)
-    for args in ((other, 0.8, s), (qc, 0.9, s), (qc, 0.8, np.ones((3, 4, 4), np.int8))):
-        with pytest.raises(ValueError, match="workspace"):
-            heat_bath_sweeps(args[2], args[0], args[1], stream(0), 1, ws)
-    assert (s == 1).all()
+    # a chain of another replica count: R = 1 would broadcast into the
+    # kernel's two chains if it were not refused
+    kernel = heat_bath_kernel(quenched_couplings(4, 1.0, seed=1), 0.8, 2)
+    for R in (1, 3):
+        s = np.ones((R, 4, 4), np.int8)
+        with pytest.raises(ValueError, match="replica count"):
+            heat_bath_sweeps(s, kernel, stream(0), 1)
+        assert (s == 1).all()
 
 
 def test_heat_bath_rejects_couplings_off_the_table():
@@ -344,11 +351,10 @@ def test_heat_bath_rejects_couplings_off_the_table():
     for h, v in ((qc.horizontal * 0.5, qc.vertical), (qc.horizontal, np.where(qc.vertical != 0, 1.5, 0.0))):
         bad = QuenchedCouplings(4, 1.0, False, 1, h, v)
         with pytest.raises(ValueError, match="couplings"):
-            heat_bath_sweeps(s, bad, 0.8, stream(0), 1)
-    assert (s == 1).all()
+            heat_bath_kernel(bad, 0.8, 2)
     # zero couplings and either sign of |J| are on the table
     mixed = QuenchedCouplings(4, -1.0, False, 1, qc.horizontal, -qc.vertical)
-    heat_bath_sweeps(s, mixed, 0.8, stream(0), 1)
+    heat_bath_sweeps(s, heat_bath_kernel(mixed, 0.8, 2), stream(0), 1)
 
 
 def test_odd_periodic_box_is_rejected():
@@ -386,13 +392,13 @@ def test_open_crossing_flags():
     bh[1, :-1] = True  # full open row: touches both extreme columns
     bv = np.zeros((L, L), bool)
     mask = np.ones((L, L), bool)
-    big, sizes, cx, cy = _cluster_stats(bh, bv, mask, L, periodic=False)
+    big, sizes, cx, cy, _ = _cluster_stats(bh, bv, mask, L, periodic=False)
     assert big == L and cx and not cy
     # restrict the site mask: clusters stop at the masked-out site
     mask2 = mask.copy()
     mask2[1, 2] = False
-    big2, _, cx2, _ = _cluster_stats(bh, bv, mask2, L, periodic=False)
-    assert not cx2 and big2 == 2
+    big2, _, cx2, _, out2 = _cluster_stats(bh, bv, mask2, L, periodic=False)
+    assert not cx2 and big2 == 2 and out2 == 0
 
 
 def test_blue_red_admissibility_by_hand():
@@ -458,10 +464,11 @@ def test_heat_bath_matches_exact_on_small_box():
     rng = stream(3, 0)
     R = 512
     s = (rng.integers(0, 2, (R, 2, 2)) * 2 - 1).astype(np.int8)
-    heat_bath_sweeps(s, qc, beta, rng, 60)
+    kernel = heat_bath_kernel(qc, beta, R)
+    heat_bath_sweeps(s, kernel, rng, 60)
     samples = []
     for _ in range(60):
-        heat_bath_sweeps(s, qc, beta, rng, 2)
+        heat_bath_sweeps(s, kernel, rng, 2)
         samples.append((s[:, 0, 0] * s[:, 1, 1]).astype(float).mean())
     est = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(len(samples)))
@@ -479,10 +486,11 @@ def test_heat_bath_matches_exact_energy_on_odd_open_and_periodic_boxes():
         R = 2048
         rng = stream(12, L)
         s = (rng.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
-        heat_bath_sweeps(s, qc, beta, rng, 50)
+        kernel = heat_bath_kernel(qc, beta, R)
+        heat_bath_sweeps(s, kernel, rng, 50)
         per_replica = np.zeros(R)
         for _ in range(20):
-            heat_bath_sweeps(s, qc, beta, rng, 2)
+            heat_bath_sweeps(s, kernel, rng, 2)
             per_replica += bond_energy(s, qc) / 20
         z = (per_replica.mean() - exact) / (per_replica.std(ddof=1) / math.sqrt(R))
         assert abs(z) < 4, (L, periodic, z)

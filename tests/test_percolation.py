@@ -253,6 +253,35 @@ def test_joined_matches_regions_connected_per_mask():
     assert joined(5, bonds, [], {0}, {2}).shape == (0,)
 
 
+def test_joined_in_batches_of_the_cell_budget(monkeypatch):
+    # 12 distinct masks among 17, labelled in slices of the budget read at
+    # call time: 1 mask (a budget at or below one row), 2, an exact divisor
+    # of 12, one that is not, and one past the count; 70 bonds take the
+    # object-mask route
+    rng = stream(16, 0)
+    label = percolation.chain_components
+    for n_bonds in (12, 70):
+        n = 20
+        bonds = _random_bonds(rng, n, n_bonds)
+        masks = [0, (1 << n_bonds) - 1]
+        while len(masks) < 12:
+            m = _random_mask(rng, n_bonds)
+            masks += [m] if m not in masks else []
+        masks += [masks[k] for k in (3, 0, 11, 3, 7)]
+        A, B = {0, 1}, {18}
+        want = joined(n, bonds, masks, A, B).tolist()
+        assert want == [_bfs_connected(n, [b for j, b in enumerate(bonds) if m >> j & 1], A, B) for m in masks]
+        for budget, step in ((1, 1), (n_bonds, 1), (2 * n_bonds + 1, 2), (4 * n_bonds, 4), (5 * n_bonds, 5), (99 * n_bonds, 99)):
+            rows = []
+            monkeypatch.setattr(percolation, "chain_components", lambda nv, bv, active: rows.append(len(active)) or label(nv, bv, active))
+            monkeypatch.setattr(twocopy, "_BLOCK_CELLS", budget)
+            assert joined(n, bonds, masks, A, B).tolist() == want, (n_bonds, budget)
+            assert rows == [min(step, 12 - lo) for lo in range(0, 12, step)], (n_bonds, budget)
+            assert joined(n, bonds, [], A, B).shape == (0,)
+            with pytest.raises(ValueError):
+                joined(n, bonds, [], A, {n})
+
+
 def test_connected_rejects_vertices_outside_the_graph():
     for A in ({-1}, {3}, {0, 99}):
         with pytest.raises(ValueError):
