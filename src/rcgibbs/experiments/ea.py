@@ -12,14 +12,16 @@ in one order, build_grid's except on the 2 x 2 torus, where the two cells
 joining a pair of sites are two parallel bonds, as the heat bath sees them.
 
 The heat bath is sampling.HeatBath: its classes are the two checkerboard
-colours and its table the 81-entry p_plus table keyed by the neighbours'
-spins. The colouring is proper only for even L on the torus, so odd
-periodic boxes are rejected. Each disorder builds one heat_bath_kernel
-for every heat-bath call of its two chains. One percolation.edge_components
-call per replica labels the blue clusters on both sides of the mask, and
-open-box crossings are read by chains_join; on the torus a cluster wraps
-when one of its cycles has nonzero displacement, found from integer
-potentials on a breadth-first spanning forest.
+colours and its table the 81 integer thresholds round(p_plus * 2^31) keyed
+by the neighbours' spins, compared with 31-bit uniforms from raw Philox
+words; sample_blue_red draws one such uniform per bond. The colouring is
+proper only for even L on the torus, so odd periodic boxes are rejected.
+Each disorder builds one heat_bath_kernel for every heat-bath call of its
+two chains. One percolation.edge_components call per replica labels the
+blue clusters on both sides of the mask, and open-box crossings are read
+by chains_join; on the torus a cluster wraps when one of its cycles has
+nonzero displacement, found from integer potentials on a breadth-first
+spanning forest.
 """
 
 from __future__ import annotations
@@ -133,6 +135,13 @@ def _p_plus_table(a: float, beta: float) -> np.ndarray:
     return np.divide(1.0, f, out=f)
 
 
+def _thresholds(p) -> np.ndarray:
+    """round(p * 2^31) as uint32: a 31-bit uniform u fires when u < t, so
+    p = 0 never fires, p = 1 always does, and every other p is realised
+    within 2^-32."""
+    return np.rint(np.multiply(p, 2.0**31)).astype(np.uint32)
+
+
 def heat_bath_kernel(qc: QuenchedCouplings, beta: float, R: int) -> HeatBath:
     """The sampling.HeatBath of heat_bath_sweeps over R replicas, whose
     values 0/1 are the spins -1/+1. Couplings other than 0 and +-|J| raise
@@ -149,7 +158,7 @@ def heat_bath_kernel(qc: QuenchedCouplings, beta: float, R: int) -> HeatBath:
         # the key 40 + sum_k sign(c_k) 3^k s_k, with s_k = 2 v_k - 1 for the values v_k
         w = np.sign([h[site], h[nbrs[1]], v[site], v[nbrs[3]]]).astype(np.int64) * 3 ** np.arange(4)[:, None]
         classes.append((site, np.array(nbrs), 2 * w, 40 - w.sum(axis=0)))
-    return HeatBath(qc.L * qc.L, classes, _p_plus_table(a, beta)[None], R)
+    return HeatBath(qc.L * qc.L, classes, _thresholds(_p_plus_table(a, beta))[None], R)
 
 
 def heat_bath_sweeps(s, kernel: HeatBath, rng, n_sweeps: int):
@@ -161,13 +170,16 @@ def heat_bath_sweeps(s, kernel: HeatBath, rng, n_sweeps: int):
     81-entry table at the key 40 + sum_k sign(c_k) 3^k s_k, c_k being the
     coupling to neighbour k. The table rounds each field as the per-site
     formula does (see _p_plus_table), so p_plus is that formula's value bit
-    for bit. A field whose replica or site count is not the kernel's
+    for bit; the kernel holds it as the threshold t = round(p_plus * 2^31)
+    (_thresholds). A field whose replica or site count is not the kernel's
     raises ValueError.
 
-    Random stream: per sweep, one rng.random draw of one uniform per
-    updated site: per colour in turn an (R, n_colour) block, replica-major
-    and in _checkerboard's site order. These are the values, in order, of
-    one draw per colour. A site becomes +1 when its uniform is below p_plus.
+    Random stream: per sweep, one rng.bit_generator.random_raw draw of
+    ceil(R * L^2 / 2) words, split into 31-bit uniforms (w & 0xffffffff)
+    >> 1 then (w >> 32) >> 1, one per updated site: per colour in turn an
+    (R, n_colour) block, replica-major and in _checkerboard's site order. A
+    site becomes +1 when its uniform is below t, so with probability
+    t / 2^31, within 2^-32 of p_plus, and exactly 0 or 1 at t = 0 or 2^31.
     """
     R = s.shape[0]
     if kernel.state.shape != (math.prod(s.shape[1:]) + 1, R):
@@ -191,20 +203,30 @@ def sample_blue_red(s1, s2, qc: QuenchedCouplings, beta: float, rng):
 
     Returns ((blue_h, blue_v), (red_h, red_v), no_mask); arrays match the
     coupling layout, entries on zero couplings are always False.
+
+    Random stream: one rng.bit_generator.random_raw(s1.shape) draw, one
+    word per (replica, y, x) cell; its low half, shifted right by one, is
+    the 31-bit uniform of the horizontal bond and its high half that of the
+    vertical bond. A bond is blue-admissible when both copies satisfy it and
+    red-admissible when exactly one does, so one uniform decides whichever
+    colour applies: the bond is drawn when its uniform lies below the integer
+    threshold round(p * 2^31) (_thresholds) of p = 1 - exp(-4|K|) for
+    blue or 1 - exp(-2|K|) for red.
     """
+    # each word's '<u4' halves, low first on any host, shifted in place
+    halves = rng.bit_generator.random_raw(s1.shape).astype("<u8", copy=False).view("<u4").reshape(*s1.shape, 2)
+    halves >>= 1
     out_blue = []
     out_red = []
-    for coup, axis in ((qc.horizontal, 2), (qc.vertical, 1)):
+    for coup, axis, u in ((qc.horizontal, 2, halves[..., 0]), (qc.vertical, 1, halves[..., 1])):
         K = beta * coup[None, :, :]
         absK = np.abs(K)
         sat1 = K * s1 * np.roll(s1, -1, axis=axis) > 0
         sat2 = K * s2 * np.roll(s2, -1, axis=axis) > 0
         blue_adm = sat1 & sat2
-        p_blue = 1.0 - np.exp(-4.0 * absK)
-        blue = blue_adm & (rng.random(s1.shape) < p_blue)
         red_adm = sat1 ^ sat2  # the copies' bond products disagree, on a nonzero coupling
-        p_red = 1.0 - np.exp(-2.0 * absK)
-        red = red_adm & (rng.random(s1.shape) < p_red)
+        blue = blue_adm & (u < _thresholds(1.0 - np.exp(-4.0 * absK)))
+        red = red_adm & (u < _thresholds(1.0 - np.exp(-2.0 * absK)))
         out_blue.append((blue, blue_adm))
         out_red.append((red, red_adm))
     no_mask = s1 != s2

@@ -5,10 +5,18 @@ the +-J glass (experiments.ea). It updates C chains at once, one colour
 class of sites at a time (the chromatic Gibbs sampler, Geman-Geman, IEEE
 PAMI 6, 721, 1984). A site's key is base[site] + sum_k w_k[site] *
 state[nbr_k]; a flat table holds per key the tails T_j = P(value >= j |
-neighbours), j = 1..S-1. Random stream: per sweep one rng.random draw
-that fills every class's (C, n_class) block end to end, in class order,
-each chain-major in its site order: the same values in the same order as
-one draw per class would give. A site takes sum_j [u < T_j].
+neighbours), j = 1..S-1, in the table's dtype. Random stream: per sweep
+one draw of C * n_sites uniforms that fills every class's (C, n_class)
+block end to end, in class order, each chain-major in its site order. A
+site takes sum_j [u < T_j]. Float64 tails (the generic sampler) draw
+rng.random doubles: the same values in the same order as one draw per
+class would give. uint32 thresholds t = round(T * 2^31) (the glass) draw
+ceil(C * n_sites / 2) words by rng.bit_generator.random_raw and split
+each into two 31-bit uniforms, (w & 0xffffffff) >> 1 then (w >> 32) >> 1,
+so that t = 0 never fires and t = 2^31 always does. A word serves two
+compares where a double serves one, which pays on the glass's 32,768
+uniforms a sweep (R = 8, L = 64); on the generic sampler's ~100 the cost
+is per call, and the float draw stays the faster.
 
 The generic sampler colours the interaction graph greedily in region order
 and keys a site by its table offset plus sum_k S**k * (value of neighbour
@@ -63,17 +71,23 @@ class HeatBath:
     classes lists per colour class (site, nbrs, w, base): its sites (n,),
     their neighbours (d, n) (padding reads the dummy site n_sites, whose
     value is 0), and int key weights (d, n) or (d, 1) and offsets (n,).
-    table holds the (S - 1, n_keys) tails. Keys are summed in the
+    table holds the (S - 1, n_keys) tails, float64 probabilities or uint32
+    thresholds on 31-bit uniforms (any other dtype raises ValueError);
+    classes keeps the classes as int arrays, w at its (d, n) shape, for
+    readers such as the exact transition check. Keys are summed in the
     narrowest int type that holds n_keys - 1; a partial sum may wrap, since
     that arithmetic is modular and the full key lies in the table.
     state keeps a class's sites in one block of rows (site i in row[i]);
     load and values read and write its int8 values in site order. Each
     class keeps its buffers and views (neighbour values, key terms with the
     offsets as the last term, keys, tails), built at full shape once, so no
-    operand broadcasts. A sweep draws its uniforms with one rng.random into
-    uniforms, which holds every class's (C, n) block end to end in class
-    order; each class reads its own block. Philox gives the same doubles
-    however a draw is split, so the stream is that of one draw per class.
+    operand broadcasts. A sweep draws into uniforms, which holds every
+    class's (C, n) block end to end in class order; each class reads its
+    own block. Float tails draw it with one rng.random; Philox gives the
+    same doubles however a draw is split, so the stream is that of one draw
+    per class. uint32 thresholds copy one random_raw draw into words, a
+    '<u8' buffer whose '<u4' view is uniforms, so each word's low half
+    comes first on any host, and shift uniforms right by one in place.
 
     Both gathers of a sweep, the neighbour values and the table tails, run
     in take's mode="clip", which writes straight into the buffer; the
@@ -89,30 +103,44 @@ class HeatBath:
     """
 
     def __init__(self, n_sites: int, classes, table: np.ndarray, C: int):
+        if table.dtype not in (np.float64, np.uint32):
+            raise ValueError("the table holds float64 tails or uint32 thresholds")
         self.table = table
         self.S = table.shape[0] + 1
         n_keys = table.shape[1]
         self.state = np.zeros((n_sites + 1, C), np.int8)
-        self.order = np.array([i for site, *_ in classes for i in site], np.intp)
-        self.row = np.append(np.argsort(self.order), n_sites)
-        kd = next(t for t in (np.int8, np.int16, np.int32, np.int64) if n_keys <= np.iinfo(t).max + 1)
         self.classes = []
-        self.uniforms = np.empty(C * len(self.order))
-        lo = 0
         for site, nbrs, w, base in classes:
-            d, n = np.shape(nbrs)
+            nbrs = np.asarray(nbrs, np.intp)
             _check_keys(nbrs, w, base, n_sites, self.S, n_keys)
+            d, n = nbrs.shape
+            w = np.broadcast_to(np.asarray(w, np.int64), (d, n))
+            self.classes.append((np.asarray(site, np.intp), nbrs, w, np.asarray(base, np.int64)))
+        self.order = np.array([i for site, *_ in self.classes for i in site], np.intp)
+        self.row = np.append(np.argsort(self.order), n_sites)
+        m = C * len(self.order)
+        if table.dtype == np.uint32:
+            # two 31-bit uniforms per raw word, low half first on every host
+            self.words = np.empty(-(-m // 2), "<u8")
+            self.uniforms = self.words.view("<u4")[:m]
+        else:
+            self.words, self.uniforms = None, np.empty(m)
+        kd = next(t for t in (np.int8, np.int16, np.int32, np.int64) if n_keys <= np.iinfo(t).max + 1)
+        self._work = []
+        lo = 0
+        for site, nbrs, w, base in self.classes:
+            d, n = nbrs.shape
             # weights at the full (d, n, C) shape, so that no operand broadcasts;
             # terms[d] holds the offsets, added last as one more term
-            w = np.repeat(np.broadcast_to(np.asarray(w, kd), (d, n))[:, :, None], C, axis=2)
+            wc = np.repeat(w.astype(kd)[:, :, None], C, axis=2)
             terms = np.empty((d + 1, n, C), kd)
-            terms[d] = np.asarray(base, kd)[:, None]
+            terms[d] = base.astype(kd)[:, None]
             g = np.empty((d * n, C), np.int8)
             u = self.uniforms[lo * C : (lo + n) * C].reshape(C, n)  # chain-major, as the stream fills it
             block = self.state[lo : lo + n]
-            bufs = np.empty((n, C), kd), np.empty((n, C)), np.empty((n, C), bool)
-            self.classes.append((block, block.view(bool), self.row[np.ravel(nbrs)], g, g.reshape(d, n, C), w,
-                                 terms, terms[:d], u.T, *bufs))
+            bufs = np.empty((n, C), kd), np.empty((n, C), table.dtype), np.empty((n, C), bool)
+            self._work.append((block, block.view(bool), self.row[nbrs.ravel()], g, g.reshape(d, n, C), wc,
+                               terms, terms[:d], u.T, *bufs))
             lo += n
 
     def load(self, values):
@@ -129,10 +157,14 @@ class HeatBath:
 
     def sweeps(self, rng, n_sweeps: int):
         """Update every class in order, n_sweeps times, in place."""
-        state, first, rest = self.state, self.table[0], self.table[1:]
+        state, first, rest, words, u = self.state, self.table[0], self.table[1:], self.words, self.uniforms
         for _ in range(n_sweeps):
-            rng.random(out=self.uniforms)
-            for block, hit, nbrs, g, g3, w, terms, products, uT, key, p, up in self.classes:
+            if words is None:
+                rng.random(out=u)
+            else:
+                words[...] = rng.bit_generator.random_raw(len(words))
+                np.right_shift(u, 1, out=u)
+            for block, hit, nbrs, g, g3, w, terms, products, uT, key, p, up in self._work:
                 state.take(nbrs, axis=0, out=g, mode="clip")
                 np.multiply(g3, w, out=products)
                 np.add.reduce(terms, axis=0, dtype=key.dtype, out=key)

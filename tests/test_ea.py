@@ -42,18 +42,31 @@ def _neighbor_field(s, h, v):
     )
 
 
+def _raw_uniforms(rng, m):
+    """m 31-bit uniforms from ceil(m / 2) raw Philox words, each word's low
+    half first."""
+    w = rng.bit_generator.random_raw(-(-m // 2))
+    return (np.stack((w & 0xFFFFFFFF, w >> 32), axis=1).ravel() >> 1)[:m]
+
+
 def _heat_bath_oracle(s, qc, beta, rng, n_sweeps):
-    """Per colour: float fields and exp over the whole lattice, then one
-    uniform per replica and colour site, in row-major site order."""
-    L = qc.L
+    """Per colour: float fields and exp over the whole lattice, the
+    threshold round(p_plus * 2^31), then one 31-bit uniform per replica and
+    colour site, in row-major site order; per sweep one draw of raw words
+    covers both colours."""
+    R, L = s.shape[0], qc.L
     yy, xx = np.mgrid[0:L, 0:L]
     masks = [((xx + yy) % 2 == par) for par in (0, 1)]
     for _ in range(n_sweeps):
+        u = _raw_uniforms(rng, R * L * L)
+        lo = 0
         for mask in masks:
+            n = int(mask.sum())
             f = beta * _neighbor_field(s, qc.horizontal, qc.vertical)
             p_plus = 1.0 / (1.0 + np.exp(-2.0 * f))
-            u = rng.random((s.shape[0], int(mask.sum())))
-            s[:, mask] = np.where(u < p_plus[:, mask], 1, -1).astype(s.dtype)
+            t = np.rint(p_plus * 2.0**31)
+            s[:, mask] = np.where(u[lo : lo + R * n].reshape(R, n) < t[:, mask], 1, -1).astype(s.dtype)
+            lo += R * n
     return s
 
 
@@ -433,6 +446,31 @@ def test_blue_red_disjoint_and_probabilities():
     assert np.all(bh <= bh_adm) and np.all(rv <= rv_adm)
 
 
+def test_blue_red_draw_one_raw_word_per_cell():
+    # word (r, y, x): its low half, shifted right by one, decides the
+    # horizontal bond (x, y)-(x+1, y), its high half the vertical bond
+    # (x, y)-(x, y+1), against round((1 - e^{-4|K|}) 2^31) where both copies
+    # satisfy the bond (blue) and round((1 - e^{-2|K|}) 2^31) where one does (red)
+    L, R, beta = 4, 3, 0.7
+    qc = quenched_couplings(L, 1.0, seed=5, periodic=True)
+    s1, s2 = ((stream(3, c).integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8) for c in (0, 1))
+    blue, red, _ = sample_blue_red(s1, s2, qc, beta, stream(3, 2))
+    w = stream(3, 2).bit_generator.random_raw((R, L, L))
+    cases = 0
+    for r, y, x in itertools.product(range(R), range(L), range(L)):
+        for d, coup, (y2, x2), u in (
+            (0, qc.horizontal, (y, (x + 1) % L), int(w[r, y, x] & 0xFFFFFFFF) >> 1),
+            (1, qc.vertical, ((y + 1) % L, x), int(w[r, y, x] >> 32) >> 1),
+        ):
+            K = beta * coup[y, x]
+            sat1, sat2 = (K * s[r, y, x] * s[r, y2, x2] > 0 for s in (s1, s2))
+            t_blue, t_red = (round(float(1.0 - np.exp(-a * abs(K))) * 2**31) for a in (4.0, 2.0))
+            assert blue[d][0][r, y, x] == (sat1 and sat2 and u < t_blue), (r, y, x, d)
+            assert red[d][0][r, y, x] == (sat1 != sat2 and u < t_red), (r, y, x, d)
+            cases += blue[d][0][r, y, x] + red[d][0][r, y, x]
+    assert cases > R * L * L // 2
+
+
 def test_sampled_marginals_match_closed_forms_chi2():
     # per-admissible-slot coin frequencies against 1 - e^{-4J}, 1 - e^{-2J}
     qc = quenched_couplings(8, 1.0, seed=11)
@@ -557,7 +595,7 @@ def test_ea_degenerate_densities_keep_a_positive_se():
     # at beta J = 10 every admissible bond is blue and red in every sample:
     # the binomial SE is 0, and the floor 1 / n_admissible takes its place
     rep = ea_mns_percolation(4, 1.0, 10.0, seed=0, n_sweeps=50, n_samples=8)
-    for key, n_adm in (("blue_density", 144), ("red_density", 43)):
+    for key, n_adm in (("blue_density", 140), ("red_density", 47)):
         d = rep[key]
         assert (d["mean"], d["n_admissible"], d["se"]) == (1.0, n_adm, 1 / n_adm)
 
