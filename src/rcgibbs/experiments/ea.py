@@ -313,7 +313,7 @@ def _one_disorder(args):
     rng1 = stream(seed, 100, k, 0)
     rng2 = stream(seed, 100, k, 1)
     rngb = stream(seed, 100, k, 2)
-    R = max(1, min(32, n_samples))
+    R = _replicas(n_samples)
     per = -(-n_samples // R)
     s1 = (rng1.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
     s2 = (rng2.integers(0, 2, (R, L, L)) * 2 - 1).astype(np.int8)
@@ -376,12 +376,27 @@ def _one_disorder(args):
     }
 
 
-def _mean_se(xs) -> dict:
+def _replicas(n_samples: int) -> int:
+    """The replicas R of a disorder's chains: its sample j comes from
+    replica j % R."""
+    return max(1, min(32, n_samples))
+
+
+def _mean_se(xs, chains) -> dict:
+    """The mean of the samples xs and its batch-means standard error over
+    the independent chains that drew them, chains[i] in 0..C-1 labelling
+    xs[i], every label used. With n_c samples of sum s_c on chain c and N
+    in all, se^2 = C / (C - 1) * sum_c (s_c - n_c * mean)^2 / N^2, the
+    ratio estimator's; computed as below, one sample per chain gives the
+    bits of std(xs, ddof=1) / sqrt(N)."""
     xs = np.asarray(xs, dtype=float)
     if len(xs) == 0:
         return {"mean": 0.0, "se": 0.0}
-    se = float(xs.std(ddof=1) / math.sqrt(len(xs))) if len(xs) > 1 else 0.0
-    return {"mean": float(xs.mean()), "se": se}
+    mean = float(xs.mean())
+    d = np.bincount(chains, weights=xs) - np.bincount(chains) * mean
+    C, N = len(d), len(xs)
+    se = math.sqrt(float(np.add.reduce(d * d)) / (C - 1)) / math.sqrt(C) * (C / N) if C > 1 else 0.0
+    return {"mean": mean, "se": se}
 
 
 def ea_mns_percolation(
@@ -404,9 +419,11 @@ def ea_mns_percolation(
     binomial standard errors floored at 1 / n_admissible, the resolution
     of a density, so that a density of 0 or 1 keeps a positive one; the
     largest blue cluster fraction inside the disagreement and agreement
-    regions, box crossing (or wrapping) frequencies, and the aggregated
-    cluster-size counts. Arguments outside their range raise UsageError
-    before any sampling.
+    regions and box crossing (or wrapping) frequencies, with standard
+    errors by batch means over the independent (disorder, replica) chains
+    (_mean_se), since the samples of one chain are correlated; and the
+    aggregated cluster-size counts. Arguments outside their range raise
+    UsageError before any sampling.
     """
     err = _box_error(L, periodic)
     if err:
@@ -436,6 +453,13 @@ def ea_mns_percolation(
     for d in per_disorder:
         for sz, c in d["size_counts"].items():
             size_counts[sz] = size_counts.get(sz, 0) + c
+    # sample j of disorder k comes from chain k * R + j % R, independent of the others
+    R = _replicas(n_samples)
+    chains = (np.arange(n_disorder)[:, None] * R + np.arange(n_samples) % R).ravel()
+
+    def cluster_stat(key):
+        return _mean_se([float(x) for d in per_disorder for x in d[key]], chains)
+
     return {
         "L": L,
         "J": J,
@@ -457,14 +481,10 @@ def ea_mns_percolation(
             "closed_form": 1 - math.exp(-2 * abs(beta_scale * J)),
             "n_admissible": red_adm,
         },
-        "largest_blue_nonoverlap_fraction": _mean_se(
-            [x for d in per_disorder for x in d["largest_no"]]
-        ),
-        "largest_blue_overlap_fraction": _mean_se(
-            [x for d in per_disorder for x in d["largest_ov"]]
-        ),
-        "crossing_x": _mean_se([float(x) for d in per_disorder for x in d["cross_x"]]),
-        "crossing_y": _mean_se([float(x) for d in per_disorder for x in d["cross_y"]]),
+        "largest_blue_nonoverlap_fraction": cluster_stat("largest_no"),
+        "largest_blue_overlap_fraction": cluster_stat("largest_ov"),
+        "crossing_x": cluster_stat("cross_x"),
+        "crossing_y": cluster_stat("cross_y"),
         "equilibration": {
             "tau_max": max(d["tau"] for d in per_disorder),
             "gaps": sorted({d["gap"] for d in per_disorder}),

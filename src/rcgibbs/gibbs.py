@@ -322,6 +322,20 @@ def _scalars(w: np.ndarray):
         yield from w[lo:lo + (1 << 16)].tolist()
 
 
+def _total(weights, exact: bool):
+    """A normalizing total: exact weights summed exactly, floats by
+    math.fsum, correctly rounded. Builtin sum adds floats one after another
+    on Python 3.11 (compensated on 3.12), 1.7e-13 relative off on the 3^12
+    σ of a 12-site chain's overlap law. Finite floats whose sum overflows
+    give inf, as that sum would."""
+    if exact:
+        return sum(weights)
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        return math.inf
+
+
 class FiniteDistribution:
     """Probability table over a finite outcome space, with two backings.
 
@@ -341,7 +355,7 @@ class FiniteDistribution:
         if not table:
             raise ValueError("empty distribution")
         exact = all(is_exact_number(w) for w in table.values())
-        total = sum(table.values())
+        total = _total(table.values(), exact)
         if any(w < 0 for w in table.values()):
             raise ValueError("negative weight")
         if normalize:
@@ -367,13 +381,13 @@ class FiniteDistribution:
 
         weights is flat, in itertools.product(*domains) order: float64, or
         object holding exact rationals. It is used as given, or divided by
-        its total when normalize is set; exact weights divide as Fractions,
-        so int weights give Fractions too.
+        its total (_total) when normalize is set; exact weights divide as
+        Fractions, so int weights give Fractions too.
         """
         if normalize:
             if (weights < 0).any():
                 raise ValueError("negative weight")
-            total = sum(_scalars(weights))
+            total = _total(_scalars(weights), weights.dtype == object)
             if total == 0:
                 raise ValueError("cannot normalize zero measure")
             weights = weights / (Fraction(total) if weights.dtype == object else total)
@@ -477,12 +491,13 @@ def gibbs_measure(spec: GibbsSpec) -> FiniteDistribution:
 
     Weight of a configuration is the product of effective bond factors
     (interior bonds plus straddling bonds with the boundary folded in), from
-    config_weights; the partition function sums them in enumeration order.
+    config_weights; the partition function is their _total (exact, or
+    math.fsum for floats).
     Returns a product-backed FiniteDistribution over the region's domain
     values at every size.
     """
     w = config_weights(spec)
-    Z = sum(_scalars(w))
+    Z = _total(_scalars(w), w.dtype == object)
     if Z == 0:
         raise AllForbiddenError("all configurations forbidden")
     if not spec.exact and not math.isfinite(Z):

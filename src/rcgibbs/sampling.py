@@ -26,10 +26,10 @@ factors in bond order, and sums the tails from the top value down. A row
 whose weights are all 0 (a neighbourhood the hard constraints forbid) holds
 the uniform law over the domain, so a chain can leave it.
 
-mc_connection_probability runs the copies of n_tasks pairs as the columns
-of one state (pair t: columns t and n_tasks + t) on stream(seed, 300): one
+mc_connection_probability runs the copies of T pairs as the columns of one
+state (pair t: columns t and T + t) on stream(seed, 300): one
 rng.random((C, n_sites)) for a start uniform over the domains, the burn-in,
-then per sample step the gap sweeps and one rng.random((n_tasks, n_bonds));
+then per sample step the gap sweeps and one rng.random((T, n_bonds));
 bond j of pair t is active when its uniform is below its pair coin
 (percolation.pair_coin_table) at the copies' local values. The sample steps
 run in chunks of at most twocopy._BLOCK_CELLS (sample, bond) cells, the
@@ -46,6 +46,16 @@ it. The burn-in keeps each sweep's state and reads the series of the kept
 states in one batch, within the same cell budget, when a check or the cap
 needs it; each state's sum adds its coins pairwise in the same order as
 one state read alone, so the series has the same bits.
+
+The pair count T is n_tasks when given, else pair_count(n_samples,
+n_sites): about PAIR_SAMPLES samples per pair, at least PAIRS_MIN pairs,
+and past that floor no more than SWEEP_CELLS (site, chain) cells in the
+kernel state. Below that cap a sweep's cost is per numpy call, not per
+cell, so more pairs buy fewer sample steps at the same cost per step (on
+the benchmark's 3 x 2 grids, 500 samples take 16 steps of 32 pairs where
+8 pairs took 63), and the batch-means SE gets T - 1 degrees of freedom.
+The stream depends on T, so the default's outputs differ from those of
+n_tasks=8 wherever the rule picks more pairs.
 """
 
 from __future__ import annotations
@@ -63,6 +73,9 @@ from .rng import stream
 BURN_IN_MIN = 32  # the first sweep at which the burn-in may stop
 BURN_IN_CHECK = 8  # sweeps between two stopping checks
 TAU_SWEEPS = 20  # a stopped burn-in has run at least this many tau
+PAIRS_MIN = 8  # the default pair count's floor
+PAIR_SAMPLES = 16  # samples per pair the default pair count aims at
+SWEEP_CELLS = 512  # (site, chain) cells of kernel state the default stays within past its floor
 
 
 class HeatBath:
@@ -248,19 +261,22 @@ def _generic_heat_bath(spec: GibbsSpec, bonds, C: int):
 def integrated_autocorr(x) -> tuple[float, bool]:
     """Integrated autocorrelation time of one series and whether Sokal's
     window m >= 6 tau closed (Madras-Sokal, J. Stat. Phys. 50, 109, 1988).
-    A series shorter than 8 gives (1.0, False); a constant one (1.0, True)."""
+    A series shorter than 8 gives (1.0, False); a constant one (1.0, True).
+    Every lag's products are summed by numpy's pairwise sum, whose order is
+    fixed, not by np.dot, whose BLAS kernel and so its rounding depend on
+    the CPU: tau has the same bits on every host."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     if n < 8:
         return 1.0, False
     x = x - x.mean()
-    var = float(np.dot(x, x)) / n
+    var = float(np.add.reduce(x * x)) / n
     if var == 0:
         return 1.0, True
     tau = 1.0
     converged = False
     for m in range(1, n // 2):
-        rho = float(np.dot(x[:-m], x[m:])) / ((n - m) * var)
+        rho = float(np.add.reduce(x[:-m] * x[m:])) / ((n - m) * var)
         tau += 2.0 * rho
         if m >= 6.0 * tau:
             converged = True
@@ -273,31 +289,40 @@ def heat_bath_chain(spec: GibbsSpec, hb: HeatBath, rng, n_sweeps: int):
     hb.sweeps(rng, n_sweeps)
 
 
+def pair_count(n_samples: int, n_sites: int) -> int:
+    """The default number of chain pairs for n_samples samples of a model
+    on n_sites sites: max(PAIRS_MIN, min(ceil(n_samples / PAIR_SAMPLES),
+    SWEEP_CELLS // (2 * n_sites)))."""
+    return max(PAIRS_MIN, min(-(-n_samples // PAIR_SAMPLES), SWEEP_CELLS // (2 * max(n_sites, 1))))
+
+
 def mc_connection_probability(
-    spec: GibbsSpec, A, B, n_samples: int, seed: int, burn_in=300, gap=2, n_tasks=8, threads=1
+    spec: GibbsSpec, A, B, n_samples: int, seed: int, burn_in=300, gap=2, n_tasks=None, threads=1
 ) -> dict:
     """Monte Carlo estimate of the integrated connection probability.
 
-    n_tasks pairs of chains, the columns of one kernel state (threads
-    changes nothing), give ceil(n_samples / n_tasks) samples each, one every
-    gap sweeps after the burn-in: a connection indicator after per-bond
-    activity coins. The burn-in stops by the rule in the module docstring,
-    at most burn_in sweeps; a burn_in below BURN_IN_MIN runs exactly that
-    many. The result reports the sweeps run ("burn_in"), the series' tau and
+    T pairs of chains, the columns of one kernel state (threads changes
+    nothing), give ceil(n_samples / T) samples each, one every gap sweeps
+    after the burn-in: a connection indicator after per-bond activity
+    coins. T is n_tasks when given, else pair_count(n_samples, n_sites).
+    The burn-in stops by the rule in the module docstring, at most burn_in
+    sweeps; a burn_in below BURN_IN_MIN runs exactly that many. The result
+    reports the samples in all ("n_samples", T * ceil(n_samples / T)), the
+    pairs ("n_pairs"), the sweeps run ("burn_in"), the series' tau and
     whether the rule stopped the burn-in ("equilibrated"). The standard
     error is batch means over the pairs, whose chains are independent: the
-    sample standard deviation of the per-pair means over sqrt(n_tasks). It
-    is floored at 1 / N, N the samples in all, the resolution of the
-    estimate, so it stays positive when every pair gives the same mean (or
-    n_tasks is 1).
+    sample standard deviation of the per-pair means over sqrt(T). It is
+    floored at 1 / N, N the samples in all, the resolution of the estimate,
+    so it stays positive when every pair gives the same mean (or T is 1).
     """
     if n_samples < 1:
         raise UsageError("n_samples must be positive")
-    if n_tasks < 1:
+    if n_tasks is not None and n_tasks < 1:
         raise UsageError("n_tasks must be positive")
     if burn_in < 0 or gap < 0:
         raise UsageError("burn_in and gap must be nonnegative")
-    S, n, T = spec.alphabet.size, len(spec.region), n_tasks
+    S, n = spec.alphabet.size, len(spec.region)
+    T = pair_count(n_samples, n) if n_tasks is None else n_tasks
     bonds = effective_bonds(spec)
     coins = pair_coin_table(spec)
     hb, start = _generic_heat_bath(spec, bonds, 2 * T)
@@ -365,6 +390,7 @@ def mc_connection_probability(
         "estimate": int(hits.sum()) / total,
         "stderr": max(sd / math.sqrt(T), 1 / total),
         "n_samples": total,
+        "n_pairs": T,
         "seed": seed,
         "burn_in": len(series),
         "tau": tau,

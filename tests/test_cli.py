@@ -388,10 +388,11 @@ def test_rcr_solve_subsets_round_trip_and_bad_files(tmp_path, model_file):
 
 
 def test_violation_finding_exits_one(tmp_path, model_file):
-    # an unmeetable tolerance turns the round-trip check into a finding
+    # an unmeetable tolerance turns the round-trip check into a finding; the
+    # model's round trip is exact (error 0.0), so only a negative one is
     out = tmp_path / "run"
     rc = run_cli(
-        ["--out", str(out), "--tolerance", "1e-30", "rcr", "check",
+        ["--out", str(out), "--tolerance", "-1", "rcr", "check",
          "--model", model_file]
     )
     assert rc == 1

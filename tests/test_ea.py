@@ -10,6 +10,8 @@ from rcgibbs.errors import UsageError
 from rcgibbs.experiments.ea import (
     QuenchedCouplings,
     _cluster_stats,
+    _mean_se,
+    _one_disorder,
     _p_plus_table,
     bond_energy,
     ea_mns_percolation,
@@ -322,6 +324,49 @@ def test_p_plus_table_is_the_per_site_formula_bit_for_bit():
             f = c[:, 0] * spins[:, 0] + c[:, 1] * spins[:, 1] + c[:, 2] * spins[:, 2] + c[:, 3] * spins[:, 3]
             want = 1.0 / (1.0 + np.exp(-2.0 * (beta * f)))
             assert np.array_equal(_p_plus_table(abs(J), beta)[key], want), (J, beta)
+
+
+@pytest.mark.parametrize("J,beta", [(1.0, 1.0)])
+def test_thresholds_lie_far_from_rounding_boundaries(J, beta):
+    # the benchmark's glass and the pinned exp ea runs sample at J = beta = 1.
+    # A threshold rounds p * 2^31, and p comes from np.exp, whose SIMD path
+    # can differ by one ulp between CPUs; that moves p * 2^31 by under 1e-6,
+    # so a threshold that far from a half-integer is the same on every CPU
+    K = abs(beta * J)
+    p = np.concatenate([_p_plus_table(abs(J), beta), [1.0 - np.exp(-4.0 * K), 1.0 - np.exp(-2.0 * K)]])
+    x = p * 2.0**31
+    assert np.abs(x - np.floor(x) - 0.5).min() >= 1e-6
+
+
+def test_cluster_se_is_batch_means_over_the_chains():
+    # one sample per chain: the bits of the per-sample SE
+    rng = stream(8, 1)
+    for n in (2, 3, 8, 64):
+        xs = rng.random(n)
+        want = float(xs.std(ddof=1) / math.sqrt(n))
+        assert _mean_se(xs, np.arange(n)) == {"mean": float(xs.mean()), "se": want}
+    # two chains, each constant: the SE of two means, not of six samples
+    got = _mean_se([0.0, 1.0, 0.0, 1.0, 0.0, 1.0], [0, 1, 0, 1, 0, 1])
+    assert got["mean"] == 0.5 and got["se"] == pytest.approx(0.5, rel=1e-15)
+    # unequal counts: C / (C - 1) * sum_c (s_c - n_c * mean)^2 / N^2
+    xs, ch = [0.2, 0.4, 0.9, 0.5, 0.1], [0, 1, 2, 0, 1]
+    mean = sum(xs) / 5
+    d = [0.2 + 0.5 - 2 * mean, 0.4 + 0.1 - 2 * mean, 0.9 - mean]
+    assert _mean_se(xs, ch)["se"] == pytest.approx(math.sqrt(3 / 2 * sum(x * x for x in d)) / 5, rel=1e-12)
+    assert _mean_se([0.3], [0]) == {"mean": 0.3, "se": 0.0}
+
+
+@pytest.mark.filterwarnings("ignore:autocorrelation diagnostics")
+def test_cluster_se_with_one_sample_per_chain_is_the_per_sample_se():
+    # 8 samples of 8 replicas per disorder, the benchmark's glass shape: each
+    # chain gives one sample, and the SEs keep the per-sample formula's bits
+    kw = dict(L=8, J=1.0, beta_scale=0.9, seed=4, n_sweeps=40, n_samples=8, n_disorder=2, periodic=True)
+    rep = ea_mns_percolation(**kw)
+    per = [_one_disorder((k, 8, 1.0, 0.9, 4, 40, 8, True)) for k in range(2)]
+    for out, key in (("largest_blue_nonoverlap_fraction", "largest_no"), ("largest_blue_overlap_fraction", "largest_ov"),
+                     ("crossing_x", "cross_x"), ("crossing_y", "cross_y")):
+        xs = np.array([float(x) for d in per for x in d[key]])
+        assert rep[out] == {"mean": float(xs.mean()), "se": float(xs.std(ddof=1) / math.sqrt(16))}, out
 
 
 def test_heat_bath_workspace_gives_the_bits_of_fresh_calls():

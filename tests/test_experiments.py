@@ -150,10 +150,10 @@ def test_shape_batches_match_per_pair_loop_literally(monkeypatch, block):
 
 
 def test_sweep_pinned_values():
-    # recorded with the one-pair-at-a-time loop
+    # recorded with the one-pair-at-a-time loop and gibbs_measure's Z by math.fsum
     rep = sweep_correlation_bound(60, seed=7)
-    assert rep["worst_event_slack"] == -1.6059436487332245e-08
-    assert rep["worst_cov_slack"] == -6.423774663129215e-08
+    assert rep["worst_event_slack"] == -1.6059436598354548e-08
+    assert rep["worst_cov_slack"] == -6.42377466868033e-08
     assert rep["support_pairs_checked"] == 8814
     assert rep["violations"] == 0
 

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import brute_gibbs, random_binary_spec
@@ -9,6 +10,7 @@ from rcgibbs.errors import AllForbiddenError, TooLargeError
 from rcgibbs.gibbs import (
     Alphabet,
     BondTable,
+    FiniteDistribution,
     GibbsSpec,
     Interaction,
     OCCUPANCY,
@@ -89,6 +91,28 @@ def test_normalization_random_models():
         spec = random_binary_spec(m, seed=3, allow_forbidden=True)
         mu = gibbs_measure(spec)
         assert abs(mu.total() - 1) < 1e-12
+
+
+def test_float_normalizing_totals_are_correctly_rounded():
+    # the 12-site chain: a sequential sum of its overlap law's 3^12 totals
+    # is 1.7e-13 relative off; math.fsum's total leaves the normalized law
+    # summing to 1 within two roundings. gibbs_measure's Z (2^12 states) and
+    # a dict table take the same total
+    from rcgibbs import twocopy
+
+    spec = ising_spec(build_grid(12, 1), 0.4)
+    law = twocopy.overlap_distribution(spec)
+    assert len(law) == 3**12
+    assert abs(math.fsum(law.weights.tolist()) - 1) <= 4e-16
+    mu = gibbs_measure(spec)
+    assert abs(math.fsum(mu.weights.tolist()) - 1) <= 4e-16
+    raw = [0.1] * 10 + [1e-17] * 1000
+    table = FiniteDistribution(dict(enumerate(raw)), normalize=True)
+    assert [table.prob(i) for i in range(len(raw))] == [w / math.fsum(raw) for w in raw]
+    flat = FiniteDistribution.over_product([range(len(raw))], np.array(raw), normalize=True)
+    assert flat.weights.tolist() == [w / math.fsum(raw) for w in raw]
+    # finite weights whose sum overflows give an infinite total, as sum did
+    assert FiniteDistribution.over_product([range(2)], np.array([1e308, 1e308]), normalize=True).weights.tolist() == [0.0, 0.0]
 
 
 def test_float_and_pure_python_engines_agree():

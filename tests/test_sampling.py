@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import fraction_kernel as oracle
 from conftest import random_binary_spec
 from test_percolation import _bfs_connected, _hyperbond_spec, _three_valued_spec
 from rcgibbs import sampling, twocopy
+from rcgibbs.cli import main
 from rcgibbs.errors import TooLargeError, UsageError
 from rcgibbs.gibbs import SPIN, Alphabet, BondTable, GibbsSpec, Interaction, effective_bonds
 from rcgibbs.lattice import build_grid, hypergraph
@@ -135,6 +137,7 @@ def _oracle_mc(spec, A, B, n_samples, seed, burn_in=300, gap=2, n_tasks=8, threa
         "estimate": sum(hits) / n,
         "stderr": max(sd / math.sqrt(n_tasks), 1 / n),
         "n_samples": n,
+        "n_pairs": n_tasks,
         "seed": seed,
         "burn_in": len(series),
         "tau": tau,
@@ -186,9 +189,8 @@ def test_mc_matches_oracle_literally(name, make, A, B):
     # gap 0: no sweep runs between two samples, so consecutive states are equal
     for seed, gap in itertools.product((0, 5), (2, 0)):
         kw = dict(burn_in=20, gap=gap)
-        assert sampling.mc_connection_probability(spec, A, B, 120, seed, **kw) == _oracle_mc(
-            spec, A, B, 120, seed, **kw
-        )
+        got = sampling.mc_connection_probability(spec, A, B, 120, seed, **kw)
+        assert got == _oracle_mc(spec, A, B, 120, seed, n_tasks=got["n_pairs"], **kw)
 
 
 @pytest.mark.parametrize("name,make,A,B", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
@@ -196,8 +198,44 @@ def test_mc_matches_oracle_at_the_default_cap(name, make, A, B):
     # the burn-in stops by its rule: the series, tau and the sweeps run match
     spec = make()
     got = sampling.mc_connection_probability(spec, A, B, 120, 3)
-    assert got == _oracle_mc(spec, A, B, 120, 3)
+    assert got == _oracle_mc(spec, A, B, 120, 3, n_tasks=got["n_pairs"])
     assert sampling.BURN_IN_MIN <= got["burn_in"] <= 300
+
+
+def test_mc_matches_oracle_at_a_default_of_more_than_eight_pairs():
+    # 400 samples on 6 sites: 25 pairs of 16 samples each
+    spec = ORACLE_CASES[0][1]()
+    got = sampling.mc_connection_probability(spec, {0}, {5}, 400, 2, burn_in=40)
+    assert (got["n_pairs"], got["n_samples"]) == (25, 400)
+    assert got == _oracle_mc(spec, {0}, {5}, 400, 2, burn_in=40, n_tasks=25)
+
+
+def test_pair_count_rule(tmp_path):
+    # the floor of 8, the sample term ceil(N / 16), and the cap of 512
+    # (site, chain) cells, i.e. 256 // n_sites pairs, past the floor
+    assert sampling.pair_count(1, 6) == sampling.pair_count(128, 6) == 8
+    assert sampling.pair_count(129, 6) == 9
+    assert sampling.pair_count(500, 6) == 32
+    assert sampling.pair_count(10**6, 6) == 42
+    assert sampling.pair_count(2000, 9) == 28
+    assert sampling.pair_count(2000, 16) == 16
+    assert sampling.pair_count(1000, 36) == sampling.pair_count(10**6, 256) == 8
+    assert sampling.pair_count(10**6, 0) == 256
+    spec = ising_spec(build_grid(3, 2), 0.7)
+    got = sampling.mc_connection_probability(spec, {0}, {5}, 500, 1)
+    assert (got["n_pairs"], got["n_samples"]) == (32, 512)  # 16 samples per pair
+    # an explicit n_tasks wins, and keeps its stream
+    got = sampling.mc_connection_probability(spec, {0}, {5}, 500, 1, n_tasks=8)
+    assert (got["n_pairs"], got["n_samples"]) == (8, 504)
+    # the CLI writes the pair count next to the sample count
+    model = tmp_path / "grid.json"
+    model.write_text('{"graph": {"grid": "3x2"}, "interaction": {"template": "ising", "J": 0.7}}')
+    argv = ["--out", str(tmp_path / "mc"), "--seed", "1", "perc", "ibar", "--model", str(model)]
+    assert main([*argv, "--A", "0", "--B", "5", "--mc", "500"]) == 0
+    results = json.loads((tmp_path / "mc" / "results.json").read_text())["results"]
+    assert (results["n_samples"], results["n_pairs"]) == (512, 32)
+    want = sampling.mc_connection_probability(spec, {0}, {5}, 500, 1)
+    assert (results["estimate"], results["stderr"]) == (want["estimate"], want["stderr"])
 
 
 @pytest.mark.parametrize("threads", [1, 4])
@@ -212,9 +250,10 @@ def test_mc_matches_oracle_uneven_tasks_and_threads(threads):
 def test_mc_matches_oracle_in_chunks_of_the_cell_budget(monkeypatch):
     # 15 sample steps of 8 pairs, read and labelled in chunks of 7, 7 and 1
     spec = ising_spec(build_grid(3, 2), 0.6, h=0.2)
-    want = _oracle_mc(spec, {0}, {5}, 120, 4, burn_in=20)
     monkeypatch.setattr(twocopy, "_BLOCK_CELLS", 7 * 8 * len(effective_bonds(spec)))
-    assert sampling.mc_connection_probability(spec, {0}, {5}, 120, 4, burn_in=20) == want
+    got = sampling.mc_connection_probability(spec, {0}, {5}, 120, 4, burn_in=20)
+    assert got["n_pairs"] == 8
+    assert got == _oracle_mc(spec, {0}, {5}, 120, 4, burn_in=20, n_tasks=got["n_pairs"])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -223,7 +262,7 @@ def test_mc_matches_oracle_on_masks_wider_than_62_bits(threads):
     assert len(effective_bonds(spec)) == 112
     kw = dict(burn_in=5, gap=1, threads=threads)
     got = sampling.mc_connection_probability(spec, {0}, {18}, 24, 3, **kw)
-    assert got == _oracle_mc(spec, {0}, {18}, 24, 3, **kw)
+    assert got == _oracle_mc(spec, {0}, {18}, 24, 3, n_tasks=got["n_pairs"], **kw)
     assert 0 < got["estimate"] < 1
 
 
@@ -234,7 +273,7 @@ def test_mc_burn_in_caps_match_oracle(burn_in):
     spec = ORACLE_CASES[0][1]()
     kw = dict(burn_in=burn_in, gap=1)
     got = sampling.mc_connection_probability(spec, {0}, {5}, 48, 1, **kw)
-    assert got == _oracle_mc(spec, {0}, {5}, 48, 1, **kw)
+    assert got == _oracle_mc(spec, {0}, {5}, 48, 1, n_tasks=got["n_pairs"], **kw)
     assert got["burn_in"] == min(burn_in, 40)
 
 
