@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import RcgibbsError, TooLargeError, UsageError
+from .errors import RcgibbsError, TooLargeError, UsageError, check_cap
 from .gibbs import GibbsSpec, effective_bonds, gibbs_measure, product_outcomes
 from .models import spec_from_dict
 from .percolation import sigma_connection_profile
@@ -336,6 +337,8 @@ def cmd_exp(args) -> dict:
                 raise UsageError(
                     f"bad J grid {args.J_grid!r}: need finite ends, a start >= 0 and a positive step"
                 )
+            span = (b - a) / s  # may be inf: a step too small for the float range
+            check_cap("J-grid points", math.floor(span) + 1 if span < 2**53 else span)
             grid = list(np.arange(a, b + 1e-12, s))
         return run_cayley(grid)
     if args.exp_command == "hardcore":

@@ -15,9 +15,9 @@ class TooLargeError(RcgibbsError):
 CAPS = {
     "states": 1 << 24,  # gibbs.config_weights: configurations weighed at once
     "two-copy pairs": 1 << 24,  # twocopy.PairWalk: pairs of a full walk
-    "pattern pairs": 1 << 20,  # percolation._pattern_blocks: pairs of a full walk
-    "bonds": 62,  # percolation._pattern_blocks: patterns are int64 bitmasks
-    "pattern leaves": 1 << 22,  # percolation._pattern_blocks: leaves expanded in one call
+    "pattern pairs": 1 << 20,  # percolation._pattern_records: pairs of a full walk
+    "bonds": 62,  # percolation._pattern_records: patterns are int64 bitmasks
+    "pattern leaves": 1 << 22,  # percolation._pattern_records: leaves expanded in one call, before any labelling
     "heat-bath table cells": 1 << 24,  # sampling._generic_heat_bath
     "heat-bath values": 127,  # sampling._generic_heat_bath: spin values per site
     "reconstructed states": 1 << 20,  # rcr.reconstruct
@@ -25,6 +25,7 @@ CAPS = {
     "assignments": 10**7,  # rcr.assignment_measure
     "joint states": 1 << 12,  # rcr.joint_spin_bond
     "spin-bond pairs": 10**6,  # rcr.joint_spin_bond: the joint law's support
+    "J-grid points": 1 << 16,  # cli (exp cayley --J-grid): couplings evaluated, before np.arange
 }
 
 

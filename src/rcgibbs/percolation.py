@@ -9,27 +9,28 @@ a bond's coin is a function of the two copies' local values on that bond
 alone; pair_coin_table computes it once per spec, and every exact query
 and the Monte Carlo sampler read that one table.
 
-One array kernel, _pattern_blocks, computes the law for integrated_rc, and
-through one per-slice reduction, _slice_connections, for
+One array kernel, _pattern_records, computes the law: it returns one call's
+whole record set, which integrated_rc merges by mask once, and which one
+per-slice reduction, _slice_connections, labels by one joined call for
 sigma_connection_profile (which alone forms sigma tuples) and
-slice_connection_prob. It reads
-the pairs of twocopy.PairWalk, a pair taking a block cell per effective
-bond, gathers all bonds' coin ids at once, groups a slice's pairs by coin
-vector, and expands each group over its live bonds only (0 < q < 1). Every
-sum is sequential: a group sums its pairs in the walk's order, a slice a
-mask's leaves in (group, active-first depth-first) order, and the law a
-mask's slice weights in slice order. Masks keep the order of their first
-nonzero leaf, the order in which float sums over a pattern dict add. Floats
-and exact specs run the same code on lanes of machine words (twocopy): one
-float64 lane, or int64 residues of the exact values. An exact spec's weights
-are integers over one denominator (see PairWalk), and so are its coins, all
-at most a bound known before the walk, so the kernel runs no Fraction or
-Python-int arithmetic; each caller sums in lanes, rebuilds each output int
-once (Garner) and forms a Fraction once per output value, from a ratio of
-two ints of one scale. Patterns are int64 bitmasks, so a spec with more than 62
-effective bonds raises TooLargeError; so does a full walk past 2**20 pairs,
-or a call that would expand more than 2**22 leaves (the caps in
-errors.CAPS).
+slice_connection_prob. It reads the pairs of twocopy.PairWalk, a pair
+taking a block cell per effective bond, gathers all bonds' coin ids at
+once, groups a slice's pairs by coin vector, and expands each group over
+its live bonds only (0 < q < 1). Every sum is sequential: a group sums its
+pairs in the walk's order, a slice a mask's leaves in (group, active-first
+depth-first) order, and the law a mask's slice weights in slice order.
+Masks keep the order of their first nonzero leaf, the order in which float
+sums over a pattern dict add. Floats and exact specs run the same code on
+lanes of machine words (twocopy): one float64 lane, or int64 residues of
+the exact values. An exact spec's weights are integers over one denominator
+(see PairWalk), and so are its coins, all at most a bound known before the
+walk, so the kernel runs no Fraction or Python-int arithmetic; each caller
+sums in lanes, rebuilds each output int once (Garner) and forms a Fraction
+once per output value, from a ratio of two ints of one scale. Patterns are
+int64 bitmasks, so a spec with more than 62 effective bonds raises
+TooLargeError; so does a full walk past 2**20 pairs, or a call that would
+expand more than 2**22 leaves (the caps in errors.CAPS), which the walk
+refuses before any mask is labelled.
 
 Connectivity has one labeller, edge_components (the only scipy
 connected_components call), and one way in: chain_components labels the
@@ -376,10 +377,11 @@ def _expand(mul, weights, coins, q, q_off, live, base):
     return grp, mask, val
 
 
-def _pattern_blocks(spec: GibbsSpec, sigma=None):
-    """The integrated law's pattern terms, per block of the PairWalk (its
-    leaves cut again at twocopy._BLOCK_CELLS), in the pair and summation
-    orders of the module docstring.
+def _pattern_records(spec: GibbsSpec, sigma=None):
+    """The integrated law's pattern records over the whole walk, in the pair
+    and summation orders of the module docstring: the PairWalk's blocks,
+    each cut again into runs of at most twocopy._BLOCK_CELLS leaves, are
+    expanded in turn and their records kept. Nothing is labelled here.
 
     A slice's pairs with equal coin vectors form a group, numbered by first
     pair. Each live bond (0 < q < 1) of a group splits a leaf of weight w
@@ -403,9 +405,9 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     stay (q, 1 - q) with the float steps above in one float64 lane, and the
     scale is 1: no weight is scaled.
 
-    Returns (lanes, blocks). blocks yields (slice_ids, totals, rec_slice,
-    rec_mask, rec_val) per block: its slices of positive total (ids in
-    twocopy._slice_sums), their totals and (mask, weight) records, slice by
+    Returns (lanes, slice_ids, totals, rec_slice, rec_mask, rec_val): the
+    slices of positive total in slice order (ids in twocopy._slice_sums)
+    and their totals, then the (slice, mask, weight) records, slice by
     slice and each slice's masks in order of first leaf; rec_slice indexes
     slice_ids, and totals and rec_val are in lanes. Totals and records share
     one scale, so a ratio of them is a probability. sigma limits the walk to
@@ -415,7 +417,8 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     The caps are checked before the work they bound: the bonds (bit j of a
     pattern is bond j) and a full walk's pairs before any configuration is
     weighed, and the leaves the call has expanded so far, summed as Python
-    ints, before each block is expanded.
+    ints, before each block is expanded, so a call past the leaf cap stops
+    before any mask is labelled.
     """
     bonds = effective_bonds(spec)
     n_bonds = len(bonds)
@@ -446,46 +449,48 @@ def _pattern_blocks(spec: GibbsSpec, sigma=None):
     q = lanes.of([x for values, _ in scaled for x in values])
     off = lanes.of([E - x for values, E in scaled for x in values])
     rescaled = [(j, E) for j, (_, E) in enumerate(scaled) if E != 1]  # bonds whose coins have a scale
-    unit = lanes.of([scale])
     is_live = lanes.nonzero(q) & lanes.nonzero(off)
     is_one = lanes.nonzero(q) & ~is_live
     bits = np.left_shift(1, np.arange(n_bonds, dtype=np.int64))
 
-    def blocks():
-        leaves = 0
-        for sids, totals, row, c1, c2, w in walk.blocks(max(n_bonds, 1), lanes):
-            positive = np.flatnonzero(lanes.nonzero(totals))
-            if not len(positive):
-                continue
-            ids = cat.take(lift.take(c1, axis=1) + local.take(c2, axis=1))  # (bonds, pairs)
-            labels, first = _first_seen(row, *ids)
-            gw = lanes.sum_at(labels, w, len(first))
-            keep = lanes.nonzero(gw)
-            gw, grow = gw.compress(keep, axis=1), row[first[keep]]
-            at = ids.T[first[keep]] + coin_at  # (groups, bonds): each group's coins
-            live, one = is_live.take(at), is_one.take(at)
-            base_mask = one @ bits  # bonds whose coin is 1
-            if rescaled:  # bonds that do not split keep the scale, one product per live set
-                codes, inverse = np.unique(live @ bits, return_inverse=True)
-                kept = lanes.of([math.prod(E for j, E in rescaled if not c >> j & 1) for c in codes.tolist()])
-                gw = lanes.mul(gw, kept.take(inverse, axis=1))
-            n_live = live.sum(axis=1)
-            leaves += sum(int(n) << k for k, n in enumerate(np.bincount(n_live)))
-            check_cap("pattern leaves", leaves)
-            n_leaves = np.zeros(totals.shape[1], dtype=np.int64)
-            np.add.at(n_leaves, grow, np.left_shift(1, n_live))
-
-            for a, b in _runs(n_leaves[positive]):
-                rows = positive[a:b]
-                ga, gb = np.searchsorted(grow, [rows[0], rows[-1] + 1])
-                grp, mask, val = _expand(lanes.mul, gw[:, ga:gb], at[ga:gb], q, off, live[ga:gb], base_mask[ga:gb])
-                nz = lanes.nonzero(val)
-                lrow, mask, val = grow[ga:gb][grp[nz]], mask[nz], val.compress(nz, axis=1)
-                labels, first = _first_seen(lrow, mask)
-                yield (sids[rows], lanes.mul(totals.take(rows, axis=1), unit), np.searchsorted(rows, lrow[first]),
-                       mask[first], lanes.sum_at(labels, val, len(first)))
-
-    return lanes, blocks()
+    none = np.zeros(0, np.int64)  # each list starts empty: a walk may have no slice of positive total
+    slice_ids, rec_slice, rec_mask, totals, rec_val = [none], [none], [none], [lanes.zeros(0)], [lanes.zeros(0)]
+    leaves = 0
+    for sids, block_totals, row, c1, c2, w in walk.blocks(max(n_bonds, 1), lanes):
+        positive = np.flatnonzero(lanes.nonzero(block_totals))
+        if not len(positive):
+            continue
+        ids = cat.take(lift.take(c1, axis=1) + local.take(c2, axis=1))  # (bonds, pairs)
+        labels, first = _first_seen(row, *ids)
+        gw = lanes.sum_at(labels, w, len(first))
+        keep = lanes.nonzero(gw)
+        gw, grow = gw.compress(keep, axis=1), row[first[keep]]
+        at = ids.T[first[keep]] + coin_at  # (groups, bonds): each group's coins
+        live, one = is_live.take(at), is_one.take(at)
+        base_mask = one @ bits  # bonds whose coin is 1
+        if rescaled:  # bonds that do not split keep the scale, one product per live set
+            codes, inverse = np.unique(live @ bits, return_inverse=True)
+            kept = lanes.of([math.prod(E for j, E in rescaled if not c >> j & 1) for c in codes.tolist()])
+            gw = lanes.mul(gw, kept.take(inverse, axis=1))
+        n_live = live.sum(axis=1)
+        leaves += sum(int(n) << k for k, n in enumerate(np.bincount(n_live)))
+        check_cap("pattern leaves", leaves)
+        n_leaves = np.zeros(block_totals.shape[1], dtype=np.int64)
+        np.add.at(n_leaves, grow, np.left_shift(1, n_live))
+        slice_ids.append(sids[positive])
+        totals.append(block_totals.take(positive, axis=1))
+        for a, b in _runs(n_leaves[positive]):
+            ga, gb = np.searchsorted(grow, [positive[a], positive[b - 1] + 1])
+            grp, mask, val = _expand(lanes.mul, gw[:, ga:gb], at[ga:gb], q, off, live[ga:gb], base_mask[ga:gb])
+            nz = lanes.nonzero(val)
+            lrow, mask, val = grow[ga:gb][grp[nz]], mask[nz], val.compress(nz, axis=1)
+            labels, first = _first_seen(lrow, mask)
+            rec_slice.append(sids[lrow[first]])
+            rec_mask.append(mask[first])
+            rec_val.append(lanes.sum_at(labels, val, len(first)))
+    slice_ids, rec_slice, rec_mask = map(np.concatenate, (slice_ids, rec_slice, rec_mask))
+    totals, rec_val = lanes.mul(np.hstack(totals), lanes.of([scale])), np.hstack(rec_val)
+    return lanes, slice_ids, totals, np.searchsorted(slice_ids, rec_slice), rec_mask, rec_val
 
 
 def integrated_rc(spec: GibbsSpec) -> IntegratedRC:
@@ -493,30 +498,25 @@ def integrated_rc(spec: GibbsSpec) -> IntegratedRC:
 
     Each slice carries the nested-level (monotone) base, which is symmetric
     under slice reflection by construction; its coins are read from
-    pair_coin_table, the one coin source. Every spec takes the same route
-    through the pattern blocks, whatever its size, and their caps bound the
-    work. Each block's records are merged into the masks seen so far by one
-    _first_seen and one in-order sum, so a mask's probability sums its slice
-    weights in slice order, and masks keep the order of their first slice
+    pair_coin_table, the one coin source. Every spec takes the same route,
+    the record set of _pattern_records, whatever its size, and its caps
+    bound the work. The records are merged by mask once, by one _first_seen
+    and one in-order sum over all of them, so a mask's probability sums its
+    slice weights in slice order, and masks keep the order of their first
     record; it is divided by the total once, into a Fraction on an exact
     spec.
     """
-    lanes, blocks = _pattern_blocks(spec)
-    masks, sums, totals = np.zeros(0, np.int64), lanes.zeros(0), [lanes.zeros(0)]
-    for _, block_totals, _, rec_mask, rec_val in blocks:
-        totals.append(block_totals)
-        masks = np.concatenate([masks, rec_mask])
-        labels, first = _first_seen(masks)
-        sums = lanes.sum_at(labels, np.concatenate([sums, rec_val], axis=1), len(first))
-        masks = masks[first]
-    grand = lanes.total(np.concatenate(totals, axis=1))
+    lanes, _, totals, _, masks, values = _pattern_records(spec)
+    grand = lanes.total(totals)
     if grand == 0:
         raise ZeroSliceError("zero measure")
+    labels, first = _first_seen(masks)
+    sums = lanes.values(lanes.sum_at(labels, values, len(first)))
     div = Fraction if spec.exact else operator.truediv
     return IntegratedRC(
         spec.graph.n_vertices,
         tuple(eb.vertices for eb in effective_bonds(spec)),
-        {m: div(w, grand) for m, w in zip(masks.tolist(), lanes.values(sums))},
+        {m: div(w, grand) for m, w in zip(masks[first].tolist(), sums)},
         spec.exact,
     )
 
@@ -524,18 +524,13 @@ def integrated_rc(spec: GibbsSpec) -> IntegratedRC:
 def _slice_connections(spec: GibbsSpec, A, B, sigma=None):
     """(lanes, ids, totals, joined) over the slices of positive weight, in
     slice order: their ids in twocopy._slice_sums, and in lanes of one scale
-    their totals and joined weights. Each block's distinct masks are labelled
-    in one batch as the block arrives, and a slice adds its joined records
+    their totals and joined weights. The records of _pattern_records are
+    labelled by one joined call, after the walk, so a mask is labelled once
+    per query however many slices hold it; a slice adds its joined records
     in order from 0. sigma limits the walk to it."""
-    bond_vertices = tuple(eb.vertices for eb in effective_bonds(spec))
-    lanes, blocks = _pattern_blocks(spec, sigma)
-    ids, totals, hits = [np.zeros(0, np.int64)], [lanes.zeros(0)], [lanes.zeros(0)]
-    for sids, block_totals, rec_slice, rec_mask, rec_val in blocks:
-        conn = joined(spec.graph.n_vertices, bond_vertices, rec_mask, A, B)
-        ids.append(sids)
-        totals.append(block_totals)
-        hits.append(lanes.sum_at(rec_slice[conn], rec_val.compress(conn, axis=1), len(sids)))
-    return lanes, np.concatenate(ids), np.concatenate(totals, axis=1), np.concatenate(hits, axis=1)
+    lanes, ids, totals, rec_slice, masks, values = _pattern_records(spec, sigma)
+    conn = joined(spec.graph.n_vertices, tuple(eb.vertices for eb in effective_bonds(spec)), masks, A, B)
+    return lanes, ids, totals, lanes.sum_at(rec_slice[conn], values.compress(conn, axis=1), len(ids))
 
 
 def slice_connection_prob(spec: GibbsSpec, sigma, A, B):

@@ -86,6 +86,16 @@ def test_cap_violation_exits_three(tmp_path, capsys):
         assert err.startswith("resource cap: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("grid", ["0:1e30:1", "0:1:1e-300", "0:65536:1"])
+def test_oversized_cayley_grid_exits_three(tmp_path, capsys, grid):
+    # the points are counted before np.arange would allocate them: 1e30,
+    # about 1e300, and 65,537, one past the cap
+    assert run_cli(["--out", str(tmp_path), "exp", "cayley", "--J-grid", grid]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ") and "J-grid points" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "results.json").exists()
+
+
 def test_bad_model_file_exits_two(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

@@ -193,7 +193,7 @@ def test_residue_kernel_matches_fraction_oracle_on_small_models(case):
 
 
 def _lanes(spec):
-    return len(percolation._pattern_blocks(spec)[0].primes)
+    return len(percolation._pattern_records(spec)[0].primes)
 
 
 @pytest.mark.parametrize("name", ["ising_exact_3x2", "wide_coins_exact"])
@@ -225,7 +225,7 @@ def test_bound_at_a_lane_boundary(monkeypatch):
     # so lanes whose moduli multiply to G exactly would read it as 0: the
     # lanes must multiply past G, and moduli multiplying to G + 1 suffice
     spec = example1_exact_spec(Fraction(3), Fraction(5, 2))
-    bound = percolation._pattern_blocks(spec)[0].bound
+    bound = percolation._pattern_records(spec)[0].bound
     for n, extra in ((bound, 1), (bound + 1, 0)):
         parts = _coprime_parts(n)
         assert max(parts) < 1 << 31
@@ -264,11 +264,9 @@ def test_exact_kernel_builds_no_object_array(monkeypatch):
     checked = _NoObjectArrays()
     monkeypatch.setattr(percolation, "np", checked)
     monkeypatch.setattr(twocopy, "np", checked)
-    lanes, blocks = percolation._pattern_blocks(spec)
-    blocks = list(blocks)
+    lanes, *records = percolation._pattern_records(spec)
     assert checked.calls > 50 and len(lanes.primes) > 1
-    for block in blocks:
-        assert all(a.dtype != object for a in block)
+    assert len(records) == 5 and all(a.dtype != object for a in records)
     for _, _, _, _, _, w in twocopy.PairWalk(spec).blocks():
         assert w.dtype == np.int64
 

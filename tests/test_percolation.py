@@ -10,7 +10,7 @@ import pytest
 import fraction_kernel as oracle
 from conftest import random_binary_spec
 from rcgibbs.errors import RcgibbsError, TooLargeError, ZeroSliceError
-from rcgibbs import percolation, rcr, twocopy
+from rcgibbs import errors, percolation, rcr, twocopy
 from rcgibbs.gibbs import (
     SPIN,
     Alphabet,
@@ -27,7 +27,7 @@ from rcgibbs.experiments.examples import _random_spec
 from rcgibbs.models import example1_exact_spec, example1_spec, ising_spec
 from rcgibbs.percolation import (
     IntegratedRC,
-    _pattern_blocks,
+    _pattern_records,
     activity_pattern,
     activity_rows,
     chain_components,
@@ -606,10 +606,10 @@ def test_overlap_interior_bonds_never_active():
         rho = overlap_distribution(spec)
         for sigma in itertools.islice(rho.outcomes(), 0, 30, 3):
             K = {v for v, s in zip(spec.region, sigma) if s != 0}
-            for _, _, _, masks, _ in _pattern_blocks(spec, sigma)[1]:
-                for j, verts in enumerate(irc_bonds):
-                    if set(verts) <= K:
-                        assert all(not (mask >> j) & 1 for mask in masks.tolist())
+            masks = _pattern_records(spec, sigma)[4].tolist()
+            for j, verts in enumerate(irc_bonds):
+                if set(verts) <= K:
+                    assert all(not (mask >> j) & 1 for mask in masks)
 
 
 # ---------------------------------------------------------------------------
@@ -782,12 +782,13 @@ def test_pattern_kernel_matches_slice_loop_literally(monkeypatch, name, make, fa
     A, B = {spec.region[0]}, {spec.region[-1]}
     patterns, want_rows, want_pbar, slice_probs = _oracle_laws(spec, A, B, factory)
     sums = [sorted({a + b for a in d for b in d}) for d in map(spec.domain_values, spec.region)]
-    # the default block budget takes every case in one block, the route of
-    # small specs; a small one splits every case into several blocks
-    cells = spec.n_states() ** 2 * max(len(effective_bonds(spec)), 1)
+    # the default block budget takes every case in one walk block, the route
+    # of small specs; a small one splits every case into several blocks
+    n_bonds = max(len(effective_bonds(spec)), 1)
+    cells = spec.n_states() ** 2 * n_bonds
     for budget, one_block in ((twocopy._BLOCK_CELLS, True), (cells // 8, False)):
         monkeypatch.setattr(twocopy, "_BLOCK_CELLS", budget)
-        assert (sum(1 for _ in _pattern_blocks(spec)[1]) == 1) == one_block
+        assert (sum(1 for _ in twocopy.PairWalk(spec).blocks(n_bonds)) == 1) == one_block
         irc = integrated_rc(spec)
         # literal equality, dict order included: floats bit for bit, Fractions exactly
         assert list(irc.patterns.items()) == list(patterns.items())
@@ -801,10 +802,11 @@ def test_pattern_kernel_matches_slice_loop_literally(monkeypatch, name, make, fa
                     slice_connection_prob(spec, sigma, A, B)
 
 
-def test_pattern_blocks_peak_memory_is_bounded():
+def test_pattern_records_peak_memory_is_bounded():
     # 16,384 pairs over 6 bonds: two blocks of pairs, cut again into runs of
-    # leaves. The peak measured at a budget of 2^16 cells is 2.36 MB; the
-    # bound is 1.5 times that, so that block memory cannot grow unnoticed.
+    # leaves. The bound was set at 1.5 times a peak of 2.36 MB measured at a
+    # budget of 2^16 cells, so that block memory cannot grow unnoticed; with
+    # Python 3.11 and numpy 2.4 the peak reads 1.35 MB (1.96 MB at 2^17).
     spec = ising_spec(hypergraph(7, [(i, i + 1) for i in range(6)]), 0.5)
     want = sigma_connection_profile(spec, {0}, {6})  # imports and caches outside the trace
     tracemalloc.start()
@@ -815,23 +817,57 @@ def test_pattern_blocks_peak_memory_is_bounded():
         tracemalloc.stop()
     assert got == want
     assert peak < 3.5e6
-    # That spec's pairs fit one block at 2^17 cells, which peaks at 3.4 MB.
     # The 4x2 grid's 65,536 pairs over 10 bonds span 10 blocks of 2^16
-    # cells; walked block by block, keeping no records, it peaks at 6.0 MB
-    # at 2^16 and 8.8 MB at 2^17, so a bound of 7.5 MB catches a doubled
-    # budget.
+    # cells. Its records, all kept until the call returns, peak at 4.6 MB at
+    # 2^16 and 6.7 MB at 2^17 (Python 3.11, numpy 2.4); the bound was set
+    # between the 6.0 and 8.8 MB that a block-by-block walk once read there.
     spec = ising_spec(build_grid(4, 2), 0.5)
     assert spec.n_states() ** 2 * len(effective_bonds(spec)) == 10 << 16
-    for _ in _pattern_blocks(spec)[1]:  # imports and caches outside the trace
-        pass
+    _pattern_records(spec)  # imports and caches outside the trace
     tracemalloc.start()
     try:
-        for _ in _pattern_blocks(spec)[1]:
-            pass
+        _pattern_records(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 7.5e6
+
+
+def test_leaf_cap_refuses_before_labelling_and_a_query_labels_once(monkeypatch):
+    # the 7-site chain's 16,384 pairs over 6 bonds take 13 walk blocks at a
+    # budget of 2^13 cells. With the leaf cap set so that the last block
+    # crosses it, the call refuses with nothing labelled; without it, the
+    # profile labels all its records by one joined call
+    spec = ising_spec(hypergraph(7, [(i, i + 1) for i in range(6)]), 0.5)
+    want = sigma_connection_profile(spec, {0}, {6})
+    monkeypatch.setattr(twocopy, "_BLOCK_CELLS", 1 << 13)
+    assert sum(1 for _ in twocopy.PairWalk(spec).blocks(6)) == 13
+    calls = {"chain_components": 0, "joined": 0, "leaves": []}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    def check_cap(name, count):
+        if name == "pattern leaves":
+            calls["leaves"].append(count)
+        errors.check_cap(name, count)
+
+    monkeypatch.setattr(percolation, "chain_components", counted("chain_components", percolation.chain_components))
+    monkeypatch.setattr(percolation, "joined", counted("joined", percolation.joined))
+    monkeypatch.setattr(percolation, "check_cap", check_cap)
+    assert sigma_connection_profile(spec, {0}, {6}) == want
+    assert calls["joined"] == 1 and calls["chain_components"] >= 1
+    leaves = calls["leaves"]
+    assert len(leaves) > 2 and leaves[-2] < leaves[-1]
+    monkeypatch.setitem(errors.CAPS, "pattern leaves", leaves[-2])
+    calls.update(chain_components=0, joined=0)
+    with pytest.raises(TooLargeError, match="pattern leaves"):
+        sigma_connection_profile(spec, {0}, {6})
+    assert calls["chain_components"] == 0 and calls["joined"] == 0
 
 
 def test_more_than_62_bonds_raise_before_enumeration(monkeypatch):
