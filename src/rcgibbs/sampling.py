@@ -34,8 +34,9 @@ bond j of pair t is active when its uniform is below its pair coin
 (percolation.pair_coin_table) at the copies' local values. The sample steps
 run in chunks of at most twocopy._BLOCK_CELLS (sample, bond) cells, the
 package's one cell budget: each step keeps its state and uniforms, and the
-chunk's coins are read through one integer product lift @ states and
-compared at once, and its bool activity rows go to
+chunk's coins are read at once, by gathering each bond's inside sites from
+the kept states (_pair_coin_reader), and compared at once, and its bool
+activity rows go to
 percolation.chain_components as they are, in one batch. The burn-in runs
 one sweep at a time; its series holds after each sweep the pairs' mean
 expected active bond count, sum_j of the pair coins at that sweep's state.
@@ -296,6 +297,38 @@ def pair_count(n_samples: int, n_sites: int) -> int:
     return max(PAIRS_MIN, min(-(-n_samples // PAIR_SAMPLES), SWEEP_CELLS // (2 * max(n_sites, 1))))
 
 
+def _pair_coin_reader(spec: GibbsSpec, bonds, row, T: int):
+    """coins_at(states): each pair's coins, (K, n_bonds, T), at K kept
+    kernel states (K, n_sites + 1, 2 * T), pair t in columns t and T + t
+    and site p in row[p] (HeatBath.row; row n_sites reads 0).
+
+    Bond j's coin sits in the flat table q at off_j + S**m * x1 + x2, x1
+    and x2 the copies' codes sum_k S**(m - 1 - k) * value(inside site k)
+    on its m inside sites. rows holds per bond its inside sites' kernel
+    rows, padded in front to m_max rows with the dummy row, so each code
+    is read in m_max take-and-add steps (Horner's rule; a padded step adds
+    0). Every coin is the same float as pair_coin_table's entry.
+    """
+    S, pos = spec.alphabet.size, {v: p for p, v in enumerate(spec.region)}
+    coins = pair_coin_table(spec)
+    q = np.concatenate([np.zeros(0), *(coin.ravel() for coin in coins)]).astype(float)
+    size = np.array([len(coin) for coin in coins], np.intp)[:, None]
+    off = np.cumsum(size**2, axis=0) - size**2
+    m_max = max((len(eb.inside) for eb in bonds), default=0)
+    rows = np.full((max(m_max, 1), len(bonds)), row[-1], np.intp)
+    for j, eb in enumerate(bonds):
+        rows[m_max - len(eb.inside) :, j] = [row[pos[u]] for u in eb.inside]
+
+    def coins_at(x):
+        code = x.take(rows[0], axis=1).astype(np.intp)  # (K, n_bonds, 2 * T)
+        for r in rows[1:]:
+            code *= S
+            code += x.take(r, axis=1)
+        return q.take(off + size * code[:, :, :T] + code[:, :, T:])
+
+    return coins_at
+
+
 def mc_connection_probability(
     spec: GibbsSpec, A, B, n_samples: int, seed: int, burn_in=300, gap=2, n_tasks=None, threads=1
 ) -> dict:
@@ -321,26 +354,12 @@ def mc_connection_probability(
         raise UsageError("n_tasks must be positive")
     if burn_in < 0 or gap < 0:
         raise UsageError("burn_in and gap must be nonnegative")
-    S, n = spec.alphabet.size, len(spec.region)
+    n = len(spec.region)
     T = pair_count(n_samples, n) if n_tasks is None else n_tasks
     bonds = effective_bonds(spec)
-    coins = pair_coin_table(spec)
     hb, start = _generic_heat_bath(spec, bonds, 2 * T)
-    # bond j's coin sits at off_j + x1 * S**m + x2, x1 and x2 the copies'
-    # codes on its m inside sites: rows j and n_bonds + j of lift @ state
-    q = np.concatenate([np.zeros(0), *(coin.ravel() for coin in coins)]).astype(float)
-    size = np.array([len(coin) for coin in coins], np.int64)[:, None]
-    off = np.cumsum(size**2, axis=0) - size**2
+    coins_at = _pair_coin_reader(spec, bonds, hb.row, T)
     nb = len(bonds)
-    code = np.zeros((nb, n + 1), np.int64)
-    pos = {v: p for p, v in enumerate(spec.region)}
-    for j, eb in enumerate(bonds):
-        for k, u in enumerate(eb.inside):
-            code[j, hb.row[pos[u]]] = S ** (len(eb.inside) - 1 - k)
-    lift = np.vstack((size * code, code))
-
-    def coins_at(x):  # each pair's coins, (..., n_bonds, T), at x = lift @ state(s)
-        return q[off + x[..., :nb, :T] + x[..., nb:, T:]]
 
     per_task = -(-n_samples // T)
     # the kept states of a burn-in batch or a sample chunk, at most K of
@@ -360,7 +379,7 @@ def mc_connection_probability(
         check = k >= BURN_IN_MIN and k % BURN_IN_CHECK == 0
         if check or b == K or k == burn_in:
             # each row's sum adds its (n_bonds, T) coins pairwise, as one state's .sum() does
-            series += (coins_at(lift @ states[:b]).reshape(b, nb * T).sum(axis=1) / T).tolist()
+            series += (coins_at(states[:b]).reshape(b, nb * T).sum(axis=1) / T).tolist()
             b = 0
         if check:
             tau, converged = integrated_autocorr(series[k // 2 :])
@@ -381,7 +400,7 @@ def mc_connection_probability(
             heat_bath_chain(spec, hb, rng, gap)
             states[k] = hb.state
             rng.random(out=u[k])
-        np.less(u[:m], coins_at(lift @ states[:m]).transpose(0, 2, 1), out=active[:m])
+        np.less(u[:m], coins_at(states[:m]).transpose(0, 2, 1), out=active[:m])
         labels = chain_components(spec.graph.n_vertices, [eb.vertices for eb in bonds], active[:m].reshape(m * T, nb))
         hits += chains_join(labels, A, B).reshape(m, T).sum(axis=0)
     total = per_task * T

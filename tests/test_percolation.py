@@ -804,9 +804,9 @@ def test_pattern_kernel_matches_slice_loop_literally(monkeypatch, name, make, fa
 
 def test_pattern_records_peak_memory_is_bounded():
     # 16,384 pairs over 6 bonds: two blocks of pairs, cut again into runs of
-    # leaves. The bound was set at 1.5 times a peak of 2.36 MB measured at a
-    # budget of 2^16 cells, so that block memory cannot grow unnoticed; with
-    # Python 3.11 and numpy 2.4 the peak reads 1.35 MB (1.96 MB at 2^17).
+    # leaves. With Python 3.11 and numpy 2.4 the peak reads 1.35 MB at a
+    # budget of 2^16 cells and 1.96 MB at 2^17; the bound lies between, so
+    # that a doubled block budget fails here.
     spec = ising_spec(hypergraph(7, [(i, i + 1) for i in range(6)]), 0.5)
     want = sigma_connection_profile(spec, {0}, {6})  # imports and caches outside the trace
     tracemalloc.start()
@@ -816,11 +816,11 @@ def test_pattern_records_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert got == want
-    assert peak < 3.5e6
+    assert peak < 1.65e6
     # The 4x2 grid's 65,536 pairs over 10 bonds span 10 blocks of 2^16
     # cells. Its records, all kept until the call returns, peak at 4.6 MB at
-    # 2^16 and 6.7 MB at 2^17 (Python 3.11, numpy 2.4); the bound was set
-    # between the 6.0 and 8.8 MB that a block-by-block walk once read there.
+    # 2^16 and 6.7 MB at 2^17 (Python 3.11, numpy 2.4); the bound lies
+    # between.
     spec = ising_spec(build_grid(4, 2), 0.5)
     assert spec.n_states() ** 2 * len(effective_bonds(spec)) == 10 << 16
     _pattern_records(spec)  # imports and caches outside the trace
@@ -830,7 +830,7 @@ def test_pattern_records_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7.5e6
+    assert peak < 5.6e6
 
 
 def test_leaf_cap_refuses_before_labelling_and_a_query_labels_once(monkeypatch):

@@ -87,24 +87,29 @@ def _oracle_sweeps(spec, plan, states, rng, n_sweeps):
                     state[p] = vi
 
 
+def _oracle_pair_coins(spec, bonds, coins, s1, s2):
+    """Each bond's coin at the copies' value indices s1 and s2 (region order)."""
+    S = spec.alphabet.size
+    pos = {v: p for p, v in enumerate(spec.region)}
+    out = []
+    for eb, coin in zip(bonds, coins):
+        x1 = x2 = 0
+        for v in eb.inside:
+            x1 = x1 * S + s1[pos[v]]
+            x2 = x2 * S + s2[pos[v]]
+        out.append(float(coin[x1][x2]))
+    return out
+
+
 def _oracle_mc(spec, A, B, n_samples, seed, burn_in=300, gap=2, n_tasks=8, threads=1):
     S = spec.alphabet.size
     bonds = effective_bonds(spec)
     coins = oracle.pair_coin_table(spec)
     plan = _oracle_plan(spec, bonds)
     doms = plan[2]
-    pos = {v: p for p, v in enumerate(spec.region)}
 
     def pair_coins(t):
-        s1, s2 = states[t], states[n_tasks + t]
-        out = []
-        for eb, coin in zip(bonds, coins):
-            x1 = x2 = 0
-            for v in eb.inside:
-                x1 = x1 * S + s1[pos[v]]
-                x2 = x2 * S + s2[pos[v]]
-            out.append(float(coin[x1][x2]))
-        return out
+        return _oracle_pair_coins(spec, bonds, coins, states[t], states[n_tasks + t])
 
     rng = stream(seed, 300)
     u = rng.random((2 * n_tasks, len(spec.region)))
@@ -308,6 +313,43 @@ def test_mc_keeps_at_most_the_budget_of_states(monkeypatch):
     got = sampling.mc_connection_probability(spec, {0}, {5}, 48, 1, burn_in=300, gap=1)
     assert got["burn_in"] == 40
     assert [s[0] for s in shapes if s[1:] == (n + 1, 2 * T)] == [3]
+
+
+@pytest.mark.parametrize("h", [0.0, 0.4])
+def test_mc_without_pair_bonds_matches_oracle(h):
+    # no effective bond at all (m_max = 0), and fields alone (m_max = 1): the
+    # coin read's shortest tables. Without bonds the series is 0 at every
+    # sweep, so the burn-in stops at its first check
+    spec = ising_spec(hypergraph(3, []), [], h=h)
+    assert [len(eb.inside) for eb in effective_bonds(spec)] == ([1, 1, 1] if h else [])
+    got = sampling.mc_connection_probability(spec, {0}, {2}, 50, 1)
+    assert got == _oracle_mc(spec, {0}, {2}, 50, 1, n_tasks=got["n_pairs"])
+    if not h:
+        assert (got["estimate"], got["burn_in"]) == (0.0, 32)
+
+
+@pytest.mark.parametrize("name,make,A,B", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_pair_coin_reader_matches_the_oracle_coins(name, make, A, B):
+    # 12 kept kernel states of random values, in and out of the domains, read
+    # in batches of 1, 5 and 12 states: every pair's coins equal the
+    # oracle's per-bond loop, in bond order
+    spec = make()
+    S, n, T = spec.alphabet.size, len(spec.region), 3
+    bonds = effective_bonds(spec)
+    coins = oracle.pair_coin_table(spec)
+    hb, _ = sampling._generic_heat_bath(spec, bonds, 2 * T)
+    coins_at = sampling._pair_coin_reader(spec, bonds, hb.row, T)
+    values = np.random.default_rng(5).integers(0, S, (12, n, 2 * T))
+    states = np.empty((12, n + 1, 2 * T), np.int8)
+    for k, v in enumerate(values):
+        hb.load(v)
+        states[k] = hb.state
+    want = [[_oracle_pair_coins(spec, bonds, coins, v[:, t], v[:, T + t]) for t in range(T)] for v in values]
+    for K in (1, 5, 12):
+        for lo in range(0, 12, K):
+            got = coins_at(states[lo : lo + K])
+            assert got.shape == (min(K, 12 - lo), len(bonds), T)
+            assert got.transpose(0, 2, 1).tolist() == want[lo : lo + K]
 
 
 def test_three_colour_spec_has_unequal_classes():
