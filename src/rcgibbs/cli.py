@@ -337,9 +337,13 @@ def cmd_exp(args) -> dict:
                 raise UsageError(
                     f"bad J grid {args.J_grid!r}: need finite ends, a start >= 0 and a positive step"
                 )
-            span = (b - a) / s  # may be inf: a step too small for the float range
-            check_cap("J-grid points", math.floor(span) + 1 if span < 2**53 else span)
-            grid = list(np.arange(a, b + 1e-12, s))
+            # the points a + i*s up to b + 1e-12, counted once for the cap and
+            # the build: none when b < a, and inf when the step is too small
+            # for the float range
+            span = max((b + 1e-12 - a) / s, -1.0)
+            n = math.floor(span) + 1 if span < 2**53 else span
+            check_cap("J-grid points", n)
+            grid = [a + i * s for i in range(n)]
         return run_cayley(grid)
     if args.exp_command == "hardcore":
         w, h = _parse_numbers(args.grid.lower(), "grid WxH", "x", length=2)

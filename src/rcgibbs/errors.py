@@ -25,7 +25,7 @@ CAPS = {
     "assignments": 10**7,  # rcr.assignment_measure
     "joint states": 1 << 12,  # rcr.joint_spin_bond
     "spin-bond pairs": 10**6,  # rcr.joint_spin_bond: the joint law's support
-    "J-grid points": 1 << 16,  # cli (exp cayley --J-grid): couplings evaluated, before np.arange
+    "J-grid points": 1 << 16,  # cli (exp cayley --J-grid): couplings evaluated, before the grid is built
 }
 
 

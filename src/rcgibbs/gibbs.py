@@ -113,9 +113,6 @@ class Interaction:
 
     tables: dict[int, BondTable] = field(default_factory=dict)
 
-    def table(self, bond_index: int) -> BondTable:
-        return self.tables[bond_index]
-
 
 def local_index(alphabet_size: int, value_indices) -> int:
     idx = 0

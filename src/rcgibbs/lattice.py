@@ -18,9 +18,6 @@ class Hypergraph:
     bonds: tuple[tuple[int, ...], ...]
     adjacency: tuple[tuple[int, ...], ...]  # vertex -> incident bond indices
 
-    def vertices(self) -> range:
-        return range(self.n_vertices)
-
 
 def hypergraph(n_vertices: int, bonds) -> Hypergraph:
     """Build a hypergraph, validating and normalizing the bond list."""

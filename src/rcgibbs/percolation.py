@@ -336,20 +336,26 @@ def pair_coin_table(spec: GibbsSpec):
 def _first_seen(*cols):
     """Number the distinct rows of equal-length integer columns in order of
     first appearance; returns each row's number and each number's first row."""
-    code = np.zeros(len(cols[0]), dtype=np.int64)
-    for col in cols if len(code) else ():
+    code = np.asarray(cols[0], dtype=np.int64)
+    for col in cols[1:] if len(code) else ():
         radix = int(col.max()) + 1
         if (int(code.max()) + 1) * radix > 1 << 62:
-            # dense ranks keep the order of the codes and of the column
-            code = np.unique(code, return_inverse=True)[1]
-            col = np.unique(col, return_inverse=True)[1]
+            # any injective numbering of the codes and of the column keeps the groups
+            code, col = _first_seen(code)[0], _first_seen(col)[0]
             radix = int(col.max()) + 1
         code = code * radix + col
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], first[order]
+    # one stable sort: the head of each run of equal codes is its first row,
+    # and a run's number is the rank of its head among the heads in row order
+    order = np.argsort(code, kind="stable")
+    run = code[order]
+    head = np.ones(len(run), dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=head[1:])
+    heads = order[head]
+    first = np.zeros(len(code), dtype=bool)
+    first[heads] = True
+    labels = np.empty_like(order)
+    labels[order] = (np.cumsum(first) - 1)[heads][np.cumsum(head) - 1]
+    return labels, np.flatnonzero(first)
 
 
 def _expand(mul, weights, coins, q, q_off, live, base):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from model_strategies import small_models
-from rcgibbs import cli
+from rcgibbs import cli, errors
 from rcgibbs.cli import main
 from rcgibbs.gibbs import gibbs_measure
 from rcgibbs.models import spec_from_dict
@@ -88,12 +88,35 @@ def test_cap_violation_exits_three(tmp_path, capsys):
 
 @pytest.mark.parametrize("grid", ["0:1e30:1", "0:1:1e-300", "0:65536:1"])
 def test_oversized_cayley_grid_exits_three(tmp_path, capsys, grid):
-    # the points are counted before np.arange would allocate them: 1e30,
-    # about 1e300, and 65,537, one past the cap
+    # the points are counted before the grid is built: 1e30, about 1e300,
+    # and 65,537, one past the cap
     assert run_cli(["--out", str(tmp_path), "exp", "cayley", "--J-grid", grid]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource cap: ") and "J-grid points" in err and err.count("\n") == 1, err
     assert not (tmp_path / "results.json").exists()
+
+
+def test_cayley_grid_is_counted_once_for_the_cap_and_the_build(tmp_path, capsys, monkeypatch):
+    # the default grid and the README's --J-grid are the same points
+    # a + i*s; with the cap at 3, the four points of 0:0.3:0.1 are refused
+    for name, argv in (("default", []), ("grid", ["--J-grid", "0.1:2.0:0.05"])):
+        assert run_cli(["--out", str(tmp_path / name), "exp", "cayley", *argv]) == 0
+    default, grid = (json.loads((tmp_path / n / "results.json").read_text()) for n in ("default", "grid"))
+    assert len(grid["results"]["rows"]) == 39
+    assert grid["results"] == default["results"]
+    monkeypatch.setitem(errors.CAPS, "J-grid points", 3)
+    capsys.readouterr()
+    assert run_cli(["--out", str(tmp_path / "capped"), "exp", "cayley", "--J-grid", "0:0.3:0.1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: 4 J-grid points") and err.count("\n") == 1, err
+    assert not (tmp_path / "capped").exists()
+
+
+@pytest.mark.parametrize("grid", ["1:0:0.5", "1e308:-1e308:1"])
+def test_descending_cayley_grid_has_no_rows(tmp_path, grid):
+    # b < a gives no points, also when b - a overflows to -inf
+    assert run_cli(["--out", str(tmp_path), "exp", "cayley", "--J-grid", grid]) == 0
+    assert json.loads((tmp_path / "results.json").read_text())["results"]["rows"] == []
 
 
 def test_bad_model_file_exits_two(tmp_path):
@@ -544,6 +567,8 @@ MALFORMED = [
     ["gibbs", "eval", "--model", "MODEL", "--bc", "9:1"],  # boundary outside the graph
     ["exp", "hardcore", "--grid", "0x3"],
     ["exp", "cayley", "--J-grid", "0.1:2:0"],
+    ["exp", "cayley", "--J-grid", "0:1:-0.5"],
+    ["exp", "cayley", "--J-grid", "0:inf:1"],
 ]
 
 

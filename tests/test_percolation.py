@@ -906,16 +906,35 @@ def test_integrated_rc_past_twenty_bonds_matches_the_profile():
         assert type(got) is Fraction and got == pbar
 
 
-def test_first_seen_re_ranks_codes_past_two_to_the_62():
+def _columns_past_two_to_the_62():
     # 11 columns with a radix of 2**20 each: the mixed-radix code passes
-    # 2**62 at the fourth column, so the columns are re-ranked densely, and
-    # a code left to wrap would merge rows that differ only in early columns
+    # 2**62 at the fourth column, so the codes and columns are re-ranked,
+    # and a code left to wrap would merge rows that differ only in early columns
     rng = stream(193, 0)
     base = rng.integers(0, 1 << 20, (40, 11))
     base[0] = (1 << 20) - 1
     base[1:10] = base[10]
     base[1:10, :3] = rng.integers(0, 1 << 20, (9, 3))  # rows equal from the fourth column on
-    rows = np.concatenate([base, base[::-1], base[rng.integers(0, 40, 100)]])
+    return np.concatenate([base, base[::-1], base[rng.integers(0, 40, 100)]])
+
+
+def _small_radix_columns():
+    rng = stream(194, 0)
+    return rng.integers(0, [2, 3, 1, 5], (60, 4))
+
+
+FIRST_SEEN_ROWS = {
+    "no-rows": lambda: np.zeros((0, 3), dtype=np.int64),
+    "one-row": lambda: np.array([[4, 0, 7]]),
+    "all-equal": lambda: np.full((9, 2), 5),
+    "small-radix": _small_radix_columns,
+    "past-2-to-the-62": _columns_past_two_to_the_62,
+}
+
+
+@pytest.mark.parametrize("case", FIRST_SEEN_ROWS)
+def test_first_seen_numbers_rows_as_a_dict_does(case):
+    rows = FIRST_SEEN_ROWS[case]()
     number = {}
     want = [number.setdefault(tuple(r), len(number)) for r in rows.tolist()]
     firsts = {}
